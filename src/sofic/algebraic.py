@@ -13,15 +13,29 @@ exactly.  Normalizing, h_n = log|count| / d is the per-quotient entropy
 value, and exp(log|det M| / d) is the finite-dimensional determinant with
 respect to the normalized trace.
 
-All determinant and Smith computations are exact over arbitrary-precision
-integers.  Determinants use fraction-free Bareiss elimination for modest
-dimensions and a multi-prime modular/CRT elimination (numpy int64 per
-prime) above the crossover; both paths return identical values and are
-cross-checked in the test suite.
+Every count is exact over arbitrary-precision integers, by one route per
+quotient family:
+
+* Torus quotients Z^r / (n_1 Z x ... x n_r Z) are abelian, so the
+  characters diagonalise M and det M = prod_chi F(chi) with
+  F(chi) = sum_c fhat[c] chi(c) (the periodic-point formula of
+  Lind-Schmidt-Ward).  With m = lcm(n_i), every character value lies in
+  Z[zeta_m], and modulo a prime p = 1 (mod m) it becomes an element of
+  F_p.  The product is taken modulo enough such primes in (2^30, 2^31)
+  to lift it by CRT against |det M| <= ||fhat||_1^d.  The nullity is the
+  number of characters with F(chi) = 0, each tested exactly in Z[t] by
+  divisibility by a cyclotomic polynomial; no matrix is built.
+* Explicit quotients build M and take its determinant by fraction-free
+  Bareiss elimination for modest dimensions and by a multi-prime
+  modular/CRT elimination (numpy int64 per prime) above the crossover,
+  with the Smith normal form for the nullity when det M = 0.  This dense
+  route, ``count_solutions(regular_rep_matrix(f, q))``, also serves as
+  the test oracle for the torus route.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -33,6 +47,7 @@ from .groups import (
     GroupRingElement,
     Quotient,
     ResourceGuardError,
+    TorusQuotient,
     identity_element,
     size_limit,
 )
@@ -91,15 +106,8 @@ class RegularRepMatrix:
         return [[int(v) for v in row] for row in self.entries]
 
 
-def regular_rep_matrix(
-    f: GroupRingElement, q: Quotient, limit: Optional[int] = None
-) -> RegularRepMatrix:
-    """Build the group-circulant matrix of f over the quotient q.
-
-    Entry (a, b) equals fhat[a * b^-1] where fhat folds the coefficients of
-    f along the fibers of the quotient map, so every row sums to the total
-    coefficient sum of f.
-    """
+def _check_quotient(f: GroupRingElement, q: Quotient, limit: Optional[int]) -> None:
+    """Rank and size checks shared by every counting route, made before any work."""
     if f.rank != q.rank:
         raise ValueError(
             f"element/quotient mode mismatch (element rank {f.rank}, quotient rank {q.rank})"
@@ -110,6 +118,19 @@ def regular_rep_matrix(
         raise ResourceGuardError(
             f"matrix with {d}x{d} entries exceeds size limit {cap}"
         )
+
+
+def regular_rep_matrix(
+    f: GroupRingElement, q: Quotient, limit: Optional[int] = None
+) -> RegularRepMatrix:
+    """Build the group-circulant matrix of f over the quotient q.
+
+    Entry (a, b) equals fhat[a * b^-1] where fhat folds the coefficients of
+    f along the fibers of the quotient map, so every row sums to the total
+    coefficient sum of f.
+    """
+    _check_quotient(f, q, limit)
+    d = q.size
     fhat: dict = {}
     for s, c in f.terms.items():
         idx = q.index(s)
@@ -194,11 +215,15 @@ def _hadamard_bits(rows: List[List[int]]) -> int:
     return bits
 
 
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
 def _is_probable_prime(n: int) -> bool:
-    # Deterministic Miller-Rabin for n < 3.3e24 with the standard base set.
+    # Deterministic Miller-Rabin: bases 2, 7, 61 below 4,759,123,141
+    # (Jaeschke 1993), the first twelve primes below 3.3e24.
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _SMALL_PRIMES:
         if n % p == 0:
             return n == p
     d = n - 1
@@ -206,7 +231,10 @@ def _is_probable_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         r += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    bases = (2, 7, 61) if n < 4_759_123_141 else _SMALL_PRIMES
+    for a in bases:
+        if a % n == 0:
+            continue
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -314,17 +342,24 @@ def _det_modular(rows: List[List[int]]) -> int:
     small = all(abs(v) < 2**52 for row in rows for v in row)
     base = np.array(rows, dtype=np.float64) if small else None
 
-    residue = 0
-    modulus = 1
+    residues = []
     for p in primes:
         if base is not None:
-            dp = _lu_det_mod(base, p)
+            residues.append(_lu_det_mod(base, p))
         else:
             reduced = np.array(
                 [[v % p for v in row] for row in rows], dtype=np.float64
             )
-            dp = _lu_det_mod(reduced, p)
-        t = (dp - residue) * pow(modulus, -1, p) % p
+            residues.append(_lu_det_mod(reduced, p))
+    return _crt_symmetric(residues, primes)
+
+
+def _crt_symmetric(residues: Sequence[int], primes: Sequence[int]) -> int:
+    """The integer in (-P/2, P/2] with the given residues, P = prod(primes)."""
+    residue = 0
+    modulus = 1
+    for r, p in zip(residues, primes):
+        t = (r - residue) * pow(modulus, -1, p) % p
         residue += modulus * t
         modulus *= p
     if residue > modulus // 2:
@@ -454,6 +489,203 @@ def count_solutions(matrix) -> SolutionCount:
     return SolutionCount(value=None, nullity=nullity)
 
 
+# ---------------------------------------------------------------------------
+# torus quotients: character products
+
+# Character primes lie in (2^30, 2^31): residues below 2^31 keep every
+# product of two below 2^62 in int64, and each prime adds at least 30 bits
+# to the CRT modulus.
+_CHAR_PRIME_FLOOR = 2**30
+_CHAR_PRIME_CEIL = 2**31
+
+# Residues per (primes x characters) block, which keeps the numpy
+# temporaries near half a megabyte.
+_CHAR_BLOCK = 2**16
+
+# m -> (primes = 1 mod m found so far, in descending order; next candidate)
+_CHAR_PRIMES: dict = {}
+
+
+def _character_primes(m: int, count: int) -> List[int]:
+    """The `count` largest primes p = 1 (mod m) in (2^30, 2^31), found lazily."""
+    found, candidate = _CHAR_PRIMES.get(m, ([], None))
+    step = m if m % 2 == 0 else 2 * m
+    if candidate is None:
+        candidate = (_CHAR_PRIME_CEIL - 2) // step * step + 1
+    while len(found) < count:
+        if candidate <= _CHAR_PRIME_FLOOR:
+            raise ResourceGuardError(
+                f"{count} primes = 1 mod {m} needed, only {len(found)} lie in (2^30, 2^31)"
+            )
+        if _is_probable_prime(candidate):
+            found.append(candidate)
+        candidate -= step
+    _CHAR_PRIMES[m] = (found, candidate)
+    return found[:count]
+
+
+def _prime_factors(n: int) -> List[int]:
+    out = []
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            out.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
+def _root_of_unity(m: int, p: int) -> int:
+    """A primitive m-th root of unity modulo a prime p = 1 (mod m)."""
+    factors = _prime_factors(m)
+    a = 2
+    while True:
+        w = pow(a, (p - 1) // m, p)
+        if all(pow(w, m // ell, p) != 1 for ell in factors):
+            return w
+        a += 1
+
+
+@functools.lru_cache(maxsize=None)
+def _cyclotomic(n: int) -> tuple:
+    """Coefficients of Phi_n, constant term first.
+
+    Phi_n = prod over d | n of (t^d - 1)^mu(n/d): the factors with mu = 1
+    are multiplied in first, then the factors with mu = -1 divide exactly.
+    """
+    divisors = [d for d in range(1, n + 1) if n % d == 0]
+    mu = {}
+    for d in divisors:
+        factors = _prime_factors(n // d)
+        squarefree = math.prod(factors) == n // d
+        mu[d] = (-1) ** len(factors) if squarefree else 0
+    poly = [1]
+    for d in divisors:
+        if mu[d] == 1:
+            out = [0] * (len(poly) + d)
+            for j, a in enumerate(poly):
+                out[j + d] += a
+                out[j] -= a
+            poly = out
+    for d in divisors:
+        if mu[d] == -1:
+            quot = [0] * (len(poly) - d)
+            for j in range(len(quot) - 1, -1, -1):
+                quot[j] = poly[j + d] + (quot[j + d] if j + d < len(quot) else 0)
+            poly = quot
+    return tuple(poly)
+
+
+def _character_vanishes(exponents: List[int], coeffs: List[int], m: int) -> bool:
+    """Whether F(chi) = sum_t coeffs[t] * zeta_m^exponents[t] is exactly 0.
+
+    With g = gcd(m, exponents), zeta_m^g is a primitive (m/g)-th root of
+    unity, so F(chi) = h(zeta_(m/g)) for h(t) = sum_t coeffs[t] *
+    t^(exponents[t]/g), and F(chi) = 0 exactly when Phi_(m/g) divides h.
+    """
+    g = math.gcd(m, *exponents)
+    order = m // g
+    h = [0] * order
+    for e, c in zip(exponents, coeffs):
+        h[e // g] += c
+    phi = _cyclotomic(order)
+    deg = len(phi) - 1
+    tail = [(j, a) for j, a in enumerate(phi[:-1]) if a]
+    for top in range(order - 1, deg - 1, -1):
+        c = h[top]
+        if c:
+            for j, a in tail:
+                h[top - deg + j] -= c * a
+    return not any(h[:deg])
+
+
+def _character_values(
+    exponents: np.ndarray, coeffs: List[int], m: int, primes: List[int]
+) -> np.ndarray:
+    """F(chi_k) mod p, one row per prime and one column per character k.
+
+    ``exponents[k, t]`` is the power of omega, a primitive m-th root of
+    unity mod p, that chi_k takes on the t-th folded term, so each value
+    costs one lookup per term.
+    """
+    mods = np.array(primes, dtype=np.int64)[:, None]
+    step = np.array([[_root_of_unity(m, p)] for p in primes], dtype=np.int64)
+    powers = np.ones((len(primes), m), dtype=np.int64)
+    filled = 1
+    while filled < m:
+        take = min(filled, m - filled)
+        powers[:, filled : filled + take] = powers[:, :take] * step % mods
+        step = step * step % mods
+        filled += take
+    values = np.zeros((len(primes), exponents.shape[0]), dtype=np.int64)
+    for t, c in enumerate(coeffs):
+        residue = np.array([[c % p] for p in primes], dtype=np.int64)
+        values += powers[:, exponents[:, t]] * residue % mods
+        values %= mods
+    return values
+
+
+def _row_products(values: np.ndarray, primes: List[int]) -> List[int]:
+    """Product of each row mod its prime, multiplied pairwise as a tree."""
+    mods = np.array(primes, dtype=np.int64)[:, None]
+    while values.shape[1] > 1:
+        half = values.shape[1] // 2
+        head = values[:, :half] * values[:, half : 2 * half] % mods
+        if values.shape[1] % 2:
+            head[:, :1] = head[:, :1] * values[:, -1:] % mods
+        values = head
+    return [int(v) for v in values[:, 0]]
+
+
+def _torus_fix_count(f: GroupRingElement, q: TorusQuotient) -> SolutionCount:
+    """fix_count on a torus quotient by the character product, exactly.
+
+    With m = lcm(n_i), the character k of Z/n_1 x ... x Z/n_r sends a
+    folded term s to omega^(sum_i k_i s_i m / n_i).  The nullity counts the
+    characters with F(chi) = 0: every zero mod the first prime is tested
+    exactly, and the rest cannot vanish.  Otherwise det M is the product of
+    the F(chi), lifted by CRT from enough primes that their product exceeds
+    twice the bound ||fhat||_1^d.
+    """
+    moduli = q.moduli
+    m = math.lcm(*moduli)
+    fhat: dict = {}
+    for s, c in f.terms.items():
+        vec = (s,) if q.rank == 1 else s
+        key = tuple(x % n * (m // n) for x, n in zip(vec, moduli))
+        fhat[key] = fhat.get(key, 0) + c
+    fhat = {key: c for key, c in fhat.items() if c != 0}
+    d = q.size
+    if not fhat:
+        return SolutionCount(value=None, nullity=d)
+    coeffs = list(fhat.values())
+    chars = np.indices(moduli, dtype=np.int64).reshape(len(moduli), -1).T
+    exponents = chars @ np.array(list(fhat), dtype=np.int64).T % m
+
+    first = _character_primes(m, 1)
+    values = _character_values(exponents, coeffs, m, first)
+    zeros = sum(
+        _character_vanishes(exponents[k].tolist(), coeffs, m)
+        for k in np.flatnonzero(values[0] == 0)
+    )
+    if zeros:
+        return SolutionCount(value=None, nullity=zeros)
+
+    # every prime exceeds 2^30, so k primes with 30k >= bit_length(2 * bound)
+    # have a product above 2 * bound
+    bound = sum(abs(c) for c in coeffs) ** d
+    primes = _character_primes(m, -(-(2 * bound).bit_length() // 30))
+    residues = _row_products(values, first)
+    block = max(1, _CHAR_BLOCK // d)
+    for i in range(1, len(primes), block):
+        chunk = primes[i : i + block]
+        residues += _row_products(_character_values(exponents, coeffs, m, chunk), chunk)
+    return SolutionCount(value=abs(_crt_symmetric(residues, primes)))
+
+
 def fix_count(
     f: GroupRingElement, q: Quotient, limit: Optional[int] = None
 ) -> SolutionCount:
@@ -461,8 +693,12 @@ def fix_count(
 
     Pulling a fixed point back along the quotient map identifies the fixed
     set with the solutions of the convolution matrix on (R/Z)^d, so the
-    count is computed there exactly.
+    count is computed there exactly: by the character product on a torus
+    quotient, and from the dense matrix on an explicit one.
     """
+    _check_quotient(f, q, limit)
+    if isinstance(q, TorusQuotient):
+        return _torus_fix_count(f, q)
     return count_solutions(regular_rep_matrix(f, q, limit=limit))
 
 
@@ -486,13 +722,12 @@ def fk_determinant_quotient(
     """|det M|^(1/d): the determinant of f's image under the normalized trace.
 
     Raises NotInvertibleError when det M = 0, i.e. f is not invertible at
-    this quotient.
+    this quotient, where fix_count is infinite.
     """
-    matrix = regular_rep_matrix(f, q, limit=limit)
-    det = det_abs_exact(matrix)
-    if det == 0:
+    sc = fix_count(f, q, limit=limit)
+    if not sc.is_finite:
         raise NotInvertibleError(f"{f.render()} is not invertible at quotient {q.label}")
-    return math.exp(log_big_int(det) / matrix.dim)
+    return math.exp(log_big_int(sc.value) / q.size)
 
 
 # ---------------------------------------------------------------------------

@@ -38,9 +38,15 @@ __all__ = [
 
 ROOT_DEGREE_CAP = 64
 
-# Documented safety margin subtracted from the grid minimum before the
-# Lipschitz comparison; covers floating-point evaluation error of F.
-CERTIFICATE_SAFETY = 1e-12
+# Forward error of one FFT butterfly level, in units of u * ||f||_1.  A
+# radix-2 level has relative error eta = mu + gamma_4 * (sqrt 2 + mu), about
+# 5.7u with twiddle error mu near u (Higham, Accuracy and Stability of
+# Numerical Algorithms, 2nd ed., ch. 24); 8 also covers the mixed-radix and
+# Bluestein passes used for other grid lengths.  Measured errors stay below
+# 0.7 u * ||f||_1 per level for ||f||_1 up to 10^17.
+FFT_LEVEL_ERROR = 8.0
+
+_UNIT_ROUNDOFF = 2.0**-53
 
 NEAR_ZERO_QUADRATURE = 1e-14
 NEAR_ZERO_CERTIFICATE = 1e-10
@@ -127,6 +133,19 @@ def _grid_values(f: GroupRingElement, grid: int) -> np.ndarray:
         idx = tuple(int(x) % grid for x in vec)
         folded[idx] += float(coeff)
     return np.fft.ifftn(folded) * (grid**d)
+
+
+def _grid_error_bound(f: GroupRingElement, grid: int) -> float:
+    """Bound on |computed F - F| at every point of _grid_values' grid.
+
+    Rounding the coefficients to float and folding them onto the grid costs
+    at most terms * u * ||f||_1, each of the log2(grid^rank)
+    butterfly levels at most FFT_LEVEL_ERROR * u * ||f||_1 (partial sums
+    along one value's butterfly tree add up to at most ||f||_1 per level),
+    and the final scaling and modulus one more u * ||f||_1.
+    """
+    levels = f.rank * math.log2(grid)
+    return _UNIT_ROUNDOFF * f.one_norm * (FFT_LEVEL_ERROR * levels + len(f.terms) + 1)
 
 
 def mahler_jensen(f: GroupRingElement) -> MahlerEstimate:
@@ -228,12 +247,14 @@ def mahler_quadrature(f: GroupRingElement, grid: int) -> MahlerEstimate:
 def certify_invertible_torus(f: GroupRingElement, grid: int) -> InvertibilityCertificate:
     """Grid-plus-Lipschitz check that F has no zero on the torus.
 
-    With m the grid minimum of |F| (less a 1e-12 float safety margin) and
-    L = 2*pi * sum |f_s| * |s|_1 the Lipschitz constant of F, spacing
-    h = 1/grid leaves any torus point within sqrt(d)*h/2 of the grid, so
-    m > L*h/2*sqrt(d) certifies |F| >= m - L*h/2*sqrt(d) > 0 everywhere.
-    A grid value below 1e-10 reports a suspected zero instead; otherwise
-    the verdict is unknown and a finer grid is needed.
+    With m the grid minimum of |F| less the forward-error bound of its
+    floating-point evaluation (about FFT_LEVEL_ERROR * ||f||_1 *
+    log2(grid^d) * u, see _grid_error_bound) and L = 2*pi * sum |f_s| *
+    |s|_1 the Lipschitz constant of F, spacing h = 1/grid leaves any torus
+    point within sqrt(d)*h/2 of the grid, so m > L*h/2*sqrt(d) certifies
+    |F| >= m - L*h/2*sqrt(d) > 0 everywhere.  A grid value below 1e-10, or
+    within the evaluation error of 0, reports a suspected zero instead;
+    otherwise the verdict is unknown and a finer grid is needed.
     """
     if f.rank < 1:
         raise ValueError("torus certificate requires rank >= 1")
@@ -246,7 +267,8 @@ def certify_invertible_torus(f: GroupRingElement, grid: int) -> InvertibilityCer
     lipschitz = 2.0 * math.pi * sum(
         abs(c) * element_norm1(s, f.rank) for s, c in f.terms.items()
     )
-    if vmin < NEAR_ZERO_CERTIFICATE:
+    float_error = _grid_error_bound(f, grid)
+    if vmin < max(NEAR_ZERO_CERTIFICATE, float_error):
         return InvertibilityCertificate(
             verdict="not_invertible_suspected",
             grid=grid,
@@ -256,7 +278,7 @@ def certify_invertible_torus(f: GroupRingElement, grid: int) -> InvertibilityCer
             witness_abs=vmin,
         )
     margin = lipschitz / (2.0 * grid) * math.sqrt(f.rank)
-    m_eff = vmin - CERTIFICATE_SAFETY
+    m_eff = vmin - float_error
     if m_eff > margin:
         return InvertibilityCertificate(
             verdict="certified_invertible",

@@ -20,7 +20,7 @@ from sofic import (
     smith_normal_form,
     torus_quotient,
 )
-from sofic.algebraic import _det_bareiss, _det_modular
+from sofic.algebraic import _character_primes, _det_bareiss, _det_modular
 from sofic.groups import ResourceGuardError
 
 from helpers import (
@@ -239,6 +239,135 @@ def test_fix_count_symmetries():
         shifted = fix_count(left_translate(f, shift), q)
         assert (base.value, base.nullity) == (star.value, star.nullity)
         assert (base.value, base.nullity) == (shifted.value, shifted.nullity)
+
+
+# ---------------------------------------------------------------------------
+# torus character products against the dense oracle
+
+
+def _assert_matches_oracle(f, q):
+    got = fix_count(f, q)
+    want = count_solutions(regular_rep_matrix(f, q))
+    assert (got.value, got.nullity) == (want.value, want.nullity), (f.render(), q.label)
+    return want
+
+
+def _random_torus_case(rng, rank, balanced):
+    """A random non-symmetric f of the given rank and a small torus quotient."""
+    terms = {}
+    for _ in range(rng.randint(1, 5)):
+        exp = tuple(rng.randint(-4, 4) for _ in range(rank))
+        terms[exp[0] if rank == 1 else exp] = rng.randint(-5, 5)
+    if balanced:
+        # coefficient sum 0: the trivial character is a zero
+        key = next(iter(terms))
+        terms[key] -= sum(terms.values())
+    top = {1: 12, 2: 6, 3: 3}[rank]
+    return GroupRingElement(rank, terms), torus_quotient(
+        [rng.randint(1, top) for _ in range(rank)]
+    )
+
+
+def test_torus_fix_count_matches_dense_oracle():
+    rng = random.Random(71)
+    checked = {1: 0, 2: 0, 3: 0}
+    singular = 0
+    trivial_moduli = 0
+    for i in range(240):
+        rank = 1 + i % 3
+        f, q = _random_torus_case(rng, rank, balanced=rng.random() < 0.25)
+        if f.is_zero:
+            continue
+        want = _assert_matches_oracle(f, q)
+        checked[rank] += 1
+        singular += not want.is_finite
+        trivial_moduli += 1 in q.moduli
+    assert min(checked.values()) >= 60
+    assert singular >= 40
+    assert trivial_moduli >= 40
+
+
+def test_torus_fix_count_singular_families():
+    laplacian = parse_laurent("4 - x - x^-1 - y - y^-1", 2)
+    for n in range(1, 8):
+        want = _assert_matches_oracle(laplacian, torus_quotient([n, n]))
+        assert want.nullity == 1
+    for a, b in ((2, 3), (4, 6), (1, 5)):
+        _assert_matches_oracle(laplacian, torus_quotient([a, b]))
+    cubic = parse_laurent("1 + x + x^2", 1)
+    for n in range(1, 31):
+        want = _assert_matches_oracle(cubic, torus_quotient([n]))
+        assert want.nullity == (2 if n % 3 == 0 else 0)
+    # 1 + x + ... + x^(n-1) vanishes at the n - 1 nontrivial n-th roots of 1
+    for n in (4, 9, 12):
+        f = GroupRingElement(1, {e: 1 for e in range(n)})
+        assert fix_count(f, torus_quotient([n])).nullity == n - 1
+        assert _assert_matches_oracle(f, torus_quotient([2 * n])).nullity == n - 1
+    rng = random.Random(73)
+    for i in range(40):
+        f, q = _random_torus_case(rng, 1 + i % 3, balanced=True)
+        if f.is_zero:
+            continue
+        assert not _assert_matches_oracle(f, q).is_finite
+
+
+def test_torus_fix_count_zero_candidates_that_do_not_vanish():
+    # a multiple of the first character prime is 0 mod that prime at every
+    # character, so every character is a candidate and only the exact test
+    # separates the true zeros
+    for n in (1, 5, 6, 12):
+        p = _character_primes(n, 1)[0]
+        sc = fix_count(GroupRingElement(1, {0: 2 * p, 1: -p}), torus_quotient([n]))
+        assert sc.value == p**n * (2**n - 1)
+        assert fix_count(GroupRingElement(1, {0: p, 1: -p}), torus_quotient([n])).nullity == 1
+    p = _character_primes(6, 1)[0]
+    f = GroupRingElement(2, {(0, 0): 4 * p, (1, 0): -p, (0, 1): -p, (-1, 0): -p, (0, -1): -p})
+    assert _assert_matches_oracle(f, torus_quotient([2, 3])).nullity == 1
+
+
+def test_torus_fix_count_folds_to_zero():
+    sc = _assert_matches_oracle(parse_laurent("x - x^3", 1), torus_quotient([2]))
+    assert sc.nullity == 2
+    f = parse_laurent("x*y - x^3*y^-1", 2)
+    assert _assert_matches_oracle(f, torus_quotient([2, 2])).nullity == 4
+    assert _assert_matches_oracle(f, torus_quotient([1, 2])).nullity == 2
+    assert not _assert_matches_oracle(f, torus_quotient([2, 3])).is_finite
+
+
+def test_torus_fix_count_huge_coefficients():
+    top = 2**63 - 1
+    cases = [
+        (GroupRingElement(1, {0: top, 1: -(top - 1)}), [[n] for n in (1, 2, 5, 9)]),
+        (GroupRingElement(1, {0: top, 1: -top}), [[n] for n in (1, 3)]),
+        (GroupRingElement(1, {0: top, 2: top, -1: -top}), [[n] for n in (2, 4, 7)]),
+        (
+            GroupRingElement(2, {(0, 0): top, (1, 0): -(top - 2), (0, -1): 1}),
+            [[2, 2], [3, 2], [1, 4]],
+        ),
+    ]
+    for f, moduli in cases:
+        for mods in moduli:
+            _assert_matches_oracle(f, torus_quotient(mods))
+    got = fix_count(GroupRingElement(1, {0: top, 1: -(top - 1)}), torus_quotient([5]))
+    assert got.value == top**5 - (top - 1) ** 5
+
+
+def test_torus_fix_count_rank_mismatch_and_guard():
+    with pytest.raises(ValueError, match="mismatch"):
+        fix_count(parse_laurent("5 - x - y", 2), torus_quotient([4]))
+    with pytest.raises(ValueError, match="mismatch"):
+        fix_count(parse_laurent("3 - x", 1), torus_quotient([2, 2]))
+    with pytest.raises(ResourceGuardError):
+        fix_count(parse_laurent("x - 2", 1), torus_quotient([2000]), limit=10**6)
+
+
+def test_character_prime_supply_is_finite():
+    # only two candidates 1 + j * 2^29 lie in (2^30, 2^31)
+    with pytest.raises(ResourceGuardError, match="primes"):
+        _character_primes(2**29, 5)
+    for m in (1, 2, 7, 24, 360):
+        for p in _character_primes(m, 4):
+            assert 2**30 < p < 2**31 and (p - 1) % m == 0
 
 
 def test_det_equals_snf_product_equals_count():

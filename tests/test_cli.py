@@ -302,15 +302,23 @@ def test_stdout_report_when_no_out(capsys):
 
 
 def test_determinism_across_processes(tmp_path):
+    import os
     import subprocess
     import sys
+    from pathlib import Path
 
+    import sofic
+
+    # the child imports the sofic under test, installed or not
+    src = str(Path(sofic.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     args = [sys.executable, "-m", "sofic", "algebraic", "--group", "Z",
             "--poly", "3 - x - x^-1", "--quotients", "1..10", "--format", "json"]
     outputs = []
     for name in ("a.json", "b.json"):
         path = tmp_path / name
-        proc = subprocess.run(args + ["--out", str(path)], capture_output=True)
+        proc = subprocess.run(args + ["--out", str(path)], capture_output=True, env=env)
         assert proc.returncode == 0, proc.stderr
         outputs.append(path.read_bytes())
     assert outputs[0] == outputs[1]

@@ -1,8 +1,10 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
+from sofic import spectral
 from sofic import (
     GroupRingElement,
     NearZeroError,
@@ -146,6 +148,44 @@ def test_certificate_soundness_on_vanishing_inputs():
         for grid in (8, 64, 256):
             cert = certify_invertible_torus(f, grid)
             assert cert.verdict != "certified_invertible", (f.render(), grid)
+
+
+def _exact_abs(f, theta, mp):
+    """|F(theta)| at 50 digits, for a rank-1 f."""
+    mp.mp.dps = 50
+    return abs(
+        sum(mp.mpf(c) * mp.expj(2 * mp.pi * s * theta) for s, c in f.terms.items())
+    )
+
+
+def test_certificate_margin_covers_float_error_at_large_norm():
+    # at ||f||_1 ~ 10^9 the FFT error at the grid minimiser is ~3e-8, far
+    # above a fixed 1e-12 margin; the certificate must subtract more
+    mp = pytest.importorskip("mpmath")
+    big = 10**8
+    f = GroupRingElement(1, {0: 5 * big, 1: 2 * big, -1: big, 3: -big})
+    grid = 1024
+    cert = certify_invertible_torus(f, grid)
+    assert cert.is_certified
+    values = np.abs(spectral._grid_values(f, grid))
+    j = int(np.argmin(values))
+    assert values[j] == cert.min_abs
+    exact = _exact_abs(f, mp.mpf(j) / grid, mp)
+    error = abs(float(exact - mp.mpf(cert.min_abs)))
+    margin = cert.min_abs - cert.min_abs_lower_bound - cert.lipschitz_bound / (2 * grid)
+    assert 1e-12 < error <= margin
+    assert cert.min_abs_lower_bound <= float(exact)
+
+    # the whole grid of K * (3 - x - x^-1 + x^2 - x^-3) stays within the bound
+    g = GroupRingElement(1, {0: 3 * big, 1: -big, -1: -big, 2: big, -3: -big})
+    grid = 256
+    values = np.abs(spectral._grid_values(g, grid))
+    bound = spectral._grid_error_bound(g, grid)
+    worst = max(
+        abs(float(_exact_abs(g, mp.mpf(k) / grid, mp) - mp.mpf(values[k])))
+        for k in range(grid)
+    )
+    assert 1e-12 < worst <= bound
 
 
 def test_certificate_grid_validation():
