@@ -22,15 +22,23 @@ quotient family:
   Lind-Schmidt-Ward).  With m = lcm(n_i), every character value lies in
   Z[zeta_m], and modulo a prime p = 1 (mod m) it becomes an element of
   F_p.  The product is taken modulo enough such primes in (2^30, 2^31)
-  to lift it by CRT against |det M| <= ||fhat||_1^d.  The nullity is the
-  number of characters with F(chi) = 0, each tested exactly in Z[t] by
-  divisibility by a cyclotomic polynomial; no matrix is built.
-* Explicit quotients build M and take its determinant by fraction-free
-  Bareiss elimination for modest dimensions and by a multi-prime
-  modular/CRT elimination (numpy int64 per prime) above the crossover,
-  with the Smith normal form for the nullity when det M = 0.  This dense
-  route, ``count_solutions(regular_rep_matrix(f, q))``, also serves as
-  the test oracle for the torus route.
+  to lift it by CRT against Hadamard's bound: every row of M is a
+  permutation of fhat, so (det M)^2 <= (sum_c fhat[c]^2)^d.  The nullity
+  is the number of characters with F(chi) = 0, each tested exactly in
+  Z[t] by divisibility by a cyclotomic polynomial; no matrix is built.
+* Explicit quotients split M over a cyclic subgroup <g>, g of maximal
+  order k: right translation by g commutes with M, so modulo a prime
+  p = 1 (mod k) M is similar to k blocks of size d/k, one per k-th root
+  of unity.  All blocks for a chunk of primes in (2^30, 2^31) are
+  eliminated in one batched int64 pass, and the product of their
+  determinants is lifted by CRT against the same bound.  The torus route
+  is the case <g> = G of an abelian G.  When det M = 0 the dense matrix
+  is built once, for its Smith normal form, which gives the nullity.
+
+The dense route, ``count_solutions(regular_rep_matrix(f, q))`` with
+fraction-free Bareiss elimination for modest dimensions and a multi-prime
+modular/CRT elimination (float64 per prime) above the crossover, stays
+public as the test oracle for both.
 """
 
 from __future__ import annotations
@@ -44,6 +52,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from .groups import (
+    ExplicitQuotient,
     GroupRingElement,
     Quotient,
     ResourceGuardError,
@@ -205,14 +214,18 @@ def _det_bareiss(rows: List[List[int]]) -> int:
 
 
 def _hadamard_bits(rows: List[List[int]]) -> int:
-    """Upper bound on bit length of |det| via Hadamard's inequality."""
-    bits = 0
+    """Bit length of a bound on |det| by Hadamard's inequality, 0 for a zero row.
+
+    |det|^2 is at most the product of the squared row norms, so
+    isqrt(product) + 1 bounds |det| without any per-row rounding.
+    """
+    product = 1
     for row in rows:
         sq = sum(v * v for v in row)
         if sq == 0:
             return 0
-        bits += (sq.bit_length() + 1) // 2 + 1
-    return bits
+        product *= sq
+    return (math.isqrt(product) + 1).bit_length()
 
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -498,8 +511,9 @@ def count_solutions(matrix) -> SolutionCount:
 _CHAR_PRIME_FLOOR = 2**30
 _CHAR_PRIME_CEIL = 2**31
 
-# Residues per (primes x characters) block, which keeps the numpy
-# temporaries near half a megabyte.
+# Residues per chunk of primes, (primes x characters) on a torus and
+# (primes x blocks x rows x columns) for the split, which keeps the numpy
+# temporaries near half a megabyte (or one prime's worth, if larger).
 _CHAR_BLOCK = 2**16
 
 # m -> (primes = 1 mod m found so far, in descending order; next candidate)
@@ -602,6 +616,30 @@ def _character_vanishes(exponents: List[int], coeffs: List[int], m: int) -> bool
     return not any(h[:deg])
 
 
+def _root_powers(m: int, primes: List[int]) -> np.ndarray:
+    """omega_p^t mod p for t = 0..m-1, one row per prime p = 1 (mod m)."""
+    mods = np.array(primes, dtype=np.int64)[:, None]
+    step = np.array([[_root_of_unity(m, p)] for p in primes], dtype=np.int64)
+    powers = np.ones((len(primes), m), dtype=np.int64)
+    filled = 1
+    while filled < m:
+        take = min(filled, m - filled)
+        powers[:, filled : filled + take] = powers[:, :take] * step % mods
+        step = step * step % mods
+        filled += take
+    return powers
+
+
+def _crt_prime_count(coeffs: List[int], d: int) -> int:
+    """How many primes above 2^30 a CRT lift of a d x d group circulant needs.
+
+    Every row is a permutation of fhat, so Hadamard's inequality gives
+    det^2 <= (sum c^2)^d.  n such primes have a product P with
+    P^2 > 2^(60n) >= 4 (sum c^2)^d, hence P > 2 |det|.
+    """
+    return -(-(4 * sum(c * c for c in coeffs) ** d).bit_length() // 60)
+
+
 def _character_values(
     exponents: np.ndarray, coeffs: List[int], m: int, primes: List[int]
 ) -> np.ndarray:
@@ -612,14 +650,7 @@ def _character_values(
     costs one lookup per term.
     """
     mods = np.array(primes, dtype=np.int64)[:, None]
-    step = np.array([[_root_of_unity(m, p)] for p in primes], dtype=np.int64)
-    powers = np.ones((len(primes), m), dtype=np.int64)
-    filled = 1
-    while filled < m:
-        take = min(filled, m - filled)
-        powers[:, filled : filled + take] = powers[:, :take] * step % mods
-        step = step * step % mods
-        filled += take
+    powers = _root_powers(m, primes)
     values = np.zeros((len(primes), exponents.shape[0]), dtype=np.int64)
     for t, c in enumerate(coeffs):
         residue = np.array([[c % p] for p in primes], dtype=np.int64)
@@ -648,7 +679,7 @@ def _torus_fix_count(f: GroupRingElement, q: TorusQuotient) -> SolutionCount:
     characters with F(chi) = 0: every zero mod the first prime is tested
     exactly, and the rest cannot vanish.  Otherwise det M is the product of
     the F(chi), lifted by CRT from enough primes that their product exceeds
-    twice the bound ||fhat||_1^d.
+    twice Hadamard's bound.
     """
     moduli = q.moduli
     m = math.lcm(*moduli)
@@ -674,16 +705,130 @@ def _torus_fix_count(f: GroupRingElement, q: TorusQuotient) -> SolutionCount:
     if zeros:
         return SolutionCount(value=None, nullity=zeros)
 
-    # every prime exceeds 2^30, so k primes with 30k >= bit_length(2 * bound)
-    # have a product above 2 * bound
-    bound = sum(abs(c) for c in coeffs) ** d
-    primes = _character_primes(m, -(-(2 * bound).bit_length() // 30))
+    primes = _character_primes(m, _crt_prime_count(coeffs, d))
     residues = _row_products(values, first)
     block = max(1, _CHAR_BLOCK // d)
     for i in range(1, len(primes), block):
         chunk = primes[i : i + block]
         residues += _row_products(_character_values(exponents, coeffs, m, chunk), chunk)
     return SolutionCount(value=abs(_crt_symmetric(residues, primes)))
+
+
+# ---------------------------------------------------------------------------
+# explicit quotients: the split over a cyclic subgroup
+
+
+def _max_order_element(table: np.ndarray, identity: int) -> tuple:
+    """(g, k): the first element of maximal order k, from one pass over powers."""
+    d = table.shape[0]
+    elems = np.arange(d, dtype=np.int64)
+    order = np.zeros(d, dtype=np.int64)
+    power = elems
+    k = 1
+    while not order.all():
+        order[(power == identity) & (order == 0)] = k
+        power = table[power, elems]
+        k += 1
+    g = int(np.argmax(order))
+    return g, int(order[g])
+
+
+def _det_mod_batched(a: np.ndarray, mods: np.ndarray) -> np.ndarray:
+    """det a[b] mod mods[b] for a stack of square int64 matrices, in place.
+
+    Fraction-free elimination with a pivot chosen per matrix: the rows
+    below pivot c become piv_c * row - a[i][c] * pivot row, which scales
+    the determinant by piv_c^(m-1-c).  That scale is the product of the
+    prefix products piv_0 ... piv_c for c < m - 1, divided out once at the
+    end, so no inverse is taken per column.  Residues stay below 2^31, so
+    every product of two stays inside int64.
+    """
+    n, m, _ = a.shape
+    batch = np.arange(n)
+    mods3 = mods[:, None, None]
+    diag = np.ones(n, dtype=np.int64)
+    scale = np.ones(n, dtype=np.int64)
+    flips = np.zeros(n, dtype=bool)
+    for c in range(m):
+        # first nonzero row at or below c; a zero column leaves pivot 0
+        r = c + np.argmax(a[:, c:, c] != 0, axis=1)
+        swap = np.flatnonzero(r != c)
+        if swap.size:
+            top = a[swap, c].copy()
+            a[swap, c] = a[swap, r[swap]]
+            a[swap, r[swap]] = top
+            flips[swap] ^= True
+        piv = a[batch, c, c]
+        diag = diag * piv % mods
+        if c + 1 == m:
+            break
+        scale = scale * diag % mods
+        trailing = a[:, c + 1 :, c + 1 :]
+        trailing *= piv[:, None, None]
+        trailing -= a[:, c + 1 :, c, None] * a[:, None, c, c + 1 :]
+        trailing %= mods3
+    inv = [pow(int(s), -1, int(p)) if s else 0 for s, p in zip(scale, mods)]
+    det = diag * np.array(inv, dtype=np.int64) % mods
+    return np.where(flips, (mods - det) % mods, det)
+
+
+def _split_det(f: GroupRingElement, q: ExplicitQuotient) -> int:
+    """|det M| on an explicit quotient, by splitting M over a cyclic subgroup.
+
+    Right translation by an element g of maximal order k commutes with M.
+    With every element written as r_i g^e, one r_i per left coset of <g>
+    (i < m = d/k), and omega a primitive k-th root of unity mod a prime
+    p = 1 (mod k), M is similar mod p to block-diag(B_0, ..., B_{k-1}) with
+
+        B_j[i][pi] = sum of fhat[c] omega^(j e) over c with c^-1 r_i = r_pi g^e,
+
+    so det M = prod_j det B_j (mod p).  Every block of a chunk of primes is
+    eliminated at once, and the product is lifted by CRT against
+    Hadamard's bound.  Returns 0 exactly when M is singular.
+    """
+    table = q.table
+    d = q.size
+    fhat: dict = {}
+    for s, c in f.terms.items():
+        idx = q.index(s)
+        fhat[idx] = fhat.get(idx, 0) + c
+    fhat = {idx: c for idx, c in fhat.items() if c != 0}
+    if not fhat:
+        return 0
+    g, k = _max_order_element(table, q.identity_index)
+    m = d // k
+    gpow = [q.identity_index]
+    for _ in range(k - 1):
+        gpow.append(int(table[gpow[-1], g]))
+    # orbit[x, t] = x g^t; the smallest element of x<g> is its representative
+    orbit = table[:, gpow]
+    reps, coset = np.unique(orbit.min(axis=1), return_inverse=True)
+    shift = -np.argmin(orbit, axis=1) % k
+    rows = np.arange(m)
+    jumps = np.arange(k)[:, None]
+    terms = []
+    for c, value in fhat.items():
+        y = table[q.inv(c), reps]
+        terms.append((value, coset[y], jumps * shift[y] % k))
+
+    coeffs = list(fhat.values())
+    primes = _character_primes(k, _crt_prime_count(coeffs, d))
+    residues: List[int] = []
+    block = max(1, _CHAR_BLOCK // (d * m))
+    for start in range(0, len(primes), block):
+        chunk = primes[start : start + block]
+        mods = np.array(chunk, dtype=np.int64)[:, None, None]
+        powers = _root_powers(k, chunk)
+        blocks = np.zeros((len(chunk), k, m, m), dtype=np.int64)
+        for value, cols, expo in terms:
+            residue = np.array([value % p for p in chunk], dtype=np.int64)[:, None, None]
+            blocks[:, :, rows, cols] += powers[:, expo] * residue % mods
+        blocks %= mods[:, :, :, None]
+        dets = _det_mod_batched(
+            blocks.reshape(-1, m, m), np.repeat(np.array(chunk, dtype=np.int64), k)
+        )
+        residues += _row_products(dets.reshape(len(chunk), k), chunk)
+    return abs(_crt_symmetric(residues, primes))
 
 
 def fix_count(
@@ -694,12 +839,18 @@ def fix_count(
     Pulling a fixed point back along the quotient map identifies the fixed
     set with the solutions of the convolution matrix on (R/Z)^d, so the
     count is computed there exactly: by the character product on a torus
-    quotient, and from the dense matrix on an explicit one.
+    quotient, and by the split over a cyclic subgroup on an explicit one,
+    where the Smith normal form of the dense matrix gives the nullity when
+    the determinant is 0.
     """
     _check_quotient(f, q, limit)
     if isinstance(q, TorusQuotient):
         return _torus_fix_count(f, q)
-    return count_solutions(regular_rep_matrix(f, q, limit=limit))
+    det = _split_det(f, q)
+    if det:
+        return SolutionCount(value=det)
+    factors = smith_normal_form(regular_rep_matrix(f, q, limit=limit))
+    return SolutionCount(value=None, nullity=factors.count(0))
 
 
 def log_big_int(n: int) -> float:
@@ -724,10 +875,14 @@ def fk_determinant_quotient(
     Raises NotInvertibleError when det M = 0, i.e. f is not invertible at
     this quotient, where fix_count is infinite.
     """
-    sc = fix_count(f, q, limit=limit)
-    if not sc.is_finite:
+    _check_quotient(f, q, limit)
+    if isinstance(q, TorusQuotient):
+        det = _torus_fix_count(f, q).value
+    else:
+        det = _split_det(f, q)
+    if not det:
         raise NotInvertibleError(f"{f.render()} is not invertible at quotient {q.label}")
-    return math.exp(log_big_int(sc.value) / q.size)
+    return math.exp(log_big_int(det) / q.size)
 
 
 # ---------------------------------------------------------------------------

@@ -646,23 +646,39 @@ class ExplicitQuotient:
         return inv
 
     def _check_group(self):
+        t = self.table
         d = self.size
         # Latin square: every row and column is a permutation.
         idx = np.arange(d, dtype=np.int64)
-        for a in range(d):
-            if not np.array_equal(np.sort(self.table[a]), idx):
-                raise ValueError(f"row {a} of the table is not a permutation")
-            if not np.array_equal(np.sort(self.table[:, a]), idx):
-                raise ValueError(f"column {a} of the table is not a permutation")
-        # Associativity, chunked to bound memory: (a*b)*c == a*(b*c).
-        t = self.table
-        chunk = max(1, min(d, 2**22 // max(d * d, 1) + 1))
-        for start in range(0, d, chunk):
-            rows = t[start : start + chunk]  # (c, d)
-            lhs = t[rows][:, :, :]  # (c, d, d): t[rows[a,b], c]
-            rhs = rows[:, t]  # (c, d, d): rows[a, t[b, c]]
-            if not np.array_equal(lhs, rhs):
+        bad_rows = (np.sort(t, axis=1) != idx).any(axis=1)
+        bad_cols = (np.sort(t, axis=0) != idx[:, None]).any(axis=0)
+        bad = np.flatnonzero(bad_rows | bad_cols)
+        if bad.size:
+            a = int(bad[0])
+            kind = "row" if bad_rows[a] else "column"
+            raise ValueError(f"{kind} {a} of the table is not a permutation")
+        # Light's test: the s with (x*s)*y == x*(s*y) for all x, y are closed
+        # under products, so checking a generating set proves associativity.
+        for s in self._table_generators():
+            if not np.array_equal(t[t[:, s]], t[:, t[s]]):
                 raise ValueError("multiplication table is not associative")
+
+    def _table_generators(self) -> list:
+        """A generating set of the table: each is the smallest element not yet
+        reached by left multiplications by the earlier ones, starting from the
+        identity."""
+        t = self.table
+        reached = np.zeros(self.size, dtype=bool)
+        reached[self.identity_index] = True
+        gens = []
+        while not reached.all():
+            gens.append(int(np.argmin(reached)))
+            frontier = np.flatnonzero(reached)
+            while frontier.size:
+                products = np.unique(t[np.ix_(gens, frontier)])
+                frontier = products[~reached[products]]
+                reached[frontier] = True
+        return gens
 
     def _check_surjective(self):
         # Closure of the generator images (and inverses) must cover the group.

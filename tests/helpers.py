@@ -144,3 +144,61 @@ def s3_table():
         [index[tuple(p[q[k]] for k in range(3))] for q in perms] for p in perms
     ]
     return table, perms
+
+
+def sl2_table(p):
+    """SL(2, Z/p) for an odd prime p, generated by Sanov's matrices.
+
+    Returns (table, a, b): a and b index a = [[1,2],[0,1]] and
+    b = [[1,0],[2,1]].  Elements are numbered in the order a breadth-first
+    search from the identity reaches them by right multiplication with
+    a^+-1 and b^+-1, and every table entry is a 2x2 matrix product mod p,
+    so the table is associative by construction.
+    """
+
+    def mul(x, y):
+        return (
+            (x[0] * y[0] + x[1] * y[2]) % p,
+            (x[0] * y[1] + x[1] * y[3]) % p,
+            (x[2] * y[0] + x[3] * y[2]) % p,
+            (x[2] * y[1] + x[3] * y[3]) % p,
+        )
+
+    a, b = (1, 2, 0, 1), (1, 0, 2, 1)
+    steps = [a, (1, p - 2, 0, 1), b, (1, 0, p - 2, 1)]
+    elements = [(1, 0, 0, 1)]
+    index = {elements[0]: 0}
+    for x in elements:
+        for s in steps:
+            y = mul(x, s)
+            if y not in index:
+                index[y] = len(elements)
+                elements.append(y)
+    assert len(elements) == p * (p * p - 1)
+    table = [[index[mul(x, y)] for y in elements] for x in elements]
+    return table, index[a], index[b]
+
+
+def relabel_table(table, perm):
+    """The same group with element i renamed perm[i]."""
+    d = len(table)
+    out = [[0] * d for _ in range(d)]
+    for i in range(d):
+        for j in range(d):
+            out[perm[i]][perm[j]] = perm[table[i][j]]
+    return out
+
+
+def kesten_mckay_log_det(lam, points=4000):
+    """Integral of log(lam - x) against the Kesten-McKay measure of the
+    4-regular tree, density 4 sqrt(12 - x^2) / (2 pi (16 - x^2)) on
+    |x| <= 2 sqrt(3), for lam > 4.
+
+    With x = 2 sqrt(3) cos(t) the measure becomes
+    24 sin(t)^2 / (pi (16 - 12 cos(t)^2)) dt on [0, pi], a smooth periodic
+    integrand, so the midpoint rule converges geometrically.
+    """
+    t = (np.arange(points) + 0.5) * np.pi / points
+    x = 2 * np.sqrt(3) * np.cos(t)
+    weight = 24 * np.sin(t) ** 2 / (np.pi * (16 - x * x))
+    return float(np.sum(weight * np.log(lam - x)) * np.pi / points)

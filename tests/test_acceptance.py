@@ -10,6 +10,7 @@ import math
 import random
 
 from sofic import (
+    ExplicitQuotient,
     GroupRingElement,
     SoficMap,
     count_solutions,
@@ -24,6 +25,7 @@ from sofic import (
     mahler_quadrature,
     multiplicative_defect,
     parse_laurent,
+    parse_word,
     regular_rep_matrix,
     smith_normal_form,
     sofic_map_from_quotient,
@@ -37,8 +39,10 @@ from helpers import (
     count_cycles_brute,
     count_torus_solutions_brute,
     det_fraction,
+    kesten_mckay_log_det,
     lucas_numbers,
     rank_fraction,
+    sl2_table,
 )
 
 
@@ -245,3 +249,24 @@ def test_criterion_10_cli_determinism(tmp_path):
         assert rc1 == rc2 == 0
         assert first.read_bytes() == second.read_bytes(), config
     _report("criterion 10: CLI reports are byte-identical across repeated runs")
+
+
+def test_criterion_11_sl2_kesten_mckay():
+    """F2 through SL(2, Z/p), p = 3, 5, 7: h_p approaches the Kesten-McKay
+    value of log det_FK(5 - a - a^-1 - b - b^-1), and the cyclic-subgroup
+    split of fix_count equals the dense determinant bit for bit."""
+    reference = kesten_mckay_log_det(5.0)
+    assert abs(reference - 1.5147873) < 1e-7
+    f = GroupRingElement(
+        0, {parse_word(w): -1 for w in ("a", "a^-1", "b", "b^-1")} | {(): 5}
+    )
+    gaps = []
+    for p in (3, 5, 7):
+        table, a, b = sl2_table(p)
+        q = ExplicitQuotient(table, {"a": a, "b": b}, f"SL(2,{p})")
+        value = fix_count(f, q).value
+        assert value == det_abs_exact(regular_rep_matrix(f, q)), p
+        gaps.append(abs(log_big_int(value) / q.size - reference))
+    assert gaps[0] > gaps[1] > gaps[2]
+    assert gaps[2] < 1e-3
+    _report(f"criterion 11: SL(2,p) gaps {', '.join(f'{g:.1e}' for g in gaps)}, split == dense")

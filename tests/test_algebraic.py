@@ -5,6 +5,7 @@ import random
 import pytest
 
 from sofic import (
+    ExplicitQuotient,
     GroupRingElement,
     NotInvertibleError,
     count_solutions,
@@ -16,18 +17,24 @@ from sofic import (
     left_translate,
     log_big_int,
     parse_laurent,
+    parse_word,
     regular_rep_matrix,
     smith_normal_form,
     torus_quotient,
 )
+from sofic import algebraic
 from sofic.algebraic import _character_primes, _det_bareiss, _det_modular
 from sofic.groups import ResourceGuardError
 
 from helpers import (
     count_torus_solutions_brute,
+    cyclic_table,
     det3_cofactor,
     det_fraction,
     rank_fraction,
+    relabel_table,
+    s3_table,
+    sl2_table,
 )
 
 
@@ -368,6 +375,170 @@ def test_character_prime_supply_is_finite():
     for m in (1, 2, 7, 24, 360):
         for p in _character_primes(m, 4):
             assert 2**30 < p < 2**31 and (p - 1) % m == 0
+
+
+# ---------------------------------------------------------------------------
+# explicit quotients: the cyclic-subgroup split against the dense oracle
+
+
+def _explicit_quotients(rng):
+    """(quotient, generator names) for cyclic groups, S3, SL(2,3) and SL(2,5),
+    the last two also with their elements relabelled at random."""
+    out = []
+    for n in range(1, 13):
+        out.append((ExplicitQuotient(cyclic_table(n), {"a": 1 % n}, f"C{n}"), "a"))
+    table, perms = s3_table()
+    images = {"s": perms.index((1, 0, 2)), "r": perms.index((1, 2, 0))}
+    out.append((ExplicitQuotient(table, images, "S3"), "sr"))
+    for p in (3, 5):
+        table, a, b = sl2_table(p)
+        out.append((ExplicitQuotient(table, {"a": a, "b": b}, f"SL(2,{p})"), "ab"))
+        perm = list(range(len(table)))
+        rng.shuffle(perm)
+        relabelled = relabel_table(table, perm)
+        out.append(
+            (ExplicitQuotient(relabelled, {"a": perm[a], "b": perm[b]}, f"SL(2,{p})'"), "ab")
+        )
+    return out
+
+
+def _random_word_element(rng, gens, balanced):
+    """A random non-symmetric f over words of length <= 3 in the generators."""
+    terms = {}
+    for _ in range(rng.randint(1, 5)):
+        word = tuple((rng.choice(gens), rng.choice((-1, 1))) for _ in range(rng.randint(0, 3)))
+        terms[word] = rng.randint(-5, 5)
+    if balanced and terms:
+        # coefficient sum 0: the trivial representation is a zero
+        key = next(iter(terms))
+        terms[key] -= sum(terms.values())
+    return GroupRingElement(0, terms)
+
+
+def _order(q, x):
+    acc, j = x, 1
+    while acc != q.identity_index:
+        acc, j = q.mul(acc, x), j + 1
+    return j
+
+
+def test_split_fix_count_matches_dense_oracle():
+    rng = random.Random(83)
+    singular = 0
+    checked = 0
+    for q, gens in _explicit_quotients(rng):
+        # the dense oracle costs up to 0.4 s per SL(2,5) case
+        for i in range(2 if q.size == 120 else 12):
+            f = _random_word_element(rng, gens, balanced=i % 3 == 0)
+            if f.is_zero:
+                continue
+            want = _assert_matches_oracle(f, q)
+            singular += not want.is_finite
+            checked += 1
+    assert checked >= 150
+    assert singular >= 40
+
+
+def test_split_fix_count_singular_and_folds_to_zero():
+    rng = random.Random(89)
+    for q, gens in _explicit_quotients(rng):
+        if q.size > 24:
+            continue
+        g = gens[0]
+        order = _order(q, q.index(((g, 1),)))
+        # a - a^(order+1) folds to 0: every h is a solution
+        f = GroupRingElement(0, {((g, 1),): 1, ((g, order + 1),): -1})
+        assert _assert_matches_oracle(f, q).nullity == q.size
+        # 1 - a: kills the functions constant on the right cosets of <a>
+        f = GroupRingElement(0, {(): 1, ((g, 1),): -1})
+        assert _assert_matches_oracle(f, q).nullity == q.size // order
+
+
+def test_split_fix_count_huge_coefficients():
+    top = 2**63 - 1
+    rng = random.Random(97)
+    for q, gens in _explicit_quotients(rng):
+        if q.size > 24:
+            continue
+        a, b = gens[0], gens[-1]
+        cases = [
+            {(): top, ((a, 1),): -(top - 1)},
+            {(): top, ((a, 1),): -top},
+            {(): top, ((a, 1), (b, 1)): top, ((b, -1),): -(top - 2)},
+        ]
+        for terms in cases:
+            _assert_matches_oracle(GroupRingElement(0, terms), q)
+    table, a, b = sl2_table(3)
+    q = ExplicitQuotient(table, {"a": a, "b": b})
+    # the split lifts from primes above 2^30; scalar top gives top^24 exactly
+    assert fix_count(GroupRingElement(0, {(): top}), q).value == top**24
+
+
+def test_split_fix_count_prime_multiple_coefficients():
+    # multiples of the first split prime vanish modulo it, so the blocks
+    # need other pivots (and row swaps) there than modulo the other primes
+    rng = random.Random(101)
+    for q, gens in _explicit_quotients(rng):
+        if q.size > 24:
+            continue
+        k = max(_order(q, x) for x in range(q.size))
+        p = _character_primes(k, 1)[0]
+        a, b = gens[0], gens[-1]
+        for terms in (
+            {(): 2 * p, ((a, 1),): -p, ((b, 1), (a, 1)): 1},
+            {(): p, ((a, -1),): 3 * p, ((b, 2),): -1, ((a, 1), (b, 1)): 2},
+        ):
+            _assert_matches_oracle(GroupRingElement(0, terms), q)
+
+
+def test_split_fix_count_agrees_with_fk_determinant_and_guard():
+    table, a, b = sl2_table(5)
+    q = ExplicitQuotient(table, {"a": a, "b": b})
+    f = GroupRingElement(0, {parse_word(w): c for w, c in (("e", 5), ("a", -1), ("b^-1", -2))})
+    sc = fix_count(f, q)
+    assert fk_determinant_quotient(f, q) == pytest.approx(
+        math.exp(log_big_int(sc.value) / q.size), rel=1e-15
+    )
+    with pytest.raises(ResourceGuardError):
+        fix_count(f, q, limit=120 * 120 - 1)
+    with pytest.raises(ValueError, match="mismatch"):
+        fix_count(parse_laurent("3 - x", 1), q)
+
+
+def _s3_one_minus_s():
+    table, perms = s3_table()
+    q = ExplicitQuotient(table, {"s": perms.index((1, 0, 2)), "r": perms.index((1, 2, 0))})
+    return GroupRingElement(0, {(): 1, (("s", 1),): -1}), q
+
+
+def test_singular_explicit_fix_count_skips_dense_determinant(monkeypatch):
+    f, q = _s3_one_minus_s()
+    calls = []
+    snf = algebraic.smith_normal_form
+
+    def counted_snf(matrix):
+        calls.append(matrix)
+        return snf(matrix)
+
+    def no_det(matrix):
+        raise AssertionError("dense determinant on a proven-singular quotient")
+
+    monkeypatch.setattr(algebraic, "det_abs_exact", no_det)
+    monkeypatch.setattr(algebraic, "smith_normal_form", counted_snf)
+    sc = fix_count(f, q)
+    assert (sc.value, sc.nullity) == (None, 3)
+    assert len(calls) == 1
+
+
+def test_fk_determinant_singular_explicit_skips_snf(monkeypatch):
+    f, q = _s3_one_minus_s()
+
+    def no_snf(matrix):
+        raise AssertionError("Smith normal form computed only to be discarded")
+
+    monkeypatch.setattr(algebraic, "smith_normal_form", no_snf)
+    with pytest.raises(NotInvertibleError):
+        fk_determinant_quotient(f, q)
 
 
 def test_det_equals_snf_product_equals_count():

@@ -20,7 +20,7 @@ from sofic import (
 )
 from sofic.groups import word_inv, word_mul
 
-from helpers import cyclic_table, s3_table
+from helpers import cyclic_table, relabel_table, s3_table
 
 
 # ---------------------------------------------------------------------------
@@ -346,6 +346,69 @@ def test_explicit_quotient_rejects_non_group():
     ]
     with pytest.raises(ValueError, match="associative|identity|inverse"):
         ExplicitQuotient(quasi, {"a": 1})
+
+
+def test_explicit_quotient_names_first_non_permutation():
+    # identity 0 and two-sided inverses, but not Latin squares; rows and
+    # columns are checked in the order row 1, column 1, row 2, ...
+    with pytest.raises(ValueError, match="row 1 of"):
+        ExplicitQuotient([[0, 1, 2], [1, 0, 1], [2, 1, 0]], {"a": 1})
+    with pytest.raises(ValueError, match="column 1 of"):
+        ExplicitQuotient([[0, 1, 2], [1, 0, 2], [2, 1, 0]], {"a": 1})
+
+
+def _switched_cyclic(n):
+    """Z/n, n even and >= 6, with one intercalate switched: rows 1 and 1 + n/2
+    exchange their entries in columns 1 and 1 + n/2.  No 0 entry moves, so
+    this is a Latin square with identity 0 and two-sided inverses: a loop."""
+    table = cyclic_table(n)
+    h = n // 2
+    for r in (1, 1 + h):
+        table[r][1], table[r][1 + h] = table[r][1 + h], table[r][1]
+    return table
+
+
+def _failing_middles(table):
+    d = len(table)
+    return {
+        s
+        for s in range(d)
+        for x in range(d)
+        for y in range(d)
+        if table[table[x][s]][y] != table[x][table[s][y]]
+    }
+
+
+# An order-6 loop whose subloop {0, 1, 2} is the cyclic group of order 3:
+# (x*s)*y == x*(s*y) for every x, y when s is 0, 1 or 2, and fails otherwise.
+NUCLEAR_Z3_LOOP = [
+    [0, 1, 2, 3, 4, 5],
+    [1, 2, 0, 4, 5, 3],
+    [2, 0, 1, 5, 3, 4],
+    [3, 4, 5, 0, 2, 1],
+    [4, 5, 3, 2, 1, 0],
+    [5, 3, 4, 1, 0, 2],
+]
+
+
+def test_explicit_quotient_rejects_non_associative_loops():
+    rng = random.Random(29)
+    for n in (6, 8, 10, 12):
+        loop = _switched_cyclic(n)
+        assert _failing_middles(loop)
+        with pytest.raises(ValueError, match="associative"):
+            ExplicitQuotient(loop, {"a": 1})
+    assert _failing_middles(NUCLEAR_Z3_LOOP) == {3, 4, 5}
+    # The only generator image, 1, passes every associativity test, and the
+    # failure lies at elements it does not reach; the table check does not
+    # depend on the images, so this is reported as non-associative.
+    with pytest.raises(ValueError, match="associative"):
+        ExplicitQuotient(NUCLEAR_Z3_LOOP, {"a": 1})
+    for _ in range(5):
+        perm = list(range(6))
+        rng.shuffle(perm)
+        with pytest.raises(ValueError, match="associative"):
+            ExplicitQuotient(relabel_table(NUCLEAR_Z3_LOOP, perm), {"a": perm[1], "b": perm[3]})
 
 
 def test_explicit_quotient_rejects_non_generating_images():
