@@ -17,10 +17,19 @@ trace of the n-th power of the transition matrix.
 Budgeted counts with budget > 0 are the standard microstate relaxation;
 they are reported under the same schema but labeled by their budget and
 never conflated with the zero-budget value.
+
+Every count is read off a tally of labelings by their number of bad sites,
+so all budgets of one length cost one computation.  For nearest-neighbor
+windows the tally is trace((T + z(J - T))^n) truncated at the largest
+budget, J the all-ones matrix; a table walks its sorted lengths once
+through the powers of that polynomial matrix, in exact integers.  General
+windows enumerate all m^n labelings once per length, under a cap that a
+table checks for every length before it enumerates any.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -203,51 +212,63 @@ def transfer_matrix_count(sft: SubshiftSFT, n: int, budget: int = 0) -> int:
     """Labelings of Z/n with at most ``budget`` bad cyclic transitions.
 
     A transition at site k is the pair (l(k), l(k+1 mod n)); it is bad when
-    not allowed.  Dynamic programming over (current symbol, violations so
-    far) with wraparound closure; the zero-budget count equals
-    trace(T^n) for the 0/1 transition matrix T.
+    not allowed.  The count is the sum of the coefficients of z^0..z^budget
+    in trace((T + z(J - T))^n), T the 0/1 transition matrix and J the
+    all-ones matrix; the zero-budget count is trace(T^n).
     """
     if n < 1:
         raise ValueError("cycle length must be >= 1")
     if budget < 0:
         raise ValueError("budget must be >= 0")
+    return sum(_transfer_traces(sft, [n], min(budget, n))[n])
+
+
+def _mat_mul(a: list, b: list, mask: int) -> list:
+    cols = list(zip(*b))
+    return [[sum(x * y for x, y in zip(row, col)) & mask for col in cols] for row in a]
+
+
+def _mat_pow(a: list, e: int, mask: int) -> list:
+    """a^e for e >= 1 by repeated squaring."""
+    result = None
+    while True:
+        if e & 1:
+            result = a if result is None else _mat_mul(result, a, mask)
+        e >>= 1
+        if not e:
+            return result
+        a = _mat_mul(a, a, mask)
+
+
+def _transfer_traces(sft: SubshiftSFT, lengths: Iterable[int], degree: int) -> dict:
+    """n -> coefficients of z^0..z^degree in trace((T + z(J - T))^n).
+
+    The coefficient of z^k counts the cyclic labelings of Z/n with exactly
+    k bad transitions.  A polynomial entry is packed into one integer,
+    ``width`` bits per coefficient.  Coefficients are nonnegative, and each
+    slot of a product, or of the trace, counts walks of at most n steps, so
+    it is at most m^n < 2^width: slots never carry into each other, and
+    truncation at z^degree is a bit mask.  The sorted distinct lengths are
+    walked once, P_n = P_prev M^(n - prev), each gap power by squaring.
+    """
     pairs = sft.allowed_pairs()
     symbols = sft.alphabet
     m = len(symbols)
-    ok = [[(a, b) in pairs for b in symbols] for a in symbols]
-    cap = min(budget, n)
-
-    if n == 1:
-        exact = sum(1 for a in range(m) if ok[a][a])
-        return exact if budget == 0 else (exact + (m - exact) if cap >= 1 else exact)
-
-    total = 0
-    for start in range(m):
-        dp = [[0] * (cap + 1) for _ in range(m)]
-        dp[start][0] = 1
-        for _pos in range(1, n):
-            ndp = [[0] * (cap + 1) for _ in range(m)]
-            for prev in range(m):
-                row = dp[prev]
-                okprev = ok[prev]
-                for v in range(cap + 1):
-                    c = row[v]
-                    if c == 0:
-                        continue
-                    for nxt in range(m):
-                        nv = v if okprev[nxt] else v + 1
-                        if nv <= cap:
-                            ndp[nxt][nv] += c
-            dp = ndp
-        for last in range(m):
-            for v in range(cap + 1):
-                c = dp[last][v]
-                if c == 0:
-                    continue
-                nv = v if ok[last][start] else v + 1
-                if nv <= cap:
-                    total += c
-    return total
+    lengths = sorted(set(lengths))
+    width = (m ** lengths[-1]).bit_length()
+    mask = (1 << (width * (degree + 1))) - 1
+    z = (1 << width) & mask
+    step = [[1 if (a, b) in pairs else z for b in symbols] for a in symbols]
+    slot = (1 << width) - 1
+    traces = {}
+    power, done = None, 0
+    for n in lengths:
+        gap = _mat_pow(step, n - done, mask)
+        power = gap if power is None else _mat_mul(power, gap, mask)
+        done = n
+        trace = sum(power[i][i] for i in range(m))
+        traces[n] = [(trace >> (k * width)) & slot for k in range(degree + 1)]
+    return traces
 
 
 def _pulled_back_checks(sft: SubshiftSFT, sigma: SoficMap, constraints) -> list:
@@ -286,8 +307,20 @@ def hom_count_exact(
         raise ValueError("budget must be >= 0")
     if sigma.rank != 1:
         raise ValueError("subshift counting requires a rank-1 sofic map")
-    m = len(sft.alphabet)
     d = sigma.d
+    _check_cap(len(sft.alphabet), d, cap)
+    tally = _bad_site_tally(sft, sigma, constraints)
+    return HomCountReport(
+        quotient_label=sigma.label or f"d={d}",
+        d=d,
+        delta=_delta_for_budget(min(budget, d), d),
+        budget=min(budget, d),
+        count=sum(tally[: budget + 1]),
+        method="exact_enumeration",
+    )
+
+
+def _check_cap(m: int, d: int, cap: Optional[int]) -> None:
     total = m**d
     limit = DEFAULT_ENUMERATION_CAP if cap is None else cap
     if total > limit:
@@ -295,8 +328,28 @@ def hom_count_exact(
             f"{total} labelings exceed the enumeration cap {limit}; "
             "use transfer_matrix_count for nearest-neighbor windows"
         )
-    checks = _pulled_back_checks(sft, sigma, constraints)
 
+
+def _pattern_codes(labels: np.ndarray, cols: list, m: int, dtype) -> np.ndarray:
+    """Base-m code of the pattern read at every site, window position 0 lowest."""
+    code = labels[..., cols[-1]].astype(dtype)
+    for c in reversed(cols[:-1]):
+        code = code * m + labels[..., c]
+    return code
+
+
+def _bad_site_tally(sft: SubshiftSFT, sigma: SoficMap, constraints) -> list:
+    """Number of labelings of the d sites with exactly k bad sites, k = 0..d.
+
+    A site is bad when some window translate pulls back to a disallowed
+    pattern there.  The labelings are enumerated in blocks: the ``low``
+    lowest digits run through one block of m^low rows built once, and each
+    block fixes the remaining digits, whose share of every pattern code is
+    a single d-vector added to the block's precomputed codes.
+    """
+    m = len(sft.alphabet)
+    d = sigma.d
+    checks = _pulled_back_checks(sft, sigma, constraints)
     wlen = len(sft.window)
     index = sft.symbol_index()
     allowed_codes = np.zeros(m**wlen, dtype=bool)
@@ -305,30 +358,27 @@ def hom_count_exact(
         for i in range(wlen - 1, -1, -1):
             code = code * m + index[pat[i]]
         allowed_codes[code] = True
-    powers = m ** np.arange(d, dtype=np.int64)
+    code_type = np.min_scalar_type(m**wlen - 1)
 
-    count = 0
-    for start in range(0, total, _CHUNK):
-        stop = min(start + _CHUNK, total)
-        ids = np.arange(start, stop, dtype=np.int64)
-        digits = (ids[:, None] // powers[None, :]) % m
-        good = np.ones((stop - start, d), dtype=bool)
-        for cols in checks:
-            code = np.zeros((stop - start, d), dtype=np.int64)
-            for i in range(wlen - 1, -1, -1):
-                code *= m
-                code += digits[:, cols[i]]
-            good &= allowed_codes[code]
-        bad = d - good.sum(axis=1)
-        count += int(np.count_nonzero(bad <= budget))
-    return HomCountReport(
-        quotient_label=sigma.label or f"d={d}",
-        d=d,
-        delta=_delta_for_budget(min(budget, d), d),
-        budget=min(budget, d),
-        count=count,
-        method="exact_enumeration",
-    )
+    low = 0
+    while low < d and m ** (low + 1) <= _CHUNK:
+        low += 1
+    ids = np.arange(m**low)
+    digits = np.zeros((m**low, d), dtype=np.min_scalar_type(m - 1))
+    for j in range(low):
+        digits[:, j] = ids % m
+        ids //= m
+    low_codes = [_pattern_codes(digits, cols, m, code_type) for cols in checks]
+
+    high = np.zeros(d, dtype=digits.dtype)
+    tally = np.zeros(d + 1, dtype=np.int64)
+    for top in itertools.product(range(m), repeat=d - low):
+        high[low:] = top
+        good = np.ones(digits.shape, dtype=bool)
+        for cols, low_code in zip(checks, low_codes):
+            good &= allowed_codes.take(low_code + _pattern_codes(high, cols, m, code_type))
+        tally += np.bincount(d - np.count_nonzero(good, axis=1), minlength=d + 1)
+    return tally.tolist()
 
 
 @dataclass(frozen=True)
@@ -385,9 +435,11 @@ def subshift_entropy_table(
 ) -> SubshiftEntropyTable:
     """Tabulate h(n, budget) over cyclic quotients Z/n.
 
-    The zero budget is always included.  Nearest-neighbor windows go
-    through the transfer-matrix dynamic program; general windows fall back
-    to exhaustive enumeration under the cap.
+    The zero budget is always included.  Each distinct length is computed
+    once and every budget of its rows is a prefix sum of the counts by
+    number of bad sites.  Nearest-neighbor windows take one walk through
+    the powers of the truncated polynomial transfer matrix; general windows
+    enumerate every labeling, after the cap is checked for every length.
     """
     lengths = [int(n) for n in lengths]
     if not lengths:
@@ -398,21 +450,23 @@ def subshift_entropy_table(
     if budgets[0] < 0:
         raise ValueError("budgets must be >= 0")
 
+    if sft.is_nearest_neighbor:
+        method = "transfer_matrix"
+        tallies = _transfer_traces(sft, lengths, min(budgets[-1], max(lengths)))
+    else:
+        method = "exact_enumeration"
+        for n in lengths:
+            _check_cap(len(sft.alphabet), n, cap)
+        tallies = {}
+        for n in dict.fromkeys(lengths):
+            sigma = sofic_map_from_quotient(torus_quotient([n]), set(sft.window))
+            tallies[n] = _bad_site_tally(sft, sigma, sft.window)
+
     table = SubshiftEntropyTable(sft=sft)
     for n in lengths:
+        prefix = list(itertools.accumulate(tallies[n]))
         for budget in budgets:
-            if sft.is_nearest_neighbor:
-                count = transfer_matrix_count(sft, n, budget)
-                method = "transfer_matrix"
-            else:
-                quotient = torus_quotient([n])
-                needed = set(sft.window)
-                sigma = sofic_map_from_quotient(quotient, needed)
-                report = hom_count_exact(
-                    sft, sigma, sft.window, budget=budget, cap=cap
-                )
-                count = report.count
-                method = report.method
+            count = prefix[min(budget, len(prefix) - 1)]
             h = log_big_int(count) / n if count > 0 else float("-inf")
             table.rows.append(
                 TableRow(n=n, budget=budget, count=count, h_n=h, method=method)

@@ -116,6 +116,87 @@ def transition_matrix_power_trace(sft, n):
     return sum(power[i][i] for i in range(m))
 
 
+def transfer_dp_count(sft, n, budget):
+    """Cyclic labelings with at most `budget` bad transitions, by a DP.
+
+    For each start symbol, dynamic programming over (current symbol, bad
+    transitions so far) along the path, closed by the transition back to
+    the start symbol.  O(m^3 n budget) per count.
+    """
+    pairs = sft.allowed_pairs()
+    symbols = sft.alphabet
+    m = len(symbols)
+    ok = [[(a, b) in pairs for b in symbols] for a in symbols]
+    cap = min(budget, n)
+
+    if n == 1:
+        exact = sum(1 for a in range(m) if ok[a][a])
+        return exact if budget == 0 else m
+
+    total = 0
+    for start in range(m):
+        dp = [[0] * (cap + 1) for _ in range(m)]
+        dp[start][0] = 1
+        for _pos in range(1, n):
+            ndp = [[0] * (cap + 1) for _ in range(m)]
+            for prev in range(m):
+                for v in range(cap + 1):
+                    c = dp[prev][v]
+                    if c == 0:
+                        continue
+                    for nxt in range(m):
+                        nv = v if ok[prev][nxt] else v + 1
+                        if nv <= cap:
+                            ndp[nxt][nv] += c
+            dp = ndp
+        for last in range(m):
+            for v in range(cap + 1):
+                nv = v if ok[last][start] else v + 1
+                if nv <= cap:
+                    total += dp[last][v]
+    return total
+
+
+def bad_site_tally_brute(sft, sigma, constraints):
+    """Labelings tallied by number of bad sites, by itertools.product.
+
+    A window translate t is tested when t + w lies in the constraint set
+    for every window offset w; at site k it reads the pattern whose entry
+    at offset w is the label of the site that sigma(t + w) sends to k.  A
+    site is bad when any tested translate reads a disallowed pattern.
+    """
+    import itertools
+    from operator import itemgetter
+
+    cset = set(constraints)
+    window = sft.window
+    translates = sorted(
+        t for t in {c - w for c in cset for w in window}
+        if all(t + w in cset for w in window)
+    )
+    d = sigma.d
+    preimage = {}
+    for t in translates:
+        for w in window:
+            perm = [int(x) for x in sigma.perm(t + w)]
+            preimage[t + w] = [perm.index(k) for k in range(d)]
+    readers = [
+        [itemgetter(*[preimage[t + w][k] for w in window]) for t in translates]
+        for k in range(d)
+    ]
+    index = sft.symbol_index()
+    allowed = {tuple(index[s] for s in pat) for pat in sft.allowed}
+    if len(window) == 1:
+        allowed = {p[0] for p in allowed}
+    tally = [0] * (d + 1)
+    for labels in itertools.product(range(len(sft.alphabet)), repeat=d):
+        bad = sum(
+            1 for site in readers if any(read(labels) not in allowed for read in site)
+        )
+        tally[bad] += 1
+    return tally
+
+
 def lucas_numbers(up_to):
     """Lucas sequence L_1 = 1, L_2 = 3, L_n = L_{n-1} + L_{n-2}."""
     values = {1: 1, 2: 3}

@@ -17,9 +17,16 @@ from sofic import (
     torus_quotient,
     transfer_matrix_count,
 )
+from sofic import subshift
 from sofic.subshift import budget_from_delta
 
-from helpers import count_cycles_brute, lucas_numbers, transition_matrix_power_trace
+from helpers import (
+    bad_site_tally_brute,
+    count_cycles_brute,
+    lucas_numbers,
+    transfer_dp_count,
+    transition_matrix_power_trace,
+)
 
 
 def _cyclic_sigma(n, elems=(0, 1)):
@@ -135,6 +142,70 @@ def test_transfer_validation():
         transfer_matrix_count(gm, 4, -1)
 
 
+def test_transfer_large_length_and_huge_budget(monkeypatch):
+    lucas = lucas_numbers(10**4)
+    assert transfer_matrix_count(golden_mean(), 10**4, 0) == lucas[10**4]
+
+    degrees = []
+    traces = subshift._transfer_traces
+
+    def spy(sft, lengths, degree):
+        degrees.append(degree)
+        assert degree <= max(lengths)  # before any polynomial is built
+        return traces(sft, lengths, degree)
+
+    monkeypatch.setattr(subshift, "_transfer_traces", spy)
+    table = subshift_entropy_table(golden_mean(), [3], [10**9])
+    assert [(r.budget, r.count) for r in table.rows] == [(0, 4), (10**9, 8)]
+    assert transfer_matrix_count(golden_mean(), 3, 10**9) == 8
+    assert degrees == [3, 3]
+
+
+def _random_nn_sft(rng, m, dead_symbol=False):
+    """Random nearest-neighbor SFT on m symbols; optionally symbol m-1 has no
+    outgoing transition."""
+    symbols = tuple(range(m))
+    while True:
+        pairs = {
+            (a, b) for a in symbols for b in symbols
+            if rng.random() < 0.55 and not (dead_symbol and a == m - 1)
+        }
+        if pairs:
+            return SubshiftSFT(alphabet=symbols, window=(0, 1), allowed=frozenset(pairs))
+
+
+def test_transfer_table_matches_dp_oracle_battery():
+    rng = random.Random(83)
+    lengths = [7, 1, 7, 40, 2]
+    budgets = [3, 0, 1, max(lengths) + 2, 10**9]
+    expected_keys = [(n, b) for n in lengths for b in sorted(budgets)]
+    sfts = [full_shift(1)]
+    for m in (2, 3, 4):
+        sfts += [_random_nn_sft(rng, m), _random_nn_sft(rng, m, dead_symbol=True)]
+    for sft in sfts:
+        oracle = {}
+        for n in set(lengths):
+            for b in budgets:
+                key = (n, min(b, n))
+                if key not in oracle:
+                    oracle[key] = transfer_dp_count(sft, n, b)
+        table = subshift_entropy_table(sft, lengths, budgets)
+        assert [(r.n, r.budget) for r in table.rows] == expected_keys
+        m = len(sft.alphabet)
+        for row in table.rows:
+            want = oracle[(row.n, min(row.budget, row.n))]
+            assert row.count == want, (sorted(sft.allowed), row)
+            assert row.method == "transfer_matrix"
+            if row.n <= 7:
+                assert row.count == count_cycles_brute(sft, row.n, row.budget)
+            if row.budget >= row.n:
+                assert row.count == m**row.n
+        for n in set(lengths):
+            assert transfer_matrix_count(sft, n, n + 2) == m**n
+            for b in (0, 1, 3):
+                assert transfer_matrix_count(sft, n, b) == oracle[(n, min(b, n))]
+
+
 # ---------------------------------------------------------------------------
 # exhaustive counts
 
@@ -198,6 +269,103 @@ def test_hom_count_general_window():
         if all((l[k], l[(k + 2) % n]) in sft.allowed for k in range(n)):
             count += 1
     assert report.count == count
+
+
+def test_hom_count_matches_product_brute_force_battery():
+    rng = random.Random(89)
+    lopsided = SubshiftSFT(
+        alphabet=(0, 1), window=(0, 1), allowed=frozenset({(0, 0), (0, 1), (1, 1)})
+    )
+    gapped = SubshiftSFT(
+        alphabet=(0, 1), window=(0, 2), allowed=frozenset({(0, 0), (0, 1), (1, 0)})
+    )
+    symbols = ("a", "b", "c")
+    three = SubshiftSFT(
+        alphabet=symbols,
+        window=(0, 1),
+        allowed=frozenset((a, b) for a in symbols for b in symbols if rng.random() < 0.6),
+    )
+    cases = [
+        # constraint sets holding two or three window translates
+        (golden_mean(), (0, 1, 2), (3,)),
+        (lopsided, (0, 1, 2), (1, 2, 4, 6)),
+        (golden_mean(), (0, 1, 2, 3), (3, 5, 7)),
+        (gapped, (0, 2, 4), (2, 5, 6)),
+        # the non-contiguous window itself
+        (gapped, (0, 2), (1, 3, 6, 8)),
+        # 3^11 labelings exceed _CHUNK, so the low/high digit split runs
+        (three, (0, 1), (4, 11)),
+    ]
+    assert 3**11 > subshift._CHUNK
+    for sft, constraints, lengths in cases:
+        for n in lengths:
+            sigma = _cyclic_sigma(n, constraints)
+            tally = bad_site_tally_brute(sft, sigma, constraints)
+            assert sum(tally) == len(sft.alphabet) ** n
+            for budget in (0, 1, 2, n + 1):
+                report = hom_count_exact(sft, sigma, constraints, budget=budget)
+                assert report.count == sum(tally[: budget + 1]), (constraints, n, budget)
+    # on Z/3 with constraints {0, 1, 2} the all-ones golden-mean labeling
+    # fails both translates at every site: 3 bad sites, not 6
+    sigma = _cyclic_sigma(3, (0, 1, 2))
+    assert hom_count_exact(golden_mean(), sigma, (0, 1, 2), budget=2).count == 7
+    assert hom_count_exact(golden_mean(), sigma, (0, 1, 2), budget=3).count == 8
+
+
+def test_hom_count_golden_mean_long_cycles():
+    gm = golden_mean()
+    for n in (17, 18):
+        sigma = _cyclic_sigma(n)
+        for budget in range(4):
+            report = hom_count_exact(gm, sigma, (0, 1), budget=budget)
+            assert report.count == transfer_matrix_count(gm, n, budget), (n, budget)
+
+
+def test_entropy_table_general_window_matches_brute_force():
+    patterns = [(a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)]
+    window3 = SubshiftSFT(
+        alphabet=(0, 1),
+        window=(0, 1, 2),
+        allowed=frozenset(p for p in patterns if p not in {(0, 0, 0), (1, 0, 1)}),
+    )
+    symbols = (0, 1, 2)
+    two_sided = SubshiftSFT(
+        alphabet=symbols,
+        window=(-1, 1),
+        allowed=frozenset((a, b) for a in symbols for b in symbols if a != b),
+    )
+    lengths = [5, 1, 5, 2, 7]
+    budgets = [9, 0, 2, 1]
+    for sft in (window3, two_sided):
+        table = subshift_entropy_table(sft, lengths, budgets)
+        assert [(r.n, r.budget) for r in table.rows] == [
+            (n, b) for n in lengths for b in sorted(budgets)
+        ]
+        for row in table.rows:
+            sigma = _cyclic_sigma(row.n, sft.window)
+            tally = bad_site_tally_brute(sft, sigma, sft.window)
+            assert row.count == sum(tally[: row.budget + 1]), row
+            assert row.method == "exact_enumeration"
+
+
+def test_entropy_table_checks_cap_before_enumerating(monkeypatch):
+    patterns = [(a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)]
+    window3 = SubshiftSFT(
+        alphabet=(0, 1), window=(0, 1, 2), allowed=frozenset(patterns[1:])
+    )
+    calls = []
+    checks = subshift._pulled_back_checks
+
+    def counting(*args):
+        calls.append(args)
+        return checks(*args)
+
+    monkeypatch.setattr(subshift, "_pulled_back_checks", counting)
+    with pytest.raises(EnumerationCapError, match="^128 labelings exceed the enumeration cap 64;"):
+        subshift_entropy_table(window3, [2, 1, 7, 3, 8], [0, 1], cap=64)
+    assert calls == []
+    subshift_entropy_table(window3, [2, 1, 6, 2], [0], cap=64)
+    assert len(calls) == 3  # each distinct length is enumerated once
 
 
 def test_hom_count_cap():
