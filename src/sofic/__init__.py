@@ -3,14 +3,17 @@
 The package computes, exactly where the mathematics is exact:
 
 * entropy convergence traces h_n = log|Fix| / |G/G_n| of principal
-  algebraic actions, through integer group-circulant matrices and
-  arbitrary-precision determinant / Smith normal form computations;
+  algebraic actions: exact fixed-point counts by character products on
+  torus quotients and by a split over a cyclic subgroup on explicit ones,
+  each eliminated modulo primes below 2^31 and lifted by CRT, with the
+  Smith normal form of the integer group-circulant matrix giving the
+  nullity of a singular explicit quotient;
 * independent spectral reference values (Mahler measures via Jensen's
   formula and torus quadrature) together with torus invertibility
   certificates;
 * homomorphism-counting entropy of subshifts of finite type over sofic
-  approximations, by transfer-matrix dynamic programming and budgeted
-  exhaustive enumeration;
+  approximations, by powers of a truncated polynomial transfer matrix and
+  budgeted exhaustive enumeration;
 * multiplicativity and freeness defects of sofic maps.
 """
 

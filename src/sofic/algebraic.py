@@ -35,10 +35,11 @@ quotient family:
   is the case <g> = G of an abelian G.  When det M = 0 the dense matrix
   is built once, for its Smith normal form, which gives the nullity.
 
-The dense route, ``count_solutions(regular_rep_matrix(f, q))`` with
-fraction-free Bareiss elimination for modest dimensions and a multi-prime
-modular/CRT elimination (float64 per prime) above the crossover, stays
-public as the test oracle for both.
+The dense route, ``count_solutions(regular_rep_matrix(f, q))``, stays
+public as the test oracle for both.  Its determinant runs on the same
+batched int64 elimination: modulo enough of the largest primes below 2^31
+to lift by CRT against Hadamard's bound for any matrix, the product of the
+squared row norms.
 """
 
 from __future__ import annotations
@@ -87,10 +88,6 @@ def csv_field(value: str) -> str:
         return '"' + value.replace('"', '""') + '"'
     return value
 
-# Above this dimension det_abs_exact switches from Bareiss elimination to
-# the modular/CRT path (same exact result, far less big-int growth).
-BAREISS_CROSSOVER = 96
-
 
 class NotInvertibleError(ValueError):
     """The regular representation matrix is singular at this quotient."""
@@ -107,9 +104,6 @@ class RegularRepMatrix:
     dim: int
     entries: np.ndarray
     provenance: tuple
-
-    def row_sums(self) -> list:
-        return [int(sum(row)) for row in self.entries]
 
     def tolist(self) -> list:
         return [[int(v) for v in row] for row in self.entries]
@@ -167,73 +161,48 @@ def _as_rows(matrix) -> List[List[int]]:
     return [[int(v) for v in r] for r in rows]
 
 
-def det_abs_exact(matrix) -> int:
-    """|det M| as an exact nonnegative integer.
+# ---------------------------------------------------------------------------
+# the modular kernel: primes below 2^31, batched elimination, CRT
 
-    Accepts a RegularRepMatrix or any square array-like of integers.
-    """
-    rows = _as_rows(matrix)
-    n = len(rows)
-    if n == 0:
-        return 1
-    if _is_diagonal(rows):
-        return abs(math.prod(rows[i][i] for i in range(n)))
-    if n <= BAREISS_CROSSOVER:
-        return abs(_det_bareiss(rows))
-    return abs(_det_modular(rows))
+# Primes lie in (2^30, 2^31): residues below 2^31 keep every product of two
+# below 2^62 in int64, and each prime adds at least 30 bits to the CRT
+# modulus.
+_CHAR_PRIME_FLOOR = 2**30
+_CHAR_PRIME_CEIL = 2**31
 
+# Residues per chunk of primes, (primes x characters) on a torus and
+# (primes x matrices x rows x columns) for an elimination, which keeps the
+# numpy temporaries near half a megabyte (or one prime's worth, if larger).
+_CHAR_BLOCK = 2**16
 
-def _is_diagonal(rows: List[List[int]]) -> bool:
-    return all(
-        v == 0 for i, row in enumerate(rows) for j, v in enumerate(row) if i != j
-    )
+# m -> (primes = 1 mod m found so far, in descending order; next candidate)
+_CHAR_PRIMES: dict = {}
 
 
-def _det_bareiss(rows: List[List[int]]) -> int:
-    """Fraction-free Bareiss elimination; all divisions are exact."""
-    n = len(rows)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        pivot_row = next((i for i in range(k, n) if rows[i][k] != 0), None)
-        if pivot_row is None:
-            return 0
-        if pivot_row != k:
-            rows[k], rows[pivot_row] = rows[pivot_row], rows[k]
-            sign = -sign
-        piv = rows[k][k]
-        rk = rows[k]
-        for i in range(k + 1, n):
-            ri = rows[i]
-            rik = ri[k]
-            for j in range(k + 1, n):
-                ri[j] = (piv * ri[j] - rik * rk[j]) // prev
-            ri[k] = 0
-        prev = piv
-    return sign * rows[n - 1][n - 1]
-
-
-def _hadamard_bits(rows: List[List[int]]) -> int:
-    """Bit length of a bound on |det| by Hadamard's inequality, 0 for a zero row.
-
-    |det|^2 is at most the product of the squared row norms, so
-    isqrt(product) + 1 bounds |det| without any per-row rounding.
-    """
-    product = 1
-    for row in rows:
-        sq = sum(v * v for v in row)
-        if sq == 0:
-            return 0
-        product *= sq
-    return (math.isqrt(product) + 1).bit_length()
+def _character_primes(m: int, count: int) -> List[int]:
+    """The `count` largest primes p = 1 (mod m) in (2^30, 2^31), found lazily."""
+    found, candidate = _CHAR_PRIMES.get(m, ([], None))
+    step = m if m % 2 == 0 else 2 * m
+    if candidate is None:
+        candidate = (_CHAR_PRIME_CEIL - 2) // step * step + 1
+    while len(found) < count:
+        if candidate <= _CHAR_PRIME_FLOOR:
+            raise ResourceGuardError(
+                f"{count} primes = 1 mod {m} needed, only {len(found)} lie in (2^30, 2^31)"
+            )
+        if _is_probable_prime(candidate):
+            found.append(candidate)
+        candidate -= step
+    _CHAR_PRIMES[m] = (found, candidate)
+    return found[:count]
 
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 def _is_probable_prime(n: int) -> bool:
-    # Deterministic Miller-Rabin: bases 2, 7, 61 below 4,759,123,141
-    # (Jaeschke 1993), the first twelve primes below 3.3e24.
+    # Deterministic Miller-Rabin with bases 2, 7, 61 below 4,759,123,141
+    # (Jaeschke 1993), which covers every candidate below 2^31.
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
@@ -244,8 +213,7 @@ def _is_probable_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         r += 1
-    bases = (2, 7, 61) if n < 4_759_123_141 else _SMALL_PRIMES
-    for a in bases:
+    for a in (2, 7, 61):
         if a % n == 0:
             continue
         x = pow(a, d, n)
@@ -260,111 +228,14 @@ def _is_probable_prime(n: int) -> bool:
     return True
 
 
-_PRIME_CACHE: List[int] = []
+def _crt_prime_count(bound: int) -> int:
+    """How many primes above 2^30 a CRT lift needs, given det^2 <= bound.
 
-# Modular primes stay below 2^21 so residue products stay below 2^42 and a
-# 64-wide panel of unreduced updates stays inside float64's exact-integer
-# range (2^53).
-_PRIME_LIMIT = 2**21
-
-
-def _modular_primes(count: int) -> List[int]:
-    candidate = _PRIME_CACHE[-1] - 2 if _PRIME_CACHE else _PRIME_LIMIT - 1
-    while len(_PRIME_CACHE) < count:
-        if _is_probable_prime(candidate):
-            _PRIME_CACHE.append(candidate)
-        candidate -= 2
-    return _PRIME_CACHE[:count]
-
-
-def _fmod_exact(a: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """a mod p for integer-valued float64 arrays with |a| < 2^52, exactly.
-
-    Float rounding can push the quotient off by one, so the remainder gets
-    a single correction pass in each direction.
+    n such primes have a product P with P^2 > 2^(60n) >= 4 bound, hence
+    P > 2 |det|.  A d x d group circulant has bound (sum c^2)^d, since
+    every row is a permutation of fhat.
     """
-    q = np.floor(a / p)
-    r = a - q * p
-    r = np.where(r < 0, r + p, r)
-    r = np.where(r >= p, r - p, r)
-    return r
-
-
-_PANEL = 64
-
-
-def _lu_det_mod(base: np.ndarray, p: int) -> int:
-    """det mod p by blocked LU over integer-valued float64.
-
-    Residues stay below p < 2^21, so products stay below 2^42 and a panel
-    of 64 accumulated updates stays below 2^52, inside float64's exact
-    integer range.  The trailing block is updated by one matrix product
-    per panel and reduced immediately after.
-    """
-    pf = float(p)
-    a = _fmod_exact(base, pf)
-    n = a.shape[0]
-    det = 1
-    negate = False
-    for k0 in range(0, n, _PANEL):
-        k1 = min(k0 + _PANEL, n)
-        # panel factorization: full column depth, panel width
-        for k in range(k0, k1):
-            col = _fmod_exact(a[k:, k], pf)
-            a[k:, k] = col
-            nz = np.nonzero(col)[0]
-            if nz.size == 0:
-                return 0
-            i = k + int(nz[0])
-            if i != k:
-                a[[k, i]] = a[[i, k]]
-                negate = not negate
-            piv = int(a[k, k])
-            det = det * piv % p
-            if k + 1 == n:
-                break
-            inv = float(pow(piv, -1, p))
-            a[k + 1 :, k] = _fmod_exact(a[k + 1 :, k] * inv, pf)
-            if k + 1 < k1:
-                a[k, k + 1 : k1] = _fmod_exact(a[k, k + 1 : k1], pf)
-                a[k + 1 :, k + 1 : k1] -= np.outer(a[k + 1 :, k], a[k, k + 1 : k1])
-        if k1 < n:
-            # U12 = L11^-1 A12 by forward substitution, then one trailing GEMM
-            a[k0, k1:] = _fmod_exact(a[k0, k1:], pf)
-            for k in range(k0 + 1, k1):
-                a[k, k1:] -= a[k, k0:k] @ a[k0:k, k1:]
-                a[k, k1:] = _fmod_exact(a[k, k1:], pf)
-            a[k1:, k1:] -= a[k1:, k0:k1] @ a[k0:k1, k1:]
-            a[k1:, k1:] = _fmod_exact(a[k1:, k1:], pf)
-    if negate:
-        det = (p - det) % p
-    return det
-
-
-def _det_modular(rows: List[List[int]]) -> int:
-    """Exact determinant: blocked LU mod many small primes, then CRT.
-
-    The prime product exceeds twice the Hadamard bound, so the symmetric
-    CRT lift of the per-prime determinants is the true determinant.
-    """
-    n = len(rows)
-    bound_bits = _hadamard_bits(rows)
-    if bound_bits == 0:
-        return 0
-    primes = _modular_primes(bound_bits // 20 + 2)
-    small = all(abs(v) < 2**52 for row in rows for v in row)
-    base = np.array(rows, dtype=np.float64) if small else None
-
-    residues = []
-    for p in primes:
-        if base is not None:
-            residues.append(_lu_det_mod(base, p))
-        else:
-            reduced = np.array(
-                [[v % p for v in row] for row in rows], dtype=np.float64
-            )
-            residues.append(_lu_det_mod(reduced, p))
-    return _crt_symmetric(residues, primes)
+    return -(-(4 * bound).bit_length() // 60)
 
 
 def _crt_symmetric(residues: Sequence[int], primes: Sequence[int]) -> int:
@@ -378,6 +249,68 @@ def _crt_symmetric(residues: Sequence[int], primes: Sequence[int]) -> int:
     if residue > modulus // 2:
         residue -= modulus
     return residue
+
+
+def _det_mod_batched(a: np.ndarray, mods: np.ndarray) -> np.ndarray:
+    """det a[b] mod mods[b] for a stack of square int64 matrices, in place.
+
+    Fraction-free elimination with a pivot chosen per matrix: the rows
+    below pivot c become piv_c * row - a[i][c] * pivot row, which scales
+    the determinant by piv_c^(m-1-c).  That scale is the product of the
+    prefix products piv_0 ... piv_c for c < m - 1, divided out once at the
+    end, so no inverse is taken per column.  Residues stay below 2^31, so
+    every product of two stays inside int64.
+    """
+    n, m, _ = a.shape
+    batch = np.arange(n)
+    mods3 = mods[:, None, None]
+    diag = np.ones(n, dtype=np.int64)
+    scale = np.ones(n, dtype=np.int64)
+    flips = np.zeros(n, dtype=bool)
+    for c in range(m):
+        # first nonzero row at or below c; a zero column leaves pivot 0
+        r = c + np.argmax(a[:, c:, c] != 0, axis=1)
+        swap = np.flatnonzero(r != c)
+        if swap.size:
+            top = a[swap, c].copy()
+            a[swap, c] = a[swap, r[swap]]
+            a[swap, r[swap]] = top
+            flips[swap] ^= True
+        piv = a[batch, c, c]
+        diag = diag * piv % mods
+        if c + 1 == m:
+            break
+        scale = scale * diag % mods
+        trailing = a[:, c + 1 :, c + 1 :]
+        trailing *= piv[:, None, None]
+        trailing -= a[:, c + 1 :, c, None] * a[:, None, c, c + 1 :]
+        trailing %= mods3
+    inv = [pow(int(s), -1, int(p)) if s else 0 for s, p in zip(scale, mods)]
+    det = diag * np.array(inv, dtype=np.int64) % mods
+    return np.where(flips, (mods - det) % mods, det)
+
+
+def det_abs_exact(matrix) -> int:
+    """|det M| as an exact nonnegative integer.
+
+    Accepts a RegularRepMatrix or any square array-like of integers.  By
+    Hadamard's inequality det^2 is at most the product of the squared row
+    norms, so M is eliminated modulo enough of the largest primes below
+    2^31 for a CRT lift against that bound, a chunk of primes per batched
+    pass.  A zero row makes the bound 0, and no prime is needed.
+    """
+    rows = _as_rows(matrix)
+    n = len(rows)
+    bound = math.prod(sum(v * v for v in row) for row in rows)
+    primes = _character_primes(1, _crt_prime_count(bound))
+    residues: List[int] = []
+    block = max(1, _CHAR_BLOCK // max(1, n * n))
+    for start in range(0, len(primes), block):
+        chunk = primes[start : start + block]
+        reduced = [[[v % p for v in row] for row in rows] for p in chunk]
+        a = np.array(reduced, dtype=np.int64).reshape(len(chunk), n, n)
+        residues += _det_mod_batched(a, np.array(chunk, dtype=np.int64)).tolist()
+    return abs(_crt_symmetric(residues, primes))
 
 
 def smith_normal_form(matrix) -> List[int]:
@@ -505,38 +438,6 @@ def count_solutions(matrix) -> SolutionCount:
 # ---------------------------------------------------------------------------
 # torus quotients: character products
 
-# Character primes lie in (2^30, 2^31): residues below 2^31 keep every
-# product of two below 2^62 in int64, and each prime adds at least 30 bits
-# to the CRT modulus.
-_CHAR_PRIME_FLOOR = 2**30
-_CHAR_PRIME_CEIL = 2**31
-
-# Residues per chunk of primes, (primes x characters) on a torus and
-# (primes x blocks x rows x columns) for the split, which keeps the numpy
-# temporaries near half a megabyte (or one prime's worth, if larger).
-_CHAR_BLOCK = 2**16
-
-# m -> (primes = 1 mod m found so far, in descending order; next candidate)
-_CHAR_PRIMES: dict = {}
-
-
-def _character_primes(m: int, count: int) -> List[int]:
-    """The `count` largest primes p = 1 (mod m) in (2^30, 2^31), found lazily."""
-    found, candidate = _CHAR_PRIMES.get(m, ([], None))
-    step = m if m % 2 == 0 else 2 * m
-    if candidate is None:
-        candidate = (_CHAR_PRIME_CEIL - 2) // step * step + 1
-    while len(found) < count:
-        if candidate <= _CHAR_PRIME_FLOOR:
-            raise ResourceGuardError(
-                f"{count} primes = 1 mod {m} needed, only {len(found)} lie in (2^30, 2^31)"
-            )
-        if _is_probable_prime(candidate):
-            found.append(candidate)
-        candidate -= step
-    _CHAR_PRIMES[m] = (found, candidate)
-    return found[:count]
-
 
 def _prime_factors(n: int) -> List[int]:
     out = []
@@ -630,16 +531,6 @@ def _root_powers(m: int, primes: List[int]) -> np.ndarray:
     return powers
 
 
-def _crt_prime_count(coeffs: List[int], d: int) -> int:
-    """How many primes above 2^30 a CRT lift of a d x d group circulant needs.
-
-    Every row is a permutation of fhat, so Hadamard's inequality gives
-    det^2 <= (sum c^2)^d.  n such primes have a product P with
-    P^2 > 2^(60n) >= 4 (sum c^2)^d, hence P > 2 |det|.
-    """
-    return -(-(4 * sum(c * c for c in coeffs) ** d).bit_length() // 60)
-
-
 def _character_values(
     exponents: np.ndarray, coeffs: List[int], m: int, primes: List[int]
 ) -> np.ndarray:
@@ -705,7 +596,8 @@ def _torus_fix_count(f: GroupRingElement, q: TorusQuotient) -> SolutionCount:
     if zeros:
         return SolutionCount(value=None, nullity=zeros)
 
-    primes = _character_primes(m, _crt_prime_count(coeffs, d))
+    bound = sum(c * c for c in coeffs) ** d
+    primes = _character_primes(m, _crt_prime_count(bound))
     residues = _row_products(values, first)
     block = max(1, _CHAR_BLOCK // d)
     for i in range(1, len(primes), block):
@@ -731,45 +623,6 @@ def _max_order_element(table: np.ndarray, identity: int) -> tuple:
         k += 1
     g = int(np.argmax(order))
     return g, int(order[g])
-
-
-def _det_mod_batched(a: np.ndarray, mods: np.ndarray) -> np.ndarray:
-    """det a[b] mod mods[b] for a stack of square int64 matrices, in place.
-
-    Fraction-free elimination with a pivot chosen per matrix: the rows
-    below pivot c become piv_c * row - a[i][c] * pivot row, which scales
-    the determinant by piv_c^(m-1-c).  That scale is the product of the
-    prefix products piv_0 ... piv_c for c < m - 1, divided out once at the
-    end, so no inverse is taken per column.  Residues stay below 2^31, so
-    every product of two stays inside int64.
-    """
-    n, m, _ = a.shape
-    batch = np.arange(n)
-    mods3 = mods[:, None, None]
-    diag = np.ones(n, dtype=np.int64)
-    scale = np.ones(n, dtype=np.int64)
-    flips = np.zeros(n, dtype=bool)
-    for c in range(m):
-        # first nonzero row at or below c; a zero column leaves pivot 0
-        r = c + np.argmax(a[:, c:, c] != 0, axis=1)
-        swap = np.flatnonzero(r != c)
-        if swap.size:
-            top = a[swap, c].copy()
-            a[swap, c] = a[swap, r[swap]]
-            a[swap, r[swap]] = top
-            flips[swap] ^= True
-        piv = a[batch, c, c]
-        diag = diag * piv % mods
-        if c + 1 == m:
-            break
-        scale = scale * diag % mods
-        trailing = a[:, c + 1 :, c + 1 :]
-        trailing *= piv[:, None, None]
-        trailing -= a[:, c + 1 :, c, None] * a[:, None, c, c + 1 :]
-        trailing %= mods3
-    inv = [pow(int(s), -1, int(p)) if s else 0 for s, p in zip(scale, mods)]
-    det = diag * np.array(inv, dtype=np.int64) % mods
-    return np.where(flips, (mods - det) % mods, det)
 
 
 def _split_det(f: GroupRingElement, q: ExplicitQuotient) -> int:
@@ -811,8 +664,8 @@ def _split_det(f: GroupRingElement, q: ExplicitQuotient) -> int:
         y = table[q.inv(c), reps]
         terms.append((value, coset[y], jumps * shift[y] % k))
 
-    coeffs = list(fhat.values())
-    primes = _character_primes(k, _crt_prime_count(coeffs, d))
+    bound = sum(c * c for c in fhat.values()) ** d
+    primes = _character_primes(k, _crt_prime_count(bound))
     residues: List[int] = []
     block = max(1, _CHAR_BLOCK // (d * m))
     for start in range(0, len(primes), block):

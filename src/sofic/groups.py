@@ -532,27 +532,6 @@ class TorusQuotient:
         vec.reverse()
         return vec[0] if self.rank == 1 else tuple(vec)
 
-    def mul(self, a: int, b: int) -> int:
-        return self._combine(a, b, 1)
-
-    def inv(self, a: int) -> int:
-        idx = 0
-        va = self.exponent(a)
-        va = (va,) if self.rank == 1 else va
-        for x, n in zip(va, self.moduli):
-            idx = idx * n + ((-x) % n)
-        return idx
-
-    def _combine(self, a: int, b: int, sign: int) -> int:
-        va = self.exponent(a)
-        vb = self.exponent(b)
-        va = (va,) if self.rank == 1 else va
-        vb = (vb,) if self.rank == 1 else vb
-        idx = 0
-        for x, y, n in zip(va, vb, self.moduli):
-            idx = idx * n + ((x + sign * y) % n)
-        return idx
-
     def _index_grid(self) -> np.ndarray:
         """(size, rank) array of coset exponent vectors in index order."""
         d = self.size

@@ -21,10 +21,11 @@ never conflated with the zero-budget value.
 Every count is read off a tally of labelings by their number of bad sites,
 so all budgets of one length cost one computation.  For nearest-neighbor
 windows the tally is trace((T + z(J - T))^n) truncated at the largest
-budget, J the all-ones matrix; a table walks its sorted lengths once
-through the powers of that polynomial matrix, in exact integers.  General
-windows enumerate all m^n labelings once per length, under a cap that a
-table checks for every length before it enumerates any.
+budget below n, J the all-ones matrix; a budget of at least n admits all
+m^n labelings.  A table walks its sorted lengths once through the powers
+of that polynomial matrix, in exact integers.  General windows enumerate
+all m^n labelings once per length, under a cap that a table checks for
+every length before it enumerates any.
 """
 
 from __future__ import annotations
@@ -214,13 +215,17 @@ def transfer_matrix_count(sft: SubshiftSFT, n: int, budget: int = 0) -> int:
     A transition at site k is the pair (l(k), l(k+1 mod n)); it is bad when
     not allowed.  The count is the sum of the coefficients of z^0..z^budget
     in trace((T + z(J - T))^n), T the 0/1 transition matrix and J the
-    all-ones matrix; the zero-budget count is trace(T^n).
+    all-ones matrix; the zero-budget count is trace(T^n).  A budget of at
+    least n admits every labeling, m^n of them, and builds no polynomial.
     """
     if n < 1:
         raise ValueError("cycle length must be >= 1")
     if budget < 0:
         raise ValueError("budget must be >= 0")
-    return sum(_transfer_traces(sft, [n], min(budget, n))[n])
+    sft.allowed_pairs()  # rejects windows other than {0, 1}
+    if budget >= n:
+        return len(sft.alphabet) ** n
+    return sum(_transfer_traces(sft, [n], budget)[n])
 
 
 def _mat_mul(a: list, b: list, mask: int) -> list:
@@ -437,9 +442,11 @@ def subshift_entropy_table(
 
     The zero budget is always included.  Each distinct length is computed
     once and every budget of its rows is a prefix sum of the counts by
-    number of bad sites.  Nearest-neighbor windows take one walk through
-    the powers of the truncated polynomial transfer matrix; general windows
-    enumerate every labeling, after the cap is checked for every length.
+    number of bad sites, or m^n when the budget is at least n.
+    Nearest-neighbor windows take one walk through the powers of the
+    polynomial transfer matrix, truncated at the largest budget below the
+    longest length; general windows enumerate every labeling, after the
+    cap is checked for every length.
     """
     lengths = [int(n) for n in lengths]
     if not lengths:
@@ -452,7 +459,8 @@ def subshift_entropy_table(
 
     if sft.is_nearest_neighbor:
         method = "transfer_matrix"
-        tallies = _transfer_traces(sft, lengths, min(budgets[-1], max(lengths)))
+        degree = max(b for b in budgets if b < max(lengths))
+        tallies = _transfer_traces(sft, lengths, degree)
     else:
         method = "exact_enumeration"
         for n in lengths:
@@ -463,10 +471,11 @@ def subshift_entropy_table(
             tallies[n] = _bad_site_tally(sft, sigma, sft.window)
 
     table = SubshiftEntropyTable(sft=sft)
+    m = len(sft.alphabet)
     for n in lengths:
         prefix = list(itertools.accumulate(tallies[n]))
         for budget in budgets:
-            count = prefix[min(budget, len(prefix) - 1)]
+            count = m**n if budget >= n else prefix[budget]
             h = log_big_int(count) / n if count > 0 else float("-inf")
             table.rows.append(
                 TableRow(n=n, budget=budget, count=count, h_n=h, method=method)

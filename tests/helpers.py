@@ -2,8 +2,8 @@
 
 Everything here recomputes expected values by a route disjoint from the
 library code under test: rational Gaussian elimination for determinants
-and ranks, explicit cofactor expansion, exhaustive enumeration for
-solution counts and cyclic pattern counts.
+and ranks, fraction-free Bareiss elimination, explicit cofactor expansion,
+exhaustive enumeration for solution counts and cyclic pattern counts.
 """
 
 from fractions import Fraction
@@ -29,6 +29,33 @@ def det_fraction(rows):
             m[i] = [a - r * b for a, b in zip(m[i], m[k])]
     assert det.denominator == 1
     return int(det)
+
+
+def det_bareiss(rows):
+    """Determinant by fraction-free Bareiss elimination; divisions are exact."""
+    rows = [[int(v) for v in row] for row in rows]
+    n = len(rows)
+    if n == 0:
+        return 1
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        pivot_row = next((i for i in range(k, n) if rows[i][k] != 0), None)
+        if pivot_row is None:
+            return 0
+        if pivot_row != k:
+            rows[k], rows[pivot_row] = rows[pivot_row], rows[k]
+            sign = -sign
+        piv = rows[k][k]
+        rk = rows[k]
+        for i in range(k + 1, n):
+            ri = rows[i]
+            rik = ri[k]
+            for j in range(k + 1, n):
+                ri[j] = (piv * ri[j] - rik * rk[j]) // prev
+            ri[k] = 0
+        prev = piv
+    return sign * rows[n - 1][n - 1]
 
 
 def rank_fraction(rows):

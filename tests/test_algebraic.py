@@ -23,13 +23,14 @@ from sofic import (
     torus_quotient,
 )
 from sofic import algebraic
-from sofic.algebraic import _character_primes, _det_bareiss, _det_modular
+from sofic.algebraic import _character_primes, _is_probable_prime
 from sofic.groups import ResourceGuardError
 
 from helpers import (
     count_torus_solutions_brute,
     cyclic_table,
     det3_cofactor,
+    det_bareiss,
     det_fraction,
     rank_fraction,
     relabel_table,
@@ -77,17 +78,18 @@ def test_circulant_invariant_and_row_sums():
                     key = (rng.randint(-2, 2), rng.randint(-2, 2))
                 terms[key] = rng.randint(-5, 5)
             f = GroupRingElement(rank, terms)
-            m = regular_rep_matrix(f, q)
+            rows = regular_rep_matrix(f, q).tolist()
             total = sum(f.terms.values())
-            assert m.row_sums() == [total] * q.size
+            assert [sum(row) for row in rows] == [total] * q.size
             # entries[a][b] depends only on a * b^-1
             fhat = {}
             for s, c in f.terms.items():
                 fhat[q.index(s)] = fhat.get(q.index(s), 0) + c
             for a in range(q.size):
                 for b in range(q.size):
-                    coset = q.mul(a, q.inv(b))
-                    assert m.entries[a][b] == fhat.get(coset, 0)
+                    ea, eb = q.exponent(a), q.exponent(b)
+                    diff = ea - eb if rank == 1 else tuple(x - y for x, y in zip(ea, eb))
+                    assert rows[a][b] == fhat.get(q.index(diff), 0)
 
 
 def test_matrix_size_guard():
@@ -113,19 +115,96 @@ def test_det_paths_agree_with_fraction_oracle():
         n = rng.randint(1, 6)
         rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
         expected = abs(det_fraction(rows))
-        assert abs(_det_bareiss([r[:] for r in rows])) == expected
-        assert abs(_det_modular([r[:] for r in rows])) == expected
+        assert abs(det_bareiss(rows)) == expected
         assert det_abs_exact(rows) == expected
 
 
-def test_det_modular_multi_panel():
-    # crosses several 64-wide panels, compares against Bareiss
+def test_det_large_matrix_matches_bareiss():
+    # n = 150 needs 24 primes, eliminated two per batched pass
     rng = random.Random(23)
     n = 150
     rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
-    assert abs(_det_modular([r[:] for r in rows])) == abs(
-        _det_bareiss([r[:] for r in rows])
-    )
+    assert det_abs_exact(rows) == abs(det_bareiss(rows))
+
+
+def _det_battery():
+    """Seeded matrices that stress the modular kernel, by kind."""
+    rng = random.Random(131)
+    p = 2**31 - 1  # the first prime of the supply
+
+    def rand(n, lo=-9, hi=9):
+        return [[rng.randint(lo, hi) for _ in range(n)] for _ in range(n)]
+
+    yield "empty", []
+    for v in (0, 1, -1, 7, -(2**80), p, 3 * p):
+        yield "1x1", [[v]]
+    for _ in range(8):
+        n = rng.randint(2, 6)
+        rows = rand(n)
+        rows[rng.randrange(n)] = [0] * n
+        yield "zero row", rows
+        rows = rand(n)
+        j = rng.randrange(n)
+        for row in rows:
+            row[j] = 0
+        yield "zero column", rows
+        # multiples of the first prime vanish mod it: other pivots, other
+        # row swaps there, and a zero residue whenever all of a column does
+        rows = rand(n)
+        for row in rows:
+            for j in range(n):
+                if rng.random() < 0.5:
+                    row[j] *= p
+        rows[0][0] = p * rng.choice((-2, -1, 1, 2))  # no first pivot mod p
+        yield "multiples of 2^31 - 1", rows
+        yield "all multiples of 2^31 - 1", [[v * p for v in row] for row in rand(n)]
+        yield "beyond 2^63", rand(n, -(2**70), 2**70)
+        rows = rand(n, -(2**64), 2**64)
+        rows[0][0] = 2**63
+        yield "beyond 2^63", rows
+        rows = rand(n)
+        weights = [rng.randint(-3, 3) for _ in range(n - 1)]
+        rows[-1] = [sum(w * row[j] for w, row in zip(weights, rows)) for j in range(n)]
+        yield "rank deficient", rows
+        rows = rand(n)
+        rows[0], rows[1] = rows[1], rows[0]
+        yield "swapped rows", rows
+
+
+def test_det_kernel_differential_battery():
+    kinds = {}
+    negative = 0
+    for kind, rows in _det_battery():
+        want = det_fraction(rows)
+        assert det_bareiss(rows) == want, kind
+        assert det_abs_exact(rows) == abs(want), (kind, rows)
+        kinds[kind] = kinds.get(kind, 0) + 1
+        negative += want < 0
+    assert negative >= 10
+    assert kinds["rank deficient"] == 8
+
+
+def test_is_probable_prime_matches_sieves():
+    limit = 10**5
+    sieve = bytearray([1]) * (limit + 1)
+    sieve[0] = sieve[1] = 0
+    for i in range(2, math.isqrt(limit) + 1):
+        if sieve[i]:
+            sieve[i * i :: i] = bytes(len(range(i * i, limit + 1, i)))
+    assert [n for n in range(limit + 1) if _is_probable_prime(n)] == [
+        n for n in range(limit + 1) if sieve[n]
+    ]
+    # the 10^5 integers just below 2^31, by a sieve segmented on the primes
+    # up to sqrt(2^31) < 10^5
+    lo, hi = 2**31 - limit, 2**31
+    segment = bytearray([1]) * (hi - lo)
+    for q in range(2, math.isqrt(hi) + 1):
+        if sieve[q]:
+            start = max(q * q, -(-lo // q) * q)
+            segment[start - lo :: q] = bytes(len(range(start, hi, q)))
+    assert [n for n in range(lo, hi) if _is_probable_prime(n)] == [
+        n for n in range(lo, hi) if segment[n - lo]
+    ]
 
 
 def test_det_singular_and_happy_big_entries():

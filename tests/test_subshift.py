@@ -158,7 +158,39 @@ def test_transfer_large_length_and_huge_budget(monkeypatch):
     table = subshift_entropy_table(golden_mean(), [3], [10**9])
     assert [(r.budget, r.count) for r in table.rows] == [(0, 4), (10**9, 8)]
     assert transfer_matrix_count(golden_mean(), 3, 10**9) == 8
-    assert degrees == [3, 3]
+    assert degrees == [0]
+
+
+def test_transfer_full_budget_builds_no_polynomial(monkeypatch):
+    def no_traces(sft, lengths, degree):
+        raise AssertionError("polynomial transfer powers for a budget >= n")
+
+    monkeypatch.setattr(subshift, "_transfer_traces", no_traces)
+    assert transfer_matrix_count(golden_mean(), 2000, 2000) == 2**2000
+    assert transfer_matrix_count(full_shift(3), 7, 10**9) == 3**7
+    window3 = SubshiftSFT(alphabet=(0, 1), window=(0, 1, 2), allowed=frozenset({(0, 0, 0)}))
+    with pytest.raises(ValueError):
+        transfer_matrix_count(window3, 2, 5)
+
+
+def test_table_full_budget_rows_keep_degree_low(monkeypatch):
+    degrees = []
+    traces = subshift._transfer_traces
+
+    def spy(sft, lengths, degree):
+        degrees.append(degree)
+        return traces(sft, lengths, degree)
+
+    monkeypatch.setattr(subshift, "_transfer_traces", spy)
+    gm = golden_mean()
+    lengths = list(range(1, 401))
+    table = subshift_entropy_table(gm, lengths, [0, 400])
+    assert degrees == [0]
+    assert [(r.n, r.budget) for r in table.rows] == [(n, b) for n in lengths for b in (0, 400)]
+    for row in table.rows:
+        want = transfer_dp_count(gm, row.n, 0) if row.budget == 0 else 2**row.n
+        assert row.count == want, row
+        assert row.method == "transfer_matrix"
 
 
 def _random_nn_sft(rng, m, dead_symbol=False):
