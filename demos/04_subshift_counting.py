@@ -7,8 +7,11 @@ trace(T^n).  The golden-mean shift (no adjacent 1s) gives Lucas numbers,
 whose normalized logs drop below log 2: a strict entropy gap separating
 every proper subshift from the full shift.  Positive budgets relax the
 count sitewise (the microstate version) and interpolate back toward k^n.
+A wider window is a nearest-neighbor shift on blocks (its higher-block
+presentation), so its counts come from the same kind of transfer walk.
 """
 
+import itertools
 import math
 
 from sofic import (
@@ -53,6 +56,19 @@ def main():
     for n in (3, 4, 5, 6):
         print(f"  n = {n}: count = {transfer_matrix_count(alt, n, 0)}")
     print("zero counts report h = -inf; the library never hides them.")
+
+    print()
+    print("window {0,1,2} forbidding 000 and 111: a walk on the 2-blocks")
+    window3 = SubshiftSFT(
+        alphabet=(0, 1),
+        window=(0, 1, 2),
+        allowed=frozenset(p for p in itertools.product((0, 1), repeat=3) if len(set(p)) == 2),
+    )
+    table = subshift_entropy_table(window3, [1, 2, 3, 6, 12, 24], budgets=[0, 1])
+    print(f"{'n':>4} {'budget':>6} {'count':>10} {'h':>10}  method")
+    for row in table.rows:
+        print(f"{row.n:>4} {row.budget:>6} {row.count:>10} {row.h_n:>10.6f}  {row.method}")
+    print(f"n = 24 has 2^24 = {2**24} labelings; the walk never lists them")
 
 
 if __name__ == "__main__":

@@ -12,8 +12,10 @@ The package computes, exactly where the mathematics is exact:
   formula and torus quadrature) together with torus invertibility
   certificates;
 * homomorphism-counting entropy of subshifts of finite type over sofic
-  approximations, by powers of a truncated polynomial transfer matrix and
-  budgeted exhaustive enumeration;
+  approximations: on cyclic quotients by powers of a truncated polynomial
+  transfer matrix on the higher-block presentation, for any window, and by
+  budgeted exhaustive enumeration over any sofic map, or where that is
+  cheaper;
 * multiplicativity and freeness defects of sofic maps.
 """
 
@@ -63,7 +65,6 @@ from .subshift import (
     full_shift,
     golden_mean,
     hom_count_exact,
-    hom_count_full_shift,
     subshift_entropy_table,
     transfer_matrix_count,
 )
@@ -110,7 +111,6 @@ __all__ = [
     "full_shift",
     "golden_mean",
     "hom_count_exact",
-    "hom_count_full_shift",
     "subshift_entropy_table",
     "transfer_matrix_count",
     "__version__",

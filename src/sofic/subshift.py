@@ -19,13 +19,21 @@ they are reported under the same schema but labeled by their budget and
 never conflated with the zero-budget value.
 
 Every count is read off a tally of labelings by their number of bad sites,
-so all budgets of one length cost one computation.  For nearest-neighbor
-windows the tally is trace((T + z(J - T))^n) truncated at the largest
-budget below n, J the all-ones matrix; a budget of at least n admits all
-m^n labelings.  A table walks its sorted lengths once through the powers
-of that polynomial matrix, in exact integers.  General windows enumerate
-all m^n labelings once per length, under a cap that a table checks for
-every length before it enumerates any.
+so all budgets of one length cost one computation.  On Z/n the tally is a
+transfer walk over the higher-block presentation of the shift: with the
+window shifted to start at 0 and span s, the states are the words of
+length max(s, 1), and the edge u -> u[1:] + (b,) has weight 1 when the
+window pattern read in u + (b,) is allowed and z otherwise.  Closed walks
+of length n are the labelings of Z/n, wrapped windows included, so the
+tally is the trace of the n-th power of that polynomial matrix, truncated
+at the largest budget below n; a budget of at least n admits all m^n
+labelings.  A table walks its sorted lengths once, in exact integers.  For
+the window {0, 1} the step matrix is T + z(J - T), J the all-ones matrix.
+A wide window with short lengths can make the walk dearer than
+enumeration, so a table compares the two estimates before any work; where
+enumeration is cheaper, or the walk's estimate exceeds the cap, it
+enumerates all m^n labelings once per length, under a cap checked for
+every length first.
 """
 
 from __future__ import annotations
@@ -33,6 +41,8 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import numbers
+from collections.abc import Iterable as IterableABC
 from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Sequence
 
@@ -50,7 +60,6 @@ __all__ = [
     "full_shift",
     "golden_mean",
     "budget_from_delta",
-    "hom_count_full_shift",
     "transfer_matrix_count",
     "hom_count_exact",
     "subshift_entropy_table",
@@ -62,7 +71,22 @@ _CHUNK = 1 << 16
 
 
 class EnumerationCapError(RuntimeError):
-    """Too many labelings to enumerate; use transfer_matrix_count instead."""
+    """Too many labelings to enumerate, and no transfer walk within the cap."""
+
+
+def _listed(values, what: str) -> tuple:
+    """``values`` as a tuple; scalars and strings are refused."""
+    if isinstance(values, (str, bytes)) or not isinstance(values, IterableABC):
+        raise ValueError(f"{what} must be a list, got {values!r}")
+    return tuple(values)
+
+
+def _hashable(value) -> bool:
+    try:
+        hash(value)
+    except TypeError:
+        return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -80,25 +104,35 @@ class SubshiftSFT:
     rank = 1
 
     def __post_init__(self):
-        alphabet = tuple(self.alphabet)
-        window = tuple(int(w) for w in self.window)
-        allowed = frozenset(tuple(p) for p in self.allowed)
+        alphabet = _listed(self.alphabet, "alphabet")
+        window = _listed(self.window, "window")
         if not alphabet:
             raise ValueError("alphabet must be nonempty")
+        if not all(_hashable(s) for s in alphabet):
+            raise ValueError(f"alphabet symbols must be hashable, got {list(alphabet)!r}")
         if len(set(alphabet)) != len(alphabet):
             raise ValueError("alphabet has repeated symbols")
         if not window:
             raise ValueError("window must be nonempty")
+        if any(isinstance(w, bool) or not isinstance(w, numbers.Integral) for w in window):
+            raise ValueError(f"window offsets must be integers, got {list(window)!r}")
+        window = tuple(int(w) for w in window)
         if len(set(window)) != len(window):
             raise ValueError("window has repeated offsets")
-        if not allowed:
-            raise ValueError("allowed pattern set must be nonempty")
         symbols = set(alphabet)
-        for pat in allowed:
+        patterns = []
+        for pat in _listed(self.allowed, "allowed pattern set"):
+            if not isinstance(pat, (list, tuple)):
+                raise ValueError(f"pattern {pat!r} is not a list of symbols")
+            pat = tuple(pat)
             if len(pat) != len(window):
                 raise ValueError(f"pattern {pat!r} does not cover the window")
-            if any(s not in symbols for s in pat):
+            if any(not _hashable(s) or s not in symbols for s in pat):
                 raise ValueError(f"pattern {pat!r} uses symbols outside the alphabet")
+            patterns.append(pat)
+        allowed = frozenset(patterns)
+        if not allowed:
+            raise ValueError("allowed pattern set must be nonempty")
         object.__setattr__(self, "alphabet", alphabet)
         object.__setattr__(self, "window", window)
         object.__setattr__(self, "allowed", allowed)
@@ -127,14 +161,12 @@ class SubshiftSFT:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "SubshiftSFT":
+        if not isinstance(obj, dict):
+            raise ValueError("SFT description must be a JSON object")
         for key in ("alphabet", "window", "allowed"):
             if key not in obj:
                 raise ValueError(f"SFT description is missing the {key!r} field")
-        return cls(
-            alphabet=tuple(obj["alphabet"]),
-            window=tuple(obj["window"]),
-            allowed=frozenset(tuple(p) for p in obj["allowed"]),
-        )
+        return cls(alphabet=obj["alphabet"], window=obj["window"], allowed=obj["allowed"])
 
     @classmethod
     def from_json(cls, text: str) -> "SubshiftSFT":
@@ -190,25 +222,6 @@ def _delta_for_budget(budget: int, d: int) -> float:
     return math.sqrt(budget / d) if d > 0 else 0.0
 
 
-def hom_count_full_shift(k: int, sigma: SoficMap) -> HomCountReport:
-    """Count for the full shift on k symbols: exactly k^d, for any sigma.
-
-    Every labeling of the d sites extends to an equivariant family of
-    points of the full shift, so the count is independent of the
-    approximation quality, the constraint set, and the budget.
-    """
-    if k < 1:
-        raise ValueError("alphabet size must be >= 1")
-    return HomCountReport(
-        quotient_label=sigma.label or f"d={sigma.d}",
-        d=sigma.d,
-        delta=0.0,
-        budget=0,
-        count=k**sigma.d,
-        method="closed_form",
-    )
-
-
 def transfer_matrix_count(sft: SubshiftSFT, n: int, budget: int = 0) -> int:
     """Labelings of Z/n with at most ``budget`` bad cyclic transitions.
 
@@ -245,25 +258,54 @@ def _mat_pow(a: list, e: int, mask: int) -> list:
         a = _mat_mul(a, a, mask)
 
 
-def _transfer_traces(sft: SubshiftSFT, lengths: Iterable[int], degree: int) -> dict:
-    """n -> coefficients of z^0..z^degree in trace((T + z(J - T))^n).
+def _block_length(sft: SubshiftSFT) -> int:
+    """Length of the higher-block states: the window's span, at least 1."""
+    return max(max(sft.window) - min(sft.window), 1)
 
-    The coefficient of z^k counts the cyclic labelings of Z/n with exactly
-    k bad transitions.  A polynomial entry is packed into one integer,
-    ``width`` bits per coefficient.  Coefficients are nonnegative, and each
-    slot of a product, or of the trace, counts walks of at most n steps, so
-    it is at most m^n < 2^width: slots never carry into each other, and
-    truncation at z^degree is a bit mask.  The sorted distinct lengths are
-    walked once, P_n = P_prev M^(n - prev), each gap power by squaring.
+
+def _block_step(sft: SubshiftSFT, z: int) -> list:
+    """Step matrix of the higher-block presentation, with weights 1 and ``z``.
+
+    The states are the words of ``_block_length`` symbol indices, numbered
+    in base m with the first letter most significant.  The edge
+    u -> u[1:] + (b,) reads the window pattern in u + (b,), the window
+    shifted to start at 0: weight 1 when it is allowed, ``z`` when not.
+    Every other entry is 0.
     """
-    pairs = sft.allowed_pairs()
-    symbols = sft.alphabet
-    m = len(symbols)
+    m = len(sft.alphabet)
+    k = _block_length(sft)
+    lo = min(sft.window)
+    offsets = [w - lo for w in sft.window]
+    index = sft.symbol_index()
+    allowed = {tuple(index[s] for s in pat) for pat in sft.allowed}
+    size = m**k
+    step = [[0] * size for _ in range(size)]
+    for u, word in enumerate(itertools.product(range(m), repeat=k)):
+        for b in range(m):
+            read = tuple((word + (b,))[o] for o in offsets)
+            step[u][(u * m + b) % size] = 1 if read in allowed else z
+    return step
+
+
+def _transfer_traces(sft: SubshiftSFT, lengths: Iterable[int], degree: int) -> dict:
+    """n -> coefficients of z^0..z^degree in trace(B^n), B = ``_block_step``.
+
+    Closed walks of n steps are one to one with the labelings l of Z/n,
+    even for n <= k: the walk starts at (l(0), .., l(k - 1 mod n)), and its
+    step i appends l(i + k mod n) and reads the window pattern at site i.
+    So the coefficient of z^j counts the labelings with exactly j bad
+    sites.  A polynomial entry is packed into one integer, ``width`` bits per
+    coefficient.  Coefficients are nonnegative, and each slot of a product,
+    or of the trace, counts walks of at most n steps from one state, or the
+    labelings of Z/n, so it is at most m^n < 2^width: slots never carry
+    into each other, and truncation at z^degree is a bit mask.  The sorted
+    distinct lengths are walked once, P_n = P_prev B^(n - prev), each gap
+    power by squaring.
+    """
     lengths = sorted(set(lengths))
-    width = (m ** lengths[-1]).bit_length()
+    width = (len(sft.alphabet) ** lengths[-1]).bit_length()
     mask = (1 << (width * (degree + 1))) - 1
-    z = (1 << width) & mask
-    step = [[1 if (a, b) in pairs else z for b in symbols] for a in symbols]
+    step = _block_step(sft, (1 << width) & mask)
     slot = (1 << width) - 1
     traces = {}
     power, done = None, 0
@@ -271,9 +313,31 @@ def _transfer_traces(sft: SubshiftSFT, lengths: Iterable[int], degree: int) -> d
         gap = _mat_pow(step, n - done, mask)
         power = gap if power is None else _mat_mul(power, gap, mask)
         done = n
-        trace = sum(power[i][i] for i in range(m))
+        trace = sum(row[i] for i, row in enumerate(power))
         traces[n] = [(trace >> (k * width)) & slot for k in range(degree + 1)]
     return traces
+
+
+def _walk_is_cheaper(sft: SubshiftSFT, lengths: Sequence[int], cap: Optional[int]) -> bool:
+    """Whether a table's transfer walk is estimated to cost less than its
+    enumeration, and no more than the cap.
+
+    Each gap g between sorted distinct lengths adds bit_length(g) +
+    popcount(g) - 1 matrix products: one fewer raises the step matrix to g
+    by squaring, one more multiplies that into the running power, which the
+    first gap does not, and that product stands for building the step
+    matrix.  The walk's estimate is the count times (m^k)^3, k =
+    ``_block_length``.  Enumeration's is m^n * n for each distinct length,
+    summed shortest first until it passes the walk.
+    """
+    m = len(sft.alphabet)
+    distinct = sorted(set(lengths))
+    gaps = [n - prev for prev, n in zip([0] + distinct, distinct)]
+    products = sum(g.bit_length() + bin(g).count("1") - 1 for g in gaps)
+    walk = products * (m ** _block_length(sft)) ** 3
+    if walk > (DEFAULT_ENUMERATION_CAP if cap is None else cap):
+        return False
+    return any(total > walk for total in itertools.accumulate(m**n * n for n in distinct))
 
 
 def _pulled_back_checks(sft: SubshiftSFT, sigma: SoficMap, constraints) -> list:
@@ -305,8 +369,9 @@ def hom_count_exact(
     ``constraints`` is the finite set of group elements being tested; a
     site is good when every window translate fitting inside the constraint
     set pulls back to an allowed pattern.  Enumeration is capped at
-    ``cap`` labelings (default 10^7); beyond that use
-    transfer_matrix_count.
+    ``cap`` labelings (default 10^7); on cyclic quotients with the window
+    as constraint set, subshift_entropy_table gives the same counts by a
+    transfer walk.
     """
     if budget < 0:
         raise ValueError("budget must be >= 0")
@@ -331,7 +396,7 @@ def _check_cap(m: int, d: int, cap: Optional[int]) -> None:
     if total > limit:
         raise EnumerationCapError(
             f"{total} labelings exceed the enumeration cap {limit}; "
-            "use transfer_matrix_count for nearest-neighbor windows"
+            "cyclic tables take the transfer walk where its estimate is lower and within the cap"
         )
 
 
@@ -442,11 +507,13 @@ def subshift_entropy_table(
 
     The zero budget is always included.  Each distinct length is computed
     once and every budget of its rows is a prefix sum of the counts by
-    number of bad sites, or m^n when the budget is at least n.
-    Nearest-neighbor windows take one walk through the powers of the
-    polynomial transfer matrix, truncated at the largest budget below the
-    longest length; general windows enumerate every labeling, after the
-    cap is checked for every length.
+    number of bad sites, or m^n when the budget is at least n.  The
+    counts come from one walk through the powers of the higher-block
+    transfer matrix, truncated at the largest budget below the longest
+    length.  Nearest-neighbor windows always walk.  Other windows walk when
+    the walk's estimated cost, from m, the window span and the lengths, is
+    below enumeration's and within the cap; otherwise they enumerate every
+    labeling once per length, after the cap is checked for every length.
     """
     lengths = [int(n) for n in lengths]
     if not lengths:
@@ -457,7 +524,7 @@ def subshift_entropy_table(
     if budgets[0] < 0:
         raise ValueError("budgets must be >= 0")
 
-    if sft.is_nearest_neighbor:
+    if sft.is_nearest_neighbor or _walk_is_cheaper(sft, lengths, cap):
         method = "transfer_matrix"
         degree = max(b for b in budgets if b < max(lengths))
         tallies = _transfer_traces(sft, lengths, degree)

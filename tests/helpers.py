@@ -10,6 +10,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from sofic.subshift import HomCountReport
+
 
 def det_fraction(rows):
     """Determinant by exact rational Gaussian elimination."""
@@ -222,6 +224,25 @@ def bad_site_tally_brute(sft, sigma, constraints):
         )
         tally[bad] += 1
     return tally
+
+
+def hom_count_full_shift(k, sigma):
+    """Count for the full shift on k symbols: exactly k^d, for any sigma.
+
+    Every labeling of the d sites extends to an equivariant family of
+    points of the full shift, so the count is independent of the
+    approximation quality, the constraint set, and the budget.
+    """
+    if k < 1:
+        raise ValueError("alphabet size must be >= 1")
+    return HomCountReport(
+        quotient_label=sigma.label or f"d={sigma.d}",
+        d=sigma.d,
+        delta=0.0,
+        budget=0,
+        count=k**sigma.d,
+        method="closed_form",
+    )
 
 
 def lucas_numbers(up_to):

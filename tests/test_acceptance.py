@@ -20,7 +20,6 @@ from sofic import (
     full_shift,
     golden_mean,
     hom_count_exact,
-    hom_count_full_shift,
     mahler_jensen,
     mahler_quadrature,
     multiplicative_defect,
@@ -39,6 +38,7 @@ from helpers import (
     count_cycles_brute,
     count_torus_solutions_brute,
     det_fraction,
+    hom_count_full_shift,
     kesten_mckay_log_det,
     lucas_numbers,
     rank_fraction,

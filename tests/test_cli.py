@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from sofic import SubshiftSFT, hom_count_exact, sofic_map_from_quotient, torus_quotient
 from sofic.cli import main
 
 from helpers import cyclic_table
@@ -169,6 +170,50 @@ def test_subshift_budgets(tmp_path):
     counts = [r["count"] for r in obj["rows"]]
     assert counts == sorted(counts)
     assert counts[0] == 7
+
+
+@pytest.mark.parametrize(
+    "sft",
+    [
+        {"alphabet": [0, 1], "window": [0.5, 1.7], "allowed": [[0, 0]]},
+        {"alphabet": [0, 1], "window": ["0", "1"], "allowed": [[0, 0]]},
+        {"alphabet": [0, 1], "window": [False, 2], "allowed": [[0, 0]]},
+        {"alphabet": [[0], [1]], "window": [0, 1], "allowed": [[[0], [1]]]},
+        {"alphabet": [0, 1], "window": [0, 1], "allowed": [0]},
+    ],
+    ids=["float_offsets", "string_offsets", "bool_offset", "unhashable_symbols",
+         "scalar_pattern"],
+)
+def test_subshift_invalid_sft(tmp_path, capsys, sft):
+    path = tmp_path / "sft.json"
+    path.write_text(json.dumps(sft), encoding="utf-8")
+    rc = main(["subshift", "--sft", str(path), "--quotients", "2..4"])
+    assert rc == 2
+    assert "invalid SFT" in capsys.readouterr().err
+
+
+def test_subshift_window3_beyond_enumeration_cap(tmp_path):
+    obj = {"alphabet": [0, 1], "window": [0, 1, 2],
+           "allowed": [[a, b, c] for a in (0, 1) for b in (0, 1) for c in (0, 1)
+                       if len({a, b, c}) == 2]}
+    sft_path = tmp_path / "window3.json"
+    sft_path.write_text(json.dumps(obj), encoding="utf-8")
+    out = tmp_path / "table.csv"
+    rc = main(["subshift", "--sft", str(sft_path), "--quotients", "1..24",
+               "--budget", "0,1", "--out", str(out)])
+    assert rc == 0  # 2^24 labelings are beyond the enumeration cap
+    rows = _csv_rows(_read(out))
+    assert [(int(r["n"]), int(r["budget"])) for r in rows] == [
+        (n, b) for n in range(1, 25) for b in (0, 1)
+    ]
+    assert {r["method"] for r in rows} == {"transfer_matrix"}
+    sft = SubshiftSFT.from_json_obj(obj)
+    for row in rows:
+        n, budget = int(row["n"]), int(row["budget"])
+        if n <= 12:
+            sigma = sofic_map_from_quotient(torus_quotient([n]), {0, 1, 2})
+            report = hom_count_exact(sft, sigma, (0, 1, 2), budget=budget)
+            assert int(row["count"]) == report.count, row
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import random
@@ -11,7 +12,6 @@ from sofic import (
     full_shift,
     golden_mean,
     hom_count_exact,
-    hom_count_full_shift,
     sofic_map_from_quotient,
     subshift_entropy_table,
     torus_quotient,
@@ -23,6 +23,7 @@ from sofic.subshift import budget_from_delta
 from helpers import (
     bad_site_tally_brute,
     count_cycles_brute,
+    hom_count_full_shift,
     lucas_numbers,
     transfer_dp_count,
     transition_matrix_power_trace,
@@ -377,13 +378,129 @@ def test_entropy_table_general_window_matches_brute_force():
             sigma = _cyclic_sigma(row.n, sft.window)
             tally = bad_site_tally_brute(sft, sigma, sft.window)
             assert row.count == sum(tally[: row.budget + 1]), row
-            assert row.method == "exact_enumeration"
+            assert row.method == "transfer_matrix"
+
+
+def test_block_step_of_nearest_neighbor_window_is_parent_matrix():
+    # T + z(J - T) as the nearest-neighbor walk built it from allowed_pairs
+    rng = random.Random(97)
+    z = 1 << 20
+    for symbols in ((0, 1), ("a", "b", "c"), (3, 1, 2, 0)):
+        for window in ((0, 1), (1, 0)):
+            pairs = {(a, b) for a in symbols for b in symbols if rng.random() < 0.5}
+            pairs = pairs or {(symbols[0], symbols[-1])}
+            allowed = {p if window == (0, 1) else p[::-1] for p in pairs}
+            sft = SubshiftSFT(alphabet=symbols, window=window, allowed=frozenset(allowed))
+            assert sft.allowed_pairs() == pairs
+            parent = [[1 if (a, b) in pairs else z for b in symbols] for a in symbols]
+            assert subshift._block_step(sft, z) == parent, (symbols, window)
+
+
+def _random_sft(rng, m, window):
+    symbols = tuple(range(m))
+    patterns = list(itertools.product(symbols, repeat=len(window)))
+    allowed = [p for p in patterns if rng.random() < 0.6] or [rng.choice(patterns)]
+    return SubshiftSFT(alphabet=symbols, window=window, allowed=frozenset(allowed))
+
+
+def test_transfer_walk_matches_brute_force_battery():
+    rng = random.Random(101)
+    windows = [
+        (0,), (4,), (-3,),  # single offset
+        (1, 0), (2, 1, 0),  # reversed
+        (2, 0, 1), (1, 3, 0),  # unsorted
+        (-1, 1), (-2, -1), (-1, 0, 2),  # negative
+        (0, 2), (0, 3), (3, 0, 1),  # gapped
+    ]
+    sfts = [_random_sft(rng, m, w) for w in windows for m in (2, 3)]
+    # l(k) = 0 and l(k + 2) = 1 everywhere is impossible: every budget-0 count is 0
+    sfts.append(SubshiftSFT(alphabet=(0, 1), window=(0, 2), allowed=frozenset({(0, 1)})))
+    routes = set()
+    for sft in sfts:
+        top = max(sft.window) - min(sft.window) + 3
+        lengths = list(range(1, top + 1)) + rng.sample(range(1, top + 1), 3)
+        rng.shuffle(lengths)
+        budgets = [10**9, 2, top + 1, 0, 1]
+        brute = {}
+        for n in set(lengths):
+            sigma = _cyclic_sigma(n, sft.window)
+            brute[n] = bad_site_tally_brute(sft, sigma, sft.window)
+        walk = subshift._transfer_traces(sft, lengths, top)
+        assert walk == {n: tally[: top + 1] + [0] * (top - n) for n, tally in brute.items()}
+        walks = sft.is_nearest_neighbor or subshift._walk_is_cheaper(sft, lengths, None)
+        table = subshift_entropy_table(sft, lengths, budgets)
+        assert [(r.n, r.budget) for r in table.rows] == [
+            (n, b) for n in lengths for b in sorted(budgets)
+        ]
+        for row in table.rows:
+            assert row.count == sum(brute[row.n][: row.budget + 1]), (sft, row)
+            assert row.method == ("transfer_matrix" if walks else "exact_enumeration")
+        routes.add((sft.is_nearest_neighbor, walks))
+        if sft.allowed == {(0, 1)}:
+            assert {r.count for r in table.rows if r.budget == 0} == {0}
+    assert routes == {(True, True), (False, True), (False, False)}
+
+
+def test_entropy_table_route_choice(monkeypatch):
+    patterns = list(itertools.product((0, 1), repeat=3))
+    window3 = SubshiftSFT(alphabet=(0, 1), window=(0, 1, 2), allowed=frozenset(patterns[1:]))
+    wide = SubshiftSFT(alphabet=(0, 1), window=(0, 6, 12), allowed=frozenset(patterns[1:]))
+    walks, tallies = [], []
+    traces, tally = subshift._transfer_traces, subshift._bad_site_tally
+
+    def walk_spy(*args):
+        walks.append(args[1])
+        return traces(*args)
+
+    def tally_spy(*args):
+        tallies.append(args[1].d)
+        return tally(*args)
+
+    monkeypatch.setattr(subshift, "_transfer_traces", walk_spy)
+    monkeypatch.setattr(subshift, "_bad_site_tally", tally_spy)
+    # 4 states: 8 * 64 = 512 for 1..8 (7 products, 1 to build) against 3586
+    assert subshift._walk_is_cheaper(window3, range(1, 9), None)
+    assert subshift_entropy_table(window3, range(1, 9)).rows[0].method == "transfer_matrix"
+    assert (len(walks), tallies) == (1, [])
+    # the same walk is refused by a cap below its estimate
+    assert not subshift._walk_is_cheaper(window3, range(1, 9), 511)
+    table = subshift_entropy_table(window3, range(1, 9), cap=511)
+    assert {r.method for r in table.rows} == {"exact_enumeration"}
+    assert (len(walks), tallies) == (1, list(range(1, 9)))
+    # the estimate counts the walk's matrix products, plus one for the step
+    # matrix: 5 = 101b takes 3 by squaring, the gap 7 = 111b 4, joining them 1
+    products = []
+    mat_mul = subshift._mat_mul
+
+    def mul_spy(*args):
+        products.append(1)
+        return mat_mul(*args)
+
+    monkeypatch.setattr(subshift, "_mat_mul", mul_spy)
+    assert subshift._walk_is_cheaper(window3, [12, 5, 12], (8 + 1) * 64)
+    assert not subshift._walk_is_cheaper(window3, [12, 5, 12], (8 + 1) * 64 - 1)
+    subshift_entropy_table(window3, [12, 5, 12])
+    assert len(products) == 8
+    assert len(walks) == 2
+    # 4096 states cost more than enumerating short lengths
+    assert not subshift._walk_is_cheaper(wide, range(1, 11), None)
+    table = subshift_entropy_table(wide, range(1, 11))
+    assert {r.method for r in table.rows} == {"exact_enumeration"}
+    assert len(walks) == 2
+    # at n = 25 both estimates exceed the cap: refused before any work
+    with pytest.raises(EnumerationCapError, match="^33554432 labelings"):
+        subshift_entropy_table(wide, [25])
+    assert len(walks) == 2 and len(tallies) == 8 + 10
+    # nearest-neighbor windows walk whatever the estimate
+    assert subshift_entropy_table(golden_mean(), [30], cap=1).rows[0].count == 1860498
+    assert len(walks) == 3
 
 
 def test_entropy_table_checks_cap_before_enumerating(monkeypatch):
     patterns = [(a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)]
-    window3 = SubshiftSFT(
-        alphabet=(0, 1), window=(0, 1, 2), allowed=frozenset(patterns[1:])
+    # span 12: 4096 block states, so the enumeration route is the cheaper one
+    wide = SubshiftSFT(
+        alphabet=(0, 1), window=(0, 5, 12), allowed=frozenset(patterns[1:])
     )
     calls = []
     checks = subshift._pulled_back_checks
@@ -394,10 +511,11 @@ def test_entropy_table_checks_cap_before_enumerating(monkeypatch):
 
     monkeypatch.setattr(subshift, "_pulled_back_checks", counting)
     with pytest.raises(EnumerationCapError, match="^128 labelings exceed the enumeration cap 64;"):
-        subshift_entropy_table(window3, [2, 1, 7, 3, 8], [0, 1], cap=64)
+        subshift_entropy_table(wide, [2, 1, 7, 3, 8], [0, 1], cap=64)
     assert calls == []
-    subshift_entropy_table(window3, [2, 1, 6, 2], [0], cap=64)
+    table = subshift_entropy_table(wide, [2, 1, 6, 2], [0], cap=64)
     assert len(calls) == 3  # each distinct length is enumerated once
+    assert {row.method for row in table.rows} == {"exact_enumeration"}
 
 
 def test_hom_count_cap():
@@ -463,6 +581,12 @@ def test_entropy_table_general_window_method():
         alphabet=(0, 1), window=(0, 2), allowed=frozenset({(0, 0), (0, 1), (1, 0)})
     )
     table = subshift_entropy_table(sft, [4, 6], [0])
+    assert all(row.method == "transfer_matrix" for row in table.rows)
+    # span 12: 4096 block states cost more than enumerating short lengths
+    wide = SubshiftSFT(
+        alphabet=(0, 1), window=(0, 12), allowed=frozenset({(0, 0), (0, 1), (1, 0)})
+    )
+    table = subshift_entropy_table(wide, [4, 6], [0])
     assert all(row.method == "exact_enumeration" for row in table.rows)
 
 
