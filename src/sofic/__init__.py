@@ -5,8 +5,8 @@ The package computes, exactly where the mathematics is exact:
 * entropy convergence traces h_n = log|Fix| / |G/G_n| of principal
   algebraic actions: exact fixed-point counts by character products on
   torus quotients and by a split over a cyclic subgroup on explicit ones,
-  each eliminated modulo primes below 2^31 and lifted by CRT, with the
-  Smith normal form of the integer group-circulant matrix giving the
+  each evaluated modulo primes below 2^31 and lifted by CRT; the split's
+  one elimination gives both the determinant and the rank, hence the
   nullity of a singular explicit quotient;
 * independent spectral reference values (Mahler measures via Jensen's
   formula and torus quadrature) together with torus invertibility
@@ -37,17 +37,10 @@ from .groups import (
 )
 from .algebraic import (
     EntropyTrace,
-    NotInvertibleError,
-    RegularRepMatrix,
     SolutionCount,
-    count_solutions,
-    det_abs_exact,
     entropy_trace,
     fix_count,
-    fk_determinant_quotient,
     log_big_int,
-    regular_rep_matrix,
-    smith_normal_form,
 )
 from .spectral import (
     InvertibilityCertificate,
@@ -87,17 +80,10 @@ __all__ = [
     "sofic_map_from_quotient",
     "torus_quotient",
     "EntropyTrace",
-    "NotInvertibleError",
-    "RegularRepMatrix",
     "SolutionCount",
-    "count_solutions",
-    "det_abs_exact",
     "entropy_trace",
     "fix_count",
-    "fk_determinant_quotient",
     "log_big_int",
-    "regular_rep_matrix",
-    "smith_normal_form",
     "InvertibilityCertificate",
     "MahlerEstimate",
     "NearZeroError",

@@ -1,4 +1,4 @@
-"""Regular representation matrices over finite quotients and exact counting.
+"""Exact fixed-point counts and entropy traces over finite quotients.
 
 For f with integer coefficients and a finite quotient G/Gn of size d, the
 convolution operator of f on the quotient's group algebra is the d x d
@@ -8,13 +8,13 @@ integer matrix
 
 a group-circulant.  Solutions of M h = 0 with h in (R/Z)^d form a compact
 group isomorphic to (R/Z)^nullity x prod Z/d_i, where d_i are the Smith
-invariant factors of M; when det M != 0 the solution count is |det M|
-exactly.  Normalizing, h_n = log|count| / d is the per-quotient entropy
-value, and exp(log|det M| / d) is the finite-dimensional determinant with
-respect to the normalized trace.
+invariant factors of M and the nullity is d - rank M; when det M != 0 the
+solution count is |det M| exactly.  Normalizing, h_n = log|count| / d is
+the per-quotient entropy value, and exp(log|det M| / d) is the
+finite-dimensional determinant with respect to the normalized trace.
 
 Every count is exact over arbitrary-precision integers, by one route per
-quotient family:
+quotient family, and neither route builds M:
 
 * Torus quotients Z^r / (n_1 Z x ... x n_r Z) are abelian, so the
   characters diagonalise M and det M = prod_chi F(chi) with
@@ -25,21 +25,17 @@ quotient family:
   to lift it by CRT against Hadamard's bound: every row of M is a
   permutation of fhat, so (det M)^2 <= (sum_c fhat[c]^2)^d.  The nullity
   is the number of characters with F(chi) = 0, each tested exactly in
-  Z[t] by divisibility by a cyclotomic polynomial; no matrix is built.
+  Z[t] by divisibility by a cyclotomic polynomial.
 * Explicit quotients split M over a cyclic subgroup <g>, g of maximal
   order k: right translation by g commutes with M, so modulo a prime
   p = 1 (mod k) M is similar to k blocks of size d/k, one per k-th root
   of unity.  All blocks for a chunk of primes in (2^30, 2^31) are
-  eliminated in one batched int64 pass, and the product of their
-  determinants is lifted by CRT against the same bound.  The torus route
-  is the case <g> = G of an abelian G.  When det M = 0 the dense matrix
-  is built once, for its Smith normal form, which gives the nullity.
-
-The dense route, ``count_solutions(regular_rep_matrix(f, q))``, stays
-public as the test oracle for both.  Its determinant runs on the same
-batched int64 elimination: modulo enough of the largest primes below 2^31
-to lift by CRT against Hadamard's bound for any matrix, the product of the
-squared row norms.
+  eliminated in one batched int64 pass that gives each block's
+  determinant and rank, and the product of the determinants is lifted by
+  CRT against the same bound.  The torus route is the case <g> = G of an
+  abelian G.  When det M = 0 the same elimination gives the nullity:
+  rank M is the largest block-rank sum over the primes, because those
+  primes are enough to certify every minor that Hadamard's bound admits.
 """
 
 from __future__ import annotations
@@ -63,18 +59,11 @@ from .groups import (
 )
 
 __all__ = [
-    "NotInvertibleError",
-    "RegularRepMatrix",
     "SolutionCount",
     "TraceRecord",
     "SkippedQuotient",
     "EntropyTrace",
-    "regular_rep_matrix",
-    "det_abs_exact",
-    "smith_normal_form",
-    "count_solutions",
     "fix_count",
-    "fk_determinant_quotient",
     "entropy_trace",
     "log_big_int",
 ]
@@ -89,26 +78,6 @@ def csv_field(value: str) -> str:
     return value
 
 
-class NotInvertibleError(ValueError):
-    """The regular representation matrix is singular at this quotient."""
-
-
-@dataclass(frozen=True)
-class RegularRepMatrix:
-    """Integer matrix of the convolution operator of f on a finite quotient.
-
-    ``entries`` is a dim x dim object-dtype array of Python ints; treat it
-    as immutable.  ``provenance`` records (f description, quotient label).
-    """
-
-    dim: int
-    entries: np.ndarray
-    provenance: tuple
-
-    def tolist(self) -> list:
-        return [[int(v) for v in row] for row in self.entries]
-
-
 def _check_quotient(f: GroupRingElement, q: Quotient, limit: Optional[int]) -> None:
     """Rank and size checks shared by every counting route, made before any work."""
     if f.rank != q.rank:
@@ -121,44 +90,6 @@ def _check_quotient(f: GroupRingElement, q: Quotient, limit: Optional[int]) -> N
         raise ResourceGuardError(
             f"matrix with {d}x{d} entries exceeds size limit {cap}"
         )
-
-
-def regular_rep_matrix(
-    f: GroupRingElement, q: Quotient, limit: Optional[int] = None
-) -> RegularRepMatrix:
-    """Build the group-circulant matrix of f over the quotient q.
-
-    Entry (a, b) equals fhat[a * b^-1] where fhat folds the coefficients of
-    f along the fibers of the quotient map, so every row sums to the total
-    coefficient sum of f.
-    """
-    _check_quotient(f, q, limit)
-    d = q.size
-    fhat: dict = {}
-    for s, c in f.terms.items():
-        idx = q.index(s)
-        fhat[idx] = fhat.get(idx, 0) + c
-    entries = np.full((d, d), 0, dtype=object)
-    cols = np.arange(d, dtype=np.int64)
-    for coset, value in fhat.items():
-        if value == 0:
-            continue
-        rows = q.coset_translation_perm(coset)
-        entries[rows, cols] = int(value)
-    return RegularRepMatrix(dim=d, entries=entries, provenance=(f.render(), q.label))
-
-
-def _as_rows(matrix) -> List[List[int]]:
-    if isinstance(matrix, RegularRepMatrix):
-        return matrix.tolist()
-    if isinstance(matrix, np.ndarray):
-        rows = matrix.tolist()
-    else:
-        rows = [list(r) for r in matrix]
-    n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise ValueError("matrix must be square")
-    return [[int(v) for v in r] for r in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -251,24 +182,29 @@ def _crt_symmetric(residues: Sequence[int], primes: Sequence[int]) -> int:
     return residue
 
 
-def _det_mod_batched(a: np.ndarray, mods: np.ndarray) -> np.ndarray:
-    """det a[b] mod mods[b] for a stack of square int64 matrices, in place.
+def _det_mod_batched(a: np.ndarray, mods: np.ndarray) -> tuple:
+    """(det a[b] mod mods[b], rank of a[b] mod mods[b]) for a stack of square
+    int64 matrices, eliminated in place.
 
     Fraction-free elimination with a pivot chosen per matrix: the rows
     below pivot c become piv_c * row - a[i][c] * pivot row, which scales
     the determinant by piv_c^(m-1-c).  That scale is the product of the
     prefix products piv_0 ... piv_c for c < m - 1, divided out once at the
-    end, so no inverse is taken per column.  Residues stay below 2^31, so
-    every product of two stays inside int64.
+    end, so no inverse is taken per column.  A matrix left with pivot 0
+    takes one from its trailing block (`_pivot_across_columns`), so its
+    pivot is 0 only when the whole trailing block is, and its rank is the
+    number of nonzero pivots.  Residues stay below 2^31, so every product
+    of two stays inside int64.
     """
     n, m, _ = a.shape
     batch = np.arange(n)
     mods3 = mods[:, None, None]
     diag = np.ones(n, dtype=np.int64)
     scale = np.ones(n, dtype=np.int64)
+    rank = np.full(n, m, dtype=np.int64)
     flips = np.zeros(n, dtype=bool)
     for c in range(m):
-        # first nonzero row at or below c; a zero column leaves pivot 0
+        # first nonzero row at or below c
         r = c + np.argmax(a[:, c:, c] != 0, axis=1)
         swap = np.flatnonzero(r != c)
         if swap.size:
@@ -277,6 +213,9 @@ def _det_mod_batched(a: np.ndarray, mods: np.ndarray) -> np.ndarray:
             a[swap, r[swap]] = top
             flips[swap] ^= True
         piv = a[batch, c, c]
+        if not piv.all():
+            _pivot_across_columns(a, c, np.flatnonzero(piv == 0), rank)
+            piv = a[batch, c, c]
         diag = diag * piv % mods
         if c + 1 == m:
             break
@@ -287,111 +226,31 @@ def _det_mod_batched(a: np.ndarray, mods: np.ndarray) -> np.ndarray:
         trailing %= mods3
     inv = [pow(int(s), -1, int(p)) if s else 0 for s, p in zip(scale, mods)]
     det = diag * np.array(inv, dtype=np.int64) % mods
-    return np.where(flips, (mods - det) % mods, det)
+    return np.where(flips, (mods - det) % mods, det), rank
 
 
-def det_abs_exact(matrix) -> int:
-    """|det M| as an exact nonnegative integer.
+def _pivot_across_columns(a: np.ndarray, c: int, empty: np.ndarray, rank: np.ndarray):
+    """A pivot at (c, c) for each a[b], b in `empty`, whose column c is zero
+    from row c down, taken from its trailing block when that is not zero.
 
-    Accepts a RegularRepMatrix or any square array-like of integers.  By
-    Hadamard's inequality det^2 is at most the product of the squared row
-    norms, so M is eliminated modulo enough of the largest primes below
-    2^31 for a CRT lift against that bound, a chunk of primes per batched
-    pass.  A zero row makes the bound 0, and no prime is needed.
+    Such a matrix is singular, so no sign is kept.  Copying a trailing
+    column over the zero column c keeps the span of the trailing columns,
+    and a row swap keeps the rank.  A matrix whose trailing block is zero
+    keeps pivot 0, which `rank` counts.
     """
-    rows = _as_rows(matrix)
-    n = len(rows)
-    bound = math.prod(sum(v * v for v in row) for row in rows)
-    primes = _character_primes(1, _crt_prime_count(bound))
-    residues: List[int] = []
-    block = max(1, _CHAR_BLOCK // max(1, n * n))
-    for start in range(0, len(primes), block):
-        chunk = primes[start : start + block]
-        reduced = [[[v % p for v in row] for row in rows] for p in chunk]
-        a = np.array(reduced, dtype=np.int64).reshape(len(chunk), n, n)
-        residues += _det_mod_batched(a, np.array(chunk, dtype=np.int64)).tolist()
-    return abs(_crt_symmetric(residues, primes))
-
-
-def smith_normal_form(matrix) -> List[int]:
-    """Invariant factors d_1 | d_2 | ... of an integer matrix.
-
-    Returns a list of length dim with nonnegative entries forming a
-    divisibility chain; trailing zeros count the rank deficiency.  Pivoting
-    picks the smallest nonzero magnitude in the working block (ties broken
-    by lowest row, then column index), which bounds entry growth and makes
-    the reduction deterministic.
-    """
-    rows = _as_rows(matrix)
-    n = len(rows)
-    m = len(rows[0]) if rows else 0
-    factors = []
-    for t in range(min(n, m)):
-        while True:
-            pivot = _smallest_pivot(rows, t)
-            if pivot is None:
-                break
-            pi, pj = pivot
-            if pi != t:
-                rows[t], rows[pi] = rows[pi], rows[t]
-            if pj != t:
-                for row in rows:
-                    row[t], row[pj] = row[pj], row[t]
-            if rows[t][t] < 0:
-                rows[t] = [-v for v in rows[t]]
-            piv = rows[t][t]
-            dirty = False
-            for i in range(t + 1, n):
-                if rows[i][t] != 0:
-                    qd = rows[i][t] // piv
-                    if qd:
-                        rows[i] = [a - qd * b for a, b in zip(rows[i], rows[t])]
-                    if rows[i][t] != 0:
-                        dirty = True
-            for j in range(t + 1, m):
-                if rows[t][j] != 0:
-                    qd = rows[t][j] // piv
-                    if qd:
-                        for row in rows:
-                            row[j] -= qd * row[t]
-                    if rows[t][j] != 0:
-                        dirty = True
-            if dirty:
-                continue
-            # pivot now alone in its row and column; enforce divisibility
-            culprit = None
-            for i in range(t + 1, n):
-                for j in range(t + 1, m):
-                    if rows[i][j] % piv != 0:
-                        culprit = i
-                        break
-                if culprit is not None:
-                    break
-            if culprit is None:
-                break
-            rows[t] = [a + b for a, b in zip(rows[t], rows[culprit])]
-        factors.append(abs(rows[t][t]))
-    # zero factors sort to the end; nonzero part already forms a chain
-    nonzero = [x for x in factors if x != 0]
-    zeros = len(factors) - len(nonzero)
-    return nonzero + [0] * zeros
-
-
-def _smallest_pivot(rows, t):
-    best = None
-    best_abs = None
-    for i in range(t, len(rows)):
-        row = rows[i]
-        for j in range(t, len(row)):
-            v = row[j]
-            if v != 0:
-                a = abs(v)
-                if best_abs is None or a < best_abs:
-                    best = (i, j)
-                    best_abs = a
-                    if a == 1:
-                        return best
-    return best
+    live = a[empty, c:, c + 1 :] != 0
+    found = live.any(axis=(1, 2))
+    rank[empty[~found]] -= 1
+    b, live = empty[found], live[found]
+    if b.size:
+        # the first trailing column with a nonzero entry, and its first one
+        j = np.argmax(live.any(axis=1), axis=1)
+        i = c + np.argmax(live[np.arange(b.size), :, j], axis=1)
+        rows = np.arange(c, a.shape[1])
+        a[b[:, None], rows, c] = a[b[:, None], rows, c + 1 + j[:, None]]
+        top = a[b, c].copy()
+        a[b, c] = a[b, i]
+        a[b, i] = top
 
 
 @dataclass(frozen=True)
@@ -418,21 +277,6 @@ class SolutionCount:
     @property
     def is_finite(self) -> bool:
         return self.value is not None
-
-
-def count_solutions(matrix) -> SolutionCount:
-    """Count h in (R/Z)^d with M h = 0.
-
-    The solution group is (R/Z)^nullity x prod Z/d_i for the invariant
-    factors d_i; with no zero factor the count is their product, which
-    equals |det M|.
-    """
-    det = det_abs_exact(matrix)
-    if det != 0:
-        return SolutionCount(value=det)
-    factors = smith_normal_form(matrix)
-    nullity = sum(1 for x in factors if x == 0)
-    return SolutionCount(value=None, nullity=nullity)
 
 
 # ---------------------------------------------------------------------------
@@ -625,8 +469,9 @@ def _max_order_element(table: np.ndarray, identity: int) -> tuple:
     return g, int(order[g])
 
 
-def _split_det(f: GroupRingElement, q: ExplicitQuotient) -> int:
-    """|det M| on an explicit quotient, by splitting M over a cyclic subgroup.
+def _split_det(f: GroupRingElement, q: ExplicitQuotient) -> tuple:
+    """(|det M|, rank M) on an explicit quotient, by splitting M over a
+    cyclic subgroup.
 
     Right translation by an element g of maximal order k commutes with M.
     With every element written as r_i g^e, one r_i per left coset of <g>
@@ -635,9 +480,16 @@ def _split_det(f: GroupRingElement, q: ExplicitQuotient) -> int:
 
         B_j[i][pi] = sum of fhat[c] omega^(j e) over c with c^-1 r_i = r_pi g^e,
 
-    so det M = prod_j det B_j (mod p).  Every block of a chunk of primes is
-    eliminated at once, and the product is lifted by CRT against
-    Hadamard's bound.  Returns 0 exactly when M is singular.
+    so det M = prod_j det B_j and rank_p M = sum_j rank_p B_j (mod p).
+    Every block of a chunk of primes is eliminated at once, and the product
+    is lifted by CRT against Hadamard's bound; |det M| is 0 exactly when M
+    is singular.
+
+    The rank over Q is the largest rank_p over the same primes.  No rank_p
+    exceeds it.  If it is R, some R x R minor D is nonzero, and Hadamard
+    gives |D| <= (sum fhat^2)^(R/2) <= sqrt(bound); every prime with
+    rank_p < R divides D, and the primes' product exceeds 2 sqrt(bound),
+    so at least one of them has rank_p = R.
     """
     table = q.table
     d = q.size
@@ -647,7 +499,7 @@ def _split_det(f: GroupRingElement, q: ExplicitQuotient) -> int:
         fhat[idx] = fhat.get(idx, 0) + c
     fhat = {idx: c for idx, c in fhat.items() if c != 0}
     if not fhat:
-        return 0
+        return 0, 0
     g, k = _max_order_element(table, q.identity_index)
     m = d // k
     gpow = [q.identity_index]
@@ -667,6 +519,7 @@ def _split_det(f: GroupRingElement, q: ExplicitQuotient) -> int:
     bound = sum(c * c for c in fhat.values()) ** d
     primes = _character_primes(k, _crt_prime_count(bound))
     residues: List[int] = []
+    rank = 0
     block = max(1, _CHAR_BLOCK // (d * m))
     for start in range(0, len(primes), block):
         chunk = primes[start : start + block]
@@ -677,11 +530,12 @@ def _split_det(f: GroupRingElement, q: ExplicitQuotient) -> int:
             residue = np.array([value % p for p in chunk], dtype=np.int64)[:, None, None]
             blocks[:, :, rows, cols] += powers[:, expo] * residue % mods
         blocks %= mods[:, :, :, None]
-        dets = _det_mod_batched(
+        dets, ranks = _det_mod_batched(
             blocks.reshape(-1, m, m), np.repeat(np.array(chunk, dtype=np.int64), k)
         )
         residues += _row_products(dets.reshape(len(chunk), k), chunk)
-    return abs(_crt_symmetric(residues, primes))
+        rank = max(rank, int(ranks.reshape(len(chunk), k).sum(axis=1).max()))
+    return abs(_crt_symmetric(residues, primes)), rank
 
 
 def fix_count(
@@ -693,17 +547,16 @@ def fix_count(
     set with the solutions of the convolution matrix on (R/Z)^d, so the
     count is computed there exactly: by the character product on a torus
     quotient, and by the split over a cyclic subgroup on an explicit one,
-    where the Smith normal form of the dense matrix gives the nullity when
-    the determinant is 0.
+    whose one elimination gives the determinant and the rank, so the
+    nullity d - rank when the determinant is 0.
     """
     _check_quotient(f, q, limit)
     if isinstance(q, TorusQuotient):
         return _torus_fix_count(f, q)
-    det = _split_det(f, q)
+    det, rank = _split_det(f, q)
     if det:
         return SolutionCount(value=det)
-    factors = smith_normal_form(regular_rep_matrix(f, q, limit=limit))
-    return SolutionCount(value=None, nullity=factors.count(0))
+    return SolutionCount(value=None, nullity=q.size - rank)
 
 
 def log_big_int(n: int) -> float:
@@ -718,24 +571,6 @@ def log_big_int(n: int) -> float:
         return math.log(n)
     shift = n.bit_length() - 53
     return math.log(n >> shift) + shift * LOG2
-
-
-def fk_determinant_quotient(
-    f: GroupRingElement, q: Quotient, limit: Optional[int] = None
-) -> float:
-    """|det M|^(1/d): the determinant of f's image under the normalized trace.
-
-    Raises NotInvertibleError when det M = 0, i.e. f is not invertible at
-    this quotient, where fix_count is infinite.
-    """
-    _check_quotient(f, q, limit)
-    if isinstance(q, TorusQuotient):
-        det = _torus_fix_count(f, q).value
-    else:
-        det = _split_det(f, q)
-    if not det:
-        raise NotInvertibleError(f"{f.render()} is not invertible at quotient {q.label}")
-    return math.exp(log_big_int(det) / q.size)
 
 
 # ---------------------------------------------------------------------------

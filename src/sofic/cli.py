@@ -33,6 +33,7 @@ from .groups import (
     GroupRingElement,
     ParseError,
     ResourceGuardError,
+    _is_integer,
     element_mul,
     freeness_defect,
     multiplicative_defect,
@@ -201,21 +202,29 @@ def _load_chain(path: str):
     for i, spec in enumerate(obj["quotients"]):
         if "table" not in spec or "images" not in spec:
             raise ConfigError(f"quotient #{i} needs 'table' and 'images' fields")
+        label = spec.get("label", f"quotient{i}")
+        if not isinstance(label, str):
+            raise ConfigError(f"quotient #{i} label must be a string, got {label!r}")
         try:
             quotients.append(
                 ExplicitQuotient(
-                    table=spec["table"],
-                    generator_images=spec["images"],
-                    label=spec.get("label", f"quotient{i}"),
+                    table=spec["table"], generator_images=spec["images"], label=label
                 )
             )
         except ValueError as exc:
             raise ConfigError(f"quotient #{i} in {path!r}: {exc}") from None
     poly = None
     if "poly" in obj:
+        if not isinstance(obj["poly"], dict):
+            raise ConfigError(f"'poly' in {path!r} must map words to integer coefficients")
         terms = {}
         for word_text, coeff in obj["poly"].items():
-            terms[parse_word(word_text)] = int(coeff)
+            if not _is_integer(coeff):
+                raise ConfigError(
+                    f"'poly' coefficient of {word_text!r} in {path!r} must be an integer, "
+                    f"got {coeff!r}"
+                )
+            terms[parse_word(word_text)] = coeff
         poly = GroupRingElement(0, terms)
     label = obj.get("name", path)
     return label, poly, quotients

@@ -20,6 +20,7 @@ vectors, so every derived matrix and report is reproducible bit for bit.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 import re
 from dataclasses import dataclass
@@ -83,6 +84,11 @@ def size_limit(override: Optional[int] = None) -> int:
     if env is not None:
         return int(env)
     return DEFAULT_SIZE_LIMIT
+
+
+def _is_integer(value) -> bool:
+    """Whether an input field holds an integer: bools, floats and strings do not."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 # ---------------------------------------------------------------------------
@@ -582,20 +588,30 @@ class ExplicitQuotient:
     rank = 0
 
     def __init__(self, table, generator_images: Mapping[str, int], label: str = ""):
-        table = np.asarray(table, dtype=np.int64)
+        table = np.asarray(table)
         if table.ndim != 2 or table.shape[0] != table.shape[1]:
             raise ValueError("multiplication table must be square")
         d = table.shape[0]
         if d == 0:
             raise ValueError("empty multiplication table")
+        # a float, a string or None anywhere, or bools throughout, infer
+        # another dtype than int
+        if table.dtype.kind not in "iu":
+            raise ValueError(f"table entries must be integers, not {table.dtype}")
+        table = table.astype(np.int64, copy=False)
         if table.min() < 0 or table.max() >= d:
             raise ValueError("table entries must be coset indices in 0..size-1")
         self.table = table
         self.table.setflags(write=False)
-        self.generator_images = {str(g): int(i) for g, i in generator_images.items()}
-        for g, i in self.generator_images.items():
+        if not isinstance(generator_images, Mapping):
+            raise ValueError("generator images must map generator names to elements")
+        self.generator_images = {}
+        for g, i in generator_images.items():
+            if not _is_integer(i):
+                raise ValueError(f"image of generator {g!r} must be an integer, got {i!r}")
             if not 0 <= i < d:
                 raise ValueError(f"image of generator {g!r} out of range")
+            self.generator_images[str(g)] = int(i)
         self.label = label or f"explicit({d})"
         self.identity_index = self._find_identity()
         self._inverses = self._find_inverses()

@@ -41,7 +41,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import numbers
 from collections.abc import Iterable as IterableABC
 from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Sequence
@@ -49,7 +48,7 @@ from typing import Iterable, List, Optional, Sequence
 import numpy as np
 
 from .algebraic import log_big_int
-from .groups import SoficMap, sofic_map_from_quotient, torus_quotient
+from .groups import SoficMap, _is_integer, sofic_map_from_quotient, torus_quotient
 
 __all__ = [
     "EnumerationCapError",
@@ -114,7 +113,7 @@ class SubshiftSFT:
             raise ValueError("alphabet has repeated symbols")
         if not window:
             raise ValueError("window must be nonempty")
-        if any(isinstance(w, bool) or not isinstance(w, numbers.Integral) for w in window):
+        if not all(_is_integer(w) for w in window):
             raise ValueError(f"window offsets must be integers, got {list(window)!r}")
         window = tuple(int(w) for w in window)
         if len(set(window)) != len(window):

@@ -3,13 +3,33 @@
 Everything here recomputes expected values by a route disjoint from the
 library code under test: rational Gaussian elimination for determinants
 and ranks, fraction-free Bareiss elimination, explicit cofactor expansion,
-exhaustive enumeration for solution counts and cyclic pattern counts.
+exhaustive enumeration for solution counts and cyclic pattern counts, and
+the Smith normal form of the dense group-circulant matrix for nullities.
+The one exception is ``det_abs_exact``: it drives the library's modular
+elimination kernel on the dense matrix, so it checks the split and the
+character product by a different reduction to the same kernel, and the
+kernel itself is checked against ``det_fraction`` and ``det_bareiss``.
 """
 
+import math
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import List, Optional
 
 import numpy as np
 
+from sofic.algebraic import (
+    _CHAR_BLOCK,
+    SolutionCount,
+    _character_primes,
+    _check_quotient,
+    _crt_prime_count,
+    _crt_symmetric,
+    _det_mod_batched,
+    fix_count,
+    log_big_int,
+)
+from sofic.groups import GroupRingElement, Quotient
 from sofic.subshift import HomCountReport
 
 
@@ -77,6 +97,205 @@ def rank_fraction(rows):
             m[i] = [a - r * b for a, b in zip(m[i], m[rank])]
         rank += 1
     return rank
+
+
+# ---------------------------------------------------------------------------
+# the dense route: the group-circulant matrix, its determinant and its
+# Smith normal form
+
+
+class NotInvertibleError(ValueError):
+    """The regular representation matrix is singular at this quotient."""
+
+
+@dataclass(frozen=True)
+class RegularRepMatrix:
+    """Integer matrix of the convolution operator of f on a finite quotient.
+
+    ``entries`` is a dim x dim object-dtype array of Python ints; treat it
+    as immutable.  ``provenance`` records (f description, quotient label).
+    """
+
+    dim: int
+    entries: np.ndarray
+    provenance: tuple
+
+    def tolist(self) -> list:
+        return [[int(v) for v in row] for row in self.entries]
+
+
+def regular_rep_matrix(
+    f: GroupRingElement, q: Quotient, limit: Optional[int] = None
+) -> RegularRepMatrix:
+    """Build the group-circulant matrix of f over the quotient q.
+
+    Entry (a, b) equals fhat[a * b^-1] where fhat folds the coefficients of
+    f along the fibers of the quotient map, so every row sums to the total
+    coefficient sum of f.
+    """
+    _check_quotient(f, q, limit)
+    d = q.size
+    fhat: dict = {}
+    for s, c in f.terms.items():
+        idx = q.index(s)
+        fhat[idx] = fhat.get(idx, 0) + c
+    entries = np.full((d, d), 0, dtype=object)
+    cols = np.arange(d, dtype=np.int64)
+    for coset, value in fhat.items():
+        if value == 0:
+            continue
+        rows = q.coset_translation_perm(coset)
+        entries[rows, cols] = int(value)
+    return RegularRepMatrix(dim=d, entries=entries, provenance=(f.render(), q.label))
+
+
+def _as_rows(matrix) -> List[List[int]]:
+    if isinstance(matrix, RegularRepMatrix):
+        return matrix.tolist()
+    if isinstance(matrix, np.ndarray):
+        rows = matrix.tolist()
+    else:
+        rows = [list(r) for r in matrix]
+    n = len(rows)
+    if any(len(r) != n for r in rows):
+        raise ValueError("matrix must be square")
+    return [[int(v) for v in r] for r in rows]
+
+
+def det_abs_exact(matrix) -> int:
+    """|det M| as an exact nonnegative integer.
+
+    Accepts a RegularRepMatrix or any square array-like of integers.  By
+    Hadamard's inequality det^2 is at most the product of the squared row
+    norms, so M is eliminated modulo enough of the largest primes below
+    2^31 for a CRT lift against that bound, a chunk of primes per batched
+    pass.  A zero row makes the bound 0, and no prime is needed.
+    """
+    rows = _as_rows(matrix)
+    n = len(rows)
+    bound = math.prod(sum(v * v for v in row) for row in rows)
+    primes = _character_primes(1, _crt_prime_count(bound))
+    residues: List[int] = []
+    block = max(1, _CHAR_BLOCK // max(1, n * n))
+    for start in range(0, len(primes), block):
+        chunk = primes[start : start + block]
+        reduced = [[[v % p for v in row] for row in rows] for p in chunk]
+        a = np.array(reduced, dtype=np.int64).reshape(len(chunk), n, n)
+        residues += _det_mod_batched(a, np.array(chunk, dtype=np.int64))[0].tolist()
+    return abs(_crt_symmetric(residues, primes))
+
+
+def smith_normal_form(matrix) -> List[int]:
+    """Invariant factors d_1 | d_2 | ... of an integer matrix.
+
+    Returns a list of length dim with nonnegative entries forming a
+    divisibility chain; trailing zeros count the rank deficiency.  Pivoting
+    picks the smallest nonzero magnitude in the working block (ties broken
+    by lowest row, then column index), which bounds entry growth and makes
+    the reduction deterministic.
+    """
+    rows = _as_rows(matrix)
+    n = len(rows)
+    m = len(rows[0]) if rows else 0
+    factors = []
+    for t in range(min(n, m)):
+        while True:
+            pivot = _smallest_pivot(rows, t)
+            if pivot is None:
+                break
+            pi, pj = pivot
+            if pi != t:
+                rows[t], rows[pi] = rows[pi], rows[t]
+            if pj != t:
+                for row in rows:
+                    row[t], row[pj] = row[pj], row[t]
+            if rows[t][t] < 0:
+                rows[t] = [-v for v in rows[t]]
+            piv = rows[t][t]
+            dirty = False
+            for i in range(t + 1, n):
+                if rows[i][t] != 0:
+                    qd = rows[i][t] // piv
+                    if qd:
+                        rows[i] = [a - qd * b for a, b in zip(rows[i], rows[t])]
+                    if rows[i][t] != 0:
+                        dirty = True
+            for j in range(t + 1, m):
+                if rows[t][j] != 0:
+                    qd = rows[t][j] // piv
+                    if qd:
+                        for row in rows:
+                            row[j] -= qd * row[t]
+                    if rows[t][j] != 0:
+                        dirty = True
+            if dirty:
+                continue
+            # pivot now alone in its row and column; enforce divisibility
+            culprit = None
+            for i in range(t + 1, n):
+                for j in range(t + 1, m):
+                    if rows[i][j] % piv != 0:
+                        culprit = i
+                        break
+                if culprit is not None:
+                    break
+            if culprit is None:
+                break
+            rows[t] = [a + b for a, b in zip(rows[t], rows[culprit])]
+        factors.append(abs(rows[t][t]))
+    # zero factors sort to the end; nonzero part already forms a chain
+    nonzero = [x for x in factors if x != 0]
+    zeros = len(factors) - len(nonzero)
+    return nonzero + [0] * zeros
+
+
+def _smallest_pivot(rows, t):
+    best = None
+    best_abs = None
+    for i in range(t, len(rows)):
+        row = rows[i]
+        for j in range(t, len(row)):
+            v = row[j]
+            if v != 0:
+                a = abs(v)
+                if best_abs is None or a < best_abs:
+                    best = (i, j)
+                    best_abs = a
+                    if a == 1:
+                        return best
+    return best
+
+
+def count_solutions(matrix) -> SolutionCount:
+    """Count h in (R/Z)^d with M h = 0.
+
+    The solution group is (R/Z)^nullity x prod Z/d_i for the invariant
+    factors d_i; with no zero factor the count is their product, which
+    equals |det M|.
+    """
+    det = det_abs_exact(matrix)
+    if det != 0:
+        return SolutionCount(value=det)
+    factors = smith_normal_form(matrix)
+    nullity = sum(1 for x in factors if x == 0)
+    return SolutionCount(value=None, nullity=nullity)
+
+
+def fk_determinant_quotient(
+    f: GroupRingElement, q: Quotient, limit: Optional[int] = None
+) -> float:
+    """|det M|^(1/d): the determinant of f's image under the normalized trace.
+
+    Raises NotInvertibleError when det M = 0, i.e. f is not invertible at
+    this quotient, where fix_count is infinite.
+    """
+    sc = fix_count(f, q, limit=limit)
+    if not sc.is_finite:
+        raise NotInvertibleError(f"{f.render()} is not invertible at quotient {q.label}")
+    return math.exp(log_big_int(sc.value) / q.size)
+
+
+# ---------------------------------------------------------------------------
 
 
 def det3_cofactor(m):

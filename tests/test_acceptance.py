@@ -13,8 +13,6 @@ from sofic import (
     ExplicitQuotient,
     GroupRingElement,
     SoficMap,
-    count_solutions,
-    det_abs_exact,
     fix_count,
     freeness_defect,
     full_shift,
@@ -25,8 +23,6 @@ from sofic import (
     multiplicative_defect,
     parse_laurent,
     parse_word,
-    regular_rep_matrix,
-    smith_normal_form,
     sofic_map_from_quotient,
     torus_quotient,
     transfer_matrix_count,
@@ -36,13 +32,17 @@ from sofic.cli import main
 
 from helpers import (
     count_cycles_brute,
+    count_solutions,
     count_torus_solutions_brute,
+    det_abs_exact,
     det_fraction,
     hom_count_full_shift,
     kesten_mckay_log_det,
     lucas_numbers,
     rank_fraction,
+    regular_rep_matrix,
     sl2_table,
+    smith_normal_form,
 )
 
 

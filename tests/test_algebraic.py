@@ -2,40 +2,42 @@ import json
 import math
 import random
 
+import numpy as np
 import pytest
 
 from sofic import (
     ExplicitQuotient,
     GroupRingElement,
-    NotInvertibleError,
-    count_solutions,
-    det_abs_exact,
     entropy_trace,
     fix_count,
-    fk_determinant_quotient,
     involution,
     left_translate,
     log_big_int,
     parse_laurent,
     parse_word,
-    regular_rep_matrix,
-    smith_normal_form,
     torus_quotient,
 )
 from sofic import algebraic
 from sofic.algebraic import _character_primes, _is_probable_prime
 from sofic.groups import ResourceGuardError
 
+import helpers
 from helpers import (
+    NotInvertibleError,
+    count_solutions,
     count_torus_solutions_brute,
     cyclic_table,
     det3_cofactor,
+    det_abs_exact,
     det_bareiss,
     det_fraction,
+    fk_determinant_quotient,
     rank_fraction,
+    regular_rep_matrix,
     relabel_table,
     s3_table,
     sl2_table,
+    smith_normal_form,
 )
 
 
@@ -182,6 +184,71 @@ def test_det_kernel_differential_battery():
         negative += want < 0
     assert negative >= 10
     assert kinds["rank deficient"] == 8
+
+
+def _kernel_rank_stacks():
+    """Seeded stacks of m x m matrices, m = 1..7, mixing in each stack the
+    kinds of matrix that exercise the kernel's pivot search."""
+    rng = random.Random(137)
+
+    def rand(rows, cols, top=3):
+        return [[rng.randint(-top, top) for _ in range(cols)] for _ in range(rows)]
+
+    def low_rank(m, r):
+        # A B with A m x r and B r x m
+        a, b = rand(m, r, 1), rand(r, m, 1)
+        return [[sum(a[i][t] * b[t][j] for t in range(r)) for j in range(m)]
+                for i in range(m)]
+
+    for m in range(1, 8):
+        stack = []
+        for _ in range(3):
+            stack.append(("random", rand(m, m)))
+            stack.append(("low rank", low_rank(m, rng.randint(0, m - 1))))
+            rows = rand(m, m)
+            for row in rows:
+                row[0] = 0
+            stack.append(("zero first column", rows))
+            rows = rand(m, m)
+            k = rng.randint(0, m - 1)
+            for i in range(k, m):
+                rows[i][k:] = [0] * (m - k)
+            stack.append(("zero trailing block", rows))
+            if m >= 2:
+                # column 0 is nonzero only at row t > 0 and column 1 only
+                # there too: a row swap at c = 0, then a column search at c = 1
+                rows = rand(m, m)
+                t = rng.randint(1, m - 1)
+                for i, row in enumerate(rows):
+                    if i != t:
+                        row[0] = row[1] = 0
+                rows[t][0] = rng.choice((-3, -2, -1, 1, 2, 3))
+                stack.append(("column swap after row swap", rows))
+        stack.append(("all zero", [[0] * m for _ in range(m)]))
+        rng.shuffle(stack)
+        yield m, stack
+
+
+def test_det_kernel_rank_battery():
+    p = 2**31 - 1
+    kinds = {}
+    full = 0
+    for m, stack in _kernel_rank_stacks():
+        a = np.array([[[v % p for v in row] for row in rows] for _, rows in stack],
+                     dtype=np.int64).reshape(len(stack), m, m)
+        dets, ranks = algebraic._det_mod_batched(a, np.full(len(stack), p, dtype=np.int64))
+        for (kind, rows), det, rank in zip(stack, dets.tolist(), ranks.tolist()):
+            # every nonzero minor is below p by Hadamard, so the rank mod p
+            # is the rank over Q
+            assert math.prod(sum(v * v for v in row) for row in rows) < p * p
+            assert det == det_fraction(rows) % p, (kind, rows)
+            assert rank == rank_fraction(rows), (kind, rows)
+            kinds[kind] = kinds.get(kind, 0) + 1
+            full += rank == m
+    assert full >= 25
+    assert kinds["all zero"] == 7
+    assert kinds["column swap after row swap"] == 18
+    assert all(count >= 7 for count in kinds.values())
 
 
 def test_is_probable_prime_matches_sieves():
@@ -590,34 +657,133 @@ def _s3_one_minus_s():
     return GroupRingElement(0, {(): 1, (("s", 1),): -1}), q
 
 
+def _forbid_dense_route(monkeypatch):
+    """Make every entry point of the dense route raise, wherever it is defined."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense matrix built on an explicit quotient")
+
+    for name in ("regular_rep_matrix", "smith_normal_form", "det_abs_exact"):
+        monkeypatch.setattr(algebraic, name, refuse, raising=False)
+        monkeypatch.setattr(helpers, name, refuse)
+
+
 def test_singular_explicit_fix_count_skips_dense_determinant(monkeypatch):
     f, q = _s3_one_minus_s()
-    calls = []
-    snf = algebraic.smith_normal_form
-
-    def counted_snf(matrix):
-        calls.append(matrix)
-        return snf(matrix)
-
-    def no_det(matrix):
-        raise AssertionError("dense determinant on a proven-singular quotient")
-
-    monkeypatch.setattr(algebraic, "det_abs_exact", no_det)
-    monkeypatch.setattr(algebraic, "smith_normal_form", counted_snf)
+    _forbid_dense_route(monkeypatch)
     sc = fix_count(f, q)
     assert (sc.value, sc.nullity) == (None, 3)
-    assert len(calls) == 1
 
 
 def test_fk_determinant_singular_explicit_skips_snf(monkeypatch):
     f, q = _s3_one_minus_s()
-
-    def no_snf(matrix):
-        raise AssertionError("Smith normal form computed only to be discarded")
-
-    monkeypatch.setattr(algebraic, "smith_normal_form", no_snf)
+    _forbid_dense_route(monkeypatch)
     with pytest.raises(NotInvertibleError):
         fk_determinant_quotient(f, q)
+
+
+def _ring_mul(f, g):
+    """The product f g in the integral group ring of the free group."""
+    terms = {}
+    for u, a in f.terms.items():
+        for v, b in g.terms.items():
+            w = u + v
+            terms[w] = terms.get(w, 0) + a * b
+    return GroupRingElement(0, terms)
+
+
+def _singular_explicit_cases(rng):
+    """(kind, f, q, nullity or None) on S3, SL(2,3) and SL(2,5), natural and
+    relabelled: f(1) = 0, left and right multiples of 1 - a, of the sum over
+    <a> and of a balanced f, folds to zero, and a sign-twisted projector on
+    S3."""
+    for q, gens in _explicit_quotients(rng):
+        if q.label.startswith("C"):
+            continue
+        a = gens[0]
+        order = _order(q, q.index(((a, 1),)))
+        one_minus_a = GroupRingElement(0, {(): 1, ((a, 1),): -1})
+        orbit_sum = GroupRingElement(0, {((a, e),): 1 for e in range(order)})
+        yield "1 - a", one_minus_a, q, q.size // order
+        yield "fold to zero", GroupRingElement(0, {((a, 1),): 2, ((a, 1 + order),): -2}), q, q.size
+        for i in range(1 if q.size == 120 else 3):
+            u = _random_word_element(rng, gens, balanced=False)
+            if u.is_zero:
+                continue
+            yield "f(1) = 0", _random_word_element(rng, gens, balanced=True), q, None
+            yield "(1 - a) u", _ring_mul(one_minus_a, u), q, None
+            yield "u (1 - a)", _ring_mul(u, one_minus_a), q, None
+            yield "sum over <a> times u", _ring_mul(u, orbit_sum), q, None
+            balanced = _random_word_element(rng, gens, balanced=True)
+            yield "u times f(1) = 0", _ring_mul(balanced, u), q, None
+    table, perms = s3_table()
+    q = ExplicitQuotient(table, {"s": perms.index((1, 0, 2)), "r": perms.index((1, 2, 0))})
+    # 1 + s vanishes on the sign representation and is singular on the
+    # standard one; 6 - sum sgn(g) g vanishes on the sign representation only
+    yield "1 + s", GroupRingElement(0, {(): 1, (("s", 1),): 1}), q, 3
+    signed = {(): 6}
+    for w, sign in (((), -1), ((("s", 1),), 1), ((("r", 1),), -1), ((("r", -1),), -1),
+                    ((("s", 1), ("r", 1)), 1), ((("r", 1), ("s", 1)), 1)):
+        signed[w] = signed.get(w, 0) + sign
+    yield "6 - sum sgn(g) g", GroupRingElement(0, signed), q, 1
+
+
+def test_singular_explicit_nullity_battery():
+    rng = random.Random(151)
+    kinds = {}
+    nullities = set()
+    by_fraction = {6: 0, 24: 0, 120: 0}
+    for kind, f, q, known in _singular_explicit_cases(rng):
+        sc = fix_count(f, q)
+        rows = regular_rep_matrix(f, q).tolist()
+        nullity = smith_normal_form(rows).count(0)
+        assert nullity > 0, (kind, f.render(), q.label)
+        assert known in (None, nullity), (kind, q.label)
+        assert (sc.value, sc.nullity) == (None, nullity), (kind, f.render(), q.label)
+        # rational elimination takes about 3 s at d = 120: once there
+        if q.size < 120 or not by_fraction[120]:
+            assert q.size - rank_fraction(rows) == nullity, (kind, q.label)
+            by_fraction[q.size] += 1
+        kinds[kind] = kinds.get(kind, 0) + 1
+        nullities.add(nullity)
+    assert len(kinds) == 9
+    assert kinds["f(1) = 0"] >= 8
+    assert by_fraction[6] >= 10 and by_fraction[24] >= 20 and by_fraction[120] == 1
+    assert {1, 3, 8, 24}.issubset(nullities)
+    assert max(nullities) == 120
+
+
+def test_split_nullity_when_a_prime_drops_rank():
+    # f = (1 - a)(p + 1 - b) for the first split prime p: over Q the second
+    # factor is invertible, so the nullity is that of 1 - a, d / ord(a);
+    # modulo p, f is (1 - a)(1 - b), of lower rank, so only the largest
+    # rank over the primes is the rank over Q
+    rng = random.Random(157)
+    for q, gens in _explicit_quotients(rng):
+        if q.label.startswith("C") or q.size > 24:
+            continue
+        a, b = gens[0], gens[-1]
+        k = max(_order(q, x) for x in range(q.size))
+        p = _character_primes(k, 1)[0]
+        f = _ring_mul(
+            GroupRingElement(0, {(): 1, ((a, 1),): -1}),
+            GroupRingElement(0, {(): p + 1, ((b, 1),): -1}),
+        )
+        want = _assert_matches_oracle(f, q)
+        assert want.nullity == q.size // _order(q, q.index(((a, 1),)))
+
+
+def test_singular_sl2_7_laplacian_nullity(monkeypatch):
+    # 4 - a - a^-1 - b - b^-1 is the Laplacian of the connected 4-regular
+    # Cayley graph of SL(2,7): its kernel is the constants, nullity 1
+    table, a, b = sl2_table(7)
+    q = ExplicitQuotient(table, {"a": a, "b": b}, "SL(2,7)")
+    f = GroupRingElement(
+        0, {parse_word(w): -1 for w in ("a", "a^-1", "b", "b^-1")} | {(): 4}
+    )
+    _forbid_dense_route(monkeypatch)
+    sc = fix_count(f, q)
+    assert (sc.value, sc.nullity) == (None, 1)
 
 
 def test_det_equals_snf_product_equals_count():

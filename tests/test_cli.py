@@ -6,7 +6,7 @@ import pytest
 from sofic import SubshiftSFT, hom_count_exact, sofic_map_from_quotient, torus_quotient
 from sofic.cli import main
 
-from helpers import cyclic_table
+from helpers import cyclic_table, s3_table, sl2_table
 
 
 GM_JSON = json.dumps(
@@ -126,6 +126,74 @@ def test_algebraic_chain_rejects_poly_flag(tmp_path):
         ["algebraic", "--group", f"file:{chain_path}", "--poly", "x - 2"]
     )
     assert rc == 2
+
+
+def _z3_chain(poly=None, table=None, images=None):
+    return {
+        "poly": {"e": 3, "a": -1} if poly is None else poly,
+        "quotients": [{"label": "C3", "table": table or cyclic_table(3),
+                       "images": images or {"a": 1}}],
+    }
+
+
+@pytest.mark.parametrize(
+    "chain, field",
+    [
+        (_z3_chain(poly={"e": 3.7, "a": -1}), "'poly' coefficient of 'e'"),
+        (_z3_chain(poly={"e": True, "a": -1}), "'poly' coefficient of 'e'"),
+        (_z3_chain(poly={"e": "3", "a": -1}), "'poly' coefficient of 'e'"),
+        (_z3_chain(images={"a": 1.9}), "image of generator 'a'"),
+        (_z3_chain(table=[[0, 1, 2], [1.2, 2, 0], [2, 0, 1]]), "table entries"),
+        (_z3_chain(poly=[1]), "'poly'"),
+        (_z3_chain(images=[1]), "generator images"),
+        ({"poly": {"e": 3}, "quotients": [{"label": 5, "table": cyclic_table(3),
+                                             "images": {"a": 1}}]}, "label"),
+    ],
+    ids=["float_coefficient", "bool_coefficient", "string_coefficient", "float_image",
+         "float_table_entry", "poly_not_object", "images_not_object", "label_not_string"],
+)
+def test_algebraic_chain_refuses_malformed_fields(tmp_path, capsys, chain, field):
+    chain_path = tmp_path / "chain.json"
+    chain_path.write_text(json.dumps(chain), encoding="utf-8")
+    rc = main(["algebraic", "--group", f"file:{chain_path}"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and field in captured.err
+
+
+def test_algebraic_singular_explicit_chain_nullities(tmp_path, capsys):
+    table, perms = s3_table()
+    quotients = [{"label": "S3", "table": table,
+                  "images": {"a": perms.index((1, 0, 2)), "b": perms.index((1, 2, 0))}}]
+    for p in (3, 5):
+        table, a, b = sl2_table(p)
+        quotients.append({"label": f"SL(2,{p})", "table": table, "images": {"a": a, "b": b}})
+    poly = {"e": 1, "a": -1, "b": 1, "b*a": -1, "a*b*a": 1, "a*b*a*a": -1}
+    chain_path = tmp_path / "chain.json"
+    chain_path.write_text(json.dumps({"poly": poly, "quotients": quotients}), encoding="utf-8")
+    argv = ["algebraic", "--group", f"file:{chain_path}"]
+    # the report of the dense Smith normal form route, byte for byte
+    expected = {
+        "f_description": "1 - a + b - b*a + a*b*a - a*b*a^2",
+        "reference_value": None,
+        "records": [],
+        "skipped": [
+            {"label": "S3", "d": 6, "nullity": 5},
+            {"label": "SL(2,3)", "d": 24, "nullity": 13},
+            {"label": "SL(2,5)", "d": 120, "nullity": 24},
+        ],
+        "certificate": None,
+        "residual": None,
+    }
+    assert main(argv + ["--format", "json"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == json.dumps(expected, indent=2) + "\n"
+    assert captured.err == "skipped 3 non-invertible quotient(s)\n"
+    assert main(argv + ["--format", "csv"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "label,d,log_fix_count,h_n\n"
+    assert captured.err == "skipped 3 non-invertible quotient(s)\n"
 
 
 # ---------------------------------------------------------------------------

@@ -211,7 +211,7 @@ def test_sofic_map_rejects_non_bijection():
 def test_mode_mismatch():
     q = torus_quotient([4])
     f = parse_laurent("5 - x - y", 2)
-    from sofic import regular_rep_matrix
+    from helpers import regular_rep_matrix
 
     with pytest.raises(ValueError, match="mismatch"):
         regular_rep_matrix(f, q)
