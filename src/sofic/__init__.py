@@ -3,11 +3,11 @@
 The package computes, exactly where the mathematics is exact:
 
 * entropy convergence traces h_n = log|Fix| / |G/G_n| of principal
-  algebraic actions: exact fixed-point counts by character products on
-  torus quotients and by a split over a cyclic subgroup on explicit ones,
-  each evaluated modulo primes below 2^31 and lifted by CRT; the split's
-  one elimination gives both the determinant and the rank, hence the
-  nullity of a singular explicit quotient;
+  algebraic actions: exact fixed-point counts by one split over an abelian
+  subgroup (the whole group on a torus quotient, a cyclic subgroup on an
+  explicit one), evaluated modulo primes below 2^31 and lifted by CRT; its
+  one elimination gives both the determinant and the rank, each block's
+  rank certified by a norm bound, hence the nullity of a singular quotient;
 * independent spectral reference values (Mahler measures via Jensen's
   formula and torus quadrature) together with torus invertibility
   certificates;

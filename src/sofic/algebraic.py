@@ -13,34 +13,27 @@ solution count is |det M| exactly.  Normalizing, h_n = log|count| / d is
 the per-quotient entropy value, and exp(log|det M| / d) is the
 finite-dimensional determinant with respect to the normalized trace.
 
-Every count is exact over arbitrary-precision integers, by one route per
-quotient family, and neither route builds M:
-
-* Torus quotients Z^r / (n_1 Z x ... x n_r Z) are abelian, so the
-  characters diagonalise M and det M = prod_chi F(chi) with
-  F(chi) = sum_c fhat[c] chi(c) (the periodic-point formula of
-  Lind-Schmidt-Ward).  With m = lcm(n_i), every character value lies in
-  Z[zeta_m], and modulo a prime p = 1 (mod m) it becomes an element of
-  F_p.  The product is taken modulo enough such primes in (2^30, 2^31)
-  to lift it by CRT against Hadamard's bound: every row of M is a
-  permutation of fhat, so (det M)^2 <= (sum_c fhat[c]^2)^d.  The nullity
-  is the number of characters with F(chi) = 0, each tested exactly in
-  Z[t] by divisibility by a cyclotomic polynomial.
-* Explicit quotients split M over a cyclic subgroup <g>, g of maximal
-  order k: right translation by g commutes with M, so modulo a prime
-  p = 1 (mod k) M is similar to k blocks of size d/k, one per k-th root
-  of unity.  All blocks for a chunk of primes in (2^30, 2^31) are
-  eliminated in one batched int64 pass that gives each block's
-  determinant and rank, and the product of the determinants is lifted by
-  CRT against the same bound.  The torus route is the case <g> = G of an
-  abelian G.  When det M = 0 the same elimination gives the nullity:
-  rank M is the largest block-rank sum over the primes, because those
-  primes are enough to certify every minor that Hadamard's bound admits.
+Every count is exact over arbitrary-precision integers, by one route for
+every quotient, which never builds M.  Right translation by an abelian
+subgroup A commutes with M, so modulo a prime p = 1 (mod exp A) M is
+similar to |A| blocks of size d/|A|, one per character of A (Serre,
+Linear Representations of Finite Groups, ch. 7).  Each quotient supplies
+the split plan: a torus quotient takes A = G, one coset and 1 x 1 blocks,
+the characters' values F(chi) = sum_c fhat[c] chi(c) (the periodic-point
+formula of Lind-Schmidt-Ward); an explicit quotient takes A = <g>, g of
+maximal order.  All blocks for a chunk of primes in (2^30, 2^31) are
+eliminated in one batched int64 pass that gives each block's determinant
+and rank.  The product of the determinants is lifted by CRT against
+Hadamard's bound: every row of M is a permutation of fhat, so
+(det M)^2 <= (sum_c fhat[c]^2)^d.  When det M = 0 the same elimination
+gives the nullity d - rank M, each block's rank certified by a norm bound:
+a nonzero minor of a block with entries in Z[zeta_o] has a norm of at
+most l1^(m phi(o)), l1 = sum |fhat| and m the block size, and every
+prime at which the block loses rank divides it.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -49,11 +42,10 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from .groups import (
-    ExplicitQuotient,
     GroupRingElement,
     Quotient,
     ResourceGuardError,
-    TorusQuotient,
+    SplitPlan,
     identity_element,
     size_limit,
 )
@@ -101,9 +93,9 @@ def _check_quotient(f: GroupRingElement, q: Quotient, limit: Optional[int]) -> N
 _CHAR_PRIME_FLOOR = 2**30
 _CHAR_PRIME_CEIL = 2**31
 
-# Residues per chunk of primes, (primes x characters) on a torus and
-# (primes x matrices x rows x columns) for an elimination, which keeps the
-# numpy temporaries near half a megabyte (or one prime's worth, if larger).
+# Residues per chunk of primes (primes x blocks x rows x columns), which
+# keeps the numpy temporaries near half a megabyte (or one prime's worth,
+# if larger).
 _CHAR_BLOCK = 2**16
 
 # m -> (primes = 1 mod m found so far, in descending order; next candidate)
@@ -194,28 +186,27 @@ def _det_mod_batched(a: np.ndarray, mods: np.ndarray) -> tuple:
     takes one from its trailing block (`_pivot_across_columns`), so its
     pivot is 0 only when the whole trailing block is, and its rank is the
     number of nonzero pivots.  Residues stay below 2^31, so every product
-    of two stays inside int64.
+    of two stays inside int64.  The inverse of the scale is taken only
+    where it is not 1 (never for a 1 x 1 matrix).
     """
     n, m, _ = a.shape
-    batch = np.arange(n)
-    mods3 = mods[:, None, None]
     diag = np.ones(n, dtype=np.int64)
     scale = np.ones(n, dtype=np.int64)
     rank = np.full(n, m, dtype=np.int64)
     flips = np.zeros(n, dtype=bool)
     for c in range(m):
-        # first nonzero row at or below c
-        r = c + np.argmax(a[:, c:, c] != 0, axis=1)
-        swap = np.flatnonzero(r != c)
-        if swap.size:
-            top = a[swap, c].copy()
-            a[swap, c] = a[swap, r[swap]]
-            a[swap, r[swap]] = top
-            flips[swap] ^= True
-        piv = a[batch, c, c]
+        piv = a[:, c, c]  # a view: it follows the swaps below
         if not piv.all():
-            _pivot_across_columns(a, c, np.flatnonzero(piv == 0), rank)
-            piv = a[batch, c, c]
+            # first nonzero row at or below c
+            r = c + np.argmax(a[:, c:, c] != 0, axis=1)
+            swap = np.flatnonzero(r != c)
+            if swap.size:
+                top = a[swap, c].copy()
+                a[swap, c] = a[swap, r[swap]]
+                a[swap, r[swap]] = top
+                flips[swap] ^= True
+            if not piv.all():
+                _pivot_across_columns(a, c, np.flatnonzero(piv == 0), rank)
         diag = diag * piv % mods
         if c + 1 == m:
             break
@@ -223,10 +214,12 @@ def _det_mod_batched(a: np.ndarray, mods: np.ndarray) -> tuple:
         trailing = a[:, c + 1 :, c + 1 :]
         trailing *= piv[:, None, None]
         trailing -= a[:, c + 1 :, c, None] * a[:, None, c, c + 1 :]
-        trailing %= mods3
-    inv = [pow(int(s), -1, int(p)) if s else 0 for s, p in zip(scale, mods)]
-    det = diag * np.array(inv, dtype=np.int64) % mods
-    return np.where(flips, (mods - det) % mods, det), rank
+        trailing %= mods[:, None, None]
+    # a zero scale comes with a zero det, and a scale of 1 needs no inverse
+    rescale = np.flatnonzero(scale > 1)
+    inv = [pow(int(s), -1, int(p)) for s, p in zip(scale[rescale], mods[rescale])]
+    diag[rescale] = diag[rescale] * np.array(inv, dtype=np.int64) % mods[rescale]
+    return np.where(flips, (mods - diag) % mods, diag), rank
 
 
 def _pivot_across_columns(a: np.ndarray, c: int, empty: np.ndarray, rank: np.ndarray):
@@ -280,7 +273,7 @@ class SolutionCount:
 
 
 # ---------------------------------------------------------------------------
-# torus quotients: character products
+# the split over an abelian subgroup
 
 
 def _prime_factors(n: int) -> List[int]:
@@ -297,6 +290,12 @@ def _prime_factors(n: int) -> List[int]:
     return out
 
 
+def _totient(n: int) -> int:
+    for p in _prime_factors(n):
+        n = n // p * (p - 1)
+    return n
+
+
 def _root_of_unity(m: int, p: int) -> int:
     """A primitive m-th root of unity modulo a prime p = 1 (mod m)."""
     factors = _prime_factors(m)
@@ -308,61 +307,17 @@ def _root_of_unity(m: int, p: int) -> int:
         a += 1
 
 
-@functools.lru_cache(maxsize=None)
-def _cyclotomic(n: int) -> tuple:
-    """Coefficients of Phi_n, constant term first.
-
-    Phi_n = prod over d | n of (t^d - 1)^mu(n/d): the factors with mu = 1
-    are multiplied in first, then the factors with mu = -1 divide exactly.
-    """
-    divisors = [d for d in range(1, n + 1) if n % d == 0]
-    mu = {}
-    for d in divisors:
-        factors = _prime_factors(n // d)
-        squarefree = math.prod(factors) == n // d
-        mu[d] = (-1) ** len(factors) if squarefree else 0
-    poly = [1]
-    for d in divisors:
-        if mu[d] == 1:
-            out = [0] * (len(poly) + d)
-            for j, a in enumerate(poly):
-                out[j + d] += a
-                out[j] -= a
-            poly = out
-    for d in divisors:
-        if mu[d] == -1:
-            quot = [0] * (len(poly) - d)
-            for j in range(len(quot) - 1, -1, -1):
-                quot[j] = poly[j + d] + (quot[j + d] if j + d < len(quot) else 0)
-            poly = quot
-    return tuple(poly)
-
-
-def _character_vanishes(exponents: List[int], coeffs: List[int], m: int) -> bool:
-    """Whether F(chi) = sum_t coeffs[t] * zeta_m^exponents[t] is exactly 0.
-
-    With g = gcd(m, exponents), zeta_m^g is a primitive (m/g)-th root of
-    unity, so F(chi) = h(zeta_(m/g)) for h(t) = sum_t coeffs[t] *
-    t^(exponents[t]/g), and F(chi) = 0 exactly when Phi_(m/g) divides h.
-    """
-    g = math.gcd(m, *exponents)
-    order = m // g
-    h = [0] * order
-    for e, c in zip(exponents, coeffs):
-        h[e // g] += c
-    phi = _cyclotomic(order)
-    deg = len(phi) - 1
-    tail = [(j, a) for j, a in enumerate(phi[:-1]) if a]
-    for top in range(order - 1, deg - 1, -1):
-        c = h[top]
-        if c:
-            for j, a in tail:
-                h[top - deg + j] -= c * a
-    return not any(h[:deg])
-
-
 def _root_powers(m: int, primes: List[int]) -> np.ndarray:
     """omega_p^t mod p for t = 0..m-1, one row per prime p = 1 (mod m)."""
+    if len(primes) * m <= 128:
+        # a small table (one prime of a torus's first pass) costs less as a
+        # Python loop than as the numpy doubling's few calls per level
+        rows = [[1] * m for _ in primes]
+        for row, p in zip(rows, primes):
+            w = _root_of_unity(m, p)
+            for t in range(1, m):
+                row[t] = row[t - 1] * w % p
+        return np.array(rows, dtype=np.int64)
     mods = np.array(primes, dtype=np.int64)[:, None]
     step = np.array([[_root_of_unity(m, p)] for p in primes], dtype=np.int64)
     powers = np.ones((len(primes), m), dtype=np.int64)
@@ -373,25 +328,6 @@ def _root_powers(m: int, primes: List[int]) -> np.ndarray:
         step = step * step % mods
         filled += take
     return powers
-
-
-def _character_values(
-    exponents: np.ndarray, coeffs: List[int], m: int, primes: List[int]
-) -> np.ndarray:
-    """F(chi_k) mod p, one row per prime and one column per character k.
-
-    ``exponents[k, t]`` is the power of omega, a primitive m-th root of
-    unity mod p, that chi_k takes on the t-th folded term, so each value
-    costs one lookup per term.
-    """
-    mods = np.array(primes, dtype=np.int64)[:, None]
-    powers = _root_powers(m, primes)
-    values = np.zeros((len(primes), exponents.shape[0]), dtype=np.int64)
-    for t, c in enumerate(coeffs):
-        residue = np.array([[c % p] for p in primes], dtype=np.int64)
-        values += powers[:, exponents[:, t]] * residue % mods
-        values %= mods
-    return values
 
 
 def _row_products(values: np.ndarray, primes: List[int]) -> List[int]:
@@ -406,136 +342,101 @@ def _row_products(values: np.ndarray, primes: List[int]) -> List[int]:
     return [int(v) for v in values[:, 0]]
 
 
-def _torus_fix_count(f: GroupRingElement, q: TorusQuotient) -> SolutionCount:
-    """fix_count on a torus quotient by the character product, exactly.
+def _split_det(plan: SplitPlan) -> tuple:
+    """(|det M|, rank M) from a split plan over an abelian subgroup A.
 
-    With m = lcm(n_i), the character k of Z/n_1 x ... x Z/n_r sends a
-    folded term s to omega^(sum_i k_i s_i m / n_i).  The nullity counts the
-    characters with F(chi) = 0: every zero mod the first prime is tested
-    exactly, and the rest cannot vanish.  Otherwise det M is the product of
-    the F(chi), lifted by CRT from enough primes that their product exceeds
-    twice Hadamard's bound.
+    With k = exp(A), omega a primitive k-th root of unity mod a prime
+    p = 1 (mod k), and chi_j(a) = omega^(sum_l j_l a_l k / n_l) the
+    characters of A, M is similar mod p to block-diag(B_j) with
+
+        B_j[i][cols[t, i]] += fhat[c_t] chi_j(coords[t, i]),
+
+    so det M = prod_j det B_j and rank_p M = sum_j rank_p B_j.  Every block
+    of a chunk of primes is eliminated at once; a 1 x 1 block is its own
+    determinant.
+
+    The rank is certified block by block.  The entries of B_j lie in
+    Z[zeta_o], o = k / gcd(k, the exponents of omega in B_j) (a divisor of
+    the order of chi_j), and reduction mod p is a ring map whose kernel is
+    a prime of norm p.  Every row of B_j holds each folded term once, so a
+    nonzero R x R minor D of B_j has |sigma(D)| <= l1^m in every embedding
+    (l1 = sum |fhat|, m = d/|A|), hence 1 <= |N(D)| <= l1^(m phi(o)), and
+    every prime with rank_p B_j < R divides N(D).  So rank B_j = max_p
+    rank_p B_j once the primes' product exceeds l1^(m phi(o)); the
+    determinant's primes certify every minor of M too, so the smaller
+    budget suffices.
+
+    The first primes meet the budget of phi = 1, the least any block can
+    need.  While some block has been short of full rank at every prime so
+    far (so its det, and det M, is 0 there), primes are drawn up to the
+    budget of the largest phi(o) among those blocks; once none is, up to
+    the determinant's, and the product of the block determinants is lifted
+    by CRT.
     """
-    moduli = q.moduli
-    m = math.lcm(*moduli)
-    fhat: dict = {}
-    for s, c in f.terms.items():
-        vec = (s,) if q.rank == 1 else s
-        key = tuple(x % n * (m // n) for x, n in zip(vec, moduli))
-        fhat[key] = fhat.get(key, 0) + c
-    fhat = {key: c for key, c in fhat.items() if c != 0}
-    d = q.size
-    if not fhat:
-        return SolutionCount(value=None, nullity=d)
-    coeffs = list(fhat.values())
-    chars = np.indices(moduli, dtype=np.int64).reshape(len(moduli), -1).T
-    exponents = chars @ np.array(list(fhat), dtype=np.int64).T % m
-
-    first = _character_primes(m, 1)
-    values = _character_values(exponents, coeffs, m, first)
-    zeros = sum(
-        _character_vanishes(exponents[k].tolist(), coeffs, m)
-        for k in np.flatnonzero(values[0] == 0)
-    )
-    if zeros:
-        return SolutionCount(value=None, nullity=zeros)
-
-    bound = sum(c * c for c in coeffs) ** d
-    primes = _character_primes(m, _crt_prime_count(bound))
-    residues = _row_products(values, first)
-    block = max(1, _CHAR_BLOCK // d)
-    for i in range(1, len(primes), block):
-        chunk = primes[i : i + block]
-        residues += _row_products(_character_values(exponents, coeffs, m, chunk), chunk)
-    return SolutionCount(value=abs(_crt_symmetric(residues, primes)))
-
-
-# ---------------------------------------------------------------------------
-# explicit quotients: the split over a cyclic subgroup
-
-
-def _max_order_element(table: np.ndarray, identity: int) -> tuple:
-    """(g, k): the first element of maximal order k, from one pass over powers."""
-    d = table.shape[0]
-    elems = np.arange(d, dtype=np.int64)
-    order = np.zeros(d, dtype=np.int64)
-    power = elems
-    k = 1
-    while not order.all():
-        order[(power == identity) & (order == 0)] = k
-        power = table[power, elems]
-        k += 1
-    g = int(np.argmax(order))
-    return g, int(order[g])
-
-
-def _split_det(f: GroupRingElement, q: ExplicitQuotient) -> tuple:
-    """(|det M|, rank M) on an explicit quotient, by splitting M over a
-    cyclic subgroup.
-
-    Right translation by an element g of maximal order k commutes with M.
-    With every element written as r_i g^e, one r_i per left coset of <g>
-    (i < m = d/k), and omega a primitive k-th root of unity mod a prime
-    p = 1 (mod k), M is similar mod p to block-diag(B_0, ..., B_{k-1}) with
-
-        B_j[i][pi] = sum of fhat[c] omega^(j e) over c with c^-1 r_i = r_pi g^e,
-
-    so det M = prod_j det B_j and rank_p M = sum_j rank_p B_j (mod p).
-    Every block of a chunk of primes is eliminated at once, and the product
-    is lifted by CRT against Hadamard's bound; |det M| is 0 exactly when M
-    is singular.
-
-    The rank over Q is the largest rank_p over the same primes.  No rank_p
-    exceeds it.  If it is R, some R x R minor D is nonzero, and Hadamard
-    gives |D| <= (sum fhat^2)^(R/2) <= sqrt(bound); every prime with
-    rank_p < R divides D, and the primes' product exceeds 2 sqrt(bound),
-    so at least one of them has rank_p = R.
-    """
-    table = q.table
-    d = q.size
-    fhat: dict = {}
-    for s, c in f.terms.items():
-        idx = q.index(s)
-        fhat[idx] = fhat.get(idx, 0) + c
-    fhat = {idx: c for idx, c in fhat.items() if c != 0}
-    if not fhat:
+    coeffs = plan.coeffs
+    if not coeffs:
         return 0, 0
-    g, k = _max_order_element(table, q.identity_index)
-    m = d // k
-    gpow = [q.identity_index]
-    for _ in range(k - 1):
-        gpow.append(int(table[gpow[-1], g]))
-    # orbit[x, t] = x g^t; the smallest element of x<g> is its representative
-    orbit = table[:, gpow]
-    reps, coset = np.unique(orbit.min(axis=1), return_inverse=True)
-    shift = -np.argmin(orbit, axis=1) % k
-    rows = np.arange(m)
-    jumps = np.arange(k)[:, None]
-    terms = []
-    for c, value in fhat.items():
-        y = table[q.inv(c), reps]
-        terms.append((value, coset[y], jumps * shift[y] % k))
+    moduli = plan.moduli
+    k = math.lcm(*moduli)
+    size_a = math.prod(moduli)
+    terms, m = plan.cols.shape
+    d = size_a * m
+    chars = np.indices(moduli, dtype=np.int64).reshape(len(moduli), -1).T
+    scaled = plan.coords * [k // n for n in moduli]
+    # expo[j, t, i]: chi_j at the A-coordinates of c_t^-1 r_i, as a power of omega
+    expo = (chars @ scaled.reshape(-1, len(moduli)).T % k).reshape(size_a, terms, m)
+    # entry (i, cols[t, i]) of a flattened m x m block; a term with
+    # cols[t, i] = i for every i (every term on a torus) adds to the diagonal,
+    # a strided view of the block
+    identity = list(range(m))
+    diagonal = [row == identity for row in plan.cols.tolist()]
+    entries = None if all(diagonal) else plan.cols + np.arange(m) * m
 
-    bound = sum(c * c for c in fhat.values()) ** d
-    primes = _character_primes(k, _crt_prime_count(bound))
+    det_need = _crt_prime_count(sum(c * c for c in coeffs) ** d)
+    l1 = sum(abs(c) for c in coeffs)
+    primes: List[int] = []
     residues: List[int] = []
-    rank = 0
+    best = 0
+    full = False
+    phi = 1  # the largest phi(o) of a short block; 1 before any prime
     block = max(1, _CHAR_BLOCK // (d * m))
-    for start in range(0, len(primes), block):
-        chunk = primes[start : start + block]
-        mods = np.array(chunk, dtype=np.int64)[:, None, None]
+    while True:
+        # n primes above 2^30 have a product above 2^(30 n)
+        need = det_need if full else min(det_need, -(-(l1 ** (m * phi)).bit_length() // 30))
+        if len(primes) >= need:
+            break
+        chunk = _character_primes(k, min(need, len(primes) + block))[len(primes) :]
+        mods = np.array(chunk, dtype=np.int64)
+        mods3 = mods[:, None, None]
         powers = _root_powers(k, chunk)
-        blocks = np.zeros((len(chunk), k, m, m), dtype=np.int64)
-        for value, cols, expo in terms:
-            residue = np.array([value % p for p in chunk], dtype=np.int64)[:, None, None]
-            blocks[:, :, rows, cols] += powers[:, expo] * residue % mods
-        blocks %= mods[:, :, :, None]
-        dets, ranks = _det_mod_batched(
-            blocks.reshape(-1, m, m), np.repeat(np.array(chunk, dtype=np.int64), k)
-        )
-        residues += _row_products(dets.reshape(len(chunk), k), chunk)
-        rank = max(rank, int(ranks.reshape(len(chunk), k).sum(axis=1).max()))
-    return abs(_crt_symmetric(residues, primes)), rank
+        weights = np.array([[c % p for p in chunk] for c in coeffs], dtype=np.int64)
+        blocks = np.zeros((len(chunk), size_a, m * m), dtype=np.int64)
+        for t, weight in enumerate(weights[:, :, None, None]):
+            part = powers[:, expo[:, t]] * weight % mods3
+            if diagonal[t]:
+                blocks[:, :, :: m + 1] += part
+            else:
+                blocks[:, :, entries[t]] += part
+        blocks %= mods3
+        if m == 1:
+            # a 1 x 1 block is its own determinant, of rank 1 unless it is 0
+            dets, ranks = blocks, blocks != 0
+        else:
+            dets, ranks = _det_mod_batched(blocks.reshape(-1, m, m), np.repeat(mods, size_a))
+        primes += chunk
+        if not full:
+            best = np.maximum(best, ranks.reshape(len(chunk), size_a).max(axis=0))
+            short = np.flatnonzero(best < m)
+            full = not short.size
+        if full:
+            residues += _row_products(dets.reshape(len(chunk), size_a), chunk)
+        else:
+            # a block short of full rank at every prime so far has det 0 there
+            residues += [0] * len(chunk)
+            phi = max(_totient(k // math.gcd(k, *expo[j].ravel().tolist())) for j in short)
+    if not full:
+        return 0, int(best.sum())
+    return abs(_crt_symmetric(residues, primes)), d
 
 
 def fix_count(
@@ -545,15 +446,14 @@ def fix_count(
 
     Pulling a fixed point back along the quotient map identifies the fixed
     set with the solutions of the convolution matrix on (R/Z)^d, so the
-    count is computed there exactly: by the character product on a torus
-    quotient, and by the split over a cyclic subgroup on an explicit one,
-    whose one elimination gives the determinant and the rank, so the
-    nullity d - rank when the determinant is 0.
+    count is computed there exactly, by one route for every quotient: the
+    quotient's split plan over an abelian subgroup (the whole group on a
+    torus, a cyclic subgroup on an explicit quotient), whose one
+    elimination gives the determinant and the rank, so the nullity
+    d - rank when the determinant is 0.
     """
     _check_quotient(f, q, limit)
-    if isinstance(q, TorusQuotient):
-        return _torus_fix_count(f, q)
-    det, rank = _split_det(f, q)
+    det, rank = _split_det(q.split_plan(f))
     if det:
         return SolutionCount(value=det)
     return SolutionCount(value=None, nullity=q.size - rank)

@@ -11,8 +11,9 @@ Ambient groups come in two flavours:
   reduced words in the ambient group is *not* decidable from this data and
   is treated syntactically.
 
-A finite quotient supplies coset arithmetic (cosets indexed 0..size-1) and
-the left-translation permutations that make up a sofic approximation.
+A finite quotient supplies coset arithmetic (cosets indexed 0..size-1),
+the left-translation permutations that make up a sofic approximation, and
+the split plan over an abelian subgroup that exact counting runs on.
 Torus quotients enumerate cosets in lexicographic order of their exponent
 vectors, so every derived matrix and report is reproducible bit for bit.
 """
@@ -486,6 +487,23 @@ def parse_laurent(text: str, rank: int) -> GroupRingElement:
 
 
 @dataclass(frozen=True)
+class SplitPlan:
+    """How the convolution matrix M of f splits over an abelian subgroup A.
+
+    A = Z/moduli[0] x ... x Z/moduli[-1] acts on the quotient by right
+    translation, which commutes with M.  Its left cosets have
+    representatives r_0, ..., r_{m-1}.  For the t-th folded term c, with
+    coefficient ``coeffs[t]`` (never 0), c^-1 r_i = r_{cols[t, i]} a for
+    the element a of A with coordinates ``coords[t, i]``.
+    """
+
+    moduli: tuple
+    coeffs: list
+    cols: np.ndarray  # (terms, m)
+    coords: np.ndarray  # (terms, m, len(moduli))
+
+
+@dataclass(frozen=True)
 class TorusQuotient:
     """The quotient Z^d / (n_1 Z x ... x n_d Z).
 
@@ -563,6 +581,21 @@ class TorusQuotient:
     def translation_perm(self, elem) -> np.ndarray:
         """Left-translation permutation of an ambient element."""
         return self.coset_translation_perm(self.index(elem))
+
+    def split_plan(self, f: GroupRingElement) -> SplitPlan:
+        """The split over A = the whole quotient: one coset and 1 x 1
+        blocks, the characters.  The term c folds to the coordinates of
+        c^-1, that is -c componentwise mod n_i."""
+        moduli = self.moduli
+        fhat: dict = {}
+        for s, c in f.terms.items():
+            key = tuple(-x % n for x, n in zip((s,) if len(moduli) == 1 else s, moduli))
+            fhat[key] = fhat.get(key, 0) + c
+        fhat = {key: c for key, c in fhat.items() if c}
+        coords = np.array(list(fhat), dtype=np.int64).reshape(len(fhat), 1, len(moduli))
+        return SplitPlan(
+            moduli, list(fhat.values()), np.zeros((len(fhat), 1), dtype=np.int64), coords
+        )
 
 
 def torus_quotient(moduli: Iterable[int], limit: Optional[int] = None) -> TorusQuotient:
@@ -723,6 +756,27 @@ class ExplicitQuotient:
     def coset_translation_perm(self, coset: int) -> np.ndarray:
         return self.table[coset].copy()
 
+    def split_plan(self, f: GroupRingElement) -> SplitPlan:
+        """The split over the cyclic A = <g>, g the first element of maximal
+        order k.  Every element is r g^e for the smallest element r of its
+        coset, so c^-1 r_i = r_{cols} g^e has coordinate e."""
+        fhat: dict = {}
+        for s, c in f.terms.items():
+            idx = self.index(s)
+            fhat[idx] = fhat.get(idx, 0) + c
+        fhat = {idx: c for idx, c in fhat.items() if c}
+        table = self.table
+        g, k = _max_order_element(table, self.identity_index)
+        gpow = [self.identity_index]
+        for _ in range(k - 1):
+            gpow.append(int(table[gpow[-1], g]))
+        # orbit[x, t] = x g^t; the smallest element of x<g> is its representative
+        orbit = table[:, gpow]
+        reps, coset = np.unique(orbit.min(axis=1), return_inverse=True)
+        shift = -np.argmin(orbit, axis=1) % k
+        y = table[self._inverses[list(fhat)][:, None], reps]
+        return SplitPlan((k,), list(fhat.values()), coset[y], shift[y][:, :, None])
+
     def translation_perm(self, elem) -> np.ndarray:
         return self.coset_translation_perm(self.index(elem))
 
@@ -731,6 +785,21 @@ class ExplicitQuotient:
 
 
 Quotient = Union[TorusQuotient, ExplicitQuotient]
+
+
+def _max_order_element(table: np.ndarray, identity: int) -> tuple:
+    """(g, k): the first element of maximal order k, from one pass over powers."""
+    d = table.shape[0]
+    elems = np.arange(d, dtype=np.int64)
+    order = np.zeros(d, dtype=np.int64)
+    power = elems
+    k = 1
+    while not order.all():
+        order[(power == identity) & (order == 0)] = k
+        power = table[power, elems]
+        k += 1
+    g = int(np.argmax(order))
+    return g, int(order[g])
 
 
 # ---------------------------------------------------------------------------

@@ -153,8 +153,9 @@ def mahler_jensen(f: GroupRingElement) -> MahlerEstimate:
 
     Writing f as x^k * p(x) with an ordinary polynomial p, the measure is
     log|lead(p)| plus the log-moduli of the roots outside the unit circle.
-    Roots come from companion-matrix eigenvalues with one Newton polish;
-    the error bound accumulates per-root residual estimates.
+    Roots come from companion-matrix eigenvalues with one Newton polish,
+    and the error bound comes from their inclusion discs (`_jensen_error`),
+    so it holds for clusters of roots and repeated roots too.
     """
     if f.is_zero:
         raise ValueError("Mahler measure of the zero element is undefined")
@@ -176,35 +177,57 @@ def mahler_jensen(f: GroupRingElement) -> MahlerEstimate:
             evaluations=0,
         )
 
-    roots = np.roots(coeffs[::-1])
     poly = np.array(coeffs[::-1])
     dpoly = np.polyder(poly)
-
     value = math.log(abs(coeffs[-1]))
-    err = 0.0
-    for r in roots:
-        pr = np.polyval(poly, r)
+    roots = []
+    for r in np.roots(poly):
         dr = np.polyval(dpoly, r)
         if abs(dr) > 0:
-            step = pr / dr
+            step = np.polyval(poly, r) / dr
             if abs(step) < 0.5 * max(abs(r), 1.0):
                 r = r - step
-        residual = abs(np.polyval(poly, r))
-        slope = max(abs(np.polyval(dpoly, r)), 1e-300)
-        delta = residual / slope
-        mag = abs(r)
-        if mag > 1.0:
-            value += math.log(mag)
-            err += delta / mag
-            if mag - 1.0 < delta:
-                err += math.log(mag)
-        elif mag > 1.0 - delta - 1e-15:
-            # root within its uncertainty of the unit circle
-            err += delta + abs(math.log(max(mag, 1e-300)))
-    err += (degree + 1) * 4e-16 * (1.0 + abs(value))
+        roots.append(r)
+        if abs(r) > 1.0:
+            value += math.log(abs(r))
+    err = _jensen_error(poly, np.array(roots)) + (degree + 1) * 4e-16 * (1.0 + abs(value))
     return MahlerEstimate(
         value=value, error_bound=err, method="jensen", evaluations=len(roots)
     )
+
+
+def _jensen_error(poly: np.ndarray, roots: np.ndarray) -> float:
+    """Bound on |sum log+|z_i| - sum log+|alpha|| between the computed roots
+    z_i and the roots alpha of poly (leading coefficient first).
+
+    p / lead is the characteristic polynomial of diag(z) - W 1^T, W_i =
+    p(z_i) / (lead prod_{j != i} (z_i - z_j)), so by Gerschgorin's theorem
+    the roots lie in the discs |z - z_i| <= n |W_i|, k of them in each
+    connected component of k discs.  Both the k roots and the k z_i of a
+    component spanning the moduli [lo, hi] have log+ in [log+ lo, log+ hi]:
+    a cluster whose discs meet |z| = 1, as repeated roots there do, adds
+    at most k log hi.  Residuals carry their Horner rounding bound, and
+    Cauchy's bound 1 + max |a_j / lead| caps hi.
+    """
+    n = len(roots)
+    lead = abs(poly[0])
+    mags = np.abs(roots)
+    rounding = 2.0 * n * _UNIT_ROUNDOFF * np.polyval(np.abs(poly), mags)
+    residual = np.abs(np.polyval(poly, roots)) + rounding
+    gaps = np.abs(roots[:, None] - roots[None, :])
+    np.fill_diagonal(gaps, 1.0)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        radius = n * residual / (lead * np.prod(gaps, axis=1)) * (1.0 + 4.0 * n * _UNIT_ROUNDOFF)
+    radius = np.where(np.isfinite(radius), radius, np.inf)
+    # reach[i, j]: discs i and j lie in one connected component
+    reach = (gaps <= radius[:, None] + radius[None, :]) | np.eye(n, dtype=bool)
+    for _ in range(n.bit_length()):
+        reach = reach @ reach
+    cauchy = 1.0 + float(np.max(np.abs(poly[1:]))) / lead
+    hi = np.minimum(cauchy, np.where(reach, mags + radius, 0.0).max(axis=1))
+    lo = np.where(reach, mags - radius, np.inf).min(axis=1)
+    # each disc adds its component's width, so a component of k discs adds k
+    return float(np.sum(np.log(np.maximum(hi, 1.0)) - np.log(np.clip(lo, 1.0, None))))
 
 
 def mahler_quadrature(f: GroupRingElement, grid: int) -> MahlerEstimate:
@@ -213,7 +236,8 @@ def mahler_quadrature(f: GroupRingElement, grid: int) -> MahlerEstimate:
     ``grid`` must be an even number >= 4 so the half grid is a subgrid; the
     error bound is the observed change from the half grid plus a small
     float-roundoff floor.  Aborts with NearZeroError if any grid value of
-    |F| falls below 1e-14, which suggests f may vanish on the torus.
+    |F| falls below 1e-14 or below its evaluation error bound
+    (`_grid_error_bound`), which suggests f may vanish on the torus.
     """
     if f.is_zero:
         raise ValueError("Mahler measure of the zero element is undefined")
@@ -222,7 +246,7 @@ def mahler_quadrature(f: GroupRingElement, grid: int) -> MahlerEstimate:
     values = np.abs(_grid_values(f, grid))
     argmin = np.unravel_index(int(np.argmin(values)), values.shape)
     vmin = float(values[argmin])
-    if vmin < NEAR_ZERO_QUADRATURE:
+    if vmin < max(NEAR_ZERO_QUADRATURE, _grid_error_bound(f, grid)):
         witness = tuple(int(i) / grid for i in argmin)
         raise NearZeroError(
             f"|F| = {vmin:.3e} at grid point {witness}; "

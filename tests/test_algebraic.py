@@ -466,16 +466,22 @@ def test_torus_fix_count_singular_families():
 
 def test_torus_fix_count_zero_candidates_that_do_not_vanish():
     # a multiple of the first character prime is 0 mod that prime at every
-    # character, so every character is a candidate and only the exact test
-    # separates the true zeros
+    # character, and a multiple of the product P of the first three is 0
+    # mod each of them: every character is short of full rank there, and
+    # only the norm budget, which grows with the coefficients, separates
+    # the true zeros
     for n in (1, 5, 6, 12):
-        p = _character_primes(n, 1)[0]
-        sc = fix_count(GroupRingElement(1, {0: 2 * p, 1: -p}), torus_quotient([n]))
-        assert sc.value == p**n * (2**n - 1)
-        assert fix_count(GroupRingElement(1, {0: p, 1: -p}), torus_quotient([n])).nullity == 1
-    p = _character_primes(6, 1)[0]
-    f = GroupRingElement(2, {(0, 0): 4 * p, (1, 0): -p, (0, 1): -p, (-1, 0): -p, (0, -1): -p})
-    assert _assert_matches_oracle(f, torus_quotient([2, 3])).nullity == 1
+        primes = _character_primes(n, 3)
+        for p in (primes[0], math.prod(primes)):
+            sc = fix_count(GroupRingElement(1, {0: 2 * p, 1: -p}), torus_quotient([n]))
+            assert sc.value == p**n * (2**n - 1)
+            sc = fix_count(GroupRingElement(1, {0: p, 1: -p}), torus_quotient([n]))
+            assert (sc.value, sc.nullity) == (None, 1)
+    for p in (_character_primes(6, 1)[0], math.prod(_character_primes(6, 3))):
+        f = GroupRingElement(2, {(0, 0): 4 * p, (1, 0): -p, (0, 1): -p, (-1, 0): -p, (0, -1): -p})
+        assert _assert_matches_oracle(f, torus_quotient([2, 3])).nullity == 1
+        f = GroupRingElement(2, {(0, 0): 5 * p, (1, 0): -p, (0, 1): -p, (-1, 0): -p, (0, -1): -p})
+        assert _assert_matches_oracle(f, torus_quotient([2, 3])).is_finite
 
 
 def test_torus_fix_count_folds_to_zero():
@@ -512,6 +518,114 @@ def test_torus_fix_count_rank_mismatch_and_guard():
         fix_count(parse_laurent("3 - x", 1), torus_quotient([2, 2]))
     with pytest.raises(ResourceGuardError):
         fix_count(parse_laurent("x - 2", 1), torus_quotient([2000]), limit=10**6)
+
+
+def _drawn_primes(monkeypatch):
+    """A list that records every prime the split draws, via _root_powers."""
+    drawn = []
+    real = algebraic._root_powers
+
+    def spy(m, primes):
+        drawn.extend(primes)
+        return real(m, primes)
+
+    monkeypatch.setattr(algebraic, "_root_powers", spy)
+    return drawn
+
+
+def _count_drawn(drawn, f, q):
+    drawn.clear()
+    sc = fix_count(f, q)
+    return sc, len(drawn)
+
+
+def test_split_prime_counts(monkeypatch):
+    drawn = _drawn_primes(monkeypatch)
+    # a nonsingular quotient draws exactly the determinant's budget
+    rng = random.Random(163)
+    nonsingular = 0
+    for i in range(90):
+        f, q = _random_torus_case(rng, 1 + i % 3, balanced=False)
+        if f.is_zero:
+            continue
+        sc, count = _count_drawn(drawn, f, q)
+        if sc.is_finite:
+            squares = sum(c * c for c in q.split_plan(f).coeffs)
+            assert count == algebraic._crt_prime_count(squares**q.size), (f.render(), q.label)
+            nonsingular += 1
+    assert nonsingular >= 50
+    # a singular one draws only its short blocks' norm budget: 8 for the
+    # Laplacian's trivial character, 3^2 for the order-3 characters of 1 + x + x^2
+    laplacian = parse_laurent("4 - x - x^-1 - y - y^-1", 2)
+    for n in range(2, 13):
+        sc, count = _count_drawn(drawn, laplacian, torus_quotient([n, n]))
+        assert (sc.nullity, count) == (1, 1), n
+    cubic = parse_laurent("1 + x + x^2", 1)
+    for j in range(1, 35):
+        sc, count = _count_drawn(drawn, cubic, torus_quotient([3 * j]))
+        assert (sc.nullity, count) == (2, 1), j
+    # SL(2,7), d = 336 in 14 blocks of 24: the singular Laplacian's short
+    # block is trivial, with budget 8^24 < 2^90, three primes; its
+    # determinant would need 25, and lambda = 5 draws its 28
+    table, a, b = sl2_table(7)
+    q = ExplicitQuotient(table, {"a": a, "b": b}, "SL(2,7)")
+    for lam, want in ((4, 3), (5, 28)):
+        f = GroupRingElement(
+            0, {parse_word(w): -1 for w in ("a", "a^-1", "b", "b^-1")} | {(): lam}
+        )
+        sc, count = _count_drawn(drawn, f, q)
+        assert count == want
+        assert count <= algebraic._crt_prime_count((lam * lam + 4) ** 336)
+        assert sc.is_finite == (lam == 5)
+
+
+def _abelian_pair(moduli, rng):
+    """The same abelian group as a torus quotient and as an explicit table
+    relabelled at random, with x and y mapped to its generators."""
+    q = torus_quotient(moduli)
+    d = q.size
+    rank = len(moduli)
+    table = [[q.index(_add(q.exponent(i), q.exponent(j), rank)) for j in range(d)] for i in range(d)]
+    perm = list(range(d))
+    rng.shuffle(perm)
+    names = "xy"[:rank]
+    units = [q.index(1 if rank == 1 else tuple(int(i == l) for i in range(rank))) for l in range(rank)]
+    images = {names[l]: perm[units[l]] for l in range(rank)}
+    return q, ExplicitQuotient(relabel_table(table, perm), images, f"table {q.label}")
+
+
+def _add(u, v, rank):
+    if rank == 1:
+        return u + v
+    return tuple(a + b for a, b in zip(u, v))
+
+
+def test_one_route_across_quotient_families():
+    rng = random.Random(167)
+    singular = 0
+    for moduli in ([6], [12], [2, 4], [3, 3]):
+        tq, eq = _abelian_pair(moduli, rng)
+        rank = len(moduli)
+        for i in range(25):
+            terms = {}
+            for _ in range(rng.randint(1, 5)):
+                exp = tuple(rng.randint(-3, 3) for _ in range(rank))
+                terms[exp] = terms.get(exp, 0) + rng.randint(-4, 4)
+            if i % 3 == 0:
+                # coefficient sum 0: the trivial character vanishes
+                key = next(iter(terms))
+                terms[key] -= sum(terms.values())
+            f = GroupRingElement(rank, {(e[0] if rank == 1 else e): c for e, c in terms.items()})
+            word = GroupRingElement(
+                0,
+                {tuple((g, x) for g, x in zip("xy", e) if x): c for e, c in terms.items()},
+            )
+            if f.is_zero:
+                continue
+            got, want = fix_count(word, eq), fix_count(f, tq)
+            assert (got.value, got.nullity) == (want.value, want.nullity), (moduli, terms)
+            singular += not want.is_finite
+    assert singular >= 30
 
 
 def test_character_prime_supply_is_finite():
@@ -622,19 +736,36 @@ def test_split_fix_count_huge_coefficients():
 
 def test_split_fix_count_prime_multiple_coefficients():
     # multiples of the first split prime vanish modulo it, so the blocks
-    # need other pivots (and row swaps) there than modulo the other primes
+    # need other pivots (and row swaps) there than modulo the other primes;
+    # a multiple of the product P of the first three primes makes every
+    # block 0 modulo each of them, and only the norm budget finds the rank
     rng = random.Random(101)
     for q, gens in _explicit_quotients(rng):
         if q.size > 24:
             continue
         k = max(_order(q, x) for x in range(q.size))
         p = _character_primes(k, 1)[0]
+        product = math.prod(_character_primes(k, 3))
         a, b = gens[0], gens[-1]
         for terms in (
             {(): 2 * p, ((a, 1),): -p, ((b, 1), (a, 1)): 1},
             {(): p, ((a, -1),): 3 * p, ((b, 2),): -1, ((a, 1), (b, 1)): 2},
+            {(): 2 * product, ((a, 1),): -product},
+            {(): product, ((a, 1),): -product},
         ):
             _assert_matches_oracle(GroupRingElement(0, terms), q)
+    for q, gens in _explicit_quotients(rng):
+        if q.label not in ("S3", "SL(2,3)"):
+            continue
+        k = max(_order(q, x) for x in range(q.size))
+        product = math.prod(_character_primes(k, 3))
+        a = gens[0]
+        order = _order(q, q.index(((a, 1),)))
+        sc = fix_count(GroupRingElement(0, {(): 2 * product, ((a, 1),): -product}), q)
+        # P (2 - a) is P times a circulant 2 - shift on each right coset of <a>
+        assert sc.value == product**q.size * (2**order - 1) ** (q.size // order)
+        sc = fix_count(GroupRingElement(0, {(): product, ((a, 1),): -product}), q)
+        assert (sc.value, sc.nullity) == (None, q.size // order)
 
 
 def test_split_fix_count_agrees_with_fk_determinant_and_guard():
@@ -753,24 +884,37 @@ def test_singular_explicit_nullity_battery():
     assert max(nullities) == 120
 
 
-def test_split_nullity_when_a_prime_drops_rank():
-    # f = (1 - a)(p + 1 - b) for the first split prime p: over Q the second
-    # factor is invertible, so the nullity is that of 1 - a, d / ord(a);
-    # modulo p, f is (1 - a)(1 - b), of lower rank, so only the largest
-    # rank over the primes is the rank over Q
+def test_split_nullity_when_a_prime_drops_rank(monkeypatch):
+    # f = (1 - a)(p + 1 - b) for a split prime p: over Q the second factor
+    # is invertible, so the nullity is that of 1 - a, d / ord(a); modulo p,
+    # f is (1 - a)(1 - b), of lower rank, so only the largest rank over the
+    # primes is the rank over Q.  p is the first prime, and then, with one
+    # prime per chunk, the last one drawn (every such p has 31 bits, so the
+    # budgets, and the primes drawn, do not depend on which)
+    drawn = _drawn_primes(monkeypatch)
     rng = random.Random(157)
     for q, gens in _explicit_quotients(rng):
         if q.label.startswith("C") or q.size > 24:
             continue
         a, b = gens[0], gens[-1]
         k = max(_order(q, x) for x in range(q.size))
-        p = _character_primes(k, 1)[0]
-        f = _ring_mul(
-            GroupRingElement(0, {(): 1, ((a, 1),): -1}),
-            GroupRingElement(0, {(): p + 1, ((b, 1),): -1}),
-        )
-        want = _assert_matches_oracle(f, q)
-        assert want.nullity == q.size // _order(q, q.index(((a, 1),)))
+
+        def times_one_minus_a(p):
+            return _ring_mul(
+                GroupRingElement(0, {(): 1, ((a, 1),): -1}),
+                GroupRingElement(0, {(): p + 1, ((b, 1),): -1}),
+            )
+
+        first = _character_primes(k, 1)[0]
+        with monkeypatch.context() as one_prime_chunks:
+            one_prime_chunks.setattr(algebraic, "_CHAR_BLOCK", 1)
+            _count_drawn(drawn, times_one_minus_a(first), q)
+            last = drawn[-1]
+            assert len(drawn) > 1
+            for p in (first, last):
+                want = _assert_matches_oracle(times_one_minus_a(p), q)
+                assert want.nullity == q.size // _order(q, q.index(((a, 1),)))
+                assert drawn[-1] == last
 
 
 def test_singular_sl2_7_laplacian_nullity(monkeypatch):

@@ -60,6 +60,58 @@ def test_jensen_degree_cap():
         mahler_jensen(f)
 
 
+def _mp_mahler(ascending, mp):
+    """log M of a polynomial with simple roots, from mpmath roots at 80 digits."""
+    mp.mp.dps = 80
+    roots = mp.polyroots(ascending[::-1], maxsteps=200, extraprec=200)
+    return mp.log(abs(ascending[-1])) + sum(mp.log(abs(r)) for r in roots if abs(r) > 1)
+
+
+def _poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def test_jensen_bound_holds_against_mpmath_battery():
+    # repeated roots on |z| = 1 defeat a per-root residual bound (the
+    # reproducer 5 - 7x - 3x^2 + 7x^3 - 2x^4 = (1 - x)^2 (5 + 3x - 2x^2) was
+    # off by 6.5e-9 under a bound of 5.5e-15); M is multiplicative, so each
+    # product is checked against the sum of its factors' mpmath values
+    mp = pytest.importorskip("mpmath")
+    factors = {
+        "1 - x": ([1, -1], 1),
+        "(1 - x)^2": ([1, -1], 2),
+        "(1 - x)^3": ([1, -1], 3),
+        "1 + x + x^2": ([1, 1, 1], 1),
+        "1 + x^2": ([1, 0, 1], 1),
+        "(1 - x)(2 - x)": ([2, -3, 1], 1),
+        "Lehmer": ([1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1], 1),
+    }
+    factor_values = {name: power * _mp_mahler(h, mp) for name, (h, power) in factors.items()}
+    rng = random.Random(191)
+    cases = [([5, -7, -3, 7, -2], mp.log(5), "reproducer")]
+    for i in range(250):
+        g = [rng.randint(-9, 9) for _ in range(rng.randint(2, 7))]
+        g[0], g[-1] = g[0] or 1, g[-1] or -1
+        name = None if i % 4 == 0 else rng.choice(sorted(factors))
+        ascending, want = g, _mp_mahler(g, mp)
+        if name:
+            h, power = factors[name]
+            for _ in range(power):
+                ascending = _poly_mul(ascending, h)
+            want += factor_values[name]
+        cases.append((ascending, want, name))
+    seen = set()
+    for ascending, want, name in cases:
+        est = mahler_jensen(GroupRingElement(1, {e: c for e, c in enumerate(ascending) if c}))
+        assert abs(mp.mpf(est.value) - want) <= est.error_bound, (name, ascending)
+        seen.add(name)
+    assert seen == set(factors) | {None, "reproducer"}
+
+
 # ---------------------------------------------------------------------------
 # quadrature
 
@@ -94,6 +146,14 @@ def test_quadrature_near_zero_aborts():
     assert info.value.witness == (0.0,)
     with pytest.raises(NearZeroError):
         mahler_quadrature(parse_laurent("4 - x - x^-1 - y - y^-1", 2), 64)
+    # min |F| = 1.75e-9 on this grid is rounding noise at exact zeros: it is
+    # above the absolute 1e-14 floor but below the evaluation error bound
+    f = parse_laurent("-5124073 - 10399369*x + 6882505*x^-1 + 8640937*x^2", 2)
+    values = np.abs(spectral._grid_values(f, 30))
+    assert spectral.NEAR_ZERO_QUADRATURE < values.min() < spectral._grid_error_bound(f, 30)
+    with pytest.raises(NearZeroError):
+        mahler_quadrature(f, 30)
+    assert certify_invertible_torus(f, 30).verdict == "not_invertible_suspected"
 
 
 def test_quadrature_grid_validation():
