@@ -34,7 +34,6 @@ prime at which the block loses rank divides it.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
@@ -61,13 +60,6 @@ __all__ = [
 ]
 
 LOG2 = math.log(2.0)
-
-
-def csv_field(value: str) -> str:
-    """Quote a free-text CSV field only when it needs it (stable format)."""
-    if any(c in value for c in ",\"\n"):
-        return '"' + value.replace('"', '""') + '"'
-    return value
 
 
 def _check_quotient(f: GroupRingElement, q: Quotient, limit: Optional[int]) -> None:
@@ -510,45 +502,10 @@ class EntropyTrace:
     caveats: List[str] = field(default_factory=list)
 
     @property
-    def final_h(self) -> Optional[float]:
-        return self.records[-1].h_n if self.records else None
-
-    @property
     def residual(self) -> Optional[float]:
         if self.reference_value is None or not self.records:
             return None
         return abs(self.records[-1].h_n - self.reference_value)
-
-    def to_csv(self) -> str:
-        lines = ["label,d,log_fix_count,h_n"]
-        for r in self.records:
-            lines.append(f"{csv_field(r.label)},{r.d},{r.log_fix_count!r},{r.h_n!r}")
-        return "\n".join(lines) + "\n"
-
-    def to_json_obj(self) -> dict:
-        obj = {
-            "f_description": self.f_description,
-            "reference_value": self.reference_value,
-            "records": [
-                {
-                    "label": r.label,
-                    "d": r.d,
-                    "log_fix_count": r.log_fix_count,
-                    "h_n": r.h_n,
-                }
-                for r in self.records
-            ],
-            "skipped": [
-                {"label": s.label, "d": s.d, "nullity": s.nullity}
-                for s in self.skipped
-            ],
-        }
-        if self.caveats:
-            obj["caveats"] = list(self.caveats)
-        return obj
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), indent=2) + "\n"
 
 
 def entropy_trace(

@@ -15,19 +15,27 @@ sofic-check  multiplicativity and freeness defects of quotient-induced
 Exit codes: 0 success, 2 invalid input, 3 non-invertible input (report is
 still written), 4 resource guard tripped.
 
-Reports are deterministic: identical configurations produce byte-identical
-CSV or JSON output.
+Every report comes from one renderer, ``_render``, and is deterministic:
+identical configurations produce byte-identical output.  CSV carries the
+main table only: a header, then one line per row, where an empty cell is a
+missing value, a number is written by ``repr`` and free text is quoted only
+when it holds a comma, a double quote or a newline.  JSON is the whole
+report as an object with ``indent=2``: the same table plus, by subcommand,
+the skipped quotients, the caveats (only when there are any), the
+invertibility certificate, the residual or the SFT echo.  In it ``null``
+stands for a missing value or, in a table row, a non-finite float.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
+from dataclasses import asdict
 from typing import List, Optional, Sequence, Tuple
 
 from . import algebraic, spectral, subshift as subshift_mod
-from .algebraic import csv_field
 from .groups import (
     ExplicitQuotient,
     GroupRingElement,
@@ -270,16 +278,38 @@ def _write_report(text: str, out: Optional[str]):
         sys.stdout.write(text)
 
 
-def _certificate_obj(cert: spectral.InvertibilityCertificate) -> dict:
-    return {
-        "verdict": cert.verdict,
-        "grid": cert.grid,
-        "lipschitz_bound": cert.lipschitz_bound,
-        "min_abs": cert.min_abs,
-        "min_abs_lower_bound": cert.min_abs_lower_bound,
-        "witness": list(cert.witness) if cert.witness is not None else None,
-        "witness_abs": cert.witness_abs,
-    }
+def _json_cell(value):
+    return None if isinstance(value, float) and not math.isfinite(value) else value
+
+
+def _csv_cell(value) -> str:
+    if value is None:
+        return ""
+    if not isinstance(value, str):
+        return repr(value)
+    if "," in value or '"' in value or "\n" in value:
+        return '"' + value.replace('"', '""') + '"'
+    return value
+
+
+def _render(fmt: str, obj: dict, table: str, columns: Sequence[str]) -> str:
+    """The report of ``obj``, whose ``table`` entry lists the rows as dicts.
+
+    JSON writes all of ``obj`` in its key order, each row cut to
+    ``columns`` and a non-finite float in a row written as null.  CSV
+    writes the table only: the header ``columns``, then one line per row.
+    Cells must be Python numbers, strings or None: ``repr`` of a numpy
+    scalar is not its value's text.  Dataclass rows come as ``vars(row)``:
+    their cells are flat, and ``asdict`` would deep-copy each one, which
+    costs more than the rest of the rendering of a long subshift table.
+    """
+    if fmt == "json":
+        rows = [{c: _json_cell(row[c]) for c in columns} for row in obj[table]]
+        return json.dumps({**obj, table: rows}, indent=2) + "\n"
+    lines = [",".join(columns)]
+    for row in obj[table]:
+        lines.append(",".join([_csv_cell(row[c]) for c in columns]))
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -323,13 +353,17 @@ def run_algebraic(args) -> int:
 
     trace = algebraic.entropy_trace(f, quotients, reference=reference)
 
-    if args.format == "json":
-        obj = trace.to_json_obj()
-        obj["certificate"] = _certificate_obj(certificate) if certificate else None
-        obj["residual"] = trace.residual
-        report = json.dumps(obj, indent=2) + "\n"
-    else:
-        report = trace.to_csv()
+    obj = {
+        "f_description": trace.f_description,
+        "reference_value": trace.reference_value,
+        "records": [vars(r) for r in trace.records],
+        "skipped": [vars(r) for r in trace.skipped],
+    }
+    if trace.caveats:
+        obj["caveats"] = trace.caveats
+    obj["certificate"] = asdict(certificate) if certificate is not None else None
+    obj["residual"] = trace.residual
+    report = _render(args.format, obj, "records", ("label", "d", "log_fix_count", "h_n"))
     _write_report(report, args.out)
 
     summary = sys.stdout if args.out else sys.stderr
@@ -370,7 +404,8 @@ def run_subshift(args) -> int:
     if any(b < 0 for b in budgets):
         raise ConfigError("budgets must be >= 0")
     table = subshift_mod.subshift_entropy_table(sft, lengths, budgets)
-    report = table.to_json() if args.format == "json" else table.to_csv()
+    obj = {"sft": sft.to_json_obj(), "rows": [vars(r) for r in table.rows]}
+    report = _render(args.format, obj, "rows", ("n", "budget", "count", "h_n", "method"))
     _write_report(report, args.out)
     return EXIT_OK
 
@@ -394,31 +429,13 @@ def run_mahler(args) -> int:
         pass
     certificate = spectral.certify_invertible_torus(f, grid)
 
-    if args.format == "json":
-        obj = {
-            "poly": f.render(),
-            "estimates": [
-                {
-                    "method": e.method,
-                    "value": e.value,
-                    "error_bound": e.error_bound,
-                    "evaluations": e.evaluations,
-                    "grid": e.grid,
-                }
-                for e in estimates
-            ],
-            "certificate": _certificate_obj(certificate),
-        }
-        report = json.dumps(obj, indent=2) + "\n"
-    else:
-        lines = ["method,value,error_bound,evaluations,grid"]
-        for e in estimates:
-            grid_field = "" if e.grid is None else str(e.grid)
-            lines.append(
-                f"{e.method},{e.value!r},{e.error_bound!r},{e.evaluations},{grid_field}"
-            )
-        report = "\n".join(lines) + "\n"
-    _write_report(report, args.out)
+    obj = {
+        "poly": f.render(),
+        "estimates": [vars(e) for e in estimates],
+        "certificate": asdict(certificate),
+    }
+    columns = ("method", "value", "error_bound", "evaluations", "grid")
+    _write_report(_render(args.format, obj, "estimates", columns), args.out)
 
     summary = sys.stdout if args.out else sys.stderr
     for e in estimates:
@@ -460,16 +477,8 @@ def run_sofic_check(args) -> int:
                 }
             )
 
-    if args.format == "json":
-        report = json.dumps({"group": args.group, "rows": rows}, indent=2) + "\n"
-    else:
-        lines = ["label,d,s,t,multiplicative_defect,freeness_defect"]
-        for r in rows:
-            lines.append(
-                f"{csv_field(r['label'])},{r['d']},{csv_field(r['s'])},{csv_field(r['t'])},"
-                f"{r['multiplicative_defect']!r},{r['freeness_defect']!r}"
-            )
-        report = "\n".join(lines) + "\n"
+    columns = ("label", "d", "s", "t", "multiplicative_defect", "freeness_defect")
+    report = _render(args.format, {"group": args.group, "rows": rows}, "rows", columns)
     _write_report(report, args.out)
     return EXIT_OK
 

@@ -840,15 +840,6 @@ class SoficMap:
         except KeyError:
             raise ValueError(f"no permutation stored for element {key!r}") from None
 
-    def inverse_perm(self, elem) -> np.ndarray:
-        p = self.perm(elem)
-        inv = np.empty(self.d, dtype=np.int64)
-        inv[p] = np.arange(self.d, dtype=np.int64)
-        return inv
-
-    def elements(self) -> list:
-        return list(self.perms)
-
 
 def sofic_map_from_quotient(q: Quotient, elems: Iterable) -> SoficMap:
     """Left-translation permutations of the listed ambient elements on G/Gn.

@@ -352,7 +352,7 @@ def _pulled_back_checks(sft: SubshiftSFT, sigma: SoficMap, constraints) -> list:
     checks = []
     for t in candidates:
         if all((t + w) in cset for w in window):
-            checks.append([sigma.inverse_perm(t + w) for w in window])
+            checks.append([np.argsort(sigma.perm(t + w)) for w in window])
     return checks
 
 
@@ -470,30 +470,6 @@ class SubshiftEntropyTable:
 
     sft: SubshiftSFT
     rows: List[TableRow] = field(default_factory=list)
-
-    def to_csv(self) -> str:
-        lines = ["n,budget,count,h_n,method"]
-        for r in self.rows:
-            lines.append(f"{r.n},{r.budget},{r.count},{r.h_n!r},{r.method}")
-        return "\n".join(lines) + "\n"
-
-    def to_json_obj(self) -> dict:
-        return {
-            "sft": self.sft.to_json_obj(),
-            "rows": [
-                {
-                    "n": r.n,
-                    "budget": r.budget,
-                    "count": r.count,
-                    "h_n": r.h_n if math.isfinite(r.h_n) else None,
-                    "method": r.method,
-                }
-                for r in self.rows
-            ],
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), indent=2) + "\n"
 
 
 def subshift_entropy_table(

@@ -1065,20 +1065,25 @@ def test_trace_rank3_and_rank4_paths():
     assert abs(h - reference4) < 1e-3
 
 
-def test_trace_serialization_stable():
-    f = parse_laurent("x - 2", 1)
-    quotients = [torus_quotient([n]) for n in (1, 2, 3)]
-    trace = entropy_trace(f, quotients)
-    csv_text = trace.to_csv()
+def test_trace_serialization_stable(capsys):
+    from sofic.cli import main
+
+    argv = ["algebraic", "--group", "Z", "--poly", "x - 2", "--quotients", "1..3"]
+
+    def report(fmt):
+        main(argv + ["--format", fmt])
+        return capsys.readouterr().out
+
+    csv_text = report("csv")
     lines = csv_text.strip().split("\n")
     assert lines[0] == "label,d,log_fix_count,h_n"
     assert lines[1] == "Z/1,1,0.0,0.0"
     assert len(lines) == 4
-    obj = json.loads(trace.to_json())
+    json_text = report("json")
+    obj = json.loads(json_text)
     assert obj["f_description"] == "-2 + x"
     assert [r["d"] for r in obj["records"]] == [1, 2, 3]
     assert obj["skipped"] == []
     # byte-identical on recompute
-    again = entropy_trace(f, quotients)
-    assert again.to_csv() == csv_text
-    assert again.to_json() == trace.to_json()
+    assert report("csv") == csv_text
+    assert report("json") == json_text

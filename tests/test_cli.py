@@ -390,20 +390,63 @@ def test_reports_are_byte_identical(tmp_path):
         assert first.read_bytes() == second.read_bytes()
 
 
-def test_csv_json_numeric_fields_agree(tmp_path):
-    base = ["algebraic", "--group", "Z", "--poly", "3 - x - x^-1", "--quotients", "1..8"]
+ALTERNATING_JSON = json.dumps(
+    {"alphabet": [0, 1], "window": [0, 1], "allowed": [[0, 1], [1, 0]]}
+)
+
+AGREEMENT_CASES = {
+    "algebraic": (
+        ["algebraic", "--group", "Z", "--poly", "3 - x - x^-1", "--quotients", "1..8"],
+        "records",
+    ),
+    # odd cycles have no labeling: h_n is -inf in CSV and null in JSON
+    "subshift": (
+        ["subshift", "--sft", "{alternating}", "--quotients", "1..5", "--budget", "0,1"],
+        "rows",
+    ),
+    # the Jensen row has no grid: an empty cell and null
+    "mahler": (["mahler", "--group", "Z", "--poly", "3 - x - x^-1", "--grid", "256"],
+               "estimates"),
+    # the label needs quoting in CSV
+    "sofic-check": (
+        ["sofic-check", "--group", "file:{chain}", "--elements", "a;a^2;a^6"],
+        "rows",
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(AGREEMENT_CASES))
+def test_csv_json_numeric_fields_agree(tmp_path, command):
+    import csv
+    import io
+
+    paths = {"alternating": tmp_path / "alternating.json", "chain": tmp_path / "chain.json"}
+    paths["alternating"].write_text(ALTERNATING_JSON, encoding="utf-8")
+    paths["chain"].write_text(
+        json.dumps({"quotients": [
+            {"label": "C5, a -> 1", "table": cyclic_table(5), "images": {"a": 1}}
+        ]}),
+        encoding="utf-8",
+    )
+    template, table = AGREEMENT_CASES[command]
+    base = [arg.format(**paths) for arg in template]
     csv_out = tmp_path / "t.csv"
     json_out = tmp_path / "t.json"
     assert main(base + ["--format", "csv", "--out", str(csv_out)]) == 0
     assert main(base + ["--format", "json", "--out", str(json_out)]) == 0
-    csv_rows = _csv_rows(_read(csv_out))
-    json_rows = json.loads(_read(json_out))["records"]
-    assert len(csv_rows) == len(json_rows)
+    reader = csv.DictReader(io.StringIO(_read(csv_out), newline=""))
+    csv_rows = list(reader)
+    json_rows = json.loads(_read(json_out))[table]
+    assert csv_rows and len(csv_rows) == len(json_rows)
     for c, j in zip(csv_rows, json_rows):
-        assert c["label"] == j["label"]
-        assert int(c["d"]) == j["d"]
-        assert c["log_fix_count"] == repr(j["log_fix_count"])
-        assert c["h_n"] == repr(j["h_n"])
+        assert list(c) == list(j) == reader.fieldnames
+        for column, value in j.items():
+            if value is None:
+                assert c[column] in (("", "-inf") if column == "h_n" else ("",)), column
+            elif isinstance(value, str):
+                assert c[column] == value, column
+            else:
+                assert c[column] == repr(value), column
 
 
 def test_stdout_report_when_no_out(capsys):

@@ -563,7 +563,17 @@ def test_entropy_table_inserts_zero_budget():
     assert budgets == [0, 2]
 
 
-def test_entropy_table_zero_count_row():
+def _table_report(sft, tmp_path, capsys, quotients, fmt):
+    from sofic.cli import main
+
+    path = tmp_path / "sft.json"
+    path.write_text(json.dumps(sft.to_json_obj()), encoding="utf-8")
+    assert main(["subshift", "--sft", str(path), "--quotients", quotients,
+                 "--budget", "0", "--format", fmt]) == 0
+    return capsys.readouterr().out
+
+
+def test_entropy_table_zero_count_row(tmp_path, capsys):
     # alternating shift has no odd cycles
     sft = SubshiftSFT(alphabet=(0, 1), window=(0, 1), allowed=frozenset({(0, 1), (1, 0)}))
     table = subshift_entropy_table(sft, [3, 4], [0])
@@ -571,7 +581,7 @@ def test_entropy_table_zero_count_row():
     assert by_n[3].count == 0
     assert by_n[3].h_n == float("-inf")
     assert by_n[4].count == 2
-    obj = table.to_json_obj()
+    obj = json.loads(_table_report(sft, tmp_path, capsys, "3..4", "json"))
     h_values = {r["n"]: r["h_n"] for r in obj["rows"]}
     assert h_values[3] is None
 
@@ -590,14 +600,13 @@ def test_entropy_table_general_window_method():
     assert all(row.method == "exact_enumeration" for row in table.rows)
 
 
-def test_entropy_table_serialization():
-    table = subshift_entropy_table(golden_mean(), [4, 5], [0])
-    csv_text = table.to_csv()
+def test_entropy_table_serialization(tmp_path, capsys):
+    csv_text = _table_report(golden_mean(), tmp_path, capsys, "4..5", "csv")
     lines = csv_text.strip().split("\n")
     assert lines[0] == "n,budget,count,h_n,method"
     assert lines[1].startswith("4,0,7,")
     assert lines[2].startswith("5,0,11,")
-    obj = json.loads(table.to_json())
+    obj = json.loads(_table_report(golden_mean(), tmp_path, capsys, "4..5", "json"))
     assert obj["rows"][0]["count"] == 7
     assert obj["sft"]["alphabet"] == [0, 1]
 
