@@ -352,6 +352,7 @@ def _pulled_back_checks(sft: SubshiftSFT, sigma: SoficMap, constraints) -> list:
     checks = []
     for t in candidates:
         if all((t + w) in cset for w in window):
+            # argsort of a permutation is its inverse
             checks.append([np.argsort(sigma.perm(t + w)) for w in window])
     return checks
 

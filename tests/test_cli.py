@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 
@@ -417,9 +419,6 @@ AGREEMENT_CASES = {
 
 @pytest.mark.parametrize("command", sorted(AGREEMENT_CASES))
 def test_csv_json_numeric_fields_agree(tmp_path, command):
-    import csv
-    import io
-
     paths = {"alternating": tmp_path / "alternating.json", "chain": tmp_path / "chain.json"}
     paths["alternating"].write_text(ALTERNATING_JSON, encoding="utf-8")
     paths["chain"].write_text(
