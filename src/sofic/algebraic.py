@@ -17,13 +17,20 @@ Every count is exact over arbitrary-precision integers, by one route for
 every quotient, which never builds M.  Right translation by an abelian
 subgroup A commutes with M, so modulo a prime p = 1 (mod exp A) M is
 similar to |A| blocks of size d/|A|, one per character of A (Serre,
-Linear Representations of Finite Groups, ch. 7).  Each quotient supplies
+Linear Representations of Finite Groups, ch. 7).  Right translation by
+an n in the normaliser of A commutes with M too and carries the block of
+chi to that of chi^n, chi^n(a) = chi(n^-1 a n), so one block per orbit of
+characters is built, its determinant counted once per character of the
+orbit (Mackey-Clifford theory; Serre, chs. 7-8).  Each quotient supplies
 the split plan: a torus quotient takes A = G, one coset and 1 x 1 blocks,
 the characters' values F(chi) = sum_c fhat[c] chi(c) (the periodic-point
-formula of Lind-Schmidt-Ward); an explicit quotient takes A = <g>, g of
-maximal order.  All blocks for a chunk of primes in (2^30, 2^31) are
-eliminated in one batched int64 pass that gives each block's determinant
-and rank.  The product of the determinants is lifted by CRT against
+formula of Lind-Schmidt-Ward); an explicit quotient grows A greedily from
+an element of maximal order, so an abelian table gets A = G too, while
+SL(2, Z/p) keeps its own centraliser, A = <-u> of order 2p, whose 2p
+characters fall into 6 orbits.  All blocks for a chunk of primes in
+(2^30, 2^31) are eliminated in one batched int64 pass that gives each
+block's determinant and rank.  The product of the determinants is lifted
+by CRT against
 Hadamard's bound: every row of M is a permutation of fhat, so
 (det M)^2 <= (sum_c fhat[c]^2)^d.  When det M = 0 the same elimination
 gives the nullity d - rank M, each block's rank certified by a norm bound:
@@ -343,9 +350,12 @@ def _split_det(plan: SplitPlan) -> tuple:
 
         B_j[i][cols[t, i]] += fhat[c_t] chi_j(coords[t, i]),
 
-    so det M = prod_j det B_j and rank_p M = sum_j rank_p B_j.  Every block
-    of a chunk of primes is eliminated at once; a 1 x 1 block is its own
-    determinant.
+    so det M = prod_j det B_j and rank_p M = sum_j rank_p B_j.  The blocks
+    of one orbit of the normaliser are similar, over Z[omega] and modulo
+    every prime, so only the plan's orbit representatives are built, and
+    each one's determinant and rank count once per character of its orbit.
+    Every block of a chunk of primes is eliminated at once, the chunk sized
+    by the blocks built; a 1 x 1 block is its own determinant.
 
     The rank is certified block by block.  The entries of B_j lie in
     Z[zeta_o], o = k / gcd(k, the exponents of omega in B_j) (a divisor of
@@ -356,7 +366,8 @@ def _split_det(plan: SplitPlan) -> tuple:
     every prime with rank_p B_j < R divides N(D).  So rank B_j = max_p
     rank_p B_j once the primes' product exceeds l1^(m phi(o)); the
     determinant's primes certify every minor of M too, so the smaller
-    budget suffices.
+    budget suffices.  Each orbit representative keeps its own budget, as
+    similar blocks have equal rank at every prime.
 
     The first primes meet the budget of phi = 1, the least any block can
     need.  While some block has been short of full rank at every prime so
@@ -370,13 +381,14 @@ def _split_det(plan: SplitPlan) -> tuple:
         return 0, 0
     moduli = plan.moduli
     k = math.lcm(*moduli)
-    size_a = math.prod(moduli)
     terms, m = plan.cols.shape
-    d = size_a * m
-    chars = np.indices(moduli, dtype=np.int64).reshape(len(moduli), -1).T
+    d = math.prod(moduli) * m
+    chars = np.indices(moduli, dtype=np.int64).reshape(len(moduli), -1).T[plan.orbit_reps]
+    orbits = len(chars)
     scaled = plan.coords * [k // n for n in moduli]
-    # expo[j, t, i]: chi_j at the A-coordinates of c_t^-1 r_i, as a power of omega
-    expo = (chars @ scaled.reshape(-1, len(moduli)).T % k).reshape(size_a, terms, m)
+    # expo[j, t, i]: chi_j at the A-coordinates of c_t^-1 r_i, as a power of
+    # omega, for the orbit representatives chi_j
+    expo = (chars @ scaled.reshape(-1, len(moduli)).T % k).reshape(orbits, terms, m)
     # entry (i, cols[t, i]) of a flattened m x m block; a term with
     # cols[t, i] = i for every i (every term on a torus) adds to the diagonal,
     # a strided view of the block
@@ -391,7 +403,7 @@ def _split_det(plan: SplitPlan) -> tuple:
     best = 0
     full = False
     phi = 1  # the largest phi(o) of a short block; 1 before any prime
-    block = max(1, _CHAR_BLOCK // (d * m))
+    block = max(1, _CHAR_BLOCK // (orbits * m * m))
     while True:
         # n primes above 2^30 have a product above 2^(30 n)
         need = det_need if full else min(det_need, -(-(l1 ** (m * phi)).bit_length() // 30))
@@ -402,7 +414,7 @@ def _split_det(plan: SplitPlan) -> tuple:
         mods3 = mods[:, None, None]
         powers = _root_powers(k, chunk)
         weights = np.array([[c % p for p in chunk] for c in coeffs], dtype=np.int64)
-        blocks = np.zeros((len(chunk), size_a, m * m), dtype=np.int64)
+        blocks = np.zeros((len(chunk), orbits, m * m), dtype=np.int64)
         for t, weight in enumerate(weights[:, :, None, None]):
             part = powers[:, expo[:, t]] * weight % mods3
             if diagonal[t]:
@@ -414,20 +426,22 @@ def _split_det(plan: SplitPlan) -> tuple:
             # a 1 x 1 block is its own determinant, of rank 1 unless it is 0
             dets, ranks = blocks, blocks != 0
         else:
-            dets, ranks = _det_mod_batched(blocks.reshape(-1, m, m), np.repeat(mods, size_a))
+            dets, ranks = _det_mod_batched(blocks.reshape(-1, m, m), np.repeat(mods, orbits))
         primes += chunk
         if not full:
-            best = np.maximum(best, ranks.reshape(len(chunk), size_a).max(axis=0))
+            best = np.maximum(best, ranks.reshape(len(chunk), orbits).max(axis=0))
             short = np.flatnonzero(best < m)
             full = not short.size
         if full:
-            residues += _row_products(dets.reshape(len(chunk), size_a), chunk)
+            # a block's determinant once for every character of its orbit
+            dets = np.repeat(dets.reshape(len(chunk), orbits), plan.orbit_sizes, axis=1)
+            residues += _row_products(dets, chunk)
         else:
             # a block short of full rank at every prime so far has det 0 there
             residues += [0] * len(chunk)
             phi = max(_totient(k // math.gcd(k, *expo[j].ravel().tolist())) for j in short)
     if not full:
-        return 0, int(best.sum())
+        return 0, int(best @ plan.orbit_sizes)
     return abs(_crt_symmetric(residues, primes)), d
 
 
@@ -440,9 +454,9 @@ def fix_count(
     set with the solutions of the convolution matrix on (R/Z)^d, so the
     count is computed there exactly, by one route for every quotient: the
     quotient's split plan over an abelian subgroup (the whole group on a
-    torus, a cyclic subgroup on an explicit quotient), whose one
-    elimination gives the determinant and the rank, so the nullity
-    d - rank when the determinant is 0.
+    torus, a greedily grown one on an explicit quotient), whose one
+    elimination of a block per orbit of characters gives the determinant
+    and the rank, so the nullity d - rank when the determinant is 0.
     """
     _check_quotient(f, q, limit)
     det, rank = _split_det(q.split_plan(f))

@@ -197,7 +197,8 @@ def _load_chain(path: str):
     """Load an explicit quotient chain: label, optional poly, quotient list."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
+            text = fh.read()
+        obj = json.loads(text)
     except OSError as exc:
         raise ConfigError(f"cannot read quotient chain {path!r}: {exc}") from None
     except json.JSONDecodeError as exc:
@@ -206,6 +207,11 @@ def _load_chain(path: str):
         ) from None
     if "quotients" not in obj or not obj["quotients"]:
         raise ConfigError(f"quotient chain {path!r} lists no quotients")
+    # numpy reads a bool among integers as 0 or 1.  Scanning every entry's
+    # type costs milliseconds, so only a text with a JSON bool is scanned;
+    # the letters r of true and f of false, in no key of the format, rule
+    # most texts out faster than a search for the words
+    has_bools = ("r" in text and "true" in text) or ("f" in text and "false" in text)
     quotients = []
     for i, spec in enumerate(obj["quotients"]):
         if "table" not in spec or "images" not in spec:
@@ -213,6 +219,10 @@ def _load_chain(path: str):
         label = spec.get("label", f"quotient{i}")
         if not isinstance(label, str):
             raise ConfigError(f"quotient #{i} label must be a string, got {label!r}")
+        if has_bools and _holds_bool(spec["table"]):
+            raise ConfigError(
+                f"quotient #{i} in {path!r}: table entries must be integers, not bool"
+            )
         try:
             quotients.append(
                 ExplicitQuotient(
@@ -236,6 +246,12 @@ def _load_chain(path: str):
         poly = GroupRingElement(0, terms)
     label = obj.get("name", path)
     return label, poly, quotients
+
+
+def _holds_bool(value) -> bool:
+    if isinstance(value, list):
+        return any(_holds_bool(v) for v in value)
+    return isinstance(value, bool)
 
 
 def _resolve_group(args) -> Tuple[int, Optional[GroupRingElement], Optional[list]]:

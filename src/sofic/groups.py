@@ -13,7 +13,8 @@ Ambient groups come in two flavours:
 
 A finite quotient supplies coset arithmetic (cosets indexed 0..size-1),
 the left-translation permutations that make up a sofic approximation, and
-the split plan over an abelian subgroup that exact counting runs on.
+the split plan over an abelian subgroup that exact counting runs on, with
+the orbits of that subgroup's characters under its normaliser.
 Torus quotients enumerate cosets in lexicographic order of their exponent
 vectors, so every derived matrix and report is reproducible bit for bit.
 """
@@ -495,12 +496,21 @@ class SplitPlan:
     representatives r_0, ..., r_{m-1}.  For the t-th folded term c, with
     coefficient ``coeffs[t]`` (never 0), c^-1 r_i = r_{cols[t, i]} a for
     the element a of A with coordinates ``coords[t, i]``.
+
+    Right translation by an n normalising A maps the chi-isotypic part of
+    M onto the chi^n one, chi^n(a) = chi(n^-1 a n), so the blocks of one
+    orbit of characters under the normaliser are similar.  ``orbit_reps``
+    lists one character per orbit, as the row-major flat index of its
+    coordinates j (chi_j in ``algebraic._split_det``), and ``orbit_sizes``
+    the orbits' sizes; trivial orbits list every character once.
     """
 
     moduli: tuple
     coeffs: list
     cols: np.ndarray  # (terms, m)
     coords: np.ndarray  # (terms, m, len(moduli))
+    orbit_reps: np.ndarray  # (orbits,)
+    orbit_sizes: np.ndarray  # (orbits,)
 
 
 @dataclass(frozen=True)
@@ -593,8 +603,14 @@ class TorusQuotient:
             fhat[key] = fhat.get(key, 0) + c
         fhat = {key: c for key, c in fhat.items() if c}
         coords = np.array(list(fhat), dtype=np.int64).reshape(len(fhat), 1, len(moduli))
+        # A = G is abelian, so every orbit of characters is a single one
         return SplitPlan(
-            moduli, list(fhat.values()), np.zeros((len(fhat), 1), dtype=np.int64), coords
+            moduli,
+            list(fhat.values()),
+            np.zeros((len(fhat), 1), dtype=np.int64),
+            coords,
+            np.arange(self.size),
+            np.ones(self.size, dtype=np.int64),
         )
 
 
@@ -656,21 +672,22 @@ class ExplicitQuotient:
         return int(self.table.shape[0])
 
     def _find_identity(self) -> int:
-        d = self.size
-        idx = np.arange(d, dtype=np.int64)
-        for e in range(d):
-            if np.array_equal(self.table[e], idx) and np.array_equal(self.table[:, e], idx):
-                return e
-        raise ValueError("multiplication table has no identity element")
+        # an identity e has e * e = e, which picks the candidates to check
+        t = self.table
+        idx = np.arange(self.size, dtype=np.int64)
+        cand = np.flatnonzero(t[idx, idx] == idx)
+        unit = (t[cand] == idx).all(axis=1) & (t[:, cand] == idx[:, None]).all(axis=0)
+        if not unit.any():
+            raise ValueError("multiplication table has no identity element")
+        return int(cand[np.argmax(unit)])
 
     def _find_inverses(self) -> np.ndarray:
-        d = self.size
-        inv = np.full(d, -1, dtype=np.int64)
-        for a in range(d):
-            hits = np.nonzero(self.table[a] == self.identity_index)[0]
-            if hits.size != 1 or self.table[hits[0], a] != self.identity_index:
-                raise ValueError(f"element {a} has no two-sided inverse")
-            inv[a] = hits[0]
+        t = self.table
+        hits = t == self.identity_index
+        inv = np.argmax(hits, axis=1).astype(np.int64)
+        ok = (hits.sum(axis=1) == 1) & (t[inv, np.arange(self.size)] == self.identity_index)
+        if not ok.all():
+            raise ValueError(f"element {int(np.argmin(ok))} has no two-sided inverse")
         return inv
 
     def _check_group(self):
@@ -695,36 +712,34 @@ class ExplicitQuotient:
         """A generating set of the table: each is the smallest element not yet
         reached by left multiplications by the earlier ones, starting from the
         identity."""
-        t = self.table
         reached = np.zeros(self.size, dtype=bool)
         reached[self.identity_index] = True
         gens = []
         while not reached.all():
             gens.append(int(np.argmin(reached)))
-            frontier = np.flatnonzero(reached)
-            while frontier.size:
-                products = np.unique(t[np.ix_(gens, frontier)])
-                frontier = products[~reached[products]]
-                reached[frontier] = True
+            self._close(reached, gens)
         return gens
+
+    def _close(self, reached: np.ndarray, gens) -> None:
+        """Extend the mask `reached` in place to its closure under left
+        multiplication by `gens`, marking each round's products in a mask."""
+        frontier = np.flatnonzero(reached)
+        while frontier.size:
+            hit = np.zeros_like(reached)
+            hit[self.table[np.ix_(gens, frontier)]] = True
+            frontier = np.flatnonzero(hit & ~reached)
+            reached[frontier] = True
 
     def _check_surjective(self):
         # Closure of the generator images (and inverses) must cover the group.
-        reached = {self.identity_index}
-        frontier = [self.identity_index]
-        gens = set(self.generator_images.values())
-        gens |= {int(self._inverses[g]) for g in gens}
-        while frontier:
-            a = frontier.pop()
-            for g in gens:
-                b = int(self.table[g, a])
-                if b not in reached:
-                    reached.add(b)
-                    frontier.append(b)
-        if len(reached) != self.size:
+        gens = np.array(list(self.generator_images.values()), dtype=np.int64)
+        reached = np.zeros(self.size, dtype=bool)
+        reached[self.identity_index] = True
+        self._close(reached, np.concatenate([gens, self._inverses[gens]]))
+        if not reached.all():
             raise ValueError(
                 "generator images do not generate the quotient "
-                f"({len(reached)} of {self.size} cosets reached)"
+                f"({int(reached.sum())} of {self.size} cosets reached)"
             )
 
     def mul(self, a: int, b: int) -> int:
@@ -757,25 +772,39 @@ class ExplicitQuotient:
         return self.table[coset].copy()
 
     def split_plan(self, f: GroupRingElement) -> SplitPlan:
-        """The split over the cyclic A = <g>, g the first element of maximal
-        order k.  Every element is r g^e for the smallest element r of its
-        coset, so c^-1 r_i = r_{cols} g^e has coordinate e."""
+        """The split over the abelian A = <g_1> x ... x <g_r> that
+        `_abelian_subgroup` grows, with one character per orbit of its
+        normaliser.  Every element is r a for the smallest element r of its
+        coset rA and an a in A, so c^-1 r_i = r_{cols} a has the coordinates
+        of a = r^-1 c^-1 r_i."""
         fhat: dict = {}
         for s, c in f.terms.items():
             idx = self.index(s)
             fhat[idx] = fhat.get(idx, 0) + c
         fhat = {idx: c for idx, c in fhat.items() if c}
-        table = self.table
-        g, k = _max_order_element(table, self.identity_index)
-        gpow = [self.identity_index]
-        for _ in range(k - 1):
-            gpow.append(int(table[gpow[-1], g]))
-        # orbit[x, t] = x g^t; the smallest element of x<g> is its representative
-        orbit = table[:, gpow]
-        reps, coset = np.unique(orbit.min(axis=1), return_inverse=True)
-        shift = -np.argmin(orbit, axis=1) % k
-        y = table[self._inverses[list(fhat)][:, None], reps]
-        return SplitPlan((k,), list(fhat.values()), coset[y], shift[y][:, :, None])
+        table, inverses, d = self.table, self._inverses, self.size
+        gens, moduli, members = _abelian_subgroup(table, self.identity_index)
+        where = np.full(d, -1, dtype=np.int64)  # flat coordinates in A, -1 outside
+        where[members] = np.arange(members.size)
+        # low[x], the smallest element of xA: the smallest of x<g_1>, then the
+        # smallest of those over x<g_2>, and so on
+        low = np.arange(d, dtype=np.int64)
+        for g, n in zip(gens, moduli):
+            x, smallest = np.arange(d, dtype=np.int64), low
+            for _ in range(n - 1):
+                x = table[x, g]
+                smallest = np.minimum(smallest, low[x])
+            low = smallest
+        reps = np.flatnonzero(low == np.arange(d))
+        coset = np.zeros(d, dtype=np.int64)
+        coset[reps] = np.arange(reps.size)
+        images = table[inverses[list(fhat)][:, None], reps]  # c^-1 r_i
+        r = low[images]
+        coords = np.stack(np.unravel_index(where[table[inverses[r], images]], moduli), axis=-1)
+        orbit_reps, orbit_sizes = _character_orbits(table, inverses, gens, moduli, where, reps)
+        return SplitPlan(
+            moduli, list(fhat.values()), coset[r], coords, orbit_reps, orbit_sizes
+        )
 
     def translation_perm(self, elem) -> np.ndarray:
         return self.coset_translation_perm(self.index(elem))
@@ -787,8 +816,13 @@ class ExplicitQuotient:
 Quotient = Union[TorusQuotient, ExplicitQuotient]
 
 
-def _max_order_element(table: np.ndarray, identity: int) -> tuple:
-    """(g, k): the first element of maximal order k, from one pass over powers."""
+def _abelian_subgroup(table: np.ndarray, identity: int) -> tuple:
+    """(gens, moduli, members) of an abelian A = <g_1> x ... x <g_r>, grown
+    greedily: g_1 is the first element of maximal order, and each next g_l
+    the first of maximal order among the elements that commute with
+    g_1 .. g_(l-1) and whose cyclic group meets A only in the identity.
+    ``members[j]`` is g_1^j_1 ... g_r^j_r, j = (j_1 .. j_r) the row-major
+    flat index j, so the product is direct and j its coordinates."""
     d = table.shape[0]
     elems = np.arange(d, dtype=np.int64)
     order = np.zeros(d, dtype=np.int64)
@@ -798,8 +832,52 @@ def _max_order_element(table: np.ndarray, identity: int) -> tuple:
         order[(power == identity) & (order == 0)] = k
         power = table[power, elems]
         k += 1
-    g = int(np.argmax(order))
-    return g, int(order[g])
+    gens, moduli = [], []
+    members = np.array([identity], dtype=np.int64)
+    inside = np.zeros(d, dtype=bool)
+    commute = np.ones(d, dtype=bool)
+    candidates = elems
+    while candidates.size:
+        g = int(candidates[np.argmax(order[candidates])])
+        powers = [identity]
+        for _ in range(order[g] - 1):
+            powers.append(int(table[powers[-1], g]))
+        members = table[members[:, None], powers].ravel()
+        inside[members] = True
+        gens.append(g)
+        moduli.append(int(order[g]))
+        commute &= table[:, g] == table[g]
+        candidates = np.flatnonzero(commute & ~inside)
+        # drop each h with some h^t in A, 0 < t < order(h)
+        power, meets = candidates, np.zeros(candidates.size, dtype=bool)
+        for t in range(1, int(order[candidates].max(initial=1))):
+            meets |= inside[power] & (t < order[candidates])
+            power = table[power, candidates]
+        candidates = candidates[~meets]
+    return gens, tuple(moduli), members
+
+
+def _character_orbits(table, inverses, gens, moduli, where, reps) -> tuple:
+    """(orbit_reps, orbit_sizes) of the characters of A under its normaliser.
+
+    A is abelian, so it acts trivially on its characters, and the coset
+    representatives n in ``reps`` that normalise A give every chi^n: those
+    with every n^-1 g_l n in A (``where`` >= 0).  With k = exp(A) and
+    chi_j(a) = omega^(sum_l j_l a_l k / n_l), chi_j^n(g_l) =
+    chi_j(n^-1 g_l n) is omega^(j_l' k / n_l) for the coordinates j' of
+    chi_j^n.  Each orbit is labelled by its smallest flat index.
+    """
+    k = math.lcm(*moduli)
+    unit = k // np.array(moduli, dtype=np.int64)
+    conj = where[table[table[inverses[reps][:, None], gens], reps[:, None]]]
+    conj = conj[(conj >= 0).all(axis=1)]
+    # scaled[n, l, i]: coordinate i of n^-1 g_l n, times k / n_i
+    scaled = np.stack(np.unravel_index(conj, moduli), axis=-1) * unit
+    chars = np.indices(moduli, dtype=np.int64).reshape(len(moduli), -1).T
+    image = chars @ scaled.transpose(0, 2, 1) % k // unit
+    label = np.ravel_multi_index(tuple(np.moveaxis(image, -1, 0)), moduli).min(axis=0)
+    orbit_reps = np.flatnonzero(label == np.arange(label.size))
+    return orbit_reps, np.bincount(label)[orbit_reps]
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,8 @@ A wide window with short lengths can make the walk dearer than
 enumeration, so a table compares the two estimates before any work; where
 enumeration is cheaper, or the walk's estimate exceeds the cap, it
 enumerates all m^n labelings once per length, under a cap checked for
-every length first.
+every length first.  A nearest-neighbor window always walks, and is
+refused when the walk's estimate exceeds the cap.
 """
 
 from __future__ import annotations
@@ -317,25 +318,32 @@ def _transfer_traces(sft: SubshiftSFT, lengths: Iterable[int], degree: int) -> d
     return traces
 
 
-def _walk_is_cheaper(sft: SubshiftSFT, lengths: Sequence[int], cap: Optional[int]) -> bool:
-    """Whether a table's transfer walk is estimated to cost less than its
-    enumeration, and no more than the cap.
+def _walk_cost(sft: SubshiftSFT, lengths: Sequence[int]) -> int:
+    """The estimated cost of a table's transfer walk.
 
     Each gap g between sorted distinct lengths adds bit_length(g) +
     popcount(g) - 1 matrix products: one fewer raises the step matrix to g
     by squaring, one more multiplies that into the running power, which the
     first gap does not, and that product stands for building the step
-    matrix.  The walk's estimate is the count times (m^k)^3, k =
-    ``_block_length``.  Enumeration's is m^n * n for each distinct length,
-    summed shortest first until it passes the walk.
+    matrix.  The estimate is the count times (m^k)^3, k = ``_block_length``.
     """
-    m = len(sft.alphabet)
     distinct = sorted(set(lengths))
     gaps = [n - prev for prev, n in zip([0] + distinct, distinct)]
-    products = sum(g.bit_length() + bin(g).count("1") - 1 for g in gaps)
-    walk = products * (m ** _block_length(sft)) ** 3
+    products = sum(g.bit_length() + g.bit_count() - 1 for g in gaps)
+    return products * (len(sft.alphabet) ** _block_length(sft)) ** 3
+
+
+def _walk_is_cheaper(sft: SubshiftSFT, lengths: Sequence[int], cap: Optional[int]) -> bool:
+    """Whether a table's transfer walk is estimated (`_walk_cost`) to cost
+    less than its enumeration, and no more than the cap.  Enumeration's
+    estimate is m^n * n for each distinct length, summed shortest first
+    until it passes the walk's.
+    """
+    m = len(sft.alphabet)
+    walk = _walk_cost(sft, lengths)
     if walk > (DEFAULT_ENUMERATION_CAP if cap is None else cap):
         return False
+    distinct = sorted(set(lengths))
     return any(total > walk for total in itertools.accumulate(m**n * n for n in distinct))
 
 
@@ -486,7 +494,8 @@ def subshift_entropy_table(
     number of bad sites, or m^n when the budget is at least n.  The
     counts come from one walk through the powers of the higher-block
     transfer matrix, truncated at the largest budget below the longest
-    length.  Nearest-neighbor windows always walk.  Other windows walk when
+    length.  Nearest-neighbor windows always walk, after the walk's
+    estimated cost is checked against the cap.  Other windows walk when
     the walk's estimated cost, from m, the window span and the lengths, is
     below enumeration's and within the cap; otherwise they enumerate every
     labeling once per length, after the cap is checked for every length.
@@ -500,6 +509,12 @@ def subshift_entropy_table(
     if budgets[0] < 0:
         raise ValueError("budgets must be >= 0")
 
+    if sft.is_nearest_neighbor:
+        walk, limit = _walk_cost(sft, lengths), DEFAULT_ENUMERATION_CAP if cap is None else cap
+        if walk > limit:
+            raise EnumerationCapError(
+                f"the transfer walk's estimated cost {walk} exceeds the cap {limit}"
+            )
     if sft.is_nearest_neighbor or _walk_is_cheaper(sft, lengths, cap):
         method = "transfer_matrix"
         degree = max(b for b in budgets if b < max(lengths))

@@ -12,7 +12,7 @@ kernel itself is checked against ``det_fraction`` and ``det_bareiss``.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import List, Optional
 
@@ -26,6 +26,7 @@ from sofic.algebraic import (
     _crt_prime_count,
     _crt_symmetric,
     _det_mod_batched,
+    _split_det,
     fix_count,
     log_big_int,
 )
@@ -523,8 +524,38 @@ def sl2_table(p):
                 index[y] = len(elements)
                 elements.append(y)
     assert len(elements) == p * (p * p - 1)
-    table = [[index[mul(x, y)] for y in elements] for x in elements]
-    return table, index[a], index[b]
+    # every product at once, each matrix coded as a base-p number
+    mats = np.array(elements, dtype=np.int64)
+    left, right = mats[:, None, :], mats[None, :, :]
+    code = np.zeros((len(elements), len(elements)), dtype=np.int64)
+    for i, j in ((0, 0), (0, 1), (2, 0), (2, 1)):
+        code = code * p + (left[..., i] * right[..., j] + left[..., i + 1] * right[..., j + 2]) % p
+    lookup = np.zeros(p**4, dtype=np.int64)
+    lookup[[((w * p + x) * p + y) * p + z for w, x, y, z in elements]] = np.arange(len(elements))
+    return lookup[code].tolist(), index[a], index[b]
+
+
+def heisenberg_table(n):
+    """H3(Z/n), the upper unitriangular 3 x 3 matrices mod n.
+
+    Returns (table, x, y): the element (a, b, c) is numbered (a n + b) n + c,
+    (a, b, c)(a', b', c') = (a + a', b + b', c + c' + a b'), and x, y index
+    (1, 0, 0) and (0, 1, 0), which generate it.
+    """
+    # columns hold the left factor, rows (the transposes) the right one
+    a, b, c = np.indices((n, n, n), dtype=np.int64).reshape(3, -1, 1)
+    table = ((a + a.T) % n * n + (b + b.T) % n) * n + (c + c.T + a * b.T) % n
+    return table.tolist(), n * n % n**3, n % n**3
+
+
+def every_character_count(f: GroupRingElement, q: Quotient) -> SolutionCount:
+    """``fix_count`` by the split with every character of A its own orbit:
+    one block per character, the oracle for the normaliser's orbits."""
+    plan = q.split_plan(f)
+    size = math.prod(plan.moduli)
+    plan = replace(plan, orbit_reps=np.arange(size), orbit_sizes=np.ones(size, dtype=np.int64))
+    det, rank = _split_det(plan)
+    return SolutionCount(det) if det else SolutionCount(None, q.size - rank)
 
 
 def relabel_table(table, perm):

@@ -31,7 +31,9 @@ from helpers import (
     det_abs_exact,
     det_bareiss,
     det_fraction,
+    every_character_count,
     fk_determinant_quotient,
+    heisenberg_table,
     rank_fraction,
     regular_rep_matrix,
     relabel_table,
@@ -402,7 +404,14 @@ def _assert_matches_oracle(f, q):
     got = fix_count(f, q)
     want = count_solutions(regular_rep_matrix(f, q))
     assert (got.value, got.nullity) == (want.value, want.nullity), (f.render(), q.label)
+    _assert_matches_every_character(f, q)
     return want
+
+
+def _assert_matches_every_character(f, q):
+    got, want = fix_count(f, q), every_character_count(f, q)
+    assert (got.value, got.nullity) == (want.value, want.nullity), (f.render(), q.label)
+    return got
 
 
 def _random_torus_case(rng, rank, balanced):
@@ -865,7 +874,7 @@ def test_singular_explicit_nullity_battery():
     nullities = set()
     by_fraction = {6: 0, 24: 0, 120: 0}
     for kind, f, q, known in _singular_explicit_cases(rng):
-        sc = fix_count(f, q)
+        sc = _assert_matches_every_character(f, q)
         rows = regular_rep_matrix(f, q).tolist()
         nullity = smith_normal_form(rows).count(0)
         assert nullity > 0, (kind, f.render(), q.label)
@@ -928,6 +937,96 @@ def test_singular_sl2_7_laplacian_nullity(monkeypatch):
     _forbid_dense_route(monkeypatch)
     sc = fix_count(f, q)
     assert (sc.value, sc.nullity) == (None, 1)
+
+
+# ---------------------------------------------------------------------------
+# one block per orbit of the normaliser, over a grown abelian subgroup
+
+
+def _laplacian(lam, gens="ab"):
+    return GroupRingElement(
+        0, {parse_word(w): -1 for g in gens for w in (g, g + "^-1")} | {(): lam}
+    )
+
+
+def _asymmetric(a="a", b="b"):
+    words = (("e", 5), (a, -1), (f"{b}^-1", -2), (f"{a}*{b}", 1))
+    return GroupRingElement(0, {parse_word(w): c for w, c in words})
+
+
+def test_orbit_split_on_relabelled_sl2():
+    rng = random.Random(179)
+    for p in (3, 5, 7):
+        table, a, b = sl2_table(p)
+        perm = list(range(len(table)))
+        rng.shuffle(perm)
+        q = ExplicitQuotient(relabel_table(table, perm), {"a": perm[a], "b": perm[b]})
+        for f in (_laplacian(5), _laplacian(4), _asymmetric()):
+            _assert_matches_every_character(f, q)
+        assert fix_count(_laplacian(4), q).nullity == 1
+
+
+def test_sl2_orbit_sizes():
+    # A = <-u>, u = [[1, 2], [0, 1]], of order 2p is its own centraliser, so
+    # it does not grow; the Borel subgroup normalises it and multiplies j
+    # mod 2p by the odd e that are squares mod p: orbits {0}, {p} and four
+    # of (p - 1) / 2
+    for p in (5, 7, 11):
+        table, a, b = sl2_table(p)
+        plan = ExplicitQuotient(table, {"a": a, "b": b}).split_plan(_laplacian(5))
+        assert plan.moduli == (2 * p,)
+        assert plan.cols.shape == (5, (p * p - 1) // 2)
+        assert sorted(plan.orbit_sizes.tolist()) == [1, 1] + [(p - 1) // 2] * 4
+        sizes = dict(zip(plan.orbit_reps.tolist(), plan.orbit_sizes.tolist()))
+        assert sizes[0] == sizes[p] == 1
+
+
+def test_torus_plans_have_trivial_orbits():
+    for moduli, poly in (([1], "3 - x"), ([7], "3 - x"), ([4, 6], "5 - x*y^-1"),
+                         ([2, 3, 2], "7 - x - y^-1 - z")):
+        d = math.prod(moduli)
+        plan = torus_quotient(moduli).split_plan(parse_laurent(poly, len(moduli)))
+        assert plan.orbit_reps.tolist() == list(range(d))
+        assert plan.orbit_sizes.tolist() == [1] * d
+
+
+def test_abelian_tables_split_into_characters():
+    # the grown A of an abelian table is the whole group: 1 x 1 blocks
+    for k in (1, 3, 6):
+        d = 2**k
+        q = ExplicitQuotient([[i ^ j for j in range(d)] for i in range(d)],
+                             {f"g{i}": 1 << i for i in range(k)})
+        terms = {((f"g{i}", 1),): -1 for i in range(k)}
+        f = GroupRingElement(0, terms | {(): 2 * k + 1, (("g0", 1), (f"g{k - 1}", 1)): 1})
+        plan = q.split_plan(f)
+        assert plan.moduli == (2,) * k and plan.cols.shape[1] == 1
+        assert fix_count(f, q).value == det_abs_exact(regular_rep_matrix(f, q))
+    rng = random.Random(181)
+    for moduli in ([12], [2, 4], [3, 3], [2, 6], [4, 4]):
+        tq, eq = _abelian_pair(moduli, rng)
+        f = GroupRingElement(0, {(): 6, (("x", 1),): -1, (("x", -2),): -2})
+        plan = eq.split_plan(f)
+        assert math.prod(plan.moduli) == tq.size and plan.cols.shape[1] == 1
+        assert plan.orbit_sizes.tolist() == [1] * tq.size
+        _assert_matches_every_character(f, eq)
+
+
+def test_heisenberg_tables_split_over_a_rank_two_subgroup():
+    for n in range(2, 7):
+        table, x, y = heisenberg_table(n)
+        q = ExplicitQuotient(table, {"x": x, "y": y}, f"H3(Z/{n})")
+        for f in (_laplacian(5, "xy"), _asymmetric("x", "y")):
+            got = _assert_matches_every_character(f, q)
+            # the dense oracle takes 0.6 s at d = 216: once there
+            if n < 6 or f == _laplacian(5, "xy"):
+                assert got.value == det_abs_exact(regular_rep_matrix(f, q)), q.label
+        assert _assert_matches_every_character(_laplacian(4, "xy"), q).nullity == 1
+    # H3(Z/9): A = (Z/9)^2, 81 blocks of 9 x 9; the characters trivial on
+    # the centre are fixed, the others fall into orbits of 3 and of 9
+    table, x, y = heisenberg_table(9)
+    plan = ExplicitQuotient(table, {"x": x, "y": y}).split_plan(_laplacian(5, "xy"))
+    assert plan.moduli == (9, 9) and plan.cols.shape == (5, 9)
+    assert sorted(plan.orbit_sizes.tolist()) == [1] * 9 + [3] * 6 + [9] * 6
 
 
 def test_det_equals_snf_product_equals_count():

@@ -146,13 +146,15 @@ def _z3_chain(poly=None, table=None, images=None):
         (_z3_chain(poly={"e": "3", "a": -1}), "'poly' coefficient of 'e'"),
         (_z3_chain(images={"a": 1.9}), "image of generator 'a'"),
         (_z3_chain(table=[[0, 1, 2], [1.2, 2, 0], [2, 0, 1]]), "table entries"),
+        (_z3_chain(table=[[0, True, 2], [True, 2, 0], [2, 0, True]]), "not bool"),
         (_z3_chain(poly=[1]), "'poly'"),
         (_z3_chain(images=[1]), "generator images"),
         ({"poly": {"e": 3}, "quotients": [{"label": 5, "table": cyclic_table(3),
                                              "images": {"a": 1}}]}, "label"),
     ],
     ids=["float_coefficient", "bool_coefficient", "string_coefficient", "float_image",
-         "float_table_entry", "poly_not_object", "images_not_object", "label_not_string"],
+         "float_table_entry", "bool_table_entry", "poly_not_object", "images_not_object",
+         "label_not_string"],
 )
 def test_algebraic_chain_refuses_malformed_fields(tmp_path, capsys, chain, field):
     chain_path = tmp_path / "chain.json"
@@ -477,3 +479,34 @@ def test_determinism_across_processes(tmp_path):
         assert proc.returncode == 0, proc.stderr
         outputs.append(path.read_bytes())
     assert outputs[0] == outputs[1]
+
+
+def test_explicit_chain_run_skips_numpy_ma(tmp_path):
+    # np.unique imports numpy.ma in numpy 2 (about 10 ms per process); the
+    # table checks and the split plan mark hits in boolean masks instead
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import sofic
+
+    table, a, b = sl2_table(5)
+    chain = {"poly": {"e": 5, "a": -1, "a^-1": -1, "b": -1, "b^-1": -1},
+             "quotients": [{"label": "SL(2,5), true", "table": table, "images": {"a": a, "b": b}}]}
+    chain_path = tmp_path / "chain.json"
+    chain_path.write_text(json.dumps(chain), encoding="utf-8")
+    src = str(Path(sofic.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = (
+        "import sys\n"
+        "from sofic.cli import main\n"
+        "assert main(['algebraic', '--group', 'file:' + sys.argv[1], '--out', sys.argv[2]]) == 0\n"
+        "assert 'numpy.ma' not in sys.modules\n"
+    )
+    out = tmp_path / "out.csv"
+    argv = [sys.executable, "-c", code, str(chain_path), str(out)]
+    proc = subprocess.run(argv, capture_output=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert out.read_text(encoding="utf-8").startswith("label,d,")

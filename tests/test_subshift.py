@@ -491,8 +491,12 @@ def test_entropy_table_route_choice(monkeypatch):
     with pytest.raises(EnumerationCapError, match="^33554432 labelings"):
         subshift_entropy_table(wide, [25])
     assert len(walks) == 2 and len(tallies) == 8 + 10
-    # nearest-neighbor windows walk whatever the estimate
-    assert subshift_entropy_table(golden_mean(), [30], cap=1).rows[0].count == 1860498
+    # nearest-neighbor windows walk whatever enumeration's estimate, up to
+    # the cap: 30 = 11110b takes 8 products of 2 x 2 matrices, 64
+    assert subshift_entropy_table(golden_mean(), [30], cap=64).rows[0].count == 1860498
+    assert len(walks) == 3
+    with pytest.raises(EnumerationCapError, match="estimated cost 64 exceeds the cap 63"):
+        subshift_entropy_table(golden_mean(), [30], cap=63)
     assert len(walks) == 3
 
 
@@ -516,6 +520,26 @@ def test_entropy_table_checks_cap_before_enumerating(monkeypatch):
     table = subshift_entropy_table(wide, [2, 1, 6, 2], [0], cap=64)
     assert len(calls) == 3  # each distinct length is enumerated once
     assert {row.method for row in table.rows} == {"exact_enumeration"}
+
+
+def test_entropy_table_refuses_a_dear_nearest_neighbor_walk(monkeypatch):
+    # 100 symbols over Z/1..20: 20 products of 100 x 100 matrices, 2 * 10^7,
+    # twice the default cap, refused before any work
+    wide = _random_sft(random.Random(103), 100, (0, 1))
+    walks = []
+    traces = subshift._transfer_traces
+    monkeypatch.setattr(subshift, "_transfer_traces", lambda *a: walks.append(a) or traces(*a))
+    with pytest.raises(EnumerationCapError, match="cost 20000000 exceeds the cap 10000000$"):
+        subshift_entropy_table(wide, range(1, 21))
+    assert walks == []
+    # the default cap is the one consulted, and a raised cap admits the
+    # walk: Z/1, Z/2 take 2 products, 2 * 10^6
+    monkeypatch.setattr(subshift, "DEFAULT_ENUMERATION_CAP", 2 * 10**6 - 1)
+    with pytest.raises(EnumerationCapError, match="cost 2000000 exceeds"):
+        subshift_entropy_table(wide, [1, 2])
+    table = subshift_entropy_table(wide, [1, 2], cap=2 * 10**6)
+    want = [transition_matrix_power_trace(wide, n) for n in (1, 2)]
+    assert [r.count for r in table.rows] == want
 
 
 def test_hom_count_cap():
