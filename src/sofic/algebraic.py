@@ -27,15 +27,17 @@ the characters' values F(chi) = sum_c fhat[c] chi(c) (the periodic-point
 formula of Lind-Schmidt-Ward); an explicit quotient grows A greedily from
 an element of maximal order, so an abelian table gets A = G too, while
 SL(2, Z/p) keeps its own centraliser, A = <-u> of order 2p, whose 2p
-characters fall into 6 orbits.  All blocks for a chunk of primes in
-(2^30, 2^31) are eliminated in one batched int64 pass that gives each
-block's determinant and rank.  The product of the determinants is lifted
-by CRT against
-Hadamard's bound: every row of M is a permutation of fhat, so
-(det M)^2 <= (sum_c fhat[c]^2)^d.  When det M = 0 the same elimination
-gives the nullity d - rank M, each block's rank certified by a norm bound:
-a nonzero minor of a block with entries in Z[zeta_o] has a norm of at
-most l1^(m phi(o)), l1 = sum |fhat| and m the block size, and every
+characters fall into 6 orbits.  The primes p = 1 (mod exp A) are the
+largest such in (2^30, 2^31), filtered from one pool per process of the
+primes in that range in descending order, sieved exactly in segments of
+2^15 numbers as far down as the moduli served so far needed.  All blocks
+for a chunk of primes are eliminated in one batched int64 pass that gives
+each block's determinant and rank.  The product of the determinants is
+lifted by CRT against Hadamard's bound: every row of M is a permutation of
+fhat, so (det M)^2 <= (sum_c fhat[c]^2)^d.  When det M = 0 the same
+elimination gives the nullity d - rank M, each block's rank certified by a
+norm bound: a nonzero minor of a block with entries in Z[zeta_o] has a norm
+of at most l1^(m phi(o)), l1 = sum |fhat| and m the block size, and every
 prime at which the block loses rank divides it.
 """
 
@@ -97,57 +99,104 @@ _CHAR_PRIME_CEIL = 2**31
 # if larger).
 _CHAR_BLOCK = 2**16
 
-# m -> (primes = 1 mod m found so far, in descending order; next candidate)
+# Numbers per sieve segment, 2^14 of them odd, so that (2^30, 2^31) is 2^15
+# whole segments.
+_SIEVE_SEGMENT = 2**15
+
+# Sieving primes below this cross off their multiples one slice each; the
+# others, with at most 32 odd multiples in a segment, cross them off at once.
+_SIEVE_SLICED = 512
+
+
+class _PrimePool:
+    """The primes in (2^30, 2^31) in descending order, sieved lazily.
+
+    Each segment [floor - 2^15, floor) below the current floor is sieved by
+    the odd primes up to sqrt(2^31) (Crandall-Pomerance, Prime Numbers, 3.2),
+    an exact primality proof for every number in it.  ``segments[i]`` holds
+    the primes of the i-th segment from the top, as an int32 array.
+    """
+
+    def __init__(self):
+        root = math.isqrt(_CHAR_PRIME_CEIL - 1)
+        sieve = np.ones(root + 1, dtype=bool)
+        sieve[:2] = False
+        for i in range(2, math.isqrt(root) + 1):
+            if sieve[i]:
+                sieve[i * i :: i] = False
+        odd = np.flatnonzero(sieve)[1:]
+        self._sliced = odd[odd < _SIEVE_SLICED].tolist()
+        self._batched = odd[odd >= _SIEVE_SLICED]
+        self._halves = (self._batched + 1) // 2  # the inverses of 2
+        self._odd = np.empty(_SIEVE_SEGMENT // 2, dtype=bool)
+        self.segments: List[np.ndarray] = []
+        self.floor = _CHAR_PRIME_CEIL
+
+    def grow(self) -> None:
+        """Sieve the segment below the floor and lower the floor past it."""
+        lo = self.floor - _SIEVE_SEGMENT
+        first = lo + 1  # odd[i] stands for first + 2 i
+        odd = self._odd
+        odd[:] = True
+        for p in self._sliced:
+            # first + 2 i = 0 (mod p) at i = -first / 2 (mod p)
+            odd[-first * (p + 1) // 2 % p :: p] = False
+        p = self._batched
+        start = (p - first % p) * self._halves % p
+        counts = np.maximum((len(odd) - 1 - start) // p + 1, 0)
+        ends = np.cumsum(counts)
+        # the multiples of each p, as one arithmetic run per p
+        hits = np.repeat(start - p * (ends - counts), counts)
+        hits += np.repeat(p, counts) * np.arange(ends[-1])
+        odd[hits] = False
+        primes = self.floor - 1 - 2 * np.flatnonzero(odd[::-1])
+        self.segments.append(primes.astype(np.int32))  # 2^31 - 1 fits
+        self.floor = lo
+
+
+# made on the first call of _character_primes, so nothing is sieved at import
+_PRIME_POOL: Optional[_PrimePool] = None
+
+# m -> (primes = 1 mod m found so far, in descending order; the pool segment
+# and the offset in it where the search goes on)
 _CHAR_PRIMES: dict = {}
 
 
 def _character_primes(m: int, count: int) -> List[int]:
-    """The `count` largest primes p = 1 (mod m) in (2^30, 2^31), found lazily."""
-    found, candidate = _CHAR_PRIMES.get(m, ([], None))
-    step = m if m % 2 == 0 else 2 * m
-    if candidate is None:
-        candidate = (_CHAR_PRIME_CEIL - 2) // step * step + 1
+    """The `count` largest primes p = 1 (mod m) in (2^30, 2^31), filtered
+    from the shared pool."""
+    global _PRIME_POOL
+    found, segment, offset = _CHAR_PRIMES.get(m, ([], 0, 0))
+    if len(found) >= count:
+        return found[:count]
+    # the odd candidates 1 + j lcm(2, m) in the range
+    step = math.lcm(2, m)
+    candidates = (_CHAR_PRIME_CEIL - 2) // step - (_CHAR_PRIME_FLOOR - 1) // step
+    if count > candidates:
+        raise ResourceGuardError(
+            f"{count} primes = 1 mod {m} needed, only {candidates} candidates "
+            "lie in (2^30, 2^31)"
+        )
+    if _PRIME_POOL is None:
+        _PRIME_POOL = _PrimePool()
+    pool = _PRIME_POOL
     while len(found) < count:
-        if candidate <= _CHAR_PRIME_FLOOR:
-            raise ResourceGuardError(
-                f"{count} primes = 1 mod {m} needed, only {len(found)} lie in (2^30, 2^31)"
-            )
-        if _is_probable_prime(candidate):
-            found.append(candidate)
-        candidate -= step
-    _CHAR_PRIMES[m] = (found, candidate)
-    return found[:count]
-
-
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
-def _is_probable_prime(n: int) -> bool:
-    # Deterministic Miller-Rabin with bases 2, 7, 61 below 4,759,123,141
-    # (Jaeschke 1993), which covers every candidate below 2^31.
-    if n < 2:
-        return False
-    for p in _SMALL_PRIMES:
-        if n % p == 0:
-            return n == p
-    d = n - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in (2, 7, 61):
-        if a % n == 0:
-            continue
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
+        if segment == len(pool.segments):
+            if pool.floor == _CHAR_PRIME_FLOOR:
+                raise ResourceGuardError(
+                    f"{count} primes = 1 mod {m} needed, only {len(found)} lie in (2^30, 2^31)"
+                )
+            pool.grow()
+        primes = pool.segments[segment][offset:]
+        # only the primes needed, so the cache holds no more than callers asked
+        hits = np.flatnonzero(primes % m == 1 % m)[: count - len(found)]
+        found += primes[hits].tolist()
+        if len(found) < count:
+            segment, offset = segment + 1, 0
         else:
-            return False
-    return True
+            offset += int(hits[-1]) + 1
+        _CHAR_PRIMES[m] = (found, segment, offset)
+    return found[:count]
 
 
 def _crt_prime_count(bound: int) -> int:
@@ -295,9 +344,9 @@ def _totient(n: int) -> int:
     return n
 
 
-def _root_of_unity(m: int, p: int) -> int:
-    """A primitive m-th root of unity modulo a prime p = 1 (mod m)."""
-    factors = _prime_factors(m)
+def _root_of_unity(m: int, p: int, factors: Sequence[int]) -> int:
+    """A primitive m-th root of unity modulo a prime p = 1 (mod m), given the
+    prime factors of m."""
     a = 2
     while True:
         w = pow(a, (p - 1) // m, p)
@@ -308,17 +357,18 @@ def _root_of_unity(m: int, p: int) -> int:
 
 def _root_powers(m: int, primes: List[int]) -> np.ndarray:
     """omega_p^t mod p for t = 0..m-1, one row per prime p = 1 (mod m)."""
+    factors = _prime_factors(m)
     if len(primes) * m <= 128:
         # a small table (one prime of a torus's first pass) costs less as a
         # Python loop than as the numpy doubling's few calls per level
         rows = [[1] * m for _ in primes]
         for row, p in zip(rows, primes):
-            w = _root_of_unity(m, p)
+            w = _root_of_unity(m, p, factors)
             for t in range(1, m):
                 row[t] = row[t - 1] * w % p
         return np.array(rows, dtype=np.int64)
     mods = np.array(primes, dtype=np.int64)[:, None]
-    step = np.array([[_root_of_unity(m, p)] for p in primes], dtype=np.int64)
+    step = np.array([[_root_of_unity(m, p, factors)] for p in primes], dtype=np.int64)
     powers = np.ones((len(primes), m), dtype=np.int64)
     filled = 1
     while filled < m:

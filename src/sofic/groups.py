@@ -693,10 +693,16 @@ class ExplicitQuotient:
     def _check_group(self):
         t = self.table
         d = self.size
-        # Latin square: every row and column is a permutation.
+        # Latin square: every row and column is a permutation, so it holds
+        # each of the d elements; each line marks the elements it holds.
         idx = np.arange(d, dtype=np.int64)
-        bad_rows = (np.sort(t, axis=1) != idx).any(axis=1)
-        bad_cols = (np.sort(t, axis=0) != idx[:, None]).any(axis=0)
+        marks = np.zeros((d, d), dtype=bool)
+        marks[idx[:, None], t] = True  # marks[a, x]: x in row a
+        bad_rows = ~marks.all(axis=1)
+        marks[:] = False
+        marks[t, idx] = True  # marks[x, b]: x in column b
+        bad_cols = ~marks.all(axis=0)
+        del marks  # before Light's d x d gathers below
         bad = np.flatnonzero(bad_rows | bad_cols)
         if bad.size:
             a = int(bad[0])

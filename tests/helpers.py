@@ -3,8 +3,10 @@
 Everything here recomputes expected values by a route disjoint from the
 library code under test: rational Gaussian elimination for determinants
 and ranks, fraction-free Bareiss elimination, explicit cofactor expansion,
-exhaustive enumeration for solution counts and cyclic pattern counts, and
-the Smith normal form of the dense group-circulant matrix for nullities.
+exhaustive enumeration for solution counts and cyclic pattern counts,
+the Smith normal form of the dense group-circulant matrix for nullities,
+and Miller-Rabin tests along an arithmetic progression for the primes
+p = 1 (mod m) that the library sieves.
 The one exception is ``det_abs_exact``: it drives the library's modular
 elimination kernel on the dense matrix, so it checks the split and the
 character product by a different reduction to the same kernel, and the
@@ -98,6 +100,51 @@ def rank_fraction(rows):
             m[i] = [a - r * b for a, b in zip(m[i], m[rank])]
         rank += 1
     return rank
+
+
+# ---------------------------------------------------------------------------
+# primes by trial: the oracle for the library's sieved prime pool
+
+
+def is_probable_prime(n):
+    """Deterministic Miller-Rabin with bases 2, 7, 61, exact below
+    4,759,123,141 (Jaeschke 1993), so for every n below 2^31."""
+    if n < 2:
+        return False
+    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        if n % p == 0:
+            return n == p
+    d = n - 1
+    r = 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for a in (2, 7, 61):
+        if a % n == 0:
+            continue
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def character_primes_walk(m, count):
+    """The `count` largest primes p = 1 (mod m) in (2^30, 2^31), by walking
+    down the odd candidates 1 + j lcm(2, m) and testing each one."""
+    step = math.lcm(2, m)
+    candidate = (2**31 - 2) // step * step + 1
+    found = []
+    while len(found) < count and candidate > 2**30:
+        if is_probable_prime(candidate):
+            found.append(candidate)
+        candidate -= step
+    return found
 
 
 # ---------------------------------------------------------------------------

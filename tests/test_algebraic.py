@@ -18,7 +18,7 @@ from sofic import (
     torus_quotient,
 )
 from sofic import algebraic
-from sofic.algebraic import _character_primes, _is_probable_prime
+from sofic.algebraic import _character_primes
 from sofic.groups import ResourceGuardError
 
 import helpers
@@ -253,27 +253,92 @@ def test_det_kernel_rank_battery():
     assert all(count >= 7 for count in kinds.values())
 
 
-def test_is_probable_prime_matches_sieves():
-    limit = 10**5
+def _sieve(limit):
+    """Primality of 0..limit as a bytearray, by the sieve of Eratosthenes."""
     sieve = bytearray([1]) * (limit + 1)
     sieve[0] = sieve[1] = 0
     for i in range(2, math.isqrt(limit) + 1):
         if sieve[i]:
             sieve[i * i :: i] = bytes(len(range(i * i, limit + 1, i)))
-    assert [n for n in range(limit + 1) if _is_probable_prime(n)] == [
-        n for n in range(limit + 1) if sieve[n]
-    ]
-    # the 10^5 integers just below 2^31, by a sieve segmented on the primes
-    # up to sqrt(2^31) < 10^5
-    lo, hi = 2**31 - limit, 2**31
+    return sieve
+
+
+def _primes_just_below_2_31(count):
+    """The primes among the `count` integers just below 2^31, descending, by
+    a sieve segmented on the primes up to sqrt(2^31) < 10^5."""
+    small = _sieve(10**5)
+    lo, hi = 2**31 - count, 2**31
     segment = bytearray([1]) * (hi - lo)
     for q in range(2, math.isqrt(hi) + 1):
-        if sieve[q]:
+        if small[q]:
             start = max(q * q, -(-lo // q) * q)
             segment[start - lo :: q] = bytes(len(range(start, hi, q)))
-    assert [n for n in range(lo, hi) if _is_probable_prime(n)] == [
-        n for n in range(lo, hi) if segment[n - lo]
+    return [n for n in range(hi - 1, lo - 1, -1) if segment[n - lo]]
+
+
+def test_is_probable_prime_matches_sieves():
+    # the Miller-Rabin oracle of helpers, which the prime pool is checked by
+    limit = 10**5
+    sieve = _sieve(limit)
+    assert [n for n in range(limit + 1) if helpers.is_probable_prime(n)] == [
+        n for n in range(limit + 1) if sieve[n]
     ]
+    lo = 2**31 - limit
+    assert [n for n in range(2**31 - 1, lo - 1, -1) if helpers.is_probable_prime(n)] == (
+        _primes_just_below_2_31(limit)
+    )
+
+
+def _fresh_prime_pool(monkeypatch):
+    """An empty pool and per-modulus cache in place of the process's own."""
+    pool = algebraic._PrimePool()
+    monkeypatch.setattr(algebraic, "_PRIME_POOL", pool)
+    monkeypatch.setattr(algebraic, "_CHAR_PRIMES", {})
+    return pool
+
+
+def test_prime_pool_matches_oracles(monkeypatch):
+    pool = _fresh_prime_pool(monkeypatch)
+    for m in range(1, 301):
+        for count in (1, 3, 6):
+            assert _character_primes(m, count) == helpers.character_primes_walk(m, count), (
+                m,
+                count,
+            )
+    # every prime of the pool's top segments, against an independent sieve
+    want = _primes_just_below_2_31(10**5)
+    _character_primes(1, len(want) + 1)
+    got = np.concatenate(pool.segments).tolist()
+    assert got[: len(want)] == want and got[len(want)] < 2**31 - 10**5
+
+
+def test_prime_pool_refuses_below_its_floor(monkeypatch):
+    pool = _fresh_prime_pool(monkeypatch)
+    # one segment left above 2^30: the pool sieves it, then runs dry
+    top = 2**30 + algebraic._SIEVE_SEGMENT
+    pool.floor = top
+    last = [n for n in range(top - 1, 2**30, -2) if helpers.is_probable_prime(n)]
+    with pytest.raises(ResourceGuardError, match=f"only {len(last)} lie"):
+        _character_primes(1, 10**6)
+    assert pool.floor == 2**30 and [s.tolist() for s in pool.segments] == [last]
+    assert _character_primes(1, 3) == last[:3]
+    assert _character_primes(4, 2) == [p for p in last if p % 4 == 1][:2]
+
+
+def test_torus_trace_budgets_sieve_two_segments(monkeypatch):
+    # the bench torus_trace inputs draw every modulus 1..104 (the rank-2
+    # tori only 2..12) from the first 2 x 2^15 numbers below 2^31
+    pool = _fresh_prime_pool(monkeypatch)
+    entropy_trace(
+        parse_laurent("3 - x - x^-1 + x^2 - x^-3", 1),
+        [torus_quotient([n]) for n in range(1, 105)],
+    )
+    entropy_trace(
+        parse_laurent("5 - x - x^-1 - y - y^-1", 2),
+        [torus_quotient([n, n]) for n in range(2, 13)],
+    )
+    assert sorted(algebraic._CHAR_PRIMES) == list(range(1, 105))
+    assert len(pool.segments) <= 2
 
 
 def test_det_singular_and_happy_big_entries():
