@@ -4,10 +4,11 @@ The package computes, exactly where the mathematics is exact:
 
 * entropy convergence traces h_n = log|Fix| / |G/G_n| of principal
   algebraic actions: exact fixed-point counts by one split over an abelian
-  subgroup (the whole group on a torus quotient, a cyclic subgroup on an
-  explicit one), evaluated modulo primes below 2^31 and lifted by CRT; its
-  one elimination gives both the determinant and the rank, each block's
-  rank certified by a norm bound, hence the nullity of a singular quotient;
+  subgroup (the whole group on a torus quotient, one grown greedily on an
+  explicit one), one block per orbit of characters, evaluated modulo primes
+  below 2^31 and lifted by CRT; its one elimination gives both the
+  determinant and the rank, each block's rank certified by a norm bound,
+  hence the nullity of a singular quotient;
 * independent spectral reference values (Mahler measures via Jensen's
   formula and torus quadrature) together with torus invertibility
   certificates;
@@ -51,7 +52,6 @@ from .spectral import (
     mahler_quadrature,
 )
 from .subshift import (
-    EnumerationCapError,
     HomCountReport,
     SubshiftEntropyTable,
     SubshiftSFT,
@@ -90,7 +90,6 @@ __all__ = [
     "certify_invertible_torus",
     "mahler_jensen",
     "mahler_quadrature",
-    "EnumerationCapError",
     "HomCountReport",
     "SubshiftEntropyTable",
     "SubshiftSFT",

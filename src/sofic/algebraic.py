@@ -38,7 +38,8 @@ fhat, so (det M)^2 <= (sum_c fhat[c]^2)^d.  When det M = 0 the same
 elimination gives the nullity d - rank M, each block's rank certified by a
 norm bound: a nonzero minor of a block with entries in Z[zeta_o] has a norm
 of at most l1^(m phi(o)), l1 = sum |fhat| and m the block size, and every
-prime at which the block loses rank divides it.
+prime at which the block loses rank divides it.  A count, or a trace, is
+refused before its first prime when its estimated cost exceeds COST_CAP.
 """
 
 from __future__ import annotations
@@ -55,7 +56,6 @@ from .groups import (
     ResourceGuardError,
     SplitPlan,
     identity_element,
-    size_limit,
 )
 
 __all__ = [
@@ -70,19 +70,9 @@ __all__ = [
 
 LOG2 = math.log(2.0)
 
-
-def _check_quotient(f: GroupRingElement, q: Quotient, limit: Optional[int]) -> None:
-    """Rank and size checks shared by every counting route, made before any work."""
-    if f.rank != q.rank:
-        raise ValueError(
-            f"element/quotient mode mismatch (element rank {f.rank}, quotient rank {q.rank})"
-        )
-    d = q.size
-    cap = size_limit(limit)
-    if d * d > cap:
-        raise ResourceGuardError(
-            f"matrix with {d}x{d} entries exceeds size limit {cap}"
-        )
+# The most work one count or trace, or the prime supply of one count, may be
+# estimated at (`_count`): about 5 s at 4.4-5.3 ns a unit.
+COST_CAP = 10**9
 
 
 # ---------------------------------------------------------------------------
@@ -391,7 +381,7 @@ def _row_products(values: np.ndarray, primes: List[int]) -> List[int]:
     return [int(v) for v in values[:, 0]]
 
 
-def _split_det(plan: SplitPlan) -> tuple:
+def _split_det(plan: SplitPlan, det_need: int) -> tuple:
     """(|det M|, rank M) from a split plan over an abelian subgroup A.
 
     With k = exp(A), omega a primitive k-th root of unity mod a prime
@@ -423,8 +413,8 @@ def _split_det(plan: SplitPlan) -> tuple:
     need.  While some block has been short of full rank at every prime so
     far (so its det, and det M, is 0 there), primes are drawn up to the
     budget of the largest phi(o) among those blocks; once none is, up to
-    the determinant's, and the product of the block determinants is lifted
-    by CRT.
+    the determinant's ``det_need``, and the product of the block
+    determinants is lifted by CRT.
     """
     coeffs = plan.coeffs
     if not coeffs:
@@ -446,7 +436,6 @@ def _split_det(plan: SplitPlan) -> tuple:
     diagonal = [row == identity for row in plan.cols.tolist()]
     entries = None if all(diagonal) else plan.cols + np.arange(m) * m
 
-    det_need = _crt_prime_count(sum(c * c for c in coeffs) ** d)
     l1 = sum(abs(c) for c in coeffs)
     primes: List[int] = []
     residues: List[int] = []
@@ -495,9 +484,7 @@ def _split_det(plan: SplitPlan) -> tuple:
     return abs(_crt_symmetric(residues, primes)), d
 
 
-def fix_count(
-    f: GroupRingElement, q: Quotient, limit: Optional[int] = None
-) -> SolutionCount:
+def fix_count(f: GroupRingElement, q: Quotient) -> SolutionCount:
     """Number of points of the principal algebraic action fixed by Gn.
 
     Pulling a fixed point back along the quotient map identifies the fixed
@@ -507,12 +494,37 @@ def fix_count(
     torus, a greedily grown one on an explicit quotient), whose one
     elimination of a block per orbit of characters gives the determinant
     and the rank, so the nullity d - rank when the determinant is 0.
+    Refused when its estimated cost (`_count`) exceeds COST_CAP.
     """
-    _check_quotient(f, q, limit)
-    det, rank = _split_det(q.split_plan(f))
+    return _count(f, q, 0)[0]
+
+
+def _count(f: GroupRingElement, q: Quotient, spent: int) -> tuple:
+    """(fix_count(f, q), spent + W), refused before any prime is drawn when
+    spent + W, or the cost of the prime supply, exceeds COST_CAP.
+
+    The split draws at most the determinant's CRT count of primes.  Each
+    costs, per orbit representative, an elimination of m^3 and a block built
+    from terms x m^2 entries, plus 16 for roots and CRT: W = primes x orbits
+    x (m^3 + terms m^2 + 16), in units of about 5 ns.  Serving them takes a
+    pool of about primes x phi(exp A) primes, 64 units each to sieve.
+    """
+    if f.rank != q.rank:
+        raise ValueError(f"element/quotient mode mismatch (ranks {f.rank} and {q.rank})")
+    plan = q.split_plan(f)
+    terms, m = plan.cols.shape
+    primes = _crt_prime_count(sum(c * c for c in plan.coeffs) ** q.size)
+    work = spent + primes * len(plan.orbit_reps) * (m**3 + terms * m * m + 16)
+    pool = 64 * primes * _totient(math.lcm(*plan.moduli))
+    if max(work, pool) > COST_CAP:
+        raise ResourceGuardError(
+            f"estimated cost at {q.label or f'd={q.size}'} exceeds the cap {COST_CAP}: "
+            f"work {work} so far, prime supply {pool}"
+        )
+    det, rank = _split_det(plan, primes)
     if det:
-        return SolutionCount(value=det)
-    return SolutionCount(value=None, nullity=q.size - rank)
+        return SolutionCount(value=det), work
+    return SolutionCount(value=None, nullity=q.size - rank), work
 
 
 def log_big_int(n: int) -> float:
@@ -576,12 +588,13 @@ def entropy_trace(
     f: GroupRingElement,
     quotients: Sequence[Quotient],
     reference: Optional[float] = None,
-    limit: Optional[int] = None,
 ) -> EntropyTrace:
     """Evaluate h_n = log|Fix| / |G/Gn| along a chain of finite quotients.
 
     The quotient list must be ordered by nondecreasing size.  Quotients
     where the fixed-point group is infinite are skipped with their nullity.
+    The trace is refused at the first quotient whose estimated work would
+    take the running total over COST_CAP, so it never does more than that.
     """
     quotients = list(quotients)
     if not quotients:
@@ -593,6 +606,7 @@ def entropy_trace(
     identity = identity_element(f.rank)
     trace = EntropyTrace(f_description=f.render(), reference_value=reference)
     seen_caveats = set()
+    spent = 0
     for q in quotients:
         for s in f.support():
             if s != identity and q.index(s) == q.identity_index:
@@ -600,7 +614,7 @@ def entropy_trace(
                 if note not in seen_caveats:
                     seen_caveats.add(note)
                     trace.caveats.append(note)
-        sc = fix_count(f, q, limit=limit)
+        sc, spent = _count(f, q, spent)
         if sc.is_finite:
             log_fix = log_big_int(sc.value)
             trace.records.append(

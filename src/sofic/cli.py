@@ -513,7 +513,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ConfigError, ParseError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_PARSE
-    except (ResourceGuardError, subshift_mod.EnumerationCapError) as exc:
+    except ResourceGuardError as exc:
         sys.stderr.write(f"resource guard: {exc}\n")
         return EXIT_RESOURCE
 

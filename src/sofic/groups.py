@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import os
 import re
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Union
@@ -50,11 +49,10 @@ __all__ = [
     "identity_element",
     "element_mul",
     "element_inv",
-    "size_limit",
 ]
 
-DEFAULT_SIZE_LIMIT = 10**6
-SIZE_LIMIT_ENV = "SEL_MAX_DIM"
+# The most cosets of a torus quotient: its plans and sofic maps hold O(d) arrays.
+COSET_CAP = 10**6
 
 VARIABLES = "xyzw"
 
@@ -75,17 +73,7 @@ class ParseError(ValueError):
 
 
 class ResourceGuardError(RuntimeError):
-    """A requested object exceeds the configured size limit."""
-
-
-def size_limit(override: Optional[int] = None) -> int:
-    """Active size guard: explicit override, else SEL_MAX_DIM, else default."""
-    if override is not None:
-        return int(override)
-    env = os.environ.get(SIZE_LIMIT_ENV)
-    if env is not None:
-        return int(env)
-    return DEFAULT_SIZE_LIMIT
+    """A request whose size or estimated cost exceeds its module's cap."""
 
 
 def _is_integer(value) -> bool:
@@ -614,12 +602,11 @@ class TorusQuotient:
         )
 
 
-def torus_quotient(moduli: Iterable[int], limit: Optional[int] = None) -> TorusQuotient:
-    """Build Z^d / prod(n_i Z), guarding against oversized quotients."""
+def torus_quotient(moduli: Iterable[int]) -> TorusQuotient:
+    """Build Z^d / prod(n_i Z), refusing more than COSET_CAP cosets."""
     q = TorusQuotient(tuple(moduli))
-    cap = size_limit(limit)
-    if q.size > cap:
-        raise ResourceGuardError(f"quotient size {q.size} exceeds limit {cap}")
+    if q.size > COSET_CAP:
+        raise ResourceGuardError(f"quotient size {q.size} exceeds the coset cap {COSET_CAP}")
     return q
 
 

@@ -44,15 +44,15 @@ import json
 import math
 from collections.abc import Iterable as IterableABC
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, List, Sequence
 
 import numpy as np
 
 from .algebraic import log_big_int
-from .groups import SoficMap, _is_integer, sofic_map_from_quotient, torus_quotient
+from .groups import ResourceGuardError, SoficMap, _is_integer
+from .groups import sofic_map_from_quotient, torus_quotient
 
 __all__ = [
-    "EnumerationCapError",
     "SubshiftSFT",
     "HomCountReport",
     "SubshiftEntropyTable",
@@ -65,13 +65,11 @@ __all__ = [
     "subshift_entropy_table",
 ]
 
+# The most labelings an enumeration, or units a transfer walk (`_walk_cost`),
+# may cost; a request over it raises ResourceGuardError before any work.
 DEFAULT_ENUMERATION_CAP = 10**7
 
 _CHUNK = 1 << 16
-
-
-class EnumerationCapError(RuntimeError):
-    """Too many labelings to enumerate, and no transfer walk within the cap."""
 
 
 def _listed(values, what: str) -> tuple:
@@ -333,7 +331,7 @@ def _walk_cost(sft: SubshiftSFT, lengths: Sequence[int]) -> int:
     return products * (len(sft.alphabet) ** _block_length(sft)) ** 3
 
 
-def _walk_is_cheaper(sft: SubshiftSFT, lengths: Sequence[int], cap: Optional[int]) -> bool:
+def _walk_is_cheaper(sft: SubshiftSFT, lengths: Sequence[int]) -> bool:
     """Whether a table's transfer walk is estimated (`_walk_cost`) to cost
     less than its enumeration, and no more than the cap.  Enumeration's
     estimate is m^n * n for each distinct length, summed shortest first
@@ -341,7 +339,7 @@ def _walk_is_cheaper(sft: SubshiftSFT, lengths: Sequence[int], cap: Optional[int
     """
     m = len(sft.alphabet)
     walk = _walk_cost(sft, lengths)
-    if walk > (DEFAULT_ENUMERATION_CAP if cap is None else cap):
+    if walk > DEFAULT_ENUMERATION_CAP:
         return False
     distinct = sorted(set(lengths))
     return any(total > walk for total in itertools.accumulate(m**n * n for n in distinct))
@@ -370,14 +368,13 @@ def hom_count_exact(
     sigma: SoficMap,
     constraints: Iterable[int],
     budget: int = 0,
-    cap: Optional[int] = None,
 ) -> HomCountReport:
     """Exhaustively count labelings with at most ``budget`` bad sites.
 
     ``constraints`` is the finite set of group elements being tested; a
     site is good when every window translate fitting inside the constraint
     set pulls back to an allowed pattern.  Enumeration is capped at
-    ``cap`` labelings (default 10^7); on cyclic quotients with the window
+    DEFAULT_ENUMERATION_CAP labelings; on cyclic quotients with the window
     as constraint set, subshift_entropy_table gives the same counts by a
     transfer walk.
     """
@@ -386,7 +383,7 @@ def hom_count_exact(
     if sigma.rank != 1:
         raise ValueError("subshift counting requires a rank-1 sofic map")
     d = sigma.d
-    _check_cap(len(sft.alphabet), d, cap)
+    _check_cap(len(sft.alphabet), d)
     tally = _bad_site_tally(sft, sigma, constraints)
     return HomCountReport(
         quotient_label=sigma.label or f"d={d}",
@@ -398,12 +395,11 @@ def hom_count_exact(
     )
 
 
-def _check_cap(m: int, d: int, cap: Optional[int]) -> None:
+def _check_cap(m: int, d: int) -> None:
     total = m**d
-    limit = DEFAULT_ENUMERATION_CAP if cap is None else cap
-    if total > limit:
-        raise EnumerationCapError(
-            f"{total} labelings exceed the enumeration cap {limit}; "
+    if total > DEFAULT_ENUMERATION_CAP:
+        raise ResourceGuardError(
+            f"{total} labelings exceed the enumeration cap {DEFAULT_ENUMERATION_CAP}; "
             "cyclic tables take the transfer walk where its estimate is lower and within the cap"
         )
 
@@ -485,7 +481,6 @@ def subshift_entropy_table(
     sft: SubshiftSFT,
     lengths: Sequence[int],
     budgets: Sequence[int] = (0,),
-    cap: Optional[int] = None,
 ) -> SubshiftEntropyTable:
     """Tabulate h(n, budget) over cyclic quotients Z/n.
 
@@ -510,19 +505,20 @@ def subshift_entropy_table(
         raise ValueError("budgets must be >= 0")
 
     if sft.is_nearest_neighbor:
-        walk, limit = _walk_cost(sft, lengths), DEFAULT_ENUMERATION_CAP if cap is None else cap
-        if walk > limit:
-            raise EnumerationCapError(
-                f"the transfer walk's estimated cost {walk} exceeds the cap {limit}"
+        walk = _walk_cost(sft, lengths)
+        if walk > DEFAULT_ENUMERATION_CAP:
+            raise ResourceGuardError(
+                f"the transfer walk's estimated cost {walk} exceeds the cap "
+                f"{DEFAULT_ENUMERATION_CAP}"
             )
-    if sft.is_nearest_neighbor or _walk_is_cheaper(sft, lengths, cap):
+    if sft.is_nearest_neighbor or _walk_is_cheaper(sft, lengths):
         method = "transfer_matrix"
         degree = max(b for b in budgets if b < max(lengths))
         tallies = _transfer_traces(sft, lengths, degree)
     else:
         method = "exact_enumeration"
         for n in lengths:
-            _check_cap(len(sft.alphabet), n, cap)
+            _check_cap(len(sft.alphabet), n)
         tallies = {}
         for n in dict.fromkeys(lengths):
             sigma = sofic_map_from_quotient(torus_quotient([n]), set(sft.window))

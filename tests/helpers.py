@@ -16,7 +16,7 @@ kernel itself is checked against ``det_fraction`` and ``det_bareiss``.
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
@@ -24,7 +24,6 @@ from sofic.algebraic import (
     _CHAR_BLOCK,
     SolutionCount,
     _character_primes,
-    _check_quotient,
     _crt_prime_count,
     _crt_symmetric,
     _det_mod_batched,
@@ -32,8 +31,11 @@ from sofic.algebraic import (
     fix_count,
     log_big_int,
 )
-from sofic.groups import GroupRingElement, Quotient
+from sofic.groups import GroupRingElement, Quotient, ResourceGuardError
 from sofic.subshift import HomCountReport
+
+# The most entries the dense oracle's d x d matrix may have.
+MATRIX_ENTRIES_CAP = 10**6
 
 
 def det_fraction(rows):
@@ -172,17 +174,18 @@ class RegularRepMatrix:
         return [[int(v) for v in row] for row in self.entries]
 
 
-def regular_rep_matrix(
-    f: GroupRingElement, q: Quotient, limit: Optional[int] = None
-) -> RegularRepMatrix:
+def regular_rep_matrix(f: GroupRingElement, q: Quotient) -> RegularRepMatrix:
     """Build the group-circulant matrix of f over the quotient q.
 
     Entry (a, b) equals fhat[a * b^-1] where fhat folds the coefficients of
     f along the fibers of the quotient map, so every row sums to the total
-    coefficient sum of f.
+    coefficient sum of f.  Refused when d^2 exceeds MATRIX_ENTRIES_CAP.
     """
-    _check_quotient(f, q, limit)
+    if f.rank != q.rank:
+        raise ValueError(f"element/quotient mode mismatch (ranks {f.rank} and {q.rank})")
     d = q.size
+    if d * d > MATRIX_ENTRIES_CAP:
+        raise ResourceGuardError(f"{d}x{d} matrix exceeds {MATRIX_ENTRIES_CAP} entries")
     fhat: dict = {}
     for s, c in f.terms.items():
         idx = q.index(s)
@@ -329,15 +332,13 @@ def count_solutions(matrix) -> SolutionCount:
     return SolutionCount(value=None, nullity=nullity)
 
 
-def fk_determinant_quotient(
-    f: GroupRingElement, q: Quotient, limit: Optional[int] = None
-) -> float:
+def fk_determinant_quotient(f: GroupRingElement, q: Quotient) -> float:
     """|det M|^(1/d): the determinant of f's image under the normalized trace.
 
     Raises NotInvertibleError when det M = 0, i.e. f is not invertible at
     this quotient, where fix_count is infinite.
     """
-    sc = fix_count(f, q, limit=limit)
+    sc = fix_count(f, q)
     if not sc.is_finite:
         raise NotInvertibleError(f"{f.render()} is not invertible at quotient {q.label}")
     return math.exp(log_big_int(sc.value) / q.size)
@@ -601,7 +602,7 @@ def every_character_count(f: GroupRingElement, q: Quotient) -> SolutionCount:
     plan = q.split_plan(f)
     size = math.prod(plan.moduli)
     plan = replace(plan, orbit_reps=np.arange(size), orbit_sizes=np.ones(size, dtype=np.int64))
-    det, rank = _split_det(plan)
+    det, rank = _split_det(plan, _crt_prime_count(sum(c * c for c in plan.coeffs) ** q.size))
     return SolutionCount(det) if det else SolutionCount(None, q.size - rank)
 
 

@@ -96,10 +96,15 @@ def test_circulant_invariant_and_row_sums():
                     assert rows[a][b] == fhat.get(q.index(diff), 0)
 
 
-def test_matrix_size_guard():
+def test_matrix_size_guard(monkeypatch):
     f = parse_laurent("x - 2", 1)
     with pytest.raises(ResourceGuardError):
-        regular_rep_matrix(f, torus_quotient([2000]), limit=10**6)
+        regular_rep_matrix(f, torus_quotient([2000]))
+    # the oracle's own constant is the one consulted
+    monkeypatch.setattr(helpers, "MATRIX_ENTRIES_CAP", 24)
+    with pytest.raises(ResourceGuardError, match="5x5"):
+        regular_rep_matrix(f, torus_quotient([5]))
+    assert regular_rep_matrix(f, torus_quotient([4])).dim == 4
 
 
 # ---------------------------------------------------------------------------
@@ -585,13 +590,102 @@ def test_torus_fix_count_huge_coefficients():
     assert got.value == top**5 - (top - 1) ** 5
 
 
-def test_torus_fix_count_rank_mismatch_and_guard():
+def test_torus_fix_count_rank_mismatch_and_guard(monkeypatch):
     with pytest.raises(ValueError, match="mismatch"):
         fix_count(parse_laurent("5 - x - y", 2), torus_quotient([4]))
     with pytest.raises(ValueError, match="mismatch"):
         fix_count(parse_laurent("3 - x", 1), torus_quotient([2, 2]))
-    with pytest.raises(ResourceGuardError):
-        fix_count(parse_laurent("x - 2", 1), torus_quotient([2000]), limit=10**6)
+    # x - 2 at Z/2000: 78 primes for the bound 5^2000, each 2000 characters
+    # at 1 + 2 + 16 units, and a pool of 64 x 78 x phi(2000) = 3,993,600
+    f, q = parse_laurent("x - 2", 1), torus_quotient([2000])
+    assert algebraic._crt_prime_count(5**2000) == 78
+    monkeypatch.setattr(algebraic, "COST_CAP", 78 * 2000 * 19 - 1)
+    with pytest.raises(ResourceGuardError, match="work 2964000 so far, prime supply 3993600$"):
+        fix_count(f, q)
+    monkeypatch.setattr(algebraic, "COST_CAP", 3993600 - 1)
+    with pytest.raises(ResourceGuardError, match="Z/2000 exceeds the cap 3993599"):
+        fix_count(f, q)
+    monkeypatch.setattr(algebraic, "COST_CAP", 3993600)
+    assert fix_count(f, q).value == 2**2000 - 1
+
+
+def test_cost_guard_refuses_before_any_prime(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a prime was drawn or a segment sieved")
+
+    monkeypatch.setattr(algebraic._PrimePool, "grow", refuse)
+    monkeypatch.setattr(algebraic, "_character_primes", refuse)
+    laplacian = parse_laurent("5 - x - x^-1 - y - y^-1", 2)
+    with pytest.raises(ResourceGuardError, match="at Z/1000xZ/1000 exceeds"):
+        fix_count(laplacian, torus_quotient([1000, 1000]))
+    f = parse_laurent("3 - x - x^-1", 1)
+    # 2,885 primes for the bound 11^50021, each 50021 characters at 20 units
+    with pytest.raises(ResourceGuardError, match="work 2886211700 so far"):
+        fix_count(f, torus_quotient([50021]))
+    # Z/20011: work 1,154 x 20011 x 20 is within the cap, but serving 1,154
+    # primes = 1 (mod 20011) needs a pool of about 1,154 x 20010 primes
+    with pytest.raises(ResourceGuardError, match="work 461853880 so far, prime supply 1477858560"):
+        fix_count(f, torus_quotient([20011]))
+
+
+def test_tori_past_the_old_matrix_guard_count_by_default():
+    # d = 1024 and 4096, with d^2 above 10^6: |Fix| is the product of the
+    # character values 5 - 2 cos(2 pi j / n) - 2 cos(2 pi k / n)
+    laplacian = parse_laurent("5 - x - x^-1 - y - y^-1", 2)
+    for n in (32, 64):
+        sc = fix_count(laplacian, torus_quotient([n, n]))
+        angles = 2 * np.pi * np.arange(n) / n
+        values = 5 - 2 * np.cos(angles)[:, None] - 2 * np.cos(angles)[None, :]
+        assert log_big_int(sc.value) == pytest.approx(np.log(values).sum(), rel=1e-12)
+
+
+def test_trace_stops_at_the_quotient_that_passes_the_cap(monkeypatch):
+    f = parse_laurent("3 - x - x^-1", 1)
+    quotients = [torus_quotient([n]) for n in (5, 10, 20, 40, 80)]
+    works = [algebraic._count(f, q, 0)[1] for q in quotients]
+    counted = []
+    split = algebraic._split_det
+    monkeypatch.setattr(algebraic, "_split_det", lambda *a: counted.append(a) or split(*a))
+    # a cap of exactly the first three quotients' work admits them only
+    monkeypatch.setattr(algebraic, "COST_CAP", sum(works[:3]))
+    total = sum(works[:4])
+    with pytest.raises(ResourceGuardError, match=f"at Z/40 exceeds .*work {total} so far"):
+        entropy_trace(f, quotients)
+    assert len(counted) == 3
+    monkeypatch.setattr(algebraic, "COST_CAP", sum(works))
+    assert len(entropy_trace(f, quotients).records) == 5
+
+
+def test_cost_estimate_bounds_the_primes_drawn(monkeypatch):
+    # the estimate's prime count (the one passed to the split) is the count
+    # drawn for a nonsingular f and at least it for a singular one, on the
+    # torus, split and singular batteries
+    drawn = _drawn_primes(monkeypatch)
+    estimates = []
+    split = algebraic._split_det
+    monkeypatch.setattr(
+        algebraic, "_split_det", lambda plan, need: estimates.append(need) or split(plan, need)
+    )
+    rng = random.Random(191)
+    cases = [_random_torus_case(rng, 1 + i % 3, balanced=i % 4 == 0) for i in range(60)]
+    for q, gens in _explicit_quotients(rng):
+        cases += [(_random_word_element(rng, gens, balanced=i == 0), q) for i in range(3)]
+    cases += [(f, q) for _, f, q, _ in _singular_explicit_cases(rng)]
+    finite = singular = 0
+    for f, q in cases:
+        if f.is_zero:
+            continue
+        drawn.clear()
+        estimates.clear()
+        sc = fix_count(f, q)
+        assert len(estimates) == 1, (f.render(), q.label)
+        if sc.is_finite:
+            assert len(drawn) == estimates[0], (f.render(), q.label)
+            finite += 1
+        else:
+            assert len(drawn) <= estimates[0], (f.render(), q.label)
+            singular += 1
+    assert finite >= 50 and singular >= 50
 
 
 def _drawn_primes(monkeypatch):
@@ -842,7 +936,7 @@ def test_split_fix_count_prime_multiple_coefficients():
         assert (sc.value, sc.nullity) == (None, q.size // order)
 
 
-def test_split_fix_count_agrees_with_fk_determinant_and_guard():
+def test_split_fix_count_agrees_with_fk_determinant_and_guard(monkeypatch):
     table, a, b = sl2_table(5)
     q = ExplicitQuotient(table, {"a": a, "b": b})
     f = GroupRingElement(0, {parse_word(w): c for w, c in (("e", 5), ("a", -1), ("b^-1", -2))})
@@ -850,8 +944,10 @@ def test_split_fix_count_agrees_with_fk_determinant_and_guard():
     assert fk_determinant_quotient(f, q) == pytest.approx(
         math.exp(log_big_int(sc.value) / q.size), rel=1e-15
     )
-    with pytest.raises(ResourceGuardError):
-        fix_count(f, q, limit=120 * 120 - 1)
+    work = algebraic._count(f, q, 0)[1]
+    monkeypatch.setattr(algebraic, "COST_CAP", work - 1)
+    with pytest.raises(ResourceGuardError, match=f"work {work} so far"):
+        fix_count(f, q)
     with pytest.raises(ValueError, match="mismatch"):
         fix_count(parse_laurent("3 - x", 1), q)
 
@@ -1029,6 +1125,16 @@ def test_orbit_split_on_relabelled_sl2():
         for f in (_laplacian(5), _laplacian(4), _asymmetric()):
             _assert_matches_every_character(f, q)
         assert fix_count(_laplacian(4), q).nullity == 1
+
+
+def test_sl2_11_laplacian_counts_by_default():
+    # d = 1320: the Laplacian's kernel is the constants
+    table, a, b = sl2_table(11)
+    q = ExplicitQuotient(table, {"a": a, "b": b}, "SL(2,11)")
+    got = fix_count(_laplacian(4), q)
+    assert got.nullity == 1
+    want = every_character_count(_laplacian(4), q)
+    assert (got.value, got.nullity) == (want.value, want.nullity)
 
 
 def test_sl2_orbit_sizes():

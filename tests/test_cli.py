@@ -6,6 +6,7 @@ import math
 import pytest
 
 from sofic import SubshiftSFT, hom_count_exact, sofic_map_from_quotient, torus_quotient
+from sofic import algebraic, subshift
 from sofic.cli import main
 
 from helpers import cyclic_table, s3_table, sl2_table
@@ -88,10 +89,17 @@ def test_algebraic_rank2_moduli(tmp_path):
     assert [r["d"] for r in rows] == ["6", "16"]
 
 
-def test_algebraic_resource_guard(tmp_path, monkeypatch):
-    monkeypatch.setenv("SEL_MAX_DIM", "100")
-    rc = main(["algebraic", "--group", "Z", "--poly", "x - 2", "--quotients", "1..50"])
+def _refuse(*args):
+    raise AssertionError("work started before the guard refused")
+
+
+def test_algebraic_resource_guard(tmp_path, capsys, monkeypatch):
+    # the default cost cap refuses Z/50021 before any prime is drawn
+    monkeypatch.setattr(algebraic, "_character_primes", _refuse)
+    rc = main(["algebraic", "--group", "Z", "--poly", "3 - x - x^-1",
+               "--quotients", "50021..50021"])
     assert rc == 4
+    assert "resource guard: estimated cost at Z/50021 exceeds" in capsys.readouterr().err
 
 
 def test_algebraic_explicit_chain_matches_torus(tmp_path):
@@ -262,6 +270,19 @@ def test_subshift_invalid_sft(tmp_path, capsys, sft):
     rc = main(["subshift", "--sft", str(path), "--quotients", "2..4"])
     assert rc == 2
     assert "invalid SFT" in capsys.readouterr().err
+
+
+def test_subshift_resource_guard(tmp_path, capsys, monkeypatch):
+    # 100 symbols over Z/1..20: 20 products of 100 x 100 matrices, 2 * 10^7,
+    # over the default cap, refused before the walk starts
+    monkeypatch.setattr(subshift, "_transfer_traces", _refuse)
+    obj = {"alphabet": list(range(100)), "window": [0, 1],
+           "allowed": [[a, b] for a in range(100) for b in range(100) if a != b]}
+    sft_path = tmp_path / "wide.json"
+    sft_path.write_text(json.dumps(obj), encoding="utf-8")
+    rc = main(["subshift", "--sft", str(sft_path), "--quotients", "1..20"])
+    assert rc == 4
+    assert "resource guard: the transfer walk's estimated cost 20000000" in capsys.readouterr().err
 
 
 def test_subshift_window3_beyond_enumeration_cap(tmp_path):

@@ -18,6 +18,7 @@ from sofic import (
     sofic_map_from_quotient,
     torus_quotient,
 )
+from sofic import groups
 from sofic.groups import word_inv, word_mul
 
 from helpers import cyclic_table, relabel_table, s3_table
@@ -170,12 +171,15 @@ def test_torus_quotient_sizes():
     assert torus_quotient([3, 4]).size == 12
 
 
-def test_torus_quotient_guard():
-    with pytest.raises(ResourceGuardError):
-        torus_quotient([10**7], limit=10**6)
-    # explicit limit overrides the default
-    q = torus_quotient([100], limit=10**6)
-    assert q.size == 100
+def test_torus_quotient_guard(monkeypatch):
+    with pytest.raises(ResourceGuardError, match="coset cap 1000000$"):
+        torus_quotient([10**7])
+    assert torus_quotient([1000, 1000]).size == 10**6
+    # the module constant is the one consulted
+    monkeypatch.setattr(groups, "COSET_CAP", 99)
+    with pytest.raises(ResourceGuardError, match="quotient size 100 exceeds"):
+        torus_quotient([100])
+    assert torus_quotient([99]).size == 99
 
 
 def test_torus_quotient_validation():

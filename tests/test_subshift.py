@@ -6,8 +6,8 @@ import random
 import pytest
 
 from sofic import (
-    EnumerationCapError,
     HomCountReport,
+    ResourceGuardError,
     SubshiftSFT,
     full_shift,
     golden_mean,
@@ -427,7 +427,7 @@ def test_transfer_walk_matches_brute_force_battery():
             brute[n] = bad_site_tally_brute(sft, sigma, sft.window)
         walk = subshift._transfer_traces(sft, lengths, top)
         assert walk == {n: tally[: top + 1] + [0] * (top - n) for n, tally in brute.items()}
-        walks = sft.is_nearest_neighbor or subshift._walk_is_cheaper(sft, lengths, None)
+        walks = sft.is_nearest_neighbor or subshift._walk_is_cheaper(sft, lengths)
         table = subshift_entropy_table(sft, lengths, budgets)
         assert [(r.n, r.budget) for r in table.rows] == [
             (n, b) for n in lengths for b in sorted(budgets)
@@ -447,6 +447,7 @@ def test_entropy_table_route_choice(monkeypatch):
     wide = SubshiftSFT(alphabet=(0, 1), window=(0, 6, 12), allowed=frozenset(patterns[1:]))
     walks, tallies = [], []
     traces, tally = subshift._transfer_traces, subshift._bad_site_tally
+    cap = subshift.DEFAULT_ENUMERATION_CAP
 
     def walk_spy(*args):
         walks.append(args[1])
@@ -459,14 +460,16 @@ def test_entropy_table_route_choice(monkeypatch):
     monkeypatch.setattr(subshift, "_transfer_traces", walk_spy)
     monkeypatch.setattr(subshift, "_bad_site_tally", tally_spy)
     # 4 states: 8 * 64 = 512 for 1..8 (7 products, 1 to build) against 3586
-    assert subshift._walk_is_cheaper(window3, range(1, 9), None)
+    assert subshift._walk_is_cheaper(window3, range(1, 9))
     assert subshift_entropy_table(window3, range(1, 9)).rows[0].method == "transfer_matrix"
     assert (len(walks), tallies) == (1, [])
     # the same walk is refused by a cap below its estimate
-    assert not subshift._walk_is_cheaper(window3, range(1, 9), 511)
-    table = subshift_entropy_table(window3, range(1, 9), cap=511)
+    monkeypatch.setattr(subshift, "DEFAULT_ENUMERATION_CAP", 511)
+    assert not subshift._walk_is_cheaper(window3, range(1, 9))
+    table = subshift_entropy_table(window3, range(1, 9))
     assert {r.method for r in table.rows} == {"exact_enumeration"}
     assert (len(walks), tallies) == (1, list(range(1, 9)))
+    monkeypatch.setattr(subshift, "DEFAULT_ENUMERATION_CAP", cap)
     # the estimate counts the walk's matrix products, plus one for the step
     # matrix: 5 = 101b takes 3 by squaring, the gap 7 = 111b 4, joining them 1
     products = []
@@ -477,26 +480,31 @@ def test_entropy_table_route_choice(monkeypatch):
         return mat_mul(*args)
 
     monkeypatch.setattr(subshift, "_mat_mul", mul_spy)
-    assert subshift._walk_is_cheaper(window3, [12, 5, 12], (8 + 1) * 64)
-    assert not subshift._walk_is_cheaper(window3, [12, 5, 12], (8 + 1) * 64 - 1)
+    monkeypatch.setattr(subshift, "DEFAULT_ENUMERATION_CAP", (8 + 1) * 64)
+    assert subshift._walk_is_cheaper(window3, [12, 5, 12])
+    monkeypatch.setattr(subshift, "DEFAULT_ENUMERATION_CAP", (8 + 1) * 64 - 1)
+    assert not subshift._walk_is_cheaper(window3, [12, 5, 12])
+    monkeypatch.setattr(subshift, "DEFAULT_ENUMERATION_CAP", cap)
     subshift_entropy_table(window3, [12, 5, 12])
     assert len(products) == 8
     assert len(walks) == 2
     # 4096 states cost more than enumerating short lengths
-    assert not subshift._walk_is_cheaper(wide, range(1, 11), None)
+    assert not subshift._walk_is_cheaper(wide, range(1, 11))
     table = subshift_entropy_table(wide, range(1, 11))
     assert {r.method for r in table.rows} == {"exact_enumeration"}
     assert len(walks) == 2
     # at n = 25 both estimates exceed the cap: refused before any work
-    with pytest.raises(EnumerationCapError, match="^33554432 labelings"):
+    with pytest.raises(ResourceGuardError, match="^33554432 labelings"):
         subshift_entropy_table(wide, [25])
     assert len(walks) == 2 and len(tallies) == 8 + 10
     # nearest-neighbor windows walk whatever enumeration's estimate, up to
     # the cap: 30 = 11110b takes 8 products of 2 x 2 matrices, 64
-    assert subshift_entropy_table(golden_mean(), [30], cap=64).rows[0].count == 1860498
+    monkeypatch.setattr(subshift, "DEFAULT_ENUMERATION_CAP", 64)
+    assert subshift_entropy_table(golden_mean(), [30]).rows[0].count == 1860498
     assert len(walks) == 3
-    with pytest.raises(EnumerationCapError, match="estimated cost 64 exceeds the cap 63"):
-        subshift_entropy_table(golden_mean(), [30], cap=63)
+    monkeypatch.setattr(subshift, "DEFAULT_ENUMERATION_CAP", 63)
+    with pytest.raises(ResourceGuardError, match="estimated cost 64 exceeds the cap 63"):
+        subshift_entropy_table(golden_mean(), [30])
     assert len(walks) == 3
 
 
@@ -514,10 +522,11 @@ def test_entropy_table_checks_cap_before_enumerating(monkeypatch):
         return checks(*args)
 
     monkeypatch.setattr(subshift, "_pulled_back_checks", counting)
-    with pytest.raises(EnumerationCapError, match="^128 labelings exceed the enumeration cap 64;"):
-        subshift_entropy_table(wide, [2, 1, 7, 3, 8], [0, 1], cap=64)
+    monkeypatch.setattr(subshift, "DEFAULT_ENUMERATION_CAP", 64)
+    with pytest.raises(ResourceGuardError, match="^128 labelings exceed the enumeration cap 64;"):
+        subshift_entropy_table(wide, [2, 1, 7, 3, 8], [0, 1])
     assert calls == []
-    table = subshift_entropy_table(wide, [2, 1, 6, 2], [0], cap=64)
+    table = subshift_entropy_table(wide, [2, 1, 6, 2], [0])
     assert len(calls) == 3  # each distinct length is enumerated once
     assert {row.method for row in table.rows} == {"exact_enumeration"}
 
@@ -529,23 +538,27 @@ def test_entropy_table_refuses_a_dear_nearest_neighbor_walk(monkeypatch):
     walks = []
     traces = subshift._transfer_traces
     monkeypatch.setattr(subshift, "_transfer_traces", lambda *a: walks.append(a) or traces(*a))
-    with pytest.raises(EnumerationCapError, match="cost 20000000 exceeds the cap 10000000$"):
+    with pytest.raises(ResourceGuardError, match="cost 20000000 exceeds the cap 10000000$"):
         subshift_entropy_table(wide, range(1, 21))
     assert walks == []
     # the default cap is the one consulted, and a raised cap admits the
     # walk: Z/1, Z/2 take 2 products, 2 * 10^6
     monkeypatch.setattr(subshift, "DEFAULT_ENUMERATION_CAP", 2 * 10**6 - 1)
-    with pytest.raises(EnumerationCapError, match="cost 2000000 exceeds"):
+    with pytest.raises(ResourceGuardError, match="cost 2000000 exceeds"):
         subshift_entropy_table(wide, [1, 2])
-    table = subshift_entropy_table(wide, [1, 2], cap=2 * 10**6)
+    monkeypatch.setattr(subshift, "DEFAULT_ENUMERATION_CAP", 2 * 10**6)
+    table = subshift_entropy_table(wide, [1, 2])
     want = [transition_matrix_power_trace(wide, n) for n in (1, 2)]
     assert [r.count for r in table.rows] == want
 
 
-def test_hom_count_cap():
+def test_hom_count_cap(monkeypatch):
     gm = golden_mean()
-    with pytest.raises(EnumerationCapError):
-        hom_count_exact(gm, _cyclic_sigma(10), (0, 1), budget=0, cap=100)
+    # 2^10 labelings: within the default cap, refused by one below them
+    assert hom_count_exact(gm, _cyclic_sigma(10), (0, 1), budget=0).count == 123
+    monkeypatch.setattr(subshift, "DEFAULT_ENUMERATION_CAP", 2**10 - 1)
+    with pytest.raises(ResourceGuardError, match="^1024 labelings"):
+        hom_count_exact(gm, _cyclic_sigma(10), (0, 1), budget=0)
 
 
 def test_report_budget_delta_consistency():
