@@ -554,31 +554,13 @@ class TorusQuotient:
         vec.reverse()
         return vec[0] if self.rank == 1 else tuple(vec)
 
-    def _index_grid(self) -> np.ndarray:
-        """(size, rank) array of coset exponent vectors in index order."""
-        d = self.size
-        idx = np.arange(d, dtype=np.int64)
-        cols = []
-        stride = d
-        for n in self.moduli:
-            stride //= n
-            cols.append((idx // stride) % n)
-        return np.stack(cols, axis=1)
-
     def coset_translation_perm(self, coset: int) -> np.ndarray:
-        """Permutation k -> index(coset + k) as an int64 array."""
-        grid = self._index_grid()
+        """Permutation k -> index(coset + k) as an int64 array: the row-major
+        index grid rolled back by the coset's exponent along every axis."""
         shift = self.exponent(coset)
         shift = (shift,) if self.rank == 1 else shift
-        out = np.zeros(self.size, dtype=np.int64)
-        for col, (s, n) in enumerate(zip(shift, self.moduli)):
-            out *= n
-            out += (grid[:, col] + s) % n
-        return out
-
-    def translation_perm(self, elem) -> np.ndarray:
-        """Left-translation permutation of an ambient element."""
-        return self.coset_translation_perm(self.index(elem))
+        grid = np.arange(self.size, dtype=np.int64).reshape(self.moduli)
+        return np.roll(grid, [-s for s in shift], axis=tuple(range(self.rank))).ravel()
 
     def split_plan(self, f: GroupRingElement) -> SplitPlan:
         """The split over A = the whole quotient: one coset and 1 x 1
@@ -799,9 +781,6 @@ class ExplicitQuotient:
             moduli, list(fhat.values()), coset[r], coords, orbit_reps, orbit_sizes
         )
 
-    def translation_perm(self, elem) -> np.ndarray:
-        return self.coset_translation_perm(self.index(elem))
-
     def __repr__(self) -> str:
         return f"ExplicitQuotient(label={self.label!r}, size={self.size})"
 
@@ -921,7 +900,7 @@ def sofic_map_from_quotient(q: Quotient, elems: Iterable) -> SoficMap:
     perms = {}
     for elem in elems:
         key = normalize_element(elem, q.rank)
-        perms[key] = q.translation_perm(key)
+        perms[key] = q.coset_translation_perm(q.index(key))
     return SoficMap(d=q.size, perms=perms, rank=q.rank, label=q.label)
 
 

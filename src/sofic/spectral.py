@@ -14,7 +14,9 @@ smooth and periodic.
 
 Nonvanishing of F on the torus is exactly invertibility of f in the group
 C*-algebra when the group is abelian; certify_invertible_torus checks it
-with a grid minimum plus a Lipschitz bound.
+with a grid minimum plus a Lipschitz bound.  The certificate and the
+quadrature read one grid scan (`_grid_scan`), each with its own near-zero
+threshold.
 """
 
 from __future__ import annotations
@@ -108,18 +110,6 @@ class InvertibilityCertificate:
         return self.verdict == "certified_invertible"
 
 
-def _exponent_rows(f: GroupRingElement) -> tuple:
-    """(coeff array, exponent matrix) for a rank >= 1 element."""
-    if f.rank < 1:
-        raise ValueError("torus evaluation requires rank >= 1")
-    coeffs = np.array([float(c) for c in f.terms.values()])
-    if f.rank == 1:
-        exps = np.array([[e] for e in f.terms], dtype=np.int64)
-    else:
-        exps = np.array([list(e) for e in f.terms], dtype=np.int64)
-    return coeffs, exps
-
-
 def _grid_values(f: GroupRingElement, grid: int) -> np.ndarray:
     """F on the uniform grid (j_1/g, ..., j_d/g) via a d-dimensional FFT.
 
@@ -146,6 +136,15 @@ def _grid_error_bound(f: GroupRingElement, grid: int) -> float:
     """
     levels = f.rank * math.log2(grid)
     return _UNIT_ROUNDOFF * f.one_norm * (FFT_LEVEL_ERROR * levels + len(f.terms) + 1)
+
+
+def _grid_scan(f: GroupRingElement, grid: int) -> tuple:
+    """(|F| on the grid, its minimum, the minimum's torus point, the
+    evaluation error bound `_grid_error_bound`)."""
+    values = np.abs(_grid_values(f, grid))
+    argmin = np.unravel_index(int(np.argmin(values)), values.shape)
+    witness = tuple(int(i) / grid for i in argmin)
+    return values, float(values[argmin]), witness, _grid_error_bound(f, grid)
 
 
 def mahler_jensen(f: GroupRingElement) -> MahlerEstimate:
@@ -243,11 +242,8 @@ def mahler_quadrature(f: GroupRingElement, grid: int) -> MahlerEstimate:
         raise ValueError("Mahler measure of the zero element is undefined")
     if grid < 4 or grid % 2 != 0:
         raise ValueError("grid must be an even integer >= 4")
-    values = np.abs(_grid_values(f, grid))
-    argmin = np.unravel_index(int(np.argmin(values)), values.shape)
-    vmin = float(values[argmin])
-    if vmin < max(NEAR_ZERO_QUADRATURE, _grid_error_bound(f, grid)):
-        witness = tuple(int(i) / grid for i in argmin)
+    values, vmin, witness, float_error = _grid_scan(f, grid)
+    if vmin < max(NEAR_ZERO_QUADRATURE, float_error):
         raise NearZeroError(
             f"|F| = {vmin:.3e} at grid point {witness}; "
             "f may be non-invertible on the torus",
@@ -284,38 +280,24 @@ def certify_invertible_torus(f: GroupRingElement, grid: int) -> InvertibilityCer
         raise ValueError("torus certificate requires rank >= 1")
     if grid < 2:
         raise ValueError("grid must be >= 2 points per axis")
-    values = np.abs(_grid_values(f, grid))
-    argmin = np.unravel_index(int(np.argmin(values)), values.shape)
-    vmin = float(values[argmin])
-    witness = tuple(int(i) / grid for i in argmin)
+    _, vmin, witness, float_error = _grid_scan(f, grid)
     lipschitz = 2.0 * math.pi * sum(
         abs(c) * element_norm1(s, f.rank) for s, c in f.terms.items()
     )
-    float_error = _grid_error_bound(f, grid)
+    lower = vmin - float_error - lipschitz / (2.0 * grid) * math.sqrt(f.rank)
     if vmin < max(NEAR_ZERO_CERTIFICATE, float_error):
-        return InvertibilityCertificate(
-            verdict="not_invertible_suspected",
-            grid=grid,
-            lipschitz_bound=lipschitz,
-            min_abs=vmin,
-            witness=witness,
-            witness_abs=vmin,
-        )
-    margin = lipschitz / (2.0 * grid) * math.sqrt(f.rank)
-    m_eff = vmin - float_error
-    if m_eff > margin:
-        return InvertibilityCertificate(
-            verdict="certified_invertible",
-            grid=grid,
-            lipschitz_bound=lipschitz,
-            min_abs=vmin,
-            min_abs_lower_bound=m_eff - margin,
-        )
+        verdict = "not_invertible_suspected"
+    elif lower > 0:
+        verdict = "certified_invertible"
+    else:
+        verdict = "unknown"
+    certified = verdict == "certified_invertible"
     return InvertibilityCertificate(
-        verdict="unknown",
+        verdict=verdict,
         grid=grid,
         lipschitz_bound=lipschitz,
         min_abs=vmin,
-        witness=witness,
-        witness_abs=vmin,
+        min_abs_lower_bound=lower if certified else None,
+        witness=None if certified else witness,
+        witness_abs=None if certified else vmin,
     )

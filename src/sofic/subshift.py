@@ -227,7 +227,8 @@ def transfer_matrix_count(sft: SubshiftSFT, n: int, budget: int = 0) -> int:
     not allowed.  The count is the sum of the coefficients of z^0..z^budget
     in trace((T + z(J - T))^n), T the 0/1 transition matrix and J the
     all-ones matrix; the zero-budget count is trace(T^n).  A budget of at
-    least n admits every labeling, m^n of them, and builds no polynomial.
+    least n admits every labeling, m^n of them, and builds no polynomial;
+    any other walk is refused first when its estimate exceeds the cap.
     """
     if n < 1:
         raise ValueError("cycle length must be >= 1")
@@ -236,6 +237,7 @@ def transfer_matrix_count(sft: SubshiftSFT, n: int, budget: int = 0) -> int:
     sft.allowed_pairs()  # rejects windows other than {0, 1}
     if budget >= n:
         return len(sft.alphabet) ** n
+    _check_walk_cost(sft, [n])
     return sum(_transfer_traces(sft, [n], budget)[n])
 
 
@@ -329,6 +331,16 @@ def _walk_cost(sft: SubshiftSFT, lengths: Sequence[int]) -> int:
     gaps = [n - prev for prev, n in zip([0] + distinct, distinct)]
     products = sum(g.bit_length() + g.bit_count() - 1 for g in gaps)
     return products * (len(sft.alphabet) ** _block_length(sft)) ** 3
+
+
+def _check_walk_cost(sft: SubshiftSFT, lengths: Sequence[int]) -> None:
+    """Refuse a transfer walk whose estimate (`_walk_cost`) exceeds the cap."""
+    walk = _walk_cost(sft, lengths)
+    if walk > DEFAULT_ENUMERATION_CAP:
+        raise ResourceGuardError(
+            f"the transfer walk's estimated cost {walk} exceeds the cap "
+            f"{DEFAULT_ENUMERATION_CAP}"
+        )
 
 
 def _walk_is_cheaper(sft: SubshiftSFT, lengths: Sequence[int]) -> bool:
@@ -505,12 +517,7 @@ def subshift_entropy_table(
         raise ValueError("budgets must be >= 0")
 
     if sft.is_nearest_neighbor:
-        walk = _walk_cost(sft, lengths)
-        if walk > DEFAULT_ENUMERATION_CAP:
-            raise ResourceGuardError(
-                f"the transfer walk's estimated cost {walk} exceeds the cap "
-                f"{DEFAULT_ENUMERATION_CAP}"
-            )
+        _check_walk_cost(sft, lengths)
     if sft.is_nearest_neighbor or _walk_is_cheaper(sft, lengths):
         method = "transfer_matrix"
         degree = max(b for b in budgets if b < max(lengths))

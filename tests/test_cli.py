@@ -392,6 +392,41 @@ def test_sofic_check_explicit_chain(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# quotient order, checked by entropy_trace alone
+
+
+def test_sofic_check_accepts_unordered_moduli(tmp_path):
+    out = tmp_path / "defects.csv"
+    rc = main(["sofic-check", "--group", "Z2", "--moduli", "3,3", "--moduli", "2,2",
+               "--elements", "1,0;0,1", "--out", str(out)])
+    assert rc == 0
+    rows = _csv_rows(_read(out))
+    assert [r["label"] for r in rows] == ["Z/3xZ/3"] * 2 + ["Z/2xZ/2"] * 2
+
+
+def test_algebraic_refuses_unordered_moduli(capsys):
+    rc = main(["algebraic", "--group", "Z2", "--poly", "5 - x - x^-1 - y - y^-1",
+               "--moduli", "3,3", "--moduli", "2,2"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert "nondecreasing" in captured.err
+
+
+def test_algebraic_refuses_shrinking_chain(tmp_path, capsys):
+    chain = {"poly": {"e": 3, "a": -1}, "quotients": [
+        {"label": f"C{n}", "table": cyclic_table(n), "images": {"a": 1}} for n in (4, 2)
+    ]}
+    chain_path = tmp_path / "chain.json"
+    chain_path.write_text(json.dumps(chain), encoding="utf-8")
+    rc = main(["algebraic", "--group", f"file:{chain_path}"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert "nondecreasing" in captured.err
+
+
+# ---------------------------------------------------------------------------
 # determinism and format consistency
 
 

@@ -197,6 +197,22 @@ def test_torus_coset_arithmetic():
     assert q.exponent(6) == (1, 2)
 
 
+@pytest.mark.parametrize("moduli", [(7,), (3, 4), (2, 3, 2), (2, 2, 3, 2)])
+def test_torus_translation_adds_exponents(moduli):
+    # the rolled index grid against componentwise addition of exponents
+    q = torus_quotient(moduli)
+
+    def vec(k):
+        e = q.exponent(k)
+        return (e,) if q.rank == 1 else e
+
+    for c in range(q.size):
+        perm = q.coset_translation_perm(c)
+        for k in range(q.size):
+            total = tuple(a + b for a, b in zip(vec(c), vec(k)))
+            assert perm[k] == q.index(total[0] if q.rank == 1 else total), (c, k)
+
+
 def test_sofic_map_from_quotient_examples():
     q = torus_quotient([4])
     cyc = sofic_map_from_quotient(q, {1})

@@ -174,6 +174,25 @@ def test_transfer_full_budget_builds_no_polynomial(monkeypatch):
         transfer_matrix_count(window3, 2, 5)
 
 
+def test_transfer_count_refuses_a_costly_walk(monkeypatch):
+    # 100 symbols at n = 1023: 19 products of 100 x 100 matrices, 1.9 * 10^7,
+    # over the cap; the count and the table refuse with one text
+    def no_walk(sft, lengths, degree):
+        raise AssertionError("the walk started before the guard refused")
+
+    monkeypatch.setattr(subshift, "_transfer_traces", no_walk)
+    wide = SubshiftSFT(
+        alphabet=tuple(range(100)),
+        window=(0, 1),
+        allowed=frozenset((a, b) for a in range(100) for b in range(100) if a != b),
+    )
+    message = "estimated cost 19000000 exceeds the cap 10000000"
+    with pytest.raises(ResourceGuardError, match=message):
+        transfer_matrix_count(wide, 1023)
+    with pytest.raises(ResourceGuardError, match=message):
+        subshift_entropy_table(wide, [1023])
+
+
 def test_table_full_budget_rows_keep_degree_low(monkeypatch):
     degrees = []
     traces = subshift._transfer_traces
