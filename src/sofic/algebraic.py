@@ -30,9 +30,13 @@ SL(2, Z/p) keeps its own centraliser, A = <-u> of order 2p, whose 2p
 characters fall into 6 orbits.  The primes p = 1 (mod exp A) are the
 largest such in (2^30, 2^31), filtered from one pool per process of the
 primes in that range in descending order, sieved exactly in segments of
-2^15 numbers as far down as the moduli served so far needed.  All blocks
-for a chunk of primes are eliminated in one batched int64 pass that gives
-each block's determinant and rank.  The product of the determinants is
+2^15 numbers as far down as the moduli served so far needed.  The counts
+of a whole trace run together, in rounds: each round draws every
+unfinished plan's next chunk of primes, and consecutive plans of one block
+size are eliminated as one group, padded to a common shape, in one batched
+int64 pass that gives each block's determinant and rank, so a trace of
+many small quotients pays numpy's fixed cost per call once per group
+rather than once per quotient.  The product of the determinants is
 lifted by CRT against Hadamard's bound: every row of M is a permutation of
 fhat, so (det M)^2 <= (sum_c fhat[c]^2)^d.  When det M = 0 the same
 elimination gives the nullity d - rank M, each block's rank certified by a
@@ -71,7 +75,7 @@ __all__ = [
 LOG2 = math.log(2.0)
 
 # The most work one count or trace, or the prime supply of one count, may be
-# estimated at (`_count`): about 5 s at 4.4-5.3 ns a unit.
+# estimated at (`_estimate`): about 5 s at 4.4-5.3 ns a unit.
 COST_CAP = 10**9
 
 
@@ -88,6 +92,10 @@ _CHAR_PRIME_CEIL = 2**31
 # keeps the numpy temporaries near half a megabyte (or one prime's worth,
 # if larger).
 _CHAR_BLOCK = 2**16
+
+# Character exponents (orbits x terms x rows of a block, summed over the
+# plans) that `_split_det` holds at once, about 2 MB.
+_SPLIT_WINDOW = 2**18
 
 # Numbers per sieve segment, 2^14 of them odd, so that (2^30, 2^31) is 2^15
 # whole segments.
@@ -345,44 +353,84 @@ def _root_of_unity(m: int, p: int, factors: Sequence[int]) -> int:
         a += 1
 
 
-def _root_powers(m: int, primes: List[int]) -> np.ndarray:
-    """omega_p^t mod p for t = 0..m-1, one row per prime p = 1 (mod m)."""
-    factors = _prime_factors(m)
-    if len(primes) * m <= 128:
-        # a small table (one prime of a torus's first pass) costs less as a
-        # Python loop than as the numpy doubling's few calls per level
-        rows = [[1] * m for _ in primes]
-        for row, p in zip(rows, primes):
-            w = _root_of_unity(m, p, factors)
-            for t in range(1, m):
+def _root_powers(orders: Sequence[int], primes: Sequence[int]) -> np.ndarray:
+    """omega_r^t mod p_r for t = 0..max(orders)-1, one row r per prime p_r,
+    omega_r a primitive orders[r]-th root of unity (p_r = 1 mod orders[r])."""
+    width = max(orders)
+    factors = {k: _prime_factors(k) for k in set(orders)}
+    roots = [_root_of_unity(k, p, factors[k]) for k, p in zip(orders, primes)]
+    if len(primes) * width <= 128:
+        # a small table (one prime of a small torus's first round) costs less
+        # as a Python loop than as the numpy doubling's few calls per level
+        rows = [[1] * width for _ in primes]
+        for row, w, p in zip(rows, roots, primes):
+            for t in range(1, width):
                 row[t] = row[t - 1] * w % p
         return np.array(rows, dtype=np.int64)
     mods = np.array(primes, dtype=np.int64)[:, None]
-    step = np.array([[_root_of_unity(m, p, factors)] for p in primes], dtype=np.int64)
-    powers = np.ones((len(primes), m), dtype=np.int64)
+    step = np.array(roots, dtype=np.int64)[:, None]
+    powers = np.ones((len(primes), width), dtype=np.int64)
     filled = 1
-    while filled < m:
-        take = min(filled, m - filled)
+    while filled < width:
+        take = min(filled, width - filled)
         powers[:, filled : filled + take] = powers[:, :take] * step % mods
         step = step * step % mods
         filled += take
     return powers
 
 
-def _row_products(values: np.ndarray, primes: List[int]) -> List[int]:
+def _row_products(values: np.ndarray, mods: np.ndarray) -> List[int]:
     """Product of each row mod its prime, multiplied pairwise as a tree."""
-    mods = np.array(primes, dtype=np.int64)[:, None]
+    mods = mods[:, None]
     while values.shape[1] > 1:
         half = values.shape[1] // 2
         head = values[:, :half] * values[:, half : 2 * half] % mods
         if values.shape[1] % 2:
             head[:, :1] = head[:, :1] * values[:, -1:] % mods
         values = head
-    return [int(v) for v in values[:, 0]]
+    return values[:, 0].tolist()
 
 
-def _split_det(plan: SplitPlan, det_need: int) -> tuple:
-    """(|det M|, rank M) from a split plan over an abelian subgroup A.
+class _Split:
+    """One plan's progress in `_split_det`: its characters' exponents, the
+    primes drawn, the residues of |det M| at them and each orbit
+    representative's largest rank so far."""
+
+    def __init__(self, plan: SplitPlan, det_need: int):
+        self.plan = plan
+        self.det_need = det_need
+        moduli = plan.moduli
+        self.k = k = math.lcm(*moduli)
+        terms, m = plan.cols.shape
+        self.m = m
+        self.d = math.prod(moduli) * m
+        chars = np.indices(moduli, dtype=np.int64).reshape(len(moduli), -1).T[plan.orbit_reps]
+        self.orbits = len(chars)
+        scaled = plan.coords * [k // n for n in moduli]
+        # expo[t, j, i]: chi_j at the A-coordinates of c_t^-1 r_i, as a power
+        # of omega, for the orbit representatives chi_j
+        expo = scaled.reshape(-1, len(moduli)) @ chars.T % k
+        self.expo = expo.reshape(terms, m, self.orbits).transpose(0, 2, 1)
+        self.l1 = sum(abs(c) for c in plan.coeffs)
+        self.primes: List[int] = []
+        self.residues: List[int] = []
+        self.best = 0
+        self.full = False
+        self.phi = 1  # the largest phi(o) of a short block; 1 before any prime
+        self.block = max(1, _CHAR_BLOCK // (self.orbits * m * m))
+
+    def chunk(self) -> int:
+        """How many primes this round draws: up to the current need (see
+        `_split_det`), at most a chunk's worth."""
+        need = self.det_need
+        if not self.full:
+            # n primes above 2^30 have a product above 2^(30 n)
+            need = min(need, -(-(self.l1 ** (self.m * self.phi)).bit_length() // 30))
+        return max(0, min(need - len(self.primes), self.block))
+
+
+def _split_det(plans: Sequence[SplitPlan], det_needs: Sequence[int]) -> List[tuple]:
+    """(|det M|, rank M) for each split plan over an abelian subgroup A.
 
     With k = exp(A), omega a primitive k-th root of unity mod a prime
     p = 1 (mod k), and chi_j(a) = omega^(sum_l j_l a_l k / n_l) the
@@ -394,8 +442,6 @@ def _split_det(plan: SplitPlan, det_need: int) -> tuple:
     of one orbit of the normaliser are similar, over Z[omega] and modulo
     every prime, so only the plan's orbit representatives are built, and
     each one's determinant and rank count once per character of its orbit.
-    Every block of a chunk of primes is eliminated at once, the chunk sized
-    by the blocks built; a 1 x 1 block is its own determinant.
 
     The rank is certified block by block.  The entries of B_j lie in
     Z[zeta_o], o = k / gcd(k, the exponents of omega in B_j) (a divisor of
@@ -409,79 +455,180 @@ def _split_det(plan: SplitPlan, det_need: int) -> tuple:
     budget suffices.  Each orbit representative keeps its own budget, as
     similar blocks have equal rank at every prime.
 
-    The first primes meet the budget of phi = 1, the least any block can
-    need.  While some block has been short of full rank at every prime so
-    far (so its det, and det M, is 0 there), primes are drawn up to the
-    budget of the largest phi(o) among those blocks; once none is, up to
-    the determinant's ``det_need``, and the product of the block
-    determinants is lifted by CRT.
-    """
-    coeffs = plan.coeffs
-    if not coeffs:
-        return 0, 0
-    moduli = plan.moduli
-    k = math.lcm(*moduli)
-    terms, m = plan.cols.shape
-    d = math.prod(moduli) * m
-    chars = np.indices(moduli, dtype=np.int64).reshape(len(moduli), -1).T[plan.orbit_reps]
-    orbits = len(chars)
-    scaled = plan.coords * [k // n for n in moduli]
-    # expo[j, t, i]: chi_j at the A-coordinates of c_t^-1 r_i, as a power of
-    # omega, for the orbit representatives chi_j
-    expo = (chars @ scaled.reshape(-1, len(moduli)).T % k).reshape(orbits, terms, m)
-    # entry (i, cols[t, i]) of a flattened m x m block; a term with
-    # cols[t, i] = i for every i (every term on a torus) adds to the diagonal,
-    # a strided view of the block
-    identity = list(range(m))
-    diagonal = [row == identity for row in plan.cols.tolist()]
-    entries = None if all(diagonal) else plan.cols + np.arange(m) * m
+    Each plan's primes are drawn in rounds.  The first round meets the
+    budget of phi = 1, the least any block can need.  While some block has
+    been short of full rank at every prime so far (so its det, and det M,
+    is 0 there), a round draws up to the budget of the largest phi(o) among
+    those blocks; once none is, up to the plan's ``det_needs`` entry, and
+    the product of the block determinants is lifted by CRT.  A round draws
+    at most a chunk of primes per plan, sized by the plan's blocks, so each
+    plan draws the same primes as it would alone.
 
-    l1 = sum(abs(c) for c in coeffs)
-    primes: List[int] = []
-    residues: List[int] = []
-    best = 0
-    full = False
-    phi = 1  # the largest phi(o) of a short block; 1 before any prime
-    block = max(1, _CHAR_BLOCK // (orbits * m * m))
+    Within a round, consecutive plans of one block size m are eliminated as
+    one group (`_split_groups`): their rows (one per prime) are padded to
+    the group's largest exponent k, orbit count and term count, a padded
+    orbit counting as a block of det 1 at full rank and a padded term
+    having weight 0.  A group takes one table of root powers, one gather of
+    all its terms' character values, one batched elimination when m > 1 (a
+    1 x 1 block is its own determinant) and one product tree.
+
+    The plans run in windows of consecutive ones whose exponent tables
+    (orbits x terms x m entries each) hold at most _SPLIT_WINDOW entries
+    together, unless one plan's alone holds more, so a long trace keeps one
+    window's state at a time.
+    """
+    out: List[tuple] = []
+    window: list = []
+    entries = 0
+    for plan, need in zip(plans, det_needs):
+        size = len(plan.orbit_reps) * plan.cols.size
+        if window and entries + size > _SPLIT_WINDOW:
+            out += _split_window(window)
+            window, entries = [], 0
+        window.append((plan, need))
+        entries += size
+    return out + _split_window(window)
+
+
+def _split_window(window: list) -> List[tuple]:
+    """`_split_det` of a window of (plan, det_need) pairs."""
+    splits = [_Split(plan, need) if plan.coeffs else None for plan, need in window]
     while True:
-        # n primes above 2^30 have a product above 2^(30 n)
-        need = det_need if full else min(det_need, -(-(l1 ** (m * phi)).bit_length() // 30))
-        if len(primes) >= need:
+        todo = [(s, s.chunk()) for s in splits if s is not None]
+        todo = [(s, count) for s, count in todo if count]
+        if not todo:
             break
-        chunk = _character_primes(k, min(need, len(primes) + block))[len(primes) :]
-        mods = np.array(chunk, dtype=np.int64)
-        mods3 = mods[:, None, None]
-        powers = _root_powers(k, chunk)
-        weights = np.array([[c % p for p in chunk] for c in coeffs], dtype=np.int64)
-        blocks = np.zeros((len(chunk), orbits, m * m), dtype=np.int64)
-        for t, weight in enumerate(weights[:, :, None, None]):
-            part = powers[:, expo[:, t]] * weight % mods3
+        for group in _split_groups(todo):
+            _split_round(group)
+    out = []
+    for (plan, _), s in zip(window, splits):
+        if s is None:
+            out.append((0, 0))
+        elif not s.full:
+            out.append((0, int(s.best @ plan.orbit_sizes)))
+        else:
+            out.append((abs(_crt_symmetric(s.residues, s.primes)), s.d))
+    return out
+
+
+def _split_groups(todo: list) -> list:
+    """The (split, primes) pairs of a round, cut into runs of one block size
+    m.  A run holds at most _CHAR_BLOCK residues (rows x largest orbit
+    count x m^2), unless one plan's chunk alone is larger, and padding at
+    most doubles any plan's residues."""
+    groups: list = []
+    for s, count in todo:
+        last = groups[-1] if groups else []
+        if last and last[0][0].m == s.m:
+            orbits = [t.orbits for t, _ in last] + [s.orbits]
+            rows = sum(c for _, c in last) + count
+            if rows * max(orbits) * s.m**2 <= _CHAR_BLOCK and max(orbits) <= 2 * min(orbits):
+                last.append((s, count))
+                continue
+        groups.append([(s, count)])
+    return groups
+
+
+def _split_round(group: list) -> None:
+    """One round of `_split_det` for a group of (split, primes) pairs of one
+    block size m."""
+    splits = [s for s, _ in group]
+    m = splits[0].m
+    plans = len(splits)
+    orbits = max(s.orbits for s in splits)
+    terms = max(len(s.plan.coeffs) for s in splits)
+    chunks = [_character_primes(s.k, len(s.primes) + c)[len(s.primes) :] for s, c in group]
+    primes = [p for chunk in chunks for p in chunk]
+    rows = len(primes)
+    counts = [len(chunk) for chunk in chunks]
+    owner = np.repeat(np.arange(plans), counts)
+    mods = np.array(primes, dtype=np.int64)
+    powers = _root_powers([s.k for s, c in zip(splits, counts) for _ in range(c)], primes)
+    expo = np.zeros((plans, terms, orbits, m), dtype=np.int64)
+    weights = np.zeros((rows, terms), dtype=np.int64)
+    padded = np.ones((plans, orbits), dtype=bool)
+    starts = np.cumsum([0] + counts[:-1])
+    for i, (s, chunk) in enumerate(zip(splits, chunks)):
+        coeffs = s.plan.coeffs
+        expo[i, : len(coeffs), : s.orbits] = s.expo
+        weights[starts[i] : starts[i] + len(chunk), : len(coeffs)] = [
+            [c % p for c in coeffs] for p in chunk
+        ]
+        padded[i, : s.orbits] = False
+    # every term's character values, weighted, in one gather per group
+    index = expo.reshape(plans, -1)
+    if plans == 1:
+        part = powers[:, index[0]]
+    else:
+        part = powers[np.arange(rows)[:, None], index[owner]]
+    part = part.reshape(rows, terms, orbits, m)
+    part *= weights[:, :, None, None]
+    part %= mods[:, None, None, None]
+    pad = padded[owner]
+    if m == 1:
+        # a 1 x 1 block is its own determinant, of rank 1 unless it is 0
+        dets = part.sum(axis=1).reshape(rows, orbits) % mods[:, None]
+        dets[pad] = 1
+        ranks = (dets != 0).astype(np.int64)
+    else:
+        blocks = np.zeros((rows, orbits, m * m), dtype=np.int64)
+        # entry (i, cols[t, i]) of a flattened m x m block; a padded term
+        # adds 0 on the diagonal
+        cols = np.tile(np.arange(m), (plans, terms, 1))
+        for i, s in enumerate(splits):
+            cols[i, : len(s.plan.coeffs)] = s.plan.cols
+        entries = cols + np.arange(m) * m
+        diagonal = (cols == np.arange(m)).all(axis=(0, 2))
+        for t in range(terms):
             if diagonal[t]:
-                blocks[:, :, :: m + 1] += part
+                # a strided view of the diagonals
+                blocks[:, :, :: m + 1] += part[:, t]
+            elif plans == 1:
+                blocks[:, :, entries[0, t]] += part[:, t]
             else:
-                blocks[:, :, entries[t]] += part
-        blocks %= mods3
-        if m == 1:
-            # a 1 x 1 block is its own determinant, of rank 1 unless it is 0
-            dets, ranks = blocks, blocks != 0
-        else:
-            dets, ranks = _det_mod_batched(blocks.reshape(-1, m, m), np.repeat(mods, orbits))
-        primes += chunk
-        if not full:
-            best = np.maximum(best, ranks.reshape(len(chunk), orbits).max(axis=0))
-            short = np.flatnonzero(best < m)
-            full = not short.size
-        if full:
-            # a block's determinant once for every character of its orbit
-            dets = np.repeat(dets.reshape(len(chunk), orbits), plan.orbit_sizes, axis=1)
-            residues += _row_products(dets, chunk)
-        else:
-            # a block short of full rank at every prime so far has det 0 there
-            residues += [0] * len(chunk)
-            phi = max(_totient(k // math.gcd(k, *expo[j].ravel().tolist())) for j in short)
-    if not full:
-        return 0, int(best @ plan.orbit_sizes)
-    return abs(_crt_symmetric(residues, primes)), d
+                # each row at its own plan's entries
+                at = entries[owner, t][:, None, :]
+                row = np.arange(rows)[:, None, None]
+                blocks[row, np.arange(orbits)[:, None], at] += part[:, t]
+        blocks %= mods[:, None, None]
+        blocks[pad] = np.eye(m, dtype=np.int64).ravel()
+        dets, ranks = _det_mod_batched(blocks.reshape(-1, m, m), np.repeat(mods, orbits))
+        dets, ranks = dets.reshape(rows, orbits), ranks.reshape(rows, orbits)
+    peaks = np.maximum.reduceat(ranks, starts, axis=0)
+    products = None
+    for i, (s, chunk) in enumerate(zip(splits, chunks)):
+        s.primes += chunk
+        if not s.full:
+            s.best = np.maximum(s.best, peaks[i, : s.orbits])
+            short = np.flatnonzero(s.best < m)
+            s.full = not short.size
+            if not s.full:
+                # a block short of full rank at every prime so far has det 0 there
+                s.residues += [0] * len(chunk)
+                s.phi = max(
+                    _totient(s.k // math.gcd(s.k, *s.expo[:, j].ravel().tolist())) for j in short
+                )
+                continue
+        if products is None:
+            products = _row_products(_characters(dets, splits, owner), mods)
+        s.residues += products[starts[i] : starts[i] + len(chunk)]
+
+
+def _characters(dets: np.ndarray, splits: list, owner: np.ndarray) -> np.ndarray:
+    """The block determinants of a group's rows, each repeated once for every
+    character of its orbit; a row shorter than the group's widest is filled
+    with 1s, as its padded orbits are."""
+    if all((s.plan.orbit_sizes == 1).all() for s in splits):
+        return dets
+    sizes = np.zeros((len(splits), dets.shape[1] + 1), dtype=np.int64)
+    for i, s in enumerate(splits):
+        sizes[i, : s.orbits] = s.plan.orbit_sizes
+    sizes = sizes[owner]
+    total = sizes.sum(axis=1)
+    sizes[:, -1] = total.max() - total
+    ones = np.ones((len(dets), 1), dtype=np.int64)
+    flat = np.repeat(np.hstack([dets, ones]).ravel(), sizes.ravel())
+    return flat.reshape(len(dets), -1)
 
 
 def fix_count(f: GroupRingElement, q: Quotient) -> SolutionCount:
@@ -494,14 +641,16 @@ def fix_count(f: GroupRingElement, q: Quotient) -> SolutionCount:
     torus, a greedily grown one on an explicit quotient), whose one
     elimination of a block per orbit of characters gives the determinant
     and the rank, so the nullity d - rank when the determinant is 0.
-    Refused when its estimated cost (`_count`) exceeds COST_CAP.
+    Refused when its estimated cost (`_estimate`) exceeds COST_CAP.
     """
-    return _count(f, q, 0)[0]
+    plan, primes, _ = _estimate(f, q, 0)
+    return _solution(q, *_split_det([plan], [primes])[0])
 
 
-def _count(f: GroupRingElement, q: Quotient, spent: int) -> tuple:
-    """(fix_count(f, q), spent + W), refused before any prime is drawn when
-    spent + W, or the cost of the prime supply, exceeds COST_CAP.
+def _estimate(f: GroupRingElement, q: Quotient, spent: int) -> tuple:
+    """(q's split plan of f, the determinant's CRT prime count, spent + W),
+    refused when spent + W, or the cost of the prime supply, exceeds
+    COST_CAP.
 
     The split draws at most the determinant's CRT count of primes.  Each
     costs, per orbit representative, an elimination of m^3 and a block built
@@ -521,10 +670,13 @@ def _count(f: GroupRingElement, q: Quotient, spent: int) -> tuple:
             f"estimated cost at {q.label or f'd={q.size}'} exceeds the cap {COST_CAP}: "
             f"work {work} so far, prime supply {pool}"
         )
-    det, rank = _split_det(plan, primes)
+    return plan, primes, work
+
+
+def _solution(q: Quotient, det: int, rank: int) -> SolutionCount:
     if det:
-        return SolutionCount(value=det), work
-    return SolutionCount(value=None, nullity=q.size - rank), work
+        return SolutionCount(value=det)
+    return SolutionCount(value=None, nullity=q.size - rank)
 
 
 def log_big_int(n: int) -> float:
@@ -593,8 +745,10 @@ def entropy_trace(
 
     The quotient list must be ordered by nondecreasing size.  Quotients
     where the fixed-point group is infinite are skipped with their nullity.
-    The trace is refused at the first quotient whose estimated work would
-    take the running total over COST_CAP, so it never does more than that.
+    Every quotient is estimated before any is counted, and the trace is
+    refused, before its first prime, at the first quotient whose estimated
+    work would take the running total over COST_CAP.  The counts then run
+    as one `_split_det` over all the quotients' plans.
     """
     quotients = list(quotients)
     if not quotients:
@@ -606,6 +760,7 @@ def entropy_trace(
     identity = identity_element(f.rank)
     trace = EntropyTrace(f_description=f.render(), reference_value=reference)
     seen_caveats = set()
+    plans, needs = [], []
     spent = 0
     for q in quotients:
         for s in f.support():
@@ -614,7 +769,11 @@ def entropy_trace(
                 if note not in seen_caveats:
                     seen_caveats.add(note)
                     trace.caveats.append(note)
-        sc, spent = _count(f, q, spent)
+        plan, need, spent = _estimate(f, q, spent)
+        plans.append(plan)
+        needs.append(need)
+    for q, split in zip(quotients, _split_det(plans, needs)):
+        sc = _solution(q, *split)
         if sc.is_finite:
             log_fix = log_big_int(sc.value)
             trace.records.append(

@@ -347,20 +347,22 @@ def run_algebraic(args) -> int:
     if f.is_zero:
         raise ConfigError("the zero element has no principal algebraic action")
 
-    grid = args.grid or DEFAULT_GRIDS.get(rank)
+    # the trace checks the quotient order and refuses an over-cap chain
+    # before any grid is scanned
+    trace = algebraic.entropy_trace(f, quotients)
     certificate = None
-    reference = None
     if rank >= 1:
-        certificate = spectral.certify_invertible_torus(f, grid)
+        grid = args.grid or DEFAULT_GRIDS.get(rank)
+        # one grid scan serves the certificate and the quadrature
+        scan = spectral._grid_scan(f, grid) if rank > 1 else None
+        certificate = spectral.certify_invertible_torus(f, grid, scan)
         try:
             if rank == 1:
-                reference = spectral.mahler_jensen(f).value
+                trace.reference_value = spectral.mahler_jensen(f).value
             else:
-                reference = spectral.mahler_quadrature(f, grid).value
+                trace.reference_value = spectral.mahler_quadrature(f, grid, scan).value
         except (spectral.NearZeroError, ValueError):
-            reference = None
-
-    trace = algebraic.entropy_trace(f, quotients, reference=reference)
+            pass
 
     obj = {
         "f_description": trace.f_description,

@@ -16,7 +16,8 @@ Nonvanishing of F on the torus is exactly invertibility of f in the group
 C*-algebra when the group is abelian; certify_invertible_torus checks it
 with a grid minimum plus a Lipschitz bound.  The certificate and the
 quadrature read one grid scan (`_grid_scan`), each with its own near-zero
-threshold.
+threshold; a caller that wants both makes the scan once and passes it to
+each.
 """
 
 from __future__ import annotations
@@ -140,7 +141,10 @@ def _grid_error_bound(f: GroupRingElement, grid: int) -> float:
 
 def _grid_scan(f: GroupRingElement, grid: int) -> tuple:
     """(|F| on the grid, its minimum, the minimum's torus point, the
-    evaluation error bound `_grid_error_bound`)."""
+    evaluation error bound `_grid_error_bound`), for a grid of at least 2
+    points per axis."""
+    if grid < 2:
+        raise ValueError("grid must be >= 2 points per axis")
     values = np.abs(_grid_values(f, grid))
     argmin = np.unravel_index(int(np.argmin(values)), values.shape)
     witness = tuple(int(i) / grid for i in argmin)
@@ -229,7 +233,9 @@ def _jensen_error(poly: np.ndarray, roots: np.ndarray) -> float:
     return float(np.sum(np.log(np.maximum(hi, 1.0)) - np.log(np.clip(lo, 1.0, None))))
 
 
-def mahler_quadrature(f: GroupRingElement, grid: int) -> MahlerEstimate:
+def mahler_quadrature(
+    f: GroupRingElement, grid: int, scan: Optional[tuple] = None
+) -> MahlerEstimate:
     """Mean of log|F| over a uniform torus grid (periodic trapezoid rule).
 
     ``grid`` must be an even number >= 4 so the half grid is a subgrid; the
@@ -237,12 +243,14 @@ def mahler_quadrature(f: GroupRingElement, grid: int) -> MahlerEstimate:
     float-roundoff floor.  Aborts with NearZeroError if any grid value of
     |F| falls below 1e-14 or below its evaluation error bound
     (`_grid_error_bound`), which suggests f may vanish on the torus.
+    ``scan``, if given, is `_grid_scan(f, grid)`, made once for this and
+    the certificate.
     """
     if f.is_zero:
         raise ValueError("Mahler measure of the zero element is undefined")
     if grid < 4 or grid % 2 != 0:
         raise ValueError("grid must be an even integer >= 4")
-    values, vmin, witness, float_error = _grid_scan(f, grid)
+    values, vmin, witness, float_error = scan or _grid_scan(f, grid)
     if vmin < max(NEAR_ZERO_QUADRATURE, float_error):
         raise NearZeroError(
             f"|F| = {vmin:.3e} at grid point {witness}; "
@@ -264,7 +272,9 @@ def mahler_quadrature(f: GroupRingElement, grid: int) -> MahlerEstimate:
     )
 
 
-def certify_invertible_torus(f: GroupRingElement, grid: int) -> InvertibilityCertificate:
+def certify_invertible_torus(
+    f: GroupRingElement, grid: int, scan: Optional[tuple] = None
+) -> InvertibilityCertificate:
     """Grid-plus-Lipschitz check that F has no zero on the torus.
 
     With m the grid minimum of |F| less the forward-error bound of its
@@ -274,13 +284,13 @@ def certify_invertible_torus(f: GroupRingElement, grid: int) -> InvertibilityCer
     point within sqrt(d)*h/2 of the grid, so m > L*h/2*sqrt(d) certifies
     |F| >= m - L*h/2*sqrt(d) > 0 everywhere.  A grid value below 1e-10, or
     within the evaluation error of 0, reports a suspected zero instead;
-    otherwise the verdict is unknown and a finer grid is needed.
+    otherwise the verdict is unknown and a finer grid is needed.  ``scan``,
+    if given, is `_grid_scan(f, grid)`, made once for this and the
+    quadrature.
     """
     if f.rank < 1:
         raise ValueError("torus certificate requires rank >= 1")
-    if grid < 2:
-        raise ValueError("grid must be >= 2 points per axis")
-    _, vmin, witness, float_error = _grid_scan(f, grid)
+    _, vmin, witness, float_error = scan or _grid_scan(f, grid)
     lipschitz = 2.0 * math.pi * sum(
         abs(c) * element_norm1(s, f.rank) for s, c in f.terms.items()
     )

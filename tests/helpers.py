@@ -602,7 +602,8 @@ def every_character_count(f: GroupRingElement, q: Quotient) -> SolutionCount:
     plan = q.split_plan(f)
     size = math.prod(plan.moduli)
     plan = replace(plan, orbit_reps=np.arange(size), orbit_sizes=np.ones(size, dtype=np.int64))
-    det, rank = _split_det(plan, _crt_prime_count(sum(c * c for c in plan.coeffs) ** q.size))
+    need = _crt_prime_count(sum(c * c for c in plan.coeffs) ** q.size)
+    [(det, rank)] = _split_det([plan], [need])
     return SolutionCount(det) if det else SolutionCount(None, q.size - rank)
 
 

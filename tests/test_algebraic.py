@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import random
@@ -642,18 +643,22 @@ def test_tori_past_the_old_matrix_guard_count_by_default():
 def test_trace_stops_at_the_quotient_that_passes_the_cap(monkeypatch):
     f = parse_laurent("3 - x - x^-1", 1)
     quotients = [torus_quotient([n]) for n in (5, 10, 20, 40, 80)]
-    works = [algebraic._count(f, q, 0)[1] for q in quotients]
-    counted = []
-    split = algebraic._split_det
-    monkeypatch.setattr(algebraic, "_split_det", lambda *a: counted.append(a) or split(*a))
-    # a cap of exactly the first three quotients' work admits them only
+    works = [algebraic._estimate(f, q, 0)[2] for q in quotients]
+    drawn = []
+    primes = algebraic._character_primes
+    monkeypatch.setattr(
+        algebraic, "_character_primes", lambda *a: drawn.append(a) or primes(*a)
+    )
+    # a cap of exactly the first three quotients' work admits them only, and
+    # the whole trace is refused before its first prime
     monkeypatch.setattr(algebraic, "COST_CAP", sum(works[:3]))
     total = sum(works[:4])
     with pytest.raises(ResourceGuardError, match=f"at Z/40 exceeds .*work {total} so far"):
         entropy_trace(f, quotients)
-    assert len(counted) == 3
+    assert drawn == []
     monkeypatch.setattr(algebraic, "COST_CAP", sum(works))
     assert len(entropy_trace(f, quotients).records) == 5
+    assert drawn
 
 
 def test_cost_estimate_bounds_the_primes_drawn(monkeypatch):
@@ -664,7 +669,9 @@ def test_cost_estimate_bounds_the_primes_drawn(monkeypatch):
     estimates = []
     split = algebraic._split_det
     monkeypatch.setattr(
-        algebraic, "_split_det", lambda plan, need: estimates.append(need) or split(plan, need)
+        algebraic,
+        "_split_det",
+        lambda plans, needs: estimates.extend(needs) or split(plans, needs),
     )
     rng = random.Random(191)
     cases = [_random_torus_case(rng, 1 + i % 3, balanced=i % 4 == 0) for i in range(60)]
@@ -689,13 +696,14 @@ def test_cost_estimate_bounds_the_primes_drawn(monkeypatch):
 
 
 def _drawn_primes(monkeypatch):
-    """A list that records every prime the split draws, via _root_powers."""
+    """A list that records every prime the split draws, via _root_powers,
+    which takes each round's primes with their roots' orders."""
     drawn = []
     real = algebraic._root_powers
 
-    def spy(m, primes):
+    def spy(orders, primes):
         drawn.extend(primes)
-        return real(m, primes)
+        return real(orders, primes)
 
     monkeypatch.setattr(algebraic, "_root_powers", spy)
     return drawn
@@ -745,6 +753,208 @@ def test_split_prime_counts(monkeypatch):
         assert count == want
         assert count <= algebraic._crt_prime_count((lam * lam + 4) ** 336)
         assert sc.is_finite == (lam == 5)
+
+
+# ---------------------------------------------------------------------------
+# the batched split: every plan of a trace counted in one _split_det
+
+
+def _dihedral(n):
+    """D_n as the maps x -> (-1)^e x + i of Z/n, numbered 2 i + e, with r the
+    rotation x + 1 and s the reflection -x.  A = <r>, so its blocks are 2 x 2."""
+    table = [[0] * (2 * n) for _ in range(2 * n)]
+    for i in range(n):
+        for e in range(2):
+            for j in range(n):
+                for g in range(2):
+                    # (i, e) after (j, g): x -> (-1)^(e+g) x + (-1)^e j + i
+                    table[2 * i + e][2 * j + g] = 2 * ((i + (-1) ** e * j) % n) + (e + g) % 2
+    return ExplicitQuotient(table, {"r": 2 % (2 * n), "s": 1}, f"D{n}")
+
+
+def _alternating4(central=False):
+    """A4, or Z/2 x A4 with ``central``, on the even permutations of 0..3.
+    A is a self-normalising <(0 1 2)>, or <(0 1 2)> x Z/2, so its blocks are
+    4 x 4 and every orbit of characters is a single one."""
+    perms = sorted(p for p in itertools.permutations(range(4)) if _even(p))
+    n = len(perms)
+    index = {p: i for i, p in enumerate(perms)}
+    table = [[index[tuple(p[k] for k in r)] for r in perms] for p in perms]
+    images = {"a": index[(1, 2, 0, 3)], "b": index[(1, 0, 3, 2)]}
+    if central:
+        table = [
+            [(z ^ w) * n + table[i][j] for w in (0, 1) for j in range(n)]
+            for z in (0, 1)
+            for i in range(n)
+        ]
+        images["c"] = n + index[(0, 1, 2, 3)]
+    return ExplicitQuotient(table, images, "Z/2 x A4" if central else "A4")
+
+
+def _even(perm):
+    return sum(a > b for i, a in enumerate(perm) for b in perm[i + 1 :]) % 2 == 0
+
+
+def _split_spies(monkeypatch):
+    """A log of the split's groups, each as (plan, primes) pairs, and of every
+    prime it draws (`_drawn_primes`)."""
+    log = {"groups": [], "primes": _drawn_primes(monkeypatch)}
+    split_round = algebraic._split_round
+
+    def spy(group):
+        log["groups"].append([(s.plan, count) for s, count in group])
+        split_round(group)
+
+    monkeypatch.setattr(algebraic, "_split_round", spy)
+    return log
+
+
+def _assert_batch_matches_lone_counts(log, pairs):
+    """One _split_det over every (f, q) gives each pair the count, nullity
+    and drawn primes of a lone fix_count."""
+    lone = []
+    for f, q in pairs:
+        log["groups"].clear()
+        log["primes"].clear()
+        sc = fix_count(f, q)
+        assert all(len(group) == 1 for group in log["groups"])
+        lone.append((sc, sorted(log["primes"]), sum(c for g in log["groups"] for _, c in g)))
+    plans = [q.split_plan(f) for f, q in pairs]
+    needs = [algebraic._estimate(f, q, 0)[1] for f, q in pairs]
+    log["groups"].clear()
+    log["primes"].clear()
+    results = algebraic._split_det(plans, needs)
+    drawn = [0] * len(plans)
+    where = {id(plan): i for i, plan in enumerate(plans)}
+    for group in log["groups"]:
+        for plan, count in group:
+            drawn[where[id(plan)]] += count
+    for (f, q), split, (sc, _, count), got in zip(pairs, results, lone, drawn):
+        batched = algebraic._solution(q, *split)
+        assert (batched.value, batched.nullity) == (sc.value, sc.nullity), (f.render(), q.label)
+        assert got == count, (f.render(), q.label)
+    assert sorted(log["primes"]) == sorted(p for _, primes, _ in lone for p in primes)
+    return log["groups"]
+
+
+def _mixed_split_battery(rng):
+    """(f, q) pairs of tori of rank 1-3, abelian tables and explicit quotients
+    of block sizes 1 to 4, in an order that interleaves them."""
+    laplacian = parse_laurent("4 - x - x^-1 - y - y^-1", 2)
+    cubic = parse_laurent("1 + x + x^2", 1)
+    pairs = []
+    for n in (1, 2, 3, 5, 6, 9, 12):
+        pairs.append((parse_laurent("3 - x - x^-1 + x^2", 1), torus_quotient([n])))
+        pairs.append((cubic, torus_quotient([n])))
+    for n in (2, 3, 4, 5):
+        pairs.append((laplacian, torus_quotient([n, n])))
+        pairs.append((parse_laurent("5 - x - y^-1 + x*y", 2), torus_quotient([n, n + 1])))
+    pairs.append((parse_laurent("7 - x - y - z", 3), torus_quotient([2, 2, 2])))
+    laplacian3 = parse_laurent("6 - x - x^-1 - y - y^-1 - z - z^-1", 3)
+    pairs.append((laplacian3, torus_quotient([2, 3, 2])))
+    pairs.append((parse_laurent("2 - x*y*z", 3), torus_quotient([3, 3, 3])))
+    for i in range(6):
+        pairs.append(_random_torus_case(rng, 1 + i % 3, balanced=i % 2 == 0))
+    for moduli in ([6], [2, 4]):
+        _, eq = _abelian_pair(moduli, rng)
+        gens = "xy"[: len(moduli)]
+        pairs += [(_random_word_element(rng, gens, balanced=i == 0), eq) for i in range(2)]
+    table, perms = s3_table()
+    s3 = ExplicitQuotient(table, {"s": perms.index((1, 0, 2)), "r": perms.index((1, 2, 0))}, "S3")
+    table, a, b = sl2_table(3)
+    sl23 = ExplicitQuotient(table, {"a": a, "b": b}, "SL(2,3)")
+    table, x, y = heisenberg_table(3)
+    h3 = ExplicitQuotient(table, {"x": x, "y": y}, "H3(3)")
+    explicit = [_dihedral(4), _dihedral(5), s3, _dihedral(6), sl23, h3, _dihedral(7)]
+    for q in explicit:
+        gens = sorted(q.generator_images)
+        for i in range(2):
+            pairs.append((_random_word_element(rng, gens, balanced=i == 1), q))
+        pairs.append((GroupRingElement(0, {(): 5, ((gens[0], 1),): -1, ((gens[1], -1),): -2}), q))
+    # interleave, so groups form of both consecutive equal and unequal block sizes
+    rng.shuffle(pairs)
+    return [(f, q) for f, q in pairs if not f.is_zero]
+
+
+def test_batched_split_matches_lone_counts(monkeypatch):
+    log = _split_spies(monkeypatch)
+    rng = random.Random(211)
+    pairs = _mixed_split_battery(rng)
+    sizes = {q.split_plan(f).cols.shape[1] for f, q in pairs}
+    assert sizes >= {1, 2, 3}
+    groups = _assert_batch_matches_lone_counts(log, pairs)
+    assert any(len(g) > 1 and g[0][0].cols.shape[1] > 1 for g in groups)
+    assert any(len(g) > 1 and g[0][0].cols.shape[1] == 1 for g in groups)
+    nullities = [fix_count(f, q).nullity for f, q in pairs]
+    assert sum(n > 0 for n in nullities) >= 10
+
+
+def test_batched_split_with_every_plan_alone(monkeypatch):
+    # a budget of one residue leaves every plan its own group, a prime a round
+    log = _split_spies(monkeypatch)
+    monkeypatch.setattr(algebraic, "_CHAR_BLOCK", 1)
+    pairs = _mixed_split_battery(random.Random(223))[:30]
+    groups = _assert_batch_matches_lone_counts(log, pairs)
+    assert all(len(group) == 1 for group in groups)
+    assert all(count == 1 for group in groups for _, count in group)
+
+
+def test_batched_split_across_windows(monkeypatch):
+    # windows of at most 40 exponent entries cut the battery into many
+    log = _split_spies(monkeypatch)
+    monkeypatch.setattr(algebraic, "_SPLIT_WINDOW", 40)
+    windows = []
+    split_window = algebraic._split_window
+    monkeypatch.setattr(
+        algebraic, "_split_window", lambda window: windows.append(window) or split_window(window)
+    )
+    pairs = _mixed_split_battery(random.Random(229))
+    _assert_batch_matches_lone_counts(log, pairs)
+    # each lone count is one window; the batched call took the rest
+    batched = windows[len(pairs) :]
+    assert sum(len(window) for window in batched) == len(pairs)
+    assert len(batched) > 10 and any(len(window) > 1 for window in batched)
+
+
+def test_batched_split_with_one_group_per_round(monkeypatch):
+    # an unbounded budget groups every plan of one block size whose orbit
+    # counts lie within a factor of 2: here 8..16 orbits of 1 x 1 blocks,
+    # then 3..5 orbits of 2 x 2 blocks, then 3 and 6 of 4 x 4 blocks
+    log = _split_spies(monkeypatch)
+    monkeypatch.setattr(algebraic, "_CHAR_BLOCK", 2**40)
+    reflections = {(("r", 1),): -1, (("s", 1),): -1, (("r", -1), ("s", 1)): 1}
+    rng = random.Random(227)
+    laplacian = parse_laurent("4 - x - x^-1 - y - y^-1", 2)
+    _, c12 = _abelian_pair([12], rng)
+    _, c2x6 = _abelian_pair([2, 6], rng)
+    f = parse_laurent("3 - x - x^-1 + x^2 - x^-3", 1)
+    batteries = [
+        [(f, torus_quotient([n])) for n in range(8, 17)]
+        + [(parse_laurent("1 + x + x^2", 1), torus_quotient([n])) for n in (9, 12, 15)]
+        + [(laplacian, torus_quotient([n, n])) for n in (3, 4)]
+        + [(parse_laurent("5 - x - y^-1", 2), torus_quotient([3, 4]))]
+        + [(parse_laurent("7 - x - y - z", 3), torus_quotient([2, 2, 3]))]
+        + [(GroupRingElement(0, {(): 3, (("x", 1),): -1}), c12)]
+        + [(GroupRingElement(0, {(): 1, (("x", 1),): 1, (("y", -1),): -1}), c2x6)],
+        [
+            (GroupRingElement(0, {(): lam, **reflections}), _dihedral(n))
+            for n in (4, 5, 6, 7, 8)
+            for lam in (1, 4)
+        ],
+        # padded orbits of 4 x 4 blocks, every orbit of characters a single one
+        [
+            (GroupRingElement(0, {(): lam, (("a", 1),): -1, (("b", 1),): -1}), q)
+            for q in (_alternating4(), _alternating4(central=True))
+            for lam in (2, 3)
+        ],
+    ]
+    for pairs in batteries:
+        groups = _assert_batch_matches_lone_counts(log, pairs)
+        assert len(groups[0]) == len(pairs)
+        # a plan draws in every round until it is done, so one group a round
+        # holds a subset of the previous round's group
+        ids = [{id(plan) for plan, _ in g} for g in groups]
+        assert all(later <= earlier for earlier, later in zip(ids, ids[1:]))
 
 
 def _abelian_pair(moduli, rng):
@@ -944,7 +1154,7 @@ def test_split_fix_count_agrees_with_fk_determinant_and_guard(monkeypatch):
     assert fk_determinant_quotient(f, q) == pytest.approx(
         math.exp(log_big_int(sc.value) / q.size), rel=1e-15
     )
-    work = algebraic._count(f, q, 0)[1]
+    work = algebraic._estimate(f, q, 0)[2]
     monkeypatch.setattr(algebraic, "COST_CAP", work - 1)
     with pytest.raises(ResourceGuardError, match=f"work {work} so far"):
         fix_count(f, q)

@@ -6,7 +6,7 @@ import math
 import pytest
 
 from sofic import SubshiftSFT, hom_count_exact, sofic_map_from_quotient, torus_quotient
-from sofic import algebraic, subshift
+from sofic import algebraic, parse_laurent, spectral, subshift
 from sofic.cli import main
 
 from helpers import cyclic_table, s3_table, sl2_table
@@ -411,6 +411,47 @@ def test_algebraic_refuses_unordered_moduli(capsys):
     assert rc == 2
     assert captured.out == ""
     assert "nondecreasing" in captured.err
+
+
+def _spy(monkeypatch, module, name):
+    """A list of the argument tuples of every call of module.name."""
+    calls = []
+    real = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *a: calls.append(a) or real(*a))
+    return calls
+
+
+def test_algebraic_scans_the_torus_grid_once(tmp_path, monkeypatch):
+    scans = _spy(monkeypatch, spectral, "_grid_values")
+    rc = main(["algebraic", "--group", "Z2", "--poly", "5 - x - x^-1 - y - y^-1",
+               "--quotients", "2..4", "--grid", "64", "--format", "json",
+               "--out", str(tmp_path / "t.json")])
+    assert rc == 0
+    assert len(scans) == 1
+    report = json.loads(_read(tmp_path / "t.json"))
+    assert report["certificate"]["verdict"] == "certified_invertible"
+    assert report["reference_value"] == spectral.mahler_quadrature(
+        parse_laurent("5 - x - x^-1 - y - y^-1", 2), 64
+    ).value
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (["--group", "Z2", "--poly", "5 - x - x^-1 - y - y^-1", "--moduli", "3,3",
+      "--moduli", "2,2"], 2, "error: quotients must be ordered by nondecreasing size\n"),
+    (["--poly", "3 - x - x^-1", "--quotients", "1..100000"], 4,
+     "resource guard: estimated cost at Z/1371 exceeds the cap 1000000000: "
+     "work 1001649456 so far, prime supply 4669440\n"),
+    (["--group", "Z2", "--poly", "5 - x - x^-1 - y - y^-1", "--quotients", "1..1000"], 4,
+     "resource guard: estimated cost at Z/"),
+], ids=["unordered", "rank-1 trace over the cap", "rank-2 trace over the cap"])
+def test_algebraic_refuses_before_any_scan_or_prime(capsys, monkeypatch, argv, code, message):
+    scans = _spy(monkeypatch, spectral, "_grid_values")
+    drawn = _spy(monkeypatch, algebraic, "_character_primes")
+    assert main(["algebraic", *argv]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(message)
+    assert scans == [] and drawn == []
 
 
 def test_algebraic_refuses_shrinking_chain(tmp_path, capsys):
