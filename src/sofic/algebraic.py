@@ -94,8 +94,9 @@ _CHAR_PRIME_CEIL = 2**31
 _CHAR_BLOCK = 2**16
 
 # Character exponents (orbits x terms x rows of a block, summed over the
-# plans) that `_split_det` holds at once, about 2 MB.
-_SPLIT_WINDOW = 2**18
+# plans) of the window of quotients that `entropy_trace` counts at once,
+# about 256 KB.
+_SPLIT_WINDOW = 2**15
 
 # Numbers per sieve segment, 2^14 of them odd, so that (2^30, 2^31) is 2^15
 # whole segments.
@@ -469,30 +470,10 @@ def _split_det(plans: Sequence[SplitPlan], det_needs: Sequence[int]) -> List[tup
     the group's largest exponent k, orbit count and term count, a padded
     orbit counting as a block of det 1 at full rank and a padded term
     having weight 0.  A group takes one table of root powers, one gather of
-    all its terms' character values, one batched elimination when m > 1 (a
-    1 x 1 block is its own determinant) and one product tree.
-
-    The plans run in windows of consecutive ones whose exponent tables
-    (orbits x terms x m entries each) hold at most _SPLIT_WINDOW entries
-    together, unless one plan's alone holds more, so a long trace keeps one
-    window's state at a time.
+    its terms' character values per slice of terms, one batched elimination
+    when m > 1 (a 1 x 1 block is its own determinant) and one product tree.
     """
-    out: List[tuple] = []
-    window: list = []
-    entries = 0
-    for plan, need in zip(plans, det_needs):
-        size = len(plan.orbit_reps) * plan.cols.size
-        if window and entries + size > _SPLIT_WINDOW:
-            out += _split_window(window)
-            window, entries = [], 0
-        window.append((plan, need))
-        entries += size
-    return out + _split_window(window)
-
-
-def _split_window(window: list) -> List[tuple]:
-    """`_split_det` of a window of (plan, det_need) pairs."""
-    splits = [_Split(plan, need) if plan.coeffs else None for plan, need in window]
+    splits = [_Split(plan, need) if plan.coeffs else None for plan, need in zip(plans, det_needs)]
     while True:
         todo = [(s, s.chunk()) for s in splits if s is not None]
         todo = [(s, count) for s, count in todo if count]
@@ -501,7 +482,7 @@ def _split_window(window: list) -> List[tuple]:
         for group in _split_groups(todo):
             _split_round(group)
     out = []
-    for (plan, _), s in zip(window, splits):
+    for plan, s in zip(plans, splits):
         if s is None:
             out.append((0, 0))
         elif not s.full:
@@ -531,7 +512,12 @@ def _split_groups(todo: list) -> list:
 
 def _split_round(group: list) -> None:
     """One round of `_split_det` for a group of (split, primes) pairs of one
-    block size m."""
+    block size m.
+
+    The terms' character values are gathered a slice of terms at a time,
+    each slice's values at most _CHAR_BLOCK (or one term's, if larger), so
+    the temporaries do not grow with the number of terms.
+    """
     splits = [s for s, _ in group]
     m = splits[0].m
     plans = len(splits)
@@ -547,6 +533,9 @@ def _split_round(group: list) -> None:
     expo = np.zeros((plans, terms, orbits, m), dtype=np.int64)
     weights = np.zeros((rows, terms), dtype=np.int64)
     padded = np.ones((plans, orbits), dtype=bool)
+    # entry (i, cols[t, i]) of a flattened m x m block; a padded term adds 0
+    # on the diagonal
+    cols = np.tile(np.arange(m), (plans, terms, 1))
     starts = np.cumsum([0] + counts[:-1])
     for i, (s, chunk) in enumerate(zip(splits, chunks)):
         coeffs = s.plan.coeffs
@@ -555,42 +544,35 @@ def _split_round(group: list) -> None:
             [c % p for c in coeffs] for p in chunk
         ]
         padded[i, : s.orbits] = False
-    # every term's character values, weighted, in one gather per group
-    index = expo.reshape(plans, -1)
-    if plans == 1:
-        part = powers[:, index[0]]
-    else:
-        part = powers[np.arange(rows)[:, None], index[owner]]
-    part = part.reshape(rows, terms, orbits, m)
-    part *= weights[:, :, None, None]
-    part %= mods[:, None, None, None]
+        cols[i, : len(coeffs)] = s.plan.cols
+    entries = cols + np.arange(m) * m
+    # a term on the diagonal of every plan's blocks (every term on a torus)
+    diagonal = (cols == np.arange(m)).all(axis=(0, 2))
+    row = np.arange(rows)[:, None]
+    orbit = np.arange(orbits)[:, None]
+    blocks = np.zeros((rows, orbits, m * m), dtype=np.int64)
+    span = max(1, _CHAR_BLOCK // (rows * orbits * m))
+    for lo in range(0, terms, span):
+        index = expo[:, lo : lo + span].reshape(plans, -1)
+        # the rows of a lone plan share one index row
+        part = powers[:, index[0]] if plans == 1 else powers[row, index[owner]]
+        part = part.reshape(rows, -1, orbits, m)
+        part *= weights[:, lo : lo + span, None, None]
+        part %= mods[:, None, None, None]
+        on = diagonal[lo : lo + span]
+        # the diagonal terms added at once to a strided view of the diagonals
+        blocks[:, :, :: m + 1] += part.sum(axis=1, where=on[:, None, None])
+        for t in np.flatnonzero(~on):
+            # each row at its own plan's entries
+            blocks[row[:, :, None], orbit, entries[owner, lo + t][:, None, :]] += part[:, t]
+    blocks %= mods[:, None, None]
     pad = padded[owner]
     if m == 1:
         # a 1 x 1 block is its own determinant, of rank 1 unless it is 0
-        dets = part.sum(axis=1).reshape(rows, orbits) % mods[:, None]
+        dets = blocks.reshape(rows, orbits)
         dets[pad] = 1
         ranks = (dets != 0).astype(np.int64)
     else:
-        blocks = np.zeros((rows, orbits, m * m), dtype=np.int64)
-        # entry (i, cols[t, i]) of a flattened m x m block; a padded term
-        # adds 0 on the diagonal
-        cols = np.tile(np.arange(m), (plans, terms, 1))
-        for i, s in enumerate(splits):
-            cols[i, : len(s.plan.coeffs)] = s.plan.cols
-        entries = cols + np.arange(m) * m
-        diagonal = (cols == np.arange(m)).all(axis=(0, 2))
-        for t in range(terms):
-            if diagonal[t]:
-                # a strided view of the diagonals
-                blocks[:, :, :: m + 1] += part[:, t]
-            elif plans == 1:
-                blocks[:, :, entries[0, t]] += part[:, t]
-            else:
-                # each row at its own plan's entries
-                at = entries[owner, t][:, None, :]
-                row = np.arange(rows)[:, None, None]
-                blocks[row, np.arange(orbits)[:, None], at] += part[:, t]
-        blocks %= mods[:, None, None]
         blocks[pad] = np.eye(m, dtype=np.int64).ravel()
         dets, ranks = _det_mod_batched(blocks.reshape(-1, m, m), np.repeat(mods, orbits))
         dets, ranks = dets.reshape(rows, orbits), ranks.reshape(rows, orbits)
@@ -619,6 +601,7 @@ def _characters(dets: np.ndarray, splits: list, owner: np.ndarray) -> np.ndarray
     character of its orbit; a row shorter than the group's widest is filled
     with 1s, as its padded orbits are."""
     if all((s.plan.orbit_sizes == 1).all() for s in splits):
+        # every orbit one character (every torus plan): nothing to repeat
         return dets
     sizes = np.zeros((len(splits), dets.shape[1] + 1), dtype=np.int64)
     for i, s in enumerate(splits):
@@ -748,7 +731,11 @@ def entropy_trace(
     Every quotient is estimated before any is counted, and the trace is
     refused, before its first prime, at the first quotient whose estimated
     work would take the running total over COST_CAP.  The counts then run
-    as one `_split_det` over all the quotients' plans.
+    as one `_split_det` per window of consecutive quotients whose exponent
+    tables hold at most _SPLIT_WINDOW entries together (or one quotient's,
+    if more), so a long trace holds one window's state at a time: the plans
+    of the first window are kept from the estimate, the others built again
+    when their window is counted.
     """
     quotients = list(quotients)
     if not quotients:
@@ -760,7 +747,8 @@ def entropy_trace(
     identity = identity_element(f.rank)
     trace = EntropyTrace(f_description=f.render(), reference_value=reference)
     seen_caveats = set()
-    plans, needs = [], []
+    windows: list = [[]]  # runs of (quotient, plan or None, det need)
+    entries = 0
     spent = 0
     for q in quotients:
         for s in f.support():
@@ -770,19 +758,25 @@ def entropy_trace(
                     seen_caveats.add(note)
                     trace.caveats.append(note)
         plan, need, spent = _estimate(f, q, spent)
-        plans.append(plan)
-        needs.append(need)
-    for q, split in zip(quotients, _split_det(plans, needs)):
-        sc = _solution(q, *split)
-        if sc.is_finite:
-            log_fix = log_big_int(sc.value)
-            trace.records.append(
-                TraceRecord(
-                    label=q.label, d=q.size, log_fix_count=log_fix, h_n=log_fix / q.size
+        size = len(plan.orbit_reps) * plan.cols.size
+        if windows[-1] and entries + size > _SPLIT_WINDOW:
+            windows.append([])
+            entries = 0
+        entries += size
+        windows[-1].append((q, plan if len(windows) == 1 else None, need))
+    for window in windows:
+        plans = [plan or q.split_plan(f) for q, plan, _ in window]
+        for (q, _, _), split in zip(window, _split_det(plans, [n for *_, n in window])):
+            sc = _solution(q, *split)
+            if sc.is_finite:
+                log_fix = log_big_int(sc.value)
+                trace.records.append(
+                    TraceRecord(
+                        label=q.label, d=q.size, log_fix_count=log_fix, h_n=log_fix / q.size
+                    )
                 )
-            )
-        else:
-            trace.skipped.append(
-                SkippedQuotient(label=q.label, d=q.size, nullity=sc.nullity)
-            )
+            else:
+                trace.skipped.append(
+                    SkippedQuotient(label=q.label, d=q.size, nullity=sc.nullity)
+                )
     return trace

@@ -347,22 +347,15 @@ def run_algebraic(args) -> int:
     if f.is_zero:
         raise ConfigError("the zero element has no principal algebraic action")
 
+    grid = args.grid or DEFAULT_GRIDS.get(rank)
+    if rank >= 1 and grid < 2:
+        raise ConfigError("grid must be >= 2 points per axis")
     # the trace checks the quotient order and refuses an over-cap chain
     # before any grid is scanned
     trace = algebraic.entropy_trace(f, quotients)
     certificate = None
     if rank >= 1:
-        grid = args.grid or DEFAULT_GRIDS.get(rank)
-        # one grid scan serves the certificate and the quadrature
-        scan = spectral._grid_scan(f, grid) if rank > 1 else None
-        certificate = spectral.certify_invertible_torus(f, grid, scan)
-        try:
-            if rank == 1:
-                trace.reference_value = spectral.mahler_jensen(f).value
-            else:
-                trace.reference_value = spectral.mahler_quadrature(f, grid, scan).value
-        except (spectral.NearZeroError, ValueError):
-            pass
+        certificate, trace.reference_value = spectral._certificate_and_reference(f, grid)
 
     obj = {
         "f_description": trace.f_description,

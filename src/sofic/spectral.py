@@ -16,8 +16,7 @@ Nonvanishing of F on the torus is exactly invertibility of f in the group
 C*-algebra when the group is abelian; certify_invertible_torus checks it
 with a grid minimum plus a Lipschitz bound.  The certificate and the
 quadrature read one grid scan (`_grid_scan`), each with its own near-zero
-threshold; a caller that wants both makes the scan once and passes it to
-each.
+threshold; `_certificate_and_reference` makes one scan for both.
 """
 
 from __future__ import annotations
@@ -233,9 +232,7 @@ def _jensen_error(poly: np.ndarray, roots: np.ndarray) -> float:
     return float(np.sum(np.log(np.maximum(hi, 1.0)) - np.log(np.clip(lo, 1.0, None))))
 
 
-def mahler_quadrature(
-    f: GroupRingElement, grid: int, scan: Optional[tuple] = None
-) -> MahlerEstimate:
+def mahler_quadrature(f: GroupRingElement, grid: int) -> MahlerEstimate:
     """Mean of log|F| over a uniform torus grid (periodic trapezoid rule).
 
     ``grid`` must be an even number >= 4 so the half grid is a subgrid; the
@@ -243,14 +240,21 @@ def mahler_quadrature(
     float-roundoff floor.  Aborts with NearZeroError if any grid value of
     |F| falls below 1e-14 or below its evaluation error bound
     (`_grid_error_bound`), which suggests f may vanish on the torus.
-    ``scan``, if given, is `_grid_scan(f, grid)`, made once for this and
-    the certificate.
     """
+    _check_quadrature(f, grid)
+    return _quadrature(f, grid, _grid_scan(f, grid))
+
+
+def _check_quadrature(f: GroupRingElement, grid: int) -> None:
     if f.is_zero:
         raise ValueError("Mahler measure of the zero element is undefined")
     if grid < 4 or grid % 2 != 0:
         raise ValueError("grid must be an even integer >= 4")
-    values, vmin, witness, float_error = scan or _grid_scan(f, grid)
+
+
+def _quadrature(f: GroupRingElement, grid: int, scan: tuple) -> MahlerEstimate:
+    """`mahler_quadrature` from the grid scan `_grid_scan(f, grid)`."""
+    values, vmin, witness, float_error = scan
     if vmin < max(NEAR_ZERO_QUADRATURE, float_error):
         raise NearZeroError(
             f"|F| = {vmin:.3e} at grid point {witness}; "
@@ -272,9 +276,7 @@ def mahler_quadrature(
     )
 
 
-def certify_invertible_torus(
-    f: GroupRingElement, grid: int, scan: Optional[tuple] = None
-) -> InvertibilityCertificate:
+def certify_invertible_torus(f: GroupRingElement, grid: int) -> InvertibilityCertificate:
     """Grid-plus-Lipschitz check that F has no zero on the torus.
 
     With m the grid minimum of |F| less the forward-error bound of its
@@ -284,13 +286,16 @@ def certify_invertible_torus(
     point within sqrt(d)*h/2 of the grid, so m > L*h/2*sqrt(d) certifies
     |F| >= m - L*h/2*sqrt(d) > 0 everywhere.  A grid value below 1e-10, or
     within the evaluation error of 0, reports a suspected zero instead;
-    otherwise the verdict is unknown and a finer grid is needed.  ``scan``,
-    if given, is `_grid_scan(f, grid)`, made once for this and the
-    quadrature.
+    otherwise the verdict is unknown and a finer grid is needed.
     """
     if f.rank < 1:
         raise ValueError("torus certificate requires rank >= 1")
-    _, vmin, witness, float_error = scan or _grid_scan(f, grid)
+    return _certificate(f, grid, _grid_scan(f, grid))
+
+
+def _certificate(f: GroupRingElement, grid: int, scan: tuple) -> InvertibilityCertificate:
+    """`certify_invertible_torus` from the grid scan `_grid_scan(f, grid)`."""
+    _, vmin, witness, float_error = scan
     lipschitz = 2.0 * math.pi * sum(
         abs(c) * element_norm1(s, f.rank) for s, c in f.terms.items()
     )
@@ -311,3 +316,23 @@ def certify_invertible_torus(
         witness=None if certified else witness,
         witness_abs=None if certified else vmin,
     )
+
+
+def _certificate_and_reference(f: GroupRingElement, grid: int) -> tuple:
+    """(certify_invertible_torus(f, grid), the Mahler measure of f or None),
+    from one grid scan.
+
+    The measure is Jensen's on rank 1 and the quadrature on the same grid
+    otherwise; it is None where that estimate is refused (a root degree
+    over the cap, a grid not even and >= 4, or |F| near zero on the grid).
+    """
+    scan = _grid_scan(f, grid)
+    try:
+        if f.rank == 1:
+            reference = mahler_jensen(f).value
+        else:
+            _check_quadrature(f, grid)
+            reference = _quadrature(f, grid, scan).value
+    except (NearZeroError, ValueError):
+        reference = None
+    return _certificate(f, grid, scan), reference

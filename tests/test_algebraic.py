@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from sofic import (
 )
 from sofic import algebraic
 from sofic.algebraic import _character_primes
-from sofic.groups import ResourceGuardError
+from sofic.groups import ResourceGuardError, TorusQuotient
 
 import helpers
 from helpers import (
@@ -899,21 +900,64 @@ def test_batched_split_with_every_plan_alone(monkeypatch):
     assert all(count == 1 for group in groups for _, count in group)
 
 
-def test_batched_split_across_windows(monkeypatch):
-    # windows of at most 40 exponent entries cut the battery into many
-    log = _split_spies(monkeypatch)
+def test_trace_counts_across_windows(monkeypatch):
+    # windows of at most 40 exponent entries cut the trace into many, each
+    # one _split_det whose plans, past the first window, are built again
+    drawn = _drawn_primes(monkeypatch)
     monkeypatch.setattr(algebraic, "_SPLIT_WINDOW", 40)
-    windows = []
-    split_window = algebraic._split_window
+    calls = []
+    split_det = algebraic._split_det
     monkeypatch.setattr(
-        algebraic, "_split_window", lambda window: windows.append(window) or split_window(window)
+        algebraic, "_split_det", lambda plans, needs: calls.append(plans) or split_det(plans, needs)
     )
-    pairs = _mixed_split_battery(random.Random(229))
-    _assert_batch_matches_lone_counts(log, pairs)
-    # each lone count is one window; the batched call took the rest
-    batched = windows[len(pairs) :]
-    assert sum(len(window) for window in batched) == len(pairs)
-    assert len(batched) > 10 and any(len(window) > 1 for window in batched)
+    built = []
+    split_plan = TorusQuotient.split_plan
+    monkeypatch.setattr(
+        TorusQuotient, "split_plan", lambda q, f: built.append(q) or split_plan(q, f)
+    )
+    f = parse_laurent("1 + x + x^2 - x^-2", 1)
+    quotients = [torus_quotient([n]) for n in range(1, 41)]
+    trace = entropy_trace(f, quotients)
+    assert len(built) == len(quotients) + sum(len(plans) for plans in calls[1:])
+    windows, batched = calls, sorted(drawn)
+    assert len(windows) > 5 and any(len(plans) > 1 for plans in windows)
+    for plans in windows:
+        entries = sum(len(plan.orbit_reps) * plan.cols.size for plan in plans)
+        assert entries <= 40 or len(plans) == 1
+    drawn.clear()
+    lone = [fix_count(f, q) for q in quotients]
+    assert batched == sorted(drawn)
+    records = {r.label: r.log_fix_count for r in trace.records}
+    skipped = {r.label: r.nullity for r in trace.skipped}
+    assert len(records) + len(skipped) == len(quotients) and skipped
+    for q, sc in zip(quotients, lone):
+        if sc.is_finite:
+            assert records[q.label] == log_big_int(sc.value)
+        else:
+            assert skipped[q.label] == sc.nullity
+
+
+def test_many_term_count_keeps_temporaries_small():
+    # 200 terms over (Z/16)^2 draw 33 primes of 256 characters each: every
+    # term's values at once would take 33 x 200 x 256 int64, 13.5 MB, where
+    # a slice of terms takes at most _CHAR_BLOCK of them, 0.5 MB
+    rng = random.Random(233)
+    terms = {(i, j): rng.choice((-1, 1)) for i in range(16) for j in range(13)}
+    terms[0, 0] = 250  # dominant, so F has no zero on the torus
+    f = GroupRingElement(2, dict(list(terms.items())[:200]))
+    q = torus_quotient([16, 16])
+    fix_count(f, q)  # the prime pool and the cached primes
+    tracemalloc.start()
+    try:
+        sc = fix_count(f, q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    fhat = np.zeros((16, 16))
+    for (i, j), c in f.terms.items():
+        fhat[i, j] = c
+    assert math.isclose(log_big_int(sc.value), np.log(np.abs(np.fft.fft2(fhat))).sum())
+    assert peak < 4 * 2**20
 
 
 def test_batched_split_with_one_group_per_round(monkeypatch):

@@ -443,7 +443,9 @@ def test_algebraic_scans_the_torus_grid_once(tmp_path, monkeypatch):
      "work 1001649456 so far, prime supply 4669440\n"),
     (["--group", "Z2", "--poly", "5 - x - x^-1 - y - y^-1", "--quotients", "1..1000"], 4,
      "resource guard: estimated cost at Z/"),
-], ids=["unordered", "rank-1 trace over the cap", "rank-2 trace over the cap"])
+    (["--poly", "3 - x - x^-1", "--quotients", "1..300", "--grid", "1"], 2,
+     "error: grid must be >= 2 points per axis\n"),
+], ids=["unordered", "rank-1 trace over the cap", "rank-2 trace over the cap", "grid of 1"])
 def test_algebraic_refuses_before_any_scan_or_prime(capsys, monkeypatch, argv, code, message):
     scans = _spy(monkeypatch, spectral, "_grid_values")
     drawn = _spy(monkeypatch, algebraic, "_character_primes")
