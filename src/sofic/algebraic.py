@@ -24,26 +24,23 @@ characters is built, its determinant counted once per character of the
 orbit (Mackey-Clifford theory; Serre, chs. 7-8).  Each quotient supplies
 the split plan: a torus quotient takes A = G, one coset and 1 x 1 blocks,
 the characters' values F(chi) = sum_c fhat[c] chi(c) (the periodic-point
-formula of Lind-Schmidt-Ward); an explicit quotient grows A greedily from
+formula of Lind-Schmidt-Ward), each its own orbit, so its plan lists its
+terms and no characters; an explicit quotient grows A greedily from
 an element of maximal order, so an abelian table gets A = G too, while
 SL(2, Z/p) keeps its own centraliser, A = <-u> of order 2p, whose 2p
 characters fall into 6 orbits.  The primes p = 1 (mod exp A) are the
 largest such in (2^30, 2^31), filtered from one pool per process of the
 primes in that range in descending order, sieved exactly in segments of
 2^15 numbers as far down as the moduli served so far needed.  The counts
-of a whole trace run together, in rounds: each round draws every
-unfinished plan's next chunk of primes, and consecutive plans of one block
-size are eliminated as one group, padded to a common shape, in one batched
-int64 pass that gives each block's determinant and rank, so a trace of
-many small quotients pays numpy's fixed cost per call once per group
-rather than once per quotient.  The product of the determinants is
-lifted by CRT against Hadamard's bound: every row of M is a permutation of
-fhat, so (det M)^2 <= (sum_c fhat[c]^2)^d.  When det M = 0 the same
-elimination gives the nullity d - rank M, each block's rank certified by a
-norm bound: a nonzero minor of a block with entries in Z[zeta_o] has a norm
-of at most l1^(m phi(o)), l1 = sum |fhat| and m the block size, and every
-prime at which the block loses rank divides it.  A count, or a trace, is
-refused before its first prime when its estimated cost exceeds COST_CAP.
+of a whole trace run together in one `_split_det`, in rounds: each round
+draws every unfinished plan's next chunk of primes and eliminates
+consecutive plans of one block size as one batched int64 group, whose
+character exponents are built for that round alone.  The product of the
+determinants is lifted by CRT against Hadamard's bound, (det M)^2 <=
+(sum_c fhat[c]^2)^d, as every row of M is a permutation of fhat.  When
+det M = 0 the same elimination gives the nullity d - rank M, each block's
+rank certified by a norm bound.  A count, or a trace, is refused before
+its first prime when its estimated cost exceeds COST_CAP.
 """
 
 from __future__ import annotations
@@ -92,11 +89,6 @@ _CHAR_PRIME_CEIL = 2**31
 # keeps the numpy temporaries near half a megabyte (or one prime's worth,
 # if larger).
 _CHAR_BLOCK = 2**16
-
-# Character exponents (orbits x terms x rows of a block, summed over the
-# plans) of the window of quotients that `entropy_trace` counts at once,
-# about 256 KB.
-_SPLIT_WINDOW = 2**15
 
 # Numbers per sieve segment, 2^14 of them odd, so that (2^30, 2^31) is 2^15
 # whole segments.
@@ -206,6 +198,23 @@ def _crt_prime_count(bound: int) -> int:
     every row is a permutation of fhat.
     """
     return -(-(4 * bound).bit_length() // 60)
+
+
+def _power_prime_count(base: int, d: int) -> int:
+    """_crt_prime_count(base ** d), base >= 0 and d >= 1, without the power:
+    square and multiply keeps lo 2^shift <= base^e <= hi 2^shift, lo and hi
+    cut to `precision` bits (rounded down and up), and the precision doubles
+    until their bit lengths agree, and so agree with that of base^d."""
+    precision = 64
+    while True:
+        lo, hi, shift = 1, 1, 0
+        for bit in bin(d)[2:]:
+            lo, hi = lo * lo * base ** int(bit), hi * hi * base ** int(bit)
+            cut = max(0, hi.bit_length() - precision)
+            lo, hi, shift = lo >> cut, -(-hi >> cut), 2 * shift + cut
+        if lo.bit_length() == hi.bit_length():
+            return _crt_prime_count(lo << shift)
+        precision *= 2
 
 
 def _crt_symmetric(residues: Sequence[int], primes: Sequence[int]) -> int:
@@ -360,14 +369,6 @@ def _root_powers(orders: Sequence[int], primes: Sequence[int]) -> np.ndarray:
     width = max(orders)
     factors = {k: _prime_factors(k) for k in set(orders)}
     roots = [_root_of_unity(k, p, factors[k]) for k, p in zip(orders, primes)]
-    if len(primes) * width <= 128:
-        # a small table (one prime of a small torus's first round) costs less
-        # as a Python loop than as the numpy doubling's few calls per level
-        rows = [[1] * width for _ in primes]
-        for row, w, p in zip(rows, roots, primes):
-            for t in range(1, width):
-                row[t] = row[t - 1] * w % p
-        return np.array(rows, dtype=np.int64)
     mods = np.array(primes, dtype=np.int64)[:, None]
     step = np.array(roots, dtype=np.int64)[:, None]
     powers = np.ones((len(primes), width), dtype=np.int64)
@@ -393,28 +394,22 @@ def _row_products(values: np.ndarray, mods: np.ndarray) -> List[int]:
 
 
 class _Split:
-    """One plan's progress in `_split_det`: its characters' exponents, the
-    primes drawn, the residues of |det M| at them and each orbit
-    representative's largest rank so far."""
+    """One plan's progress in `_split_det`: the primes drawn, the residues
+    of |det M| at them, and the orbits that may still be short of full rank
+    (``short``, every orbit before the first prime; empty once the plan is
+    full) with their largest ranks so far (``best``)."""
 
     def __init__(self, plan: SplitPlan, det_need: int):
         self.plan = plan
         self.det_need = det_need
-        moduli = plan.moduli
-        self.k = k = math.lcm(*moduli)
-        terms, m = plan.cols.shape
-        self.m = m
-        self.d = math.prod(moduli) * m
-        chars = np.indices(moduli, dtype=np.int64).reshape(len(moduli), -1).T[plan.orbit_reps]
-        self.orbits = len(chars)
-        scaled = plan.coords * [k // n for n in moduli]
-        # expo[t, j, i]: chi_j at the A-coordinates of c_t^-1 r_i, as a power
-        # of omega, for the orbit representatives chi_j
-        expo = scaled.reshape(-1, len(moduli)) @ chars.T % k
-        self.expo = expo.reshape(terms, m, self.orbits).transpose(0, 2, 1)
+        self.k = math.lcm(*plan.moduli)
+        self.m = m = plan.cols.shape[1]
+        self.d = math.prod(plan.moduli) * m
+        self.orbits = plan.orbits
         self.l1 = sum(abs(c) for c in plan.coeffs)
         self.primes: List[int] = []
         self.residues: List[int] = []
+        self.short = slice(0, self.orbits)
         self.best = 0
         self.full = False
         self.phi = 1  # the largest phi(o) of a short block; 1 before any prime
@@ -469,9 +464,11 @@ def _split_det(plans: Sequence[SplitPlan], det_needs: Sequence[int]) -> List[tup
     one group (`_split_groups`): their rows (one per prime) are padded to
     the group's largest exponent k, orbit count and term count, a padded
     orbit counting as a block of det 1 at full rank and a padded term
-    having weight 0.  A group takes one table of root powers, one gather of
-    its terms' character values per slice of terms, one batched elimination
-    when m > 1 (a 1 x 1 block is its own determinant) and one product tree.
+    having weight 0.  A group takes one table of root powers, per slice of
+    terms one product of its terms' coordinates with its characters' (the
+    exponents of omega) and one gather of their values, one batched
+    elimination when m > 1 (a 1 x 1 block is its own determinant) and one
+    product tree.
     """
     splits = [_Split(plan, need) if plan.coeffs else None for plan, need in zip(plans, det_needs)]
     while True:
@@ -486,7 +483,8 @@ def _split_det(plans: Sequence[SplitPlan], det_needs: Sequence[int]) -> List[tup
         if s is None:
             out.append((0, 0))
         elif not s.full:
-            out.append((0, int(s.best @ plan.orbit_sizes)))
+            sizes = 1 if plan.orbit_sizes is None else plan.orbit_sizes[s.short]
+            out.append((0, s.d - int(((s.m - s.best) * sizes).sum())))
         else:
             out.append((abs(_crt_symmetric(s.residues, s.primes)), s.d))
     return out
@@ -514,9 +512,9 @@ def _split_round(group: list) -> None:
     """One round of `_split_det` for a group of (split, primes) pairs of one
     block size m.
 
-    The terms' character values are gathered a slice of terms at a time,
-    each slice's values at most _CHAR_BLOCK (or one term's, if larger), so
-    the temporaries do not grow with the number of terms.
+    The terms' exponents and character values are built a slice of terms
+    at a time, each slice's values at most _CHAR_BLOCK (or one term's, if
+    larger), so the temporaries do not grow with the number of terms.
     """
     splits = [s for s, _ in group]
     m = splits[0].m
@@ -530,32 +528,40 @@ def _split_round(group: list) -> None:
     owner = np.repeat(np.arange(plans), counts)
     mods = np.array(primes, dtype=np.int64)
     powers = _root_powers([s.k for s, c in zip(splits, counts) for _ in range(c)], primes)
-    expo = np.zeros((plans, terms, orbits, m), dtype=np.int64)
     weights = np.zeros((rows, terms), dtype=np.int64)
-    padded = np.ones((plans, orbits), dtype=bool)
     # entry (i, cols[t, i]) of a flattened m x m block; a padded term adds 0
     # on the diagonal
     cols = np.tile(np.arange(m), (plans, terms, 1))
+    # scaled[t, i] @ chars[:, j]: chi_j at the A-coordinates of c_t^-1 r_i, as
+    # a power of omega, for the orbit representatives chi_j; padding adds 0
+    rank = max(len(s.plan.moduli) for s in splits)
+    scaled = np.zeros((plans, terms, m, rank), dtype=np.int64)
+    chars = np.zeros((plans, rank, orbits), dtype=np.int64)
     starts = np.cumsum([0] + counts[:-1])
     for i, (s, chunk) in enumerate(zip(splits, chunks)):
-        coeffs = s.plan.coeffs
-        expo[i, : len(coeffs), : s.orbits] = s.expo
+        coeffs, moduli = s.plan.coeffs, s.plan.moduli
         weights[starts[i] : starts[i] + len(chunk), : len(coeffs)] = [
             [c % p for c in coeffs] for p in chunk
         ]
-        padded[i, : s.orbits] = False
         cols[i, : len(coeffs)] = s.plan.cols
+        scaled[i, : len(coeffs), :, : len(moduli)] = s.plan.coords * [s.k // n for n in moduli]
+        every = np.indices(moduli, dtype=np.int64).reshape(len(moduli), -1)
+        reps = slice(None) if s.plan.orbit_reps is None else s.plan.orbit_reps
+        chars[i, : len(moduli), : s.orbits] = every[:, reps]
+    ks = np.array([s.k for s in splits])[:, None, None, None]
     entries = cols + np.arange(m) * m
     # a term on the diagonal of every plan's blocks (every term on a torus)
     diagonal = (cols == np.arange(m)).all(axis=(0, 2))
     row = np.arange(rows)[:, None]
+    offsets = row * powers.shape[1]
     orbit = np.arange(orbits)[:, None]
     blocks = np.zeros((rows, orbits, m * m), dtype=np.int64)
     span = max(1, _CHAR_BLOCK // (rows * orbits * m))
     for lo in range(0, terms, span):
-        index = expo[:, lo : lo + span].reshape(plans, -1)
-        # the rows of a lone plan share one index row
-        part = powers[:, index[0]] if plans == 1 else powers[row, index[owner]]
+        index = (scaled[:, lo : lo + span] @ chars[:, None] % ks).swapaxes(2, 3).reshape(plans, -1)
+        # the rows of a lone plan share one index row; those of a group index
+        # the flattened table, a faster gather than by a pair of index arrays
+        part = powers[:, index[0]] if plans == 1 else powers.ravel()[index[owner] + offsets]
         part = part.reshape(rows, -1, orbits, m)
         part *= weights[:, lo : lo + span, None, None]
         part %= mods[:, None, None, None]
@@ -566,7 +572,7 @@ def _split_round(group: list) -> None:
             # each row at its own plan's entries
             blocks[row[:, :, None], orbit, entries[owner, lo + t][:, None, :]] += part[:, t]
     blocks %= mods[:, None, None]
-    pad = padded[owner]
+    pad = np.arange(orbits) >= np.array([s.orbits for s in splits])[owner, None]
     if m == 1:
         # a 1 x 1 block is its own determinant, of rank 1 unless it is 0
         dets = blocks.reshape(rows, orbits)
@@ -581,15 +587,16 @@ def _split_round(group: list) -> None:
     for i, (s, chunk) in enumerate(zip(splits, chunks)):
         s.primes += chunk
         if not s.full:
-            s.best = np.maximum(s.best, peaks[i, : s.orbits])
-            short = np.flatnonzero(s.best < m)
-            s.full = not short.size
+            best = np.maximum(s.best, peaks[i, s.short])
+            short = best < m
+            s.short, s.best = np.arange(s.orbits)[s.short][short], best[short]
+            s.full = not s.short.size
             if not s.full:
                 # a block short of full rank at every prime so far has det 0 there
                 s.residues += [0] * len(chunk)
-                s.phi = max(
-                    _totient(s.k // math.gcd(s.k, *s.expo[:, j].ravel().tolist())) for j in short
-                )
+                expo = scaled[i] @ chars[i][:, s.short] % s.k
+                gcds = np.gcd(np.gcd.reduce(expo, axis=(0, 1)), s.k)
+                s.phi = max(_totient(s.k // g) for g in set(gcds.tolist()))
                 continue
         if products is None:
             products = _row_products(_characters(dets, splits, owner), mods)
@@ -600,12 +607,13 @@ def _characters(dets: np.ndarray, splits: list, owner: np.ndarray) -> np.ndarray
     """The block determinants of a group's rows, each repeated once for every
     character of its orbit; a row shorter than the group's widest is filled
     with 1s, as its padded orbits are."""
-    if all((s.plan.orbit_sizes == 1).all() for s in splits):
+    orbit_sizes = [s.plan.orbit_sizes for s in splits]
+    if all(z is None or (z == 1).all() for z in orbit_sizes):
         # every orbit one character (every torus plan): nothing to repeat
         return dets
     sizes = np.zeros((len(splits), dets.shape[1] + 1), dtype=np.int64)
-    for i, s in enumerate(splits):
-        sizes[i, : s.orbits] = s.plan.orbit_sizes
+    for i, (s, z) in enumerate(zip(splits, orbit_sizes)):
+        sizes[i, : s.orbits] = 1 if z is None else z
     sizes = sizes[owner]
     total = sizes.sum(axis=1)
     sizes[:, -1] = total.max() - total
@@ -645,8 +653,8 @@ def _estimate(f: GroupRingElement, q: Quotient, spent: int) -> tuple:
         raise ValueError(f"element/quotient mode mismatch (ranks {f.rank} and {q.rank})")
     plan = q.split_plan(f)
     terms, m = plan.cols.shape
-    primes = _crt_prime_count(sum(c * c for c in plan.coeffs) ** q.size)
-    work = spent + primes * len(plan.orbit_reps) * (m**3 + terms * m * m + 16)
+    primes = _power_prime_count(sum(c * c for c in plan.coeffs), q.size)
+    work = spent + primes * plan.orbits * (m**3 + terms * m * m + 16)
     pool = 64 * primes * _totient(math.lcm(*plan.moduli))
     if max(work, pool) > COST_CAP:
         raise ResourceGuardError(
@@ -731,11 +739,10 @@ def entropy_trace(
     Every quotient is estimated before any is counted, and the trace is
     refused, before its first prime, at the first quotient whose estimated
     work would take the running total over COST_CAP.  The counts then run
-    as one `_split_det` per window of consecutive quotients whose exponent
-    tables hold at most _SPLIT_WINDOW entries together (or one quotient's,
-    if more), so a long trace holds one window's state at a time: the plans
-    of the first window are kept from the estimate, the others built again
-    when their window is counted.
+    as one `_split_det` over the plans kept from the estimate.  A plan holds
+    its terms and its orbits (a torus plan its terms alone), and `_split_det`
+    keeps per character only the orbits still short of full rank, so a long
+    trace holds little more than its plans.
     """
     quotients = list(quotients)
     if not quotients:
@@ -747,8 +754,7 @@ def entropy_trace(
     identity = identity_element(f.rank)
     trace = EntropyTrace(f_description=f.render(), reference_value=reference)
     seen_caveats = set()
-    windows: list = [[]]  # runs of (quotient, plan or None, det need)
-    entries = 0
+    plans, needs = [], []
     spent = 0
     for q in quotients:
         for s in f.support():
@@ -758,25 +764,15 @@ def entropy_trace(
                     seen_caveats.add(note)
                     trace.caveats.append(note)
         plan, need, spent = _estimate(f, q, spent)
-        size = len(plan.orbit_reps) * plan.cols.size
-        if windows[-1] and entries + size > _SPLIT_WINDOW:
-            windows.append([])
-            entries = 0
-        entries += size
-        windows[-1].append((q, plan if len(windows) == 1 else None, need))
-    for window in windows:
-        plans = [plan or q.split_plan(f) for q, plan, _ in window]
-        for (q, _, _), split in zip(window, _split_det(plans, [n for *_, n in window])):
-            sc = _solution(q, *split)
-            if sc.is_finite:
-                log_fix = log_big_int(sc.value)
-                trace.records.append(
-                    TraceRecord(
-                        label=q.label, d=q.size, log_fix_count=log_fix, h_n=log_fix / q.size
-                    )
-                )
-            else:
-                trace.skipped.append(
-                    SkippedQuotient(label=q.label, d=q.size, nullity=sc.nullity)
-                )
+        plans.append(plan)
+        needs.append(need)
+    for q, split in zip(quotients, _split_det(plans, needs)):
+        sc = _solution(q, *split)
+        if sc.is_finite:
+            log_fix = log_big_int(sc.value)
+            trace.records.append(
+                TraceRecord(label=q.label, d=q.size, log_fix_count=log_fix, h_n=log_fix / q.size)
+            )
+        else:
+            trace.skipped.append(SkippedQuotient(label=q.label, d=q.size, nullity=sc.nullity))
     return trace

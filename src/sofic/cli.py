@@ -204,7 +204,8 @@ def _load_chain(path: str):
         raise ConfigError(
             f"malformed JSON in {path!r}: {exc.msg} (at position {exc.pos})"
         ) from None
-    if "quotients" not in obj or not obj["quotients"]:
+    specs = obj.get("quotients") if isinstance(obj, dict) else None
+    if not isinstance(specs, list) or not specs:
         raise ConfigError(f"quotient chain {path!r} lists no quotients")
     # numpy reads a bool among integers as 0 or 1.  Scanning every entry's
     # type costs milliseconds, so only a text with a JSON bool is scanned;
@@ -212,8 +213,8 @@ def _load_chain(path: str):
     # most texts out faster than a search for the words
     has_bools = ("r" in text and "true" in text) or ("f" in text and "false" in text)
     quotients = []
-    for i, spec in enumerate(obj["quotients"]):
-        if "table" not in spec or "images" not in spec:
+    for i, spec in enumerate(specs):
+        if not isinstance(spec, dict) or "table" not in spec or "images" not in spec:
             raise ConfigError(f"quotient #{i} needs 'table' and 'images' fields")
         label = spec.get("label", f"quotient{i}")
         if not isinstance(label, str):
@@ -347,7 +348,7 @@ def run_algebraic(args) -> int:
     if f.is_zero:
         raise ConfigError("the zero element has no principal algebraic action")
 
-    grid = args.grid or DEFAULT_GRIDS.get(rank)
+    grid = DEFAULT_GRIDS.get(rank) if args.grid is None else args.grid
     if rank >= 1 and grid < 2:
         raise ConfigError("grid must be >= 2 points per axis")
     # the trace checks the quotient order and refuses an over-cap chain
@@ -416,7 +417,7 @@ def run_mahler(args) -> int:
         raise ConfigError("mahler supports the torus groups Z, Z2, Z3, Z4")
     rank = GROUP_RANKS[args.group]
     f = parse_laurent(args.poly, rank)
-    grid = args.grid or DEFAULT_GRIDS[rank]
+    grid = DEFAULT_GRIDS[rank] if args.grid is None else args.grid
 
     estimates = []
     if rank == 1:

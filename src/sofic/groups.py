@@ -51,7 +51,7 @@ __all__ = [
     "element_inv",
 ]
 
-# The most cosets of a torus quotient: its plans and sofic maps hold O(d) arrays.
+# The most cosets of a torus quotient: its counts and sofic maps build O(d) arrays.
 COSET_CAP = 10**6
 
 VARIABLES = "xyzw"
@@ -490,15 +490,21 @@ class SplitPlan:
     orbit of characters under the normaliser are similar.  ``orbit_reps``
     lists one character per orbit, as the row-major flat index of its
     coordinates j (chi_j in ``algebraic._split_det``), and ``orbit_sizes``
-    the orbits' sizes; trivial orbits list every character once.
+    the orbits' sizes.  Both are None when every character of A is its own
+    orbit, so such a plan takes space in the terms alone.
     """
 
     moduli: tuple
     coeffs: list
     cols: np.ndarray  # (terms, m)
     coords: np.ndarray  # (terms, m, len(moduli))
-    orbit_reps: np.ndarray  # (orbits,)
-    orbit_sizes: np.ndarray  # (orbits,)
+    orbit_reps: Optional[np.ndarray]  # (orbits,)
+    orbit_sizes: Optional[np.ndarray]  # (orbits,)
+
+    @property
+    def orbits(self) -> int:
+        """The number of orbits of characters, one block each."""
+        return math.prod(self.moduli) if self.orbit_reps is None else len(self.orbit_reps)
 
 
 @dataclass(frozen=True)
@@ -573,15 +579,9 @@ class TorusQuotient:
             fhat[key] = fhat.get(key, 0) + c
         fhat = {key: c for key, c in fhat.items() if c}
         coords = np.array(list(fhat), dtype=np.int64).reshape(len(fhat), 1, len(moduli))
+        cols = np.zeros((len(fhat), 1), dtype=np.int64)
         # A = G is abelian, so every orbit of characters is a single one
-        return SplitPlan(
-            moduli,
-            list(fhat.values()),
-            np.zeros((len(fhat), 1), dtype=np.int64),
-            coords,
-            np.arange(self.size),
-            np.ones(self.size, dtype=np.int64),
-        )
+        return SplitPlan(moduli, list(fhat.values()), cols, coords, None, None)
 
 
 def torus_quotient(moduli: Iterable[int]) -> TorusQuotient:
@@ -776,10 +776,8 @@ class ExplicitQuotient:
         images = table[inverses[list(fhat)][:, None], reps]  # c^-1 r_i
         r = low[images]
         coords = np.stack(np.unravel_index(where[table[inverses[r], images]], moduli), axis=-1)
-        orbit_reps, orbit_sizes = _character_orbits(table, inverses, gens, moduli, where, reps)
-        return SplitPlan(
-            moduli, list(fhat.values()), coset[r], coords, orbit_reps, orbit_sizes
-        )
+        orbits = _character_orbits(table, inverses, gens, moduli, where, reps)
+        return SplitPlan(moduli, list(fhat.values()), coset[r], coords, *orbits)
 
     def __repr__(self) -> str:
         return f"ExplicitQuotient(label={self.label!r}, size={self.size})"

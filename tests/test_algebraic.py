@@ -611,6 +611,33 @@ def test_torus_fix_count_rank_mismatch_and_guard(monkeypatch):
     assert fix_count(f, q).value == 2**2000 - 1
 
 
+def test_estimate_prime_count_matches_the_exact_power():
+    # _crt_prime_count(s ** d) without the power, on bases that are powers of
+    # two, bases next to them (whose powers can fall next to a power of two,
+    # where the bounds' precision doubles) and bit lengths of 4 s^d next to a
+    # multiple of 60 either way
+    bases = [0, 1, 2, 3, 4, 5, 7, 11, 16, 29, 31, 32, 33, 1000, 2**20, 2**20 + 1,
+             2**31 - 1, 2**64 - 1, 2**64 + 1, 2**70 - 1, 3**40]
+    degrees = list(range(1, 130)) + [255, 256, 1000, 4096, 10**4 + 1, 65537]
+    edges = set()
+    for s in bases:
+        for d in degrees:
+            if s.bit_length() * d > 2 * 10**6:
+                continue
+            exact = algebraic._crt_prime_count(s**d)
+            assert algebraic._power_prime_count(s, d) == exact, (s, d)
+            edges.add((4 * s**d).bit_length() % 60)
+    assert {59, 0, 1} <= edges
+    # and through the estimate, whose count is that of the Hadamard bound
+    rng = random.Random(229)
+    for i in range(40):
+        f, q = _random_torus_case(rng, 1 + i % 3, balanced=i % 2 == 0)
+        if f.is_zero:
+            continue
+        squares = sum(c * c for c in q.split_plan(f).coeffs)
+        assert algebraic._estimate(f, q, 0)[1] == algebraic._crt_prime_count(squares**q.size)
+
+
 def test_cost_guard_refuses_before_any_prime(monkeypatch):
     def refuse(*args):
         raise AssertionError("a prime was drawn or a segment sieved")
@@ -900,33 +927,45 @@ def test_batched_split_with_every_plan_alone(monkeypatch):
     assert all(count == 1 for group in groups for _, count in group)
 
 
-def test_trace_counts_across_windows(monkeypatch):
-    # windows of at most 40 exponent entries cut the trace into many, each
-    # one _split_det whose plans, past the first window, are built again
+def test_long_torus_trace_counts_in_one_split(monkeypatch):
+    # every plan of a long torus trace goes to one _split_det, each built
+    # once; between rounds no split keeps an array with a per-character axis,
+    # so the trace's tracemalloc peak is 4.3 MB (9.3 MB with every plan's
+    # exponent table and character list kept at once)
+    f = parse_laurent("1 + x + x^2 - x^-2", 1)
+    quotients = [torus_quotient([n]) for n in range(1, 401)]
+    # the lone counts first, so the trace draws only primes already cached
     drawn = _drawn_primes(monkeypatch)
-    monkeypatch.setattr(algebraic, "_SPLIT_WINDOW", 40)
-    calls = []
-    split_det = algebraic._split_det
+    lone = [fix_count(f, q) for q in quotients]
+    lone_primes = sorted(drawn)
+    drawn.clear()
+    calls, built, held = [], [], []
+    split_det, split_round = algebraic._split_det, algebraic._split_round
+    split_plan = TorusQuotient.split_plan
+
+    def round_spy(group):
+        split_round(group)
+        for s, _ in group:
+            held.extend(a.size for a in vars(s).values() if isinstance(a, np.ndarray))
+
     monkeypatch.setattr(
         algebraic, "_split_det", lambda plans, needs: calls.append(plans) or split_det(plans, needs)
     )
-    built = []
-    split_plan = TorusQuotient.split_plan
+    monkeypatch.setattr(algebraic, "_split_round", round_spy)
     monkeypatch.setattr(
         TorusQuotient, "split_plan", lambda q, f: built.append(q) or split_plan(q, f)
     )
-    f = parse_laurent("1 + x + x^2 - x^-2", 1)
-    quotients = [torus_quotient([n]) for n in range(1, 41)]
-    trace = entropy_trace(f, quotients)
-    assert len(built) == len(quotients) + sum(len(plans) for plans in calls[1:])
-    windows, batched = calls, sorted(drawn)
-    assert len(windows) > 5 and any(len(plans) > 1 for plans in windows)
-    for plans in windows:
-        entries = sum(len(plan.orbit_reps) * plan.cols.size for plan in plans)
-        assert entries <= 40 or len(plans) == 1
-    drawn.clear()
-    lone = [fix_count(f, q) for q in quotients]
-    assert batched == sorted(drawn)
+    tracemalloc.start()
+    try:
+        trace = entropy_trace(f, quotients)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(calls) == 1 and len(calls[0]) == len(quotients)
+    assert built == quotients and sorted(drawn) == lone_primes
+    # F vanishes at 4 characters of Z/n at most
+    assert held and max(held) <= 4
+    assert peak < 7 * 2**20, peak
     records = {r.label: r.log_fix_count for r in trace.records}
     skipped = {r.label: r.nullity for r in trace.skipped}
     assert len(records) + len(skipped) == len(quotients) and skipped
@@ -1406,13 +1445,22 @@ def test_sl2_orbit_sizes():
         assert sizes[0] == sizes[p] == 1
 
 
+def _plan_bytes(plan):
+    return sum(a.nbytes for a in vars(plan).values() if isinstance(a, np.ndarray))
+
+
 def test_torus_plans_have_trivial_orbits():
+    # every character its own orbit, said without listing the characters
     for moduli, poly in (([1], "3 - x"), ([7], "3 - x"), ([4, 6], "5 - x*y^-1"),
                          ([2, 3, 2], "7 - x - y^-1 - z")):
-        d = math.prod(moduli)
         plan = torus_quotient(moduli).split_plan(parse_laurent(poly, len(moduli)))
-        assert plan.orbit_reps.tolist() == list(range(d))
-        assert plan.orbit_sizes.tolist() == [1] * d
+        assert plan.orbit_reps is None and plan.orbit_sizes is None
+        assert plan.orbits == math.prod(moduli)
+    # so a plan's size does not grow with |A|
+    f = parse_laurent("3 - x - x^-1", 1)
+    small, large = (torus_quotient([n]).split_plan(f) for n in (10, 10**5))
+    assert large.orbits == 10**5
+    assert _plan_bytes(small) == _plan_bytes(large) > 0
 
 
 def test_abelian_tables_split_into_characters():

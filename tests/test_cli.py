@@ -159,10 +159,15 @@ def _z3_chain(poly=None, table=None, images=None):
         (_z3_chain(images=[1]), "generator images"),
         ({"poly": {"e": 3}, "quotients": [{"label": 5, "table": cyclic_table(3),
                                              "images": {"a": 1}}]}, "label"),
+        (5, "lists no quotients"),
+        ({"quotients": 5}, "lists no quotients"),
+        ({"quotients": [5]}, "'table' and 'images'"),
+        ({"quotients": ["table images"]}, "'table' and 'images'"),
     ],
     ids=["float_coefficient", "bool_coefficient", "string_coefficient", "float_image",
          "float_table_entry", "bool_table_entry", "poly_not_object", "images_not_object",
-         "label_not_string"],
+         "label_not_string", "chain_not_object", "quotients_not_list", "quotient_not_object",
+         "quotient_a_string"],
 )
 def test_algebraic_chain_refuses_malformed_fields(tmp_path, capsys, chain, field):
     chain_path = tmp_path / "chain.json"
@@ -340,6 +345,14 @@ def test_mahler_vanishing_input(tmp_path):
     assert obj["certificate"]["witness"] == [0.0, 0.0]
 
 
+def test_mahler_refuses_a_grid_of_zero(capsys):
+    # a given --grid 0 is refused, not read as the default grid
+    assert main(["mahler", "--group", "Z", "--poly", "3 - x - x^-1", "--grid", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: grid must be an even integer >= 4\n"
+
+
 # ---------------------------------------------------------------------------
 # sofic-check
 
@@ -445,7 +458,10 @@ def test_algebraic_scans_the_torus_grid_once(tmp_path, monkeypatch):
      "resource guard: estimated cost at Z/"),
     (["--poly", "3 - x - x^-1", "--quotients", "1..300", "--grid", "1"], 2,
      "error: grid must be >= 2 points per axis\n"),
-], ids=["unordered", "rank-1 trace over the cap", "rank-2 trace over the cap", "grid of 1"])
+    (["--poly", "3 - x - x^-1", "--quotients", "1..300", "--grid", "0"], 2,
+     "error: grid must be >= 2 points per axis\n"),
+], ids=["unordered", "rank-1 trace over the cap", "rank-2 trace over the cap", "grid of 1",
+        "grid of 0"])
 def test_algebraic_refuses_before_any_scan_or_prime(capsys, monkeypatch, argv, code, message):
     scans = _spy(monkeypatch, spectral, "_grid_values")
     drawn = _spy(monkeypatch, algebraic, "_character_primes")
