@@ -193,7 +193,7 @@ def _element_str(elem, rank: int) -> str:
 
 
 def _load_chain(path: str):
-    """Load an explicit quotient chain: label, optional poly, quotient list."""
+    """Load an explicit quotient chain: optional poly, quotient list."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -244,8 +244,7 @@ def _load_chain(path: str):
                 )
             terms[parse_word(word_text)] = coeff
         poly = GroupRingElement(0, terms)
-    label = obj.get("name", path)
-    return label, poly, quotients
+    return poly, quotients
 
 
 def _holds_bool(value) -> bool:
@@ -260,8 +259,7 @@ def _resolve_group(args) -> Tuple[int, Optional[GroupRingElement], Optional[list
     if group in GROUP_RANKS:
         return GROUP_RANKS[group], None, None
     if group.startswith("file:"):
-        label, poly, quotients = _load_chain(group[len("file:") :])
-        return 0, poly, quotients
+        return (0, *_load_chain(group[len("file:") :]))
     raise ConfigError(f"unknown group {group!r}; use Z, Z2, Z3, Z4, or file:<path>")
 
 
@@ -315,14 +313,23 @@ def _render(fmt: str, obj: dict, table: str, columns: Sequence[str]) -> str:
     scalar is not its value's text.  Dataclass rows come as ``vars(row)``:
     their cells are flat, and ``asdict`` would deep-copy each one, which
     costs more than the rest of the rendering of a long subshift table.
+
+    CPython writes an int of more than 4300 digits only with its limit
+    lifted, so an exact count of any length is written with the limit lifted
+    for the rendering alone, which parses nothing.
     """
-    if fmt == "json":
-        rows = [{c: _json_cell(row[c]) for c in columns} for row in obj[table]]
-        return json.dumps({**obj, table: rows}, indent=2) + "\n"
-    lines = [",".join(columns)]
-    for row in obj[table]:
-        lines.append(",".join([_csv_cell(row[c]) for c in columns]))
-    return "\n".join(lines) + "\n"
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        if fmt == "json":
+            rows = [{c: _json_cell(row[c]) for c in columns} for row in obj[table]]
+            return json.dumps({**obj, table: rows}, indent=2) + "\n"
+        lines = [",".join(columns)]
+        for row in obj[table]:
+            lines.append(",".join([_csv_cell(row[c]) for c in columns]))
+        return "\n".join(lines) + "\n"
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 # ---------------------------------------------------------------------------
@@ -349,14 +356,19 @@ def run_algebraic(args) -> int:
         raise ConfigError("the zero element has no principal algebraic action")
 
     grid = DEFAULT_GRIDS.get(rank) if args.grid is None else args.grid
-    if rank >= 1 and grid < 2:
-        raise ConfigError("grid must be >= 2 points per axis")
+    if rank >= 1:
+        spectral._check_grid(rank, grid)
     # the trace checks the quotient order and refuses an over-cap chain
     # before any grid is scanned
     trace = algebraic.entropy_trace(f, quotients)
     certificate = None
     if rank >= 1:
-        certificate, trace.reference_value = spectral._certificate_and_reference(f, grid)
+        certificate, quadrature = spectral._torus_scan(f, grid)
+        try:  # Jensen's on rank 1, else the quadrature; a refused one is dropped
+            estimate = spectral.mahler_jensen(f) if rank == 1 else quadrature()
+            trace.reference_value = estimate.value
+        except (spectral.NearZeroError, ValueError):
+            pass
 
     obj = {
         "f_description": trace.f_description,
@@ -419,15 +431,14 @@ def run_mahler(args) -> int:
     f = parse_laurent(args.poly, rank)
     grid = DEFAULT_GRIDS[rank] if args.grid is None else args.grid
 
-    estimates = []
-    if rank == 1:
-        est = spectral.mahler_jensen(f)
-        estimates.append(est)
+    # Jensen's and the grid's refusals come before the scan; |F| near zero drops a row
+    estimates = [spectral.mahler_jensen(f)] if rank == 1 else []
+    spectral._check_quadrature(f, grid)
+    certificate, quadrature = spectral._torus_scan(f, grid)
     try:
-        estimates.append(spectral.mahler_quadrature(f, grid))
+        estimates.append(quadrature())
     except spectral.NearZeroError:
         pass
-    certificate = spectral.certify_invertible_torus(f, grid)
 
     obj = {
         "poly": f.render(),

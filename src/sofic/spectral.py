@@ -15,8 +15,8 @@ smooth and periodic.
 Nonvanishing of F on the torus is exactly invertibility of f in the group
 C*-algebra when the group is abelian; certify_invertible_torus checks it
 with a grid minimum plus a Lipschitz bound.  The certificate and the
-quadrature read one grid scan (`_grid_scan`), each with its own near-zero
-threshold; `_certificate_and_reference` makes one scan for both.
+quadrature read one grid scan (`_torus_scan`), each with its own near-zero
+threshold, and a caller that wants both makes that scan once.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from typing import Optional
 
 import numpy as np
 
-from .groups import GroupRingElement, element_norm1
+from .groups import GroupRingElement, ResourceGuardError, element_norm1
 
 __all__ = [
     "NearZeroError",
@@ -39,6 +39,10 @@ __all__ = [
 ]
 
 ROOT_DEGREE_CAP = 64
+
+# The most points of a torus grid (2048 per axis at rank 2): the scan holds a
+# few arrays of this many complex128 values, 64 MB each.
+GRID_CAP = 2**22
 
 # Forward error of one FFT butterfly level, in units of u * ||f||_1.  A
 # radix-2 level has relative error eta = mu + gamma_4 * (sqrt 2 + mu), about
@@ -138,18 +142,6 @@ def _grid_error_bound(f: GroupRingElement, grid: int) -> float:
     return _UNIT_ROUNDOFF * f.one_norm * (FFT_LEVEL_ERROR * levels + len(f.terms) + 1)
 
 
-def _grid_scan(f: GroupRingElement, grid: int) -> tuple:
-    """(|F| on the grid, its minimum, the minimum's torus point, the
-    evaluation error bound `_grid_error_bound`), for a grid of at least 2
-    points per axis."""
-    if grid < 2:
-        raise ValueError("grid must be >= 2 points per axis")
-    values = np.abs(_grid_values(f, grid))
-    argmin = np.unravel_index(int(np.argmin(values)), values.shape)
-    witness = tuple(int(i) / grid for i in argmin)
-    return values, float(values[argmin]), witness, _grid_error_bound(f, grid)
-
-
 def mahler_jensen(f: GroupRingElement) -> MahlerEstimate:
     """Rank-1 Mahler measure via Jensen's formula.
 
@@ -242,7 +234,7 @@ def mahler_quadrature(f: GroupRingElement, grid: int) -> MahlerEstimate:
     (`_grid_error_bound`), which suggests f may vanish on the torus.
     """
     _check_quadrature(f, grid)
-    return _quadrature(f, grid, _grid_scan(f, grid))
+    return _torus_scan(f, grid)[1]()
 
 
 def _check_quadrature(f: GroupRingElement, grid: int) -> None:
@@ -250,30 +242,6 @@ def _check_quadrature(f: GroupRingElement, grid: int) -> None:
         raise ValueError("Mahler measure of the zero element is undefined")
     if grid < 4 or grid % 2 != 0:
         raise ValueError("grid must be an even integer >= 4")
-
-
-def _quadrature(f: GroupRingElement, grid: int, scan: tuple) -> MahlerEstimate:
-    """`mahler_quadrature` from the grid scan `_grid_scan(f, grid)`."""
-    values, vmin, witness, float_error = scan
-    if vmin < max(NEAR_ZERO_QUADRATURE, float_error):
-        raise NearZeroError(
-            f"|F| = {vmin:.3e} at grid point {witness}; "
-            "f may be non-invertible on the torus",
-            witness,
-            vmin,
-        )
-    logs = np.log(values)
-    value = float(np.mean(logs))
-    half = logs[(slice(None, None, 2),) * f.rank]
-    value_half = float(np.mean(half))
-    error = abs(value - value_half) + 5e-14 * (1.0 + abs(value))
-    return MahlerEstimate(
-        value=value,
-        error_bound=error,
-        method="quadrature",
-        evaluations=grid**f.rank,
-        grid=grid,
-    )
 
 
 def certify_invertible_torus(f: GroupRingElement, grid: int) -> InvertibilityCertificate:
@@ -290,12 +258,32 @@ def certify_invertible_torus(f: GroupRingElement, grid: int) -> InvertibilityCer
     """
     if f.rank < 1:
         raise ValueError("torus certificate requires rank >= 1")
-    return _certificate(f, grid, _grid_scan(f, grid))
+    return _torus_scan(f, grid)[0]
 
 
-def _certificate(f: GroupRingElement, grid: int, scan: tuple) -> InvertibilityCertificate:
-    """`certify_invertible_torus` from the grid scan `_grid_scan(f, grid)`."""
-    _, vmin, witness, float_error = scan
+def _check_grid(rank: int, grid: int) -> None:
+    """Refuse a grid below 2 points per axis or of more than GRID_CAP points."""
+    if grid < 2:
+        raise ValueError("grid must be >= 2 points per axis")
+    if grid**rank > GRID_CAP:
+        raise ResourceGuardError(
+            f"torus grid of {grid**rank} points exceeds the grid cap {GRID_CAP}"
+        )
+
+
+def _torus_scan(f: GroupRingElement, grid: int) -> tuple:
+    """(certify_invertible_torus(f, grid), quadrature) from one evaluation
+    of |F| on the grid, where quadrature() is mahler_quadrature(f, grid)
+    from the same values, with its exceptions.  The quadrature runs only
+    when called, so a caller that takes its reference elsewhere pays for
+    the scan and the certificate alone.
+    """
+    _check_grid(f.rank, grid)
+    values = np.abs(_grid_values(f, grid))
+    argmin = np.unravel_index(int(np.argmin(values)), values.shape)
+    witness = tuple(int(i) / grid for i in argmin)
+    vmin = float(values[argmin])
+    float_error = _grid_error_bound(f, grid)
     lipschitz = 2.0 * math.pi * sum(
         abs(c) * element_norm1(s, f.rank) for s, c in f.terms.items()
     )
@@ -307,32 +295,26 @@ def _certificate(f: GroupRingElement, grid: int, scan: tuple) -> InvertibilityCe
     else:
         verdict = "unknown"
     certified = verdict == "certified_invertible"
-    return InvertibilityCertificate(
-        verdict=verdict,
-        grid=grid,
-        lipschitz_bound=lipschitz,
-        min_abs=vmin,
+    certificate = InvertibilityCertificate(
+        verdict=verdict, grid=grid, lipschitz_bound=lipschitz, min_abs=vmin,
         min_abs_lower_bound=lower if certified else None,
-        witness=None if certified else witness,
-        witness_abs=None if certified else vmin,
+        witness=None if certified else witness, witness_abs=None if certified else vmin,
     )
 
+    def quadrature() -> MahlerEstimate:
+        _check_quadrature(f, grid)
+        if vmin < max(NEAR_ZERO_QUADRATURE, float_error):
+            raise NearZeroError(
+                f"|F| = {vmin:.3e} at grid point {witness}; "
+                "f may be non-invertible on the torus",
+                witness,
+                vmin,
+            )
+        logs = np.log(values)
+        value = float(np.mean(logs))
+        value_half = float(np.mean(logs[(slice(None, None, 2),) * f.rank]))
+        error = abs(value - value_half) + 5e-14 * (1.0 + abs(value))
+        return MahlerEstimate(value=value, error_bound=error, method="quadrature",
+                              evaluations=grid**f.rank, grid=grid)
 
-def _certificate_and_reference(f: GroupRingElement, grid: int) -> tuple:
-    """(certify_invertible_torus(f, grid), the Mahler measure of f or None),
-    from one grid scan.
-
-    The measure is Jensen's on rank 1 and the quadrature on the same grid
-    otherwise; it is None where that estimate is refused (a root degree
-    over the cap, a grid not even and >= 4, or |F| near zero on the grid).
-    """
-    scan = _grid_scan(f, grid)
-    try:
-        if f.rank == 1:
-            reference = mahler_jensen(f).value
-        else:
-            _check_quadrature(f, grid)
-            reference = _quadrature(f, grid, scan).value
-    except (NearZeroError, ValueError):
-        reference = None
-    return _certificate(f, grid, scan), reference
+    return certificate, quadrature

@@ -1,7 +1,9 @@
 import csv
+import decimal
 import io
 import json
 import math
+import sys
 
 import pytest
 
@@ -9,7 +11,7 @@ from sofic import SubshiftSFT, hom_count_exact, sofic_map_from_quotient, torus_q
 from sofic import algebraic, parse_laurent, spectral, subshift
 from sofic.cli import main
 
-from helpers import cyclic_table, s3_table, sl2_table
+from helpers import cyclic_table, lucas_numbers, s3_table, sl2_table
 
 
 GM_JSON = json.dumps(
@@ -233,6 +235,38 @@ def test_subshift_golden_mean(tmp_path):
     assert all(float(r["h_n"]) < math.log(2) for r in rows)
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_subshift_writes_exact_counts_of_any_length(tmp_path, capsys, fmt):
+    # golden mean shift on Z/n: the count is the Lucas number L_n, which has
+    # more than 4300 digits, CPython's default limit for writing an int, from
+    # n = 20576 on; Decimal reads and compares such digits exactly
+    sft_path = tmp_path / "gm.json"
+    sft_path.write_text(GM_JSON, encoding="utf-8")
+    limit = sys.get_int_max_str_digits()
+    assert main(["subshift", "--sft", str(sft_path), "--quotients", "20576..20576",
+                 "--format", fmt]) == 0
+    assert sys.get_int_max_str_digits() == limit
+    text = capsys.readouterr().out
+    if fmt == "csv":
+        count = decimal.Decimal(_csv_rows(text)[0]["count"])
+    else:
+        count = json.loads(text, parse_int=decimal.Decimal)["rows"][0]["count"]
+    lucas = lucas_numbers(20576)[20576]
+    assert count == decimal.Decimal(lucas)
+    assert len(str(decimal.Decimal(lucas))) == 4301
+
+
+def test_subshift_parses_no_number_past_the_digit_limit(tmp_path, capsys):
+    # the renderer writes counts of any length, but the parsers keep the limit
+    sft_path = tmp_path / "gm.json"
+    sft_path.write_text(GM_JSON, encoding="utf-8")
+    bound = "9" * 5000
+    assert main(["subshift", "--sft", str(sft_path), "--quotients", f"1..{bound}"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: quotient range bounds must be integers, got '1..{bound}'\n"
+    )
+
+
 def test_subshift_malformed_json(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"alphabet": [0, 1], ', encoding="utf-8")
@@ -353,6 +387,37 @@ def test_mahler_refuses_a_grid_of_zero(capsys):
     assert captured.err == "error: grid must be an even integer >= 4\n"
 
 
+@pytest.mark.parametrize("group, poly", [("Z", "3 - x - x^-1"),
+                                         ("Z2", "5 - x - x^-1 - y - y^-1")])
+def test_mahler_scans_the_torus_grid_once(capsys, monkeypatch, group, poly):
+    scans = _spy(monkeypatch, spectral, "_grid_values")
+    assert main(["mahler", "--group", group, "--poly", poly, "--grid", "64"]) == 0
+    assert len(scans) == 1
+    assert "quadrature: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (["--poly", "3 - x - x^-1", "--grid", "0"], 2,
+     "error: grid must be an even integer >= 4\n"),
+    (["--poly", "3 - x - x^-1", "--grid", "5"], 2,
+     "error: grid must be an even integer >= 4\n"),
+    (["--group", "Z2", "--poly", "x - x", "--grid", "64"], 2,
+     "error: Mahler measure of the zero element is undefined\n"),
+    (["--poly", "1 + x^65"], 2, "error: degree 65 exceeds root-finder cap 64\n"),
+    (["--group", "Z2", "--poly", "5 - x - y", "--grid", "10000000"], 4,
+     "resource guard: torus grid of 100000000000000 points exceeds the grid cap "
+     "4194304\n"),
+], ids=["grid of 0", "odd grid", "zero f on Z2", "degree over the root cap",
+        "grid over the cap"])
+def test_mahler_refuses_before_any_scan(capsys, monkeypatch, argv, code, message):
+    scans = _spy(monkeypatch, spectral, "_grid_values")
+    assert main(["mahler", *argv]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == message
+    assert scans == []
+
+
 # ---------------------------------------------------------------------------
 # sofic-check
 
@@ -448,6 +513,18 @@ def test_algebraic_scans_the_torus_grid_once(tmp_path, monkeypatch):
     ).value
 
 
+def test_algebraic_rank1_reference_computes_no_quadrature(monkeypatch):
+    # the reference on rank 1 is Jensen's: the scan gives the certificate alone
+    made = []
+    real = spectral.MahlerEstimate
+    monkeypatch.setattr(spectral, "MahlerEstimate",
+                        lambda **kw: made.append(kw["method"]) or real(**kw))
+    scans = _spy(monkeypatch, spectral, "_grid_values")
+    assert main(["algebraic", "--poly", "3 - x - x^-1", "--quotients", "1..4"]) == 0
+    assert len(scans) == 1
+    assert made == ["jensen"]
+
+
 @pytest.mark.parametrize("argv, code, message", [
     (["--group", "Z2", "--poly", "5 - x - x^-1 - y - y^-1", "--moduli", "3,3",
       "--moduli", "2,2"], 2, "error: quotients must be ordered by nondecreasing size\n"),
@@ -460,8 +537,10 @@ def test_algebraic_scans_the_torus_grid_once(tmp_path, monkeypatch):
      "error: grid must be >= 2 points per axis\n"),
     (["--poly", "3 - x - x^-1", "--quotients", "1..300", "--grid", "0"], 2,
      "error: grid must be >= 2 points per axis\n"),
+    (["--poly", "3 - x - x^-1", "--quotients", "1..300", "--grid", "10000000"], 4,
+     "resource guard: torus grid of 10000000 points exceeds the grid cap 4194304\n"),
 ], ids=["unordered", "rank-1 trace over the cap", "rank-2 trace over the cap", "grid of 1",
-        "grid of 0"])
+        "grid of 0", "grid over the cap"])
 def test_algebraic_refuses_before_any_scan_or_prime(capsys, monkeypatch, argv, code, message):
     scans = _spy(monkeypatch, spectral, "_grid_values")
     drawn = _spy(monkeypatch, algebraic, "_character_primes")

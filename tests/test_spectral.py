@@ -8,6 +8,7 @@ from sofic import spectral
 from sofic import (
     GroupRingElement,
     NearZeroError,
+    ResourceGuardError,
     certify_invertible_torus,
     involution,
     left_translate,
@@ -251,6 +252,22 @@ def test_certificate_margin_covers_float_error_at_large_norm():
 def test_certificate_grid_validation():
     with pytest.raises(ValueError):
         certify_invertible_torus(parse_laurent("3 - x", 1), 1)
+
+
+def test_grid_cap_refuses_before_any_evaluation(monkeypatch):
+    # the cap admits the largest grids in use, 2048 per axis at rank 2 and
+    # 8192 at rank 1, and refuses one more point per axis before evaluating
+    spectral._check_grid(2, 2048)
+    spectral._check_grid(1, 8192)
+    monkeypatch.setattr(spectral, "_grid_values", _refuse)
+    f = parse_laurent("5 - x - x^-1 - y - y^-1", 2)
+    for scan in (certify_invertible_torus, mahler_quadrature):
+        with pytest.raises(ResourceGuardError, match="^torus grid of 4202500 points exceeds"):
+            scan(f, 2050)
+
+
+def _refuse(*args):
+    raise AssertionError("the grid was evaluated")
 
 
 # ---------------------------------------------------------------------------
