@@ -553,15 +553,16 @@ def _split_round(group: list) -> None:
     # a term on the diagonal of every plan's blocks (every term on a torus)
     diagonal = (cols == np.arange(m)).all(axis=(0, 2))
     row = np.arange(rows)[:, None]
-    offsets = row * powers.shape[1]
     orbit = np.arange(orbits)[:, None]
     blocks = np.zeros((rows, orbits, m * m), dtype=np.int64)
     span = max(1, _CHAR_BLOCK // (rows * orbits * m))
     for lo in range(0, terms, span):
         index = (scaled[:, lo : lo + span] @ chars[:, None] % ks).swapaxes(2, 3).reshape(plans, -1)
-        # the rows of a lone plan share one index row; those of a group index
-        # the flattened table, a faster gather than by a pair of index arrays
-        part = powers[:, index[0]] if plans == 1 else powers.ravel()[index[owner] + offsets]
+        # each plan's rows take whole columns of their own root powers, in place:
+        # "clip" skips the copy that a bounds check makes, and every index is < k
+        part = np.empty((rows, index.shape[1]), dtype=np.int64)
+        for i, (a, c) in enumerate(zip(starts, counts)):
+            np.take(powers[a : a + c], index[i], axis=1, out=part[a : a + c], mode="clip")
         part = part.reshape(rows, -1, orbits, m)
         part *= weights[:, lo : lo + span, None, None]
         part %= mods[:, None, None, None]

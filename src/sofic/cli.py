@@ -40,6 +40,7 @@ from .groups import (
     ExplicitQuotient,
     GroupRingElement,
     ResourceGuardError,
+    SOFIC_MAP_CAP,
     _is_integer,
     element_mul,
     freeness_defect,
@@ -472,6 +473,12 @@ def run_sofic_check(args) -> int:
     needed = set(elements)
     for s, t in pairs:
         needed.add(element_mul(s, t, rank))
+    d = max(q.size for q in quotients)
+    if d * len(needed) > SOFIC_MAP_CAP:
+        raise ResourceGuardError(
+            f"a sofic map of {len(needed)} elements on {d} cosets exceeds the cap "
+            f"{SOFIC_MAP_CAP} permutation entries"
+        )
 
     rows = []
     for q in quotients:

@@ -53,6 +53,8 @@ __all__ = [
 
 # The most cosets of a torus quotient: its counts and sofic maps build O(d) arrays.
 COSET_CAP = 10**6
+# The most entries of the permutations one sofic-check map stores, 240 MB as int64.
+SOFIC_MAP_CAP = 3 * 10**7
 
 VARIABLES = "xyzw"
 
@@ -595,9 +597,12 @@ def torus_quotient(moduli: Iterable[int]) -> TorusQuotient:
 class ExplicitQuotient:
     """A finite quotient given by a multiplication table and generator images.
 
-    The table must define a group (checked on construction: Latin square,
-    identity, associativity) and the generator images must generate it, so
-    the induced map from words onto cosets is a surjective homomorphism.
+    The table must define a group and the generator images must generate
+    it, so the induced map from words onto cosets is a surjective
+    homomorphism.  Construction checks a Latin square, then an identity
+    (only the column where row 0 holds 0 can be one), then associativity
+    (Light's test); an associative Latin square with an identity is a
+    group, so the inverses are read off the rows with no check of their own.
     Ambient elements are words in the named generators.
     """
 
@@ -631,33 +636,12 @@ class ExplicitQuotient:
                 raise ValueError(f"image of generator {g!r} out of range")
             self.generator_images[str(g)] = int(i)
         self.label = label or f"explicit({d})"
-        self.identity_index = self._find_identity()
-        self._inverses = self._find_inverses()
         self._check_group()
         self._check_surjective()
 
     @property
     def size(self) -> int:
         return int(self.table.shape[0])
-
-    def _find_identity(self) -> int:
-        # an identity e has e * e = e, which picks the candidates to check
-        t = self.table
-        idx = np.arange(self.size, dtype=np.int64)
-        cand = np.flatnonzero(t[idx, idx] == idx)
-        unit = (t[cand] == idx).all(axis=1) & (t[:, cand] == idx[:, None]).all(axis=0)
-        if not unit.any():
-            raise ValueError("multiplication table has no identity element")
-        return int(cand[np.argmax(unit)])
-
-    def _find_inverses(self) -> np.ndarray:
-        t = self.table
-        hits = t == self.identity_index
-        inv = np.argmax(hits, axis=1).astype(np.int64)
-        ok = (hits.sum(axis=1) == 1) & (t[inv, np.arange(self.size)] == self.identity_index)
-        if not ok.all():
-            raise ValueError(f"element {int(np.argmin(ok))} has no two-sided inverse")
-        return inv
 
     def _check_group(self):
         t = self.table
@@ -677,11 +661,17 @@ class ExplicitQuotient:
             a = int(bad[0])
             kind = "row" if bad_rows[a] else "column"
             raise ValueError(f"{kind} {a} of the table is not a permutation")
+        # an identity u has t[0, u] = 0, and row 0 holds 0 once
+        e = self.identity_index = int(np.argmin(t[0]))
+        if not (np.array_equal(t[e], idx) and np.array_equal(t[:, e], idx)):
+            raise ValueError("multiplication table has no identity element")
         # Light's test: the s with (x*s)*y == x*(s*y) for all x, y are closed
         # under products, so checking a generating set proves associativity.
         for s in self._table_generators():
             if not np.array_equal(t[t[:, s]], t[:, t[s]]):
                 raise ValueError("multiplication table is not associative")
+        # a group: each row holds e once, at the inverse
+        self._inverses = np.argmax(t == e, axis=1)
 
     def _table_generators(self) -> list:
         """A generating set of the table: each is the smallest element not yet

@@ -7,8 +7,8 @@ import sys
 
 import pytest
 
-from sofic import SubshiftSFT, hom_count_exact, sofic_map_from_quotient, torus_quotient
-from sofic import algebraic, parse_laurent, spectral, subshift
+from sofic import SubshiftSFT, TorusQuotient, hom_count_exact, sofic_map_from_quotient
+from sofic import algebraic, parse_laurent, spectral, subshift, torus_quotient
 from sofic.cli import main
 
 from helpers import cyclic_table, lucas_numbers, s3_table, sl2_table
@@ -181,6 +181,21 @@ def test_algebraic_chain_refuses_malformed_fields(tmp_path, capsys, chain, field
     assert captured.err.startswith("error: ") and field in captured.err
 
 
+@pytest.mark.parametrize("text, flags, message", [
+    ('{"quotients": [', [],
+     "error: malformed JSON in '{path}': Expecting value (at position 15)\n"),
+    (json.dumps(_z3_chain()), ["--poly", "x - 2"],
+     "error: explicit chains take the polynomial from the chain file, not --poly\n"),
+], ids=["malformed JSON", "poly flag"])
+def test_algebraic_chain_file_refusals(tmp_path, capsys, text, flags, message):
+    chain_path = tmp_path / "chain.json"
+    chain_path.write_text(text, encoding="utf-8")
+    assert main(["algebraic", "--group", f"file:{chain_path}", *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == message.format(path=chain_path)
+
+
 def test_algebraic_singular_explicit_chain_nullities(tmp_path, capsys):
     table, perms = s3_table()
     quotients = [{"label": "S3", "table": table,
@@ -273,6 +288,16 @@ def test_subshift_malformed_json(tmp_path, capsys):
     rc = main(["subshift", "--sft", str(bad), "--quotients", "2..4"])
     assert rc == 2
     assert "position" in capsys.readouterr().err
+
+
+def test_subshift_unreadable_sft(tmp_path, capsys):
+    path = tmp_path / "missing.json"
+    assert main(["subshift", "--sft", str(path), "--quotients", "2..4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: cannot read SFT file '{path}': [Errno 2] No such file or directory: '{path}'\n"
+    )
 
 
 def test_subshift_budgets(tmp_path):
@@ -407,8 +432,10 @@ def test_mahler_scans_the_torus_grid_once(capsys, monkeypatch, group, poly):
     (["--group", "Z2", "--poly", "5 - x - y", "--grid", "10000000"], 4,
      "resource guard: torus grid of 100000000000000 points exceeds the grid cap "
      "4194304\n"),
+    (["--group", "file:chain.json", "--poly", "x"], 2,
+     "error: mahler supports the torus groups Z, Z2, Z3, Z4\n"),
 ], ids=["grid of 0", "odd grid", "zero f on Z2", "degree over the root cap",
-        "grid over the cap"])
+        "grid over the cap", "file group"])
 def test_mahler_refuses_before_any_scan(capsys, monkeypatch, argv, code, message):
     scans = _spy(monkeypatch, spectral, "_grid_values")
     assert main(["mahler", *argv]) == code
@@ -467,6 +494,31 @@ def test_sofic_check_explicit_chain(tmp_path):
     assert float(by_pair[("a", "a^2")]["freeness_defect"]) == 0.0
     assert float(by_pair[("a", "a^6")]["freeness_defect"]) == 1.0  # a^6 = a in C5
     assert all(float(r["multiplicative_defect"]) == 0.0 for r in rows)
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (["--quotients", "3..4", "--elements", "1;x"], 2,
+     "error: expected an integer element, got 'x'\n"),
+    (["--group", "Z2", "--quotients", "3..4", "--elements", "1,0;1"], 2,
+     "error: element '1' has 1 components, expected 2\n"),
+    (["--quotients", "3..4", "--elements", " ; "], 2, "error: no elements given\n"),
+    (["--quotients", "3..4", "--elements", "1;1"], 2,
+     "error: need at least two distinct elements for defect checks\n"),
+    # 30 elements and their 435 distinct sums: 465 permutations of 10^6
+    # int64 entries, 3.7 GB
+    (["--group", "Z2", "--quotients", "1000..1000",
+      "--elements", ";".join(f"{k},{k * k}" for k in range(1, 31))], 4,
+     "resource guard: a sofic map of 465 elements on 1000000 cosets exceeds the cap "
+     "30000000 permutation entries\n"),
+], ids=["element not an integer", "element of the wrong arity", "no elements",
+        "one distinct element", "maps over the cap"])
+def test_sofic_check_refuses_before_any_permutation(capsys, monkeypatch, argv, code, message):
+    built = _spy(monkeypatch, TorusQuotient, "coset_translation_perm")
+    assert main(["sofic-check", *argv]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == message
+    assert built == []
 
 
 # ---------------------------------------------------------------------------
@@ -539,8 +591,32 @@ def test_algebraic_rank1_reference_computes_no_quadrature(monkeypatch):
      "error: grid must be >= 2 points per axis\n"),
     (["--poly", "3 - x - x^-1", "--quotients", "1..300", "--grid", "10000000"], 4,
      "resource guard: torus grid of 10000000 points exceeds the grid cap 4194304\n"),
+    (["--group", "H", "--poly", "x", "--quotients", "1..3"], 2,
+     "error: unknown group 'H'; use Z, Z2, Z3, Z4, or file:<path>\n"),
+    (["--group", "file:no-such-chain.json"], 2,
+     "error: cannot read quotient chain 'no-such-chain.json': [Errno 2] No such file or "
+     "directory: 'no-such-chain.json'\n"),
+    (["--quotients", "1..3"], 2, "error: --poly is required for torus groups\n"),
+    (["--poly", "x - x", "--quotients", "1..3"], 2,
+     "error: the zero element has no principal algebraic action\n"),
+    (["--poly", "3 - x", "--quotients", "1..3", "--moduli", "3"], 2,
+     "error: give either --quotients or --moduli, not both\n"),
+    (["--group", "Z2", "--poly", "5 - x", "--moduli", "3"], 2,
+     "error: --moduli '3' has 1 entries, expected 2\n"),
+    (["--poly", "3 - x", "--moduli", "3,x"], 2,
+     "error: expected comma-separated integers, got '3,x'\n"),
+    (["--poly", "3 - x"], 2, "error: a quotient range (--quotients a..b) is required\n"),
+    (["--poly", "3 - x", "--quotients", "1-3"], 2,
+     "error: quotient range must look like a..b, got '1-3'\n"),
+    (["--poly", "3 - x", "--quotients", "0..3"], 2,
+     "error: quotient range must satisfy 1 <= a <= b, got '0..3'\n"),
+    (["--poly", "3 - x", "--quotients", "5..3"], 2,
+     "error: quotient range must satisfy 1 <= a <= b, got '5..3'\n"),
 ], ids=["unordered", "rank-1 trace over the cap", "rank-2 trace over the cap", "grid of 1",
-        "grid of 0", "grid over the cap"])
+        "grid of 0", "grid over the cap", "unknown group", "unreadable chain",
+        "torus without poly", "zero f", "quotients and moduli", "moduli of the wrong length",
+        "moduli not integers", "no quotients", "range without dots", "range from 0",
+        "decreasing range"])
 def test_algebraic_refuses_before_any_scan_or_prime(capsys, monkeypatch, argv, code, message):
     scans = _spy(monkeypatch, spectral, "_grid_values")
     drawn = _spy(monkeypatch, algebraic, "_character_primes")

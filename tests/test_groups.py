@@ -366,6 +366,31 @@ def test_explicit_quotient_rejects_non_group():
         ExplicitQuotient(quasi, {"a": 1})
 
 
+@pytest.mark.parametrize("table, images, message", [
+    ([[0, 1]], {"a": 1}, "multiplication table must be square"),
+    (np.zeros((0, 0), dtype=np.int64), {}, "empty multiplication table"),
+    ([[0, 2], [2, 0]], {"a": 1}, "table entries must be coset indices in 0..size-1"),
+    ([[0, -1], [-1, 0]], {"a": 1}, "table entries must be coset indices in 0..size-1"),
+    (cyclic_table(3), {"a": 3}, "image of generator 'a' out of range"),
+    # x o y = x - y mod 5: a Latin square whose only idempotent, 0, is a
+    # right identity alone
+    ([[(x - y) % 5 for y in range(5)] for x in range(5)], {"a": 1},
+     "multiplication table has no identity element"),
+], ids=["not square", "empty", "entry too large", "negative entry", "image out of range",
+        "subtraction mod 5"])
+def test_explicit_quotient_refusals(table, images, message):
+    with pytest.raises(ValueError) as info:
+        ExplicitQuotient(table, images)
+    assert str(info.value) == message
+
+
+def test_explicit_quotient_refuses_an_unknown_generator():
+    q = ExplicitQuotient(cyclic_table(3), {"a": 1}, label="C3")
+    with pytest.raises(ValueError) as info:
+        q.index(parse_word("a*b"))
+    assert str(info.value) == "unknown generator 'b' for quotient C3"
+
+
 def test_explicit_quotient_names_first_non_permutation():
     # identity 0 and two-sided inverses, but not Latin squares; rows and
     # columns are checked in the order row 1, column 1, row 2, ...
