@@ -40,7 +40,6 @@ from .groups import (
     ExplicitQuotient,
     GroupRingElement,
     ResourceGuardError,
-    SOFIC_MAP_CAP,
     _is_integer,
     element_mul,
     freeness_defect,
@@ -458,6 +457,11 @@ def run_mahler(args) -> int:
     return EXIT_OK
 
 
+# The most entries of the permutations one sofic-check map stores, 240 MB as
+# int64; one map is alive at a time.
+SOFIC_MAP_CAP = 3 * 10**7
+
+
 def run_sofic_check(args) -> int:
     rank, _, chain_quotients = _resolve_group(args)
     if rank == 0:
@@ -494,6 +498,7 @@ def run_sofic_check(args) -> int:
                     "freeness_defect": freeness_defect(sigma, s, t),
                 }
             )
+        del sigma  # freed before the next quotient's map is built
 
     columns = ("label", "d", "s", "t", "multiplicative_defect", "freeness_defect")
     report = _render(args.format, {"group": args.group, "rows": rows}, "rows", columns)

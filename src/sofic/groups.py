@@ -53,8 +53,6 @@ __all__ = [
 
 # The most cosets of a torus quotient: its counts and sofic maps build O(d) arrays.
 COSET_CAP = 10**6
-# The most entries of the permutations one sofic-check map stores, 240 MB as int64.
-SOFIC_MAP_CAP = 3 * 10**7
 
 VARIABLES = "xyzw"
 
