@@ -61,6 +61,10 @@ DEFAULT_GRIDS = {1: 8192, 2: 256, 3: 48, 4: 24}
 
 GROUP_RANKS = {"Z": 1, "Z2": 2, "Z3": 3, "Z4": 4}
 
+# The most entries of the permutations one sofic-check map stores, 240 MB as
+# int64; run_sofic_check keeps one map alive at a time.
+SOFIC_MAP_CAP = 3 * 10**7
+
 
 class ConfigError(ValueError):
     """Invalid command-line configuration or input file."""
@@ -457,11 +461,6 @@ def run_mahler(args) -> int:
     return EXIT_OK
 
 
-# The most entries of the permutations one sofic-check map stores, 240 MB as
-# int64; one map is alive at a time.
-SOFIC_MAP_CAP = 3 * 10**7
-
-
 def run_sofic_check(args) -> int:
     rank, _, chain_quotients = _resolve_group(args)
     if rank == 0:
@@ -474,9 +473,7 @@ def run_sofic_check(args) -> int:
     if not pairs:
         raise ConfigError("need at least two distinct elements for defect checks")
 
-    needed = set(elements)
-    for s, t in pairs:
-        needed.add(element_mul(s, t, rank))
+    needed = set(elements) | {element_mul(s, t, rank) for s, t in pairs}
     d = max(q.size for q in quotients)
     if d * len(needed) > SOFIC_MAP_CAP:
         raise ResourceGuardError(
