@@ -37,7 +37,14 @@ draws every unfinished plan's next chunk of primes and eliminates
 consecutive plans of one block size as one batched int64 group, whose
 character exponents are built for that round alone.  The product of the
 determinants is lifted by CRT against Hadamard's bound, (det M)^2 <=
-(sum_c fhat[c]^2)^d, as every row of M is a permutation of fhat.  When
+(sum_c fhat[c]^2)^d, as every row of M is a permutation of fhat.  When f is
+symmetric on an explicit quotient (fhat[c] = fhat[c^-1], so M is real
+symmetric), the orbits are closed under chi -> chi^-1 as well, and
+|det M| = |S| H^2 for integers H, a product over one character of each
+non-real pair, and S, over the real characters: H is lifted against
+|H| <= (sum c^2)^(d/4), half the determinant's bits, and S against
+|S| <= l1^(m #real) (l1 = sum |fhat|, which bounds every eigenvalue), from
+the same primes, the real blocks built only until S has its own.  When
 det M = 0 the same elimination gives the nullity d - rank M, each block's
 rank certified by a norm bound.  A count, or a trace, is refused before
 its first prime when its estimated cost exceeds COST_CAP.
@@ -190,18 +197,20 @@ def _character_primes(m: int, count: int) -> List[int]:
     return found[:count]
 
 
-def _crt_prime_count(bound: int) -> int:
-    """How many primes above 2^30 a CRT lift needs, given det^2 <= bound.
+def _crt_prime_count(bound: int, power: int = 2) -> int:
+    """How many primes above 2^30 a CRT lift of x needs, given
+    |x|^power <= bound.
 
-    n such primes have a product P with P^2 > 2^(60n) >= 4 bound, hence
-    P > 2 |det|.  A d x d group circulant has bound (sum c^2)^d, since
-    every row is a permutation of fhat.
+    n such primes have a product P with P^power > 2^(30 power n) >=
+    2^power bound, hence P > 2 |x|.  A d x d group circulant has
+    det^2 <= (sum c^2)^d (Hadamard), since every row is a permutation of
+    fhat.
     """
-    return -(-(4 * bound).bit_length() // 60)
+    return -(-(bound << power).bit_length() // (30 * power))
 
 
-def _power_prime_count(base: int, d: int) -> int:
-    """_crt_prime_count(base ** d), base >= 0 and d >= 1, without the power:
+def _power_prime_count(base: int, d: int, power: int = 2) -> int:
+    """_crt_prime_count(base ** d, power), base >= 0 and d >= 1, without the power:
     square and multiply keeps lo 2^shift <= base^e <= hi 2^shift, lo and hi
     cut to `precision` bits (rounded down and up), and the precision doubles
     until their bit lengths agree, and so agree with that of base^d."""
@@ -213,7 +222,7 @@ def _power_prime_count(base: int, d: int) -> int:
             cut = max(0, hi.bit_length() - precision)
             lo, hi, shift = lo >> cut, -(-hi >> cut), 2 * shift + cut
         if lo.bit_length() == hi.bit_length():
-            return _crt_prime_count(lo << shift)
+            return _crt_prime_count(lo << shift, power)
         precision *= 2
 
 
@@ -395,9 +404,13 @@ def _row_products(values: np.ndarray, mods: np.ndarray) -> List[int]:
 
 class _Split:
     """One plan's progress in `_split_det`: the primes drawn, the residues
-    of |det M| at them, and the orbits that may still be short of full rank
-    (``short``, every orbit before the first prime; empty once the plan is
-    full) with their largest ranks so far (``best``)."""
+    of H and of S at them (see `_split_det`), and the orbits that may still
+    be short of full rank (``short``, every orbit before the first prime;
+    empty once the plan is full) with their largest ranks so far
+    (``best``).  The orbits built each round are ``reps`` (None: every
+    character), ``orbits`` of them, whose exponents in H are ``h_sizes``
+    (None: 1 each); a symmetric plan's ``s_sizes`` are every orbit's
+    exponent in S, which takes residues at its first ``s_need`` primes."""
 
     def __init__(self, plan: SplitPlan, det_need: int):
         self.plan = plan
@@ -407,12 +420,21 @@ class _Split:
         self.d = math.prod(plan.moduli) * m
         self.orbits = plan.orbits
         self.l1 = sum(abs(c) for c in plan.coeffs)
+        self.reps, self.h_sizes, self.s_sizes = plan.orbit_reps, plan.orbit_sizes, None
+        if plan.symmetric:
+            real = _real_orbits(plan)
+            self.h_sizes = np.where(real, 0, plan.orbit_sizes // 2)
+            self.s_sizes = np.where(real, plan.orbit_sizes, 0)
+            self.s_need = _real_prime_count(plan)
         self.primes: List[int] = []
         self.residues: List[int] = []
+        self.s_residues: List[int] = []
         self.short = slice(0, self.orbits)
         self.best = 0
         self.full = False
-        self.phi = 1  # the largest phi(o) of a short block; 1 before any prime
+        # the degree of the field of the largest short block's rank witness
+        # (phi(o), or phi(o)/2 on a symmetric plan); 1 before any prime
+        self.phi = 1
         self.block = max(1, _CHAR_BLOCK // (self.orbits * m * m))
 
     def chunk(self) -> int:
@@ -422,6 +444,9 @@ class _Split:
         if not self.full:
             # n primes above 2^30 have a product above 2^(30 n)
             need = min(need, -(-(self.l1 ** (self.m * self.phi)).bit_length() // 30))
+        elif self.s_sizes is not None and len(self.s_residues) < self.s_need:
+            # the real blocks are built only until S has its primes
+            need = min(need, self.s_need)
         return max(0, min(need - len(self.primes), self.block))
 
 
@@ -451,12 +476,33 @@ def _split_det(plans: Sequence[SplitPlan], det_needs: Sequence[int]) -> List[tup
     budget suffices.  Each orbit representative keeps its own budget, as
     similar blocks have equal rank at every prime.
 
+    When f = f* (a ``symmetric`` plan), M is real symmetric, so each block
+    is Hermitian and its determinant lies in the real subfield: the blocks
+    of chi and chi^-1 have equal determinants over Z[omega], and the orbits
+    come closed under chi -> chi^-1.  Let H be the product of det B_chi over
+    one chi of each pair chi != chi^-1, each non-real orbit counting half
+    its size, and S the product over the real characters (chi^2 = 1).  Both
+    are Galois-invariant, so integers, and |det M| = |S| H^2.  As |S| >= 1
+    when det M != 0, |H| <= (sum c^2)^(d/4), half the determinant's bits;
+    every eigenvalue of M is at most l1, so |S| <= l1^(m #real), and
+    |S| <= |det M| too.  The lift is |S| |H|^e for every plan, e = 2 on a
+    symmetric plan and e = 1 with no S (H = det M) on any other.  The rank
+    witness halves as well: a Hermitian block of rank R has a nonzero real
+    coefficient of x^(m-R) in its characteristic polynomial, a sum of its
+    R x R principal minors and the product of its nonzero eigenvalues, so
+    of norm at most l1^(m phi(o)/2) over the real subfield (l1^m when
+    o <= 2).
+
     Each plan's primes are drawn in rounds.  The first round meets the
     budget of phi = 1, the least any block can need.  While some block has
     been short of full rank at every prime so far (so its det, and det M,
     is 0 there), a round draws up to the budget of the largest phi(o) among
-    those blocks; once none is, up to the plan's ``det_needs`` entry, and
-    the product of the block determinants is lifted by CRT.  A round draws
+    those blocks; once none is, up to the plan's ``det_needs`` entry (which
+    covers every rank budget of a symmetric plan, see `_det_prime_count`),
+    and the products H and S are lifted by CRT.  S takes residues at its
+    first primes only, as many as its own bound needs (or all drawn, if
+    fewer), and a full plan's round stops there while S is short: once S
+    has them, the later rounds build only the non-real orbits, those of H.  A round draws
     at most a chunk of primes per plan, sized by the plan's blocks, so each
     plan draws the same primes as it would alone.
 
@@ -468,7 +514,7 @@ def _split_det(plans: Sequence[SplitPlan], det_needs: Sequence[int]) -> List[tup
     terms one product of its terms' coordinates with its characters' (the
     exponents of omega) and one gather of their values, one batched
     elimination when m > 1 (a 1 x 1 block is its own determinant) and one
-    product tree.
+    product tree for H; each symmetric plan adds its own tree for S.
     """
     splits = [_Split(plan, need) if plan.coeffs else None for plan, need in zip(plans, det_needs)]
     while True:
@@ -485,8 +531,12 @@ def _split_det(plans: Sequence[SplitPlan], det_needs: Sequence[int]) -> List[tup
         elif not s.full:
             sizes = 1 if plan.orbit_sizes is None else plan.orbit_sizes[s.short]
             out.append((0, s.d - int(((s.m - s.best) * sizes).sum())))
-        else:
+        elif s.s_sizes is None:
             out.append((abs(_crt_symmetric(s.residues, s.primes)), s.d))
+        else:
+            # S takes the first len(s_residues) primes
+            h = _crt_symmetric(s.residues, s.primes)
+            out.append((abs(_crt_symmetric(s.s_residues, s.primes)) * h * h, s.d))
     return out
 
 
@@ -546,8 +596,7 @@ def _split_round(group: list) -> None:
         cols[i, : len(coeffs)] = s.plan.cols
         scaled[i, : len(coeffs), :, : len(moduli)] = s.plan.coords * [s.k // n for n in moduli]
         every = np.indices(moduli, dtype=np.int64).reshape(len(moduli), -1)
-        reps = slice(None) if s.plan.orbit_reps is None else s.plan.orbit_reps
-        chars[i, : len(moduli), : s.orbits] = every[:, reps]
+        chars[i, : len(moduli), : s.orbits] = every[:, slice(None) if s.reps is None else s.reps]
     ks = np.array([s.k for s in splits])[:, None, None, None]
     entries = cols + np.arange(m) * m
     # a term on the diagonal of every plan's blocks (every term on a torus)
@@ -593,31 +642,44 @@ def _split_round(group: list) -> None:
             s.short, s.best = np.arange(s.orbits)[s.short][short], best[short]
             s.full = not s.short.size
             if not s.full:
-                # a block short of full rank at every prime so far has det 0 there
-                s.residues += [0] * len(chunk)
                 expo = scaled[i] @ chars[i][:, s.short] % s.k
                 gcds = np.gcd(np.gcd.reduce(expo, axis=(0, 1)), s.k)
-                s.phi = max(_totient(s.k // g) for g in set(gcds.tolist()))
-                continue
+                phi = max(_totient(s.k // g) for g in set(gcds.tolist()))
+                s.phi = (phi + 1) // 2 if s.plan.symmetric else phi
+                if s.s_sizes is None:
+                    # a block short of full rank at every prime so far has
+                    # det 0 there; on a symmetric plan, in H or in S only
+                    s.residues += [0] * len(chunk)
+                    continue
         if products is None:
             products = _row_products(_characters(dets, splits, owner), mods)
-        s.residues += products[starts[i] : starts[i] + len(chunk)]
+        own = slice(starts[i], starts[i] + len(chunk))
+        s.residues += products[own]
+        if s.s_sizes is not None:
+            if len(s.s_residues) < s.s_need:
+                real = np.repeat(dets[own, : s.orbits], s.s_sizes, axis=1)
+                s.s_residues += _row_products(real, mods[own])
+            live = np.flatnonzero(s.h_sizes)
+            if s.full and len(s.s_residues) >= s.s_need and 0 < live.size < s.orbits:
+                # S is lifted: the later primes build the orbits of H alone
+                s.reps, s.h_sizes, s.orbits = s.reps[live], s.h_sizes[live], live.size
 
 
 def _characters(dets: np.ndarray, splits: list, owner: np.ndarray) -> np.ndarray:
-    """The block determinants of a group's rows, each repeated once for every
-    character of its orbit; a row shorter than the group's widest is filled
-    with 1s, as its padded orbits are."""
-    orbit_sizes = [s.plan.orbit_sizes for s in splits]
-    if all(z is None or (z == 1).all() for z in orbit_sizes):
+    """The block determinants of a group's rows, each repeated as often as
+    its orbit enters H (once per character, but for a symmetric plan); a row
+    shorter than the group's widest is filled with 1s, as its padded orbits
+    are."""
+    if all(s.h_sizes is None or (s.h_sizes == 1).all() for s in splits):
         # every orbit one character (every torus plan): nothing to repeat
         return dets
     sizes = np.zeros((len(splits), dets.shape[1] + 1), dtype=np.int64)
-    for i, (s, z) in enumerate(zip(splits, orbit_sizes)):
-        sizes[i, : s.orbits] = 1 if z is None else z
+    for i, s in enumerate(splits):
+        sizes[i, : s.orbits] = 1 if s.h_sizes is None else s.h_sizes
     sizes = sizes[owner]
     total = sizes.sum(axis=1)
-    sizes[:, -1] = total.max() - total
+    # at least one column: a symmetric plan with only real characters has H = 1
+    sizes[:, -1] = max(total.max(), 1) - total
     ones = np.ones((len(dets), 1), dtype=np.int64)
     flat = np.repeat(np.hstack([dets, ones]).ravel(), sizes.ravel())
     return flat.reshape(len(dets), -1)
@@ -644,7 +706,7 @@ def _estimate(f: GroupRingElement, q: Quotient, spent: int) -> tuple:
     refused when spent + W, or the cost of the prime supply, exceeds
     COST_CAP.
 
-    The split draws at most the determinant's CRT count of primes.  Each
+    The split draws at most `_det_prime_count` primes.  Each
     costs, per orbit representative, an elimination of m^3 and a block built
     from terms x m^2 entries, plus 16 for roots and CRT: W = primes x orbits
     x (m^3 + terms m^2 + 16), in units of about 5 ns.  Serving them takes a
@@ -654,7 +716,7 @@ def _estimate(f: GroupRingElement, q: Quotient, spent: int) -> tuple:
         raise ValueError(f"element/quotient mode mismatch (ranks {f.rank} and {q.rank})")
     plan = q.split_plan(f)
     terms, m = plan.cols.shape
-    primes = _power_prime_count(sum(c * c for c in plan.coeffs), q.size)
+    primes = _det_prime_count(plan, q.size)
     work = spent + primes * plan.orbits * (m**3 + terms * m * m + 16)
     pool = 64 * primes * _totient(math.lcm(*plan.moduli))
     if max(work, pool) > COST_CAP:
@@ -663,6 +725,39 @@ def _estimate(f: GroupRingElement, q: Quotient, spent: int) -> tuple:
             f"work {work} so far, prime supply {pool}"
         )
     return plan, primes, work
+
+
+def _det_prime_count(plan: SplitPlan, d: int) -> int:
+    """The primes `_split_det` draws for a nonsingular plan, and at most for
+    a singular one: the CRT count of Hadamard's bound on |det M|, or on a
+    symmetric plan the largest of those of the bounds on |H| and |S| and of
+    the widest rank budget, l1^(m ceil(phi(exp A) / 2)) (see `_split_det`)."""
+    squares = sum(c * c for c in plan.coeffs)
+    full = _power_prime_count(squares, d)
+    if not plan.symmetric:
+        return full
+    m, l1 = plan.cols.shape[1], sum(abs(c) for c in plan.coeffs)
+    degree = (_totient(math.lcm(*plan.moduli)) + 1) // 2
+    return max(
+        _power_prime_count(squares, d, 4),
+        min(full, _real_prime_count(plan)),
+        _power_prime_count(l1, m * degree, 1),
+    )
+
+
+def _real_prime_count(plan: SplitPlan) -> int:
+    """The CRT count of |S| <= l1^(m #real), l1 = sum |fhat| bounding
+    every eigenvalue of M."""
+    real = int(plan.orbit_sizes[_real_orbits(plan)].sum())
+    return _power_prime_count(sum(abs(c) for c in plan.coeffs), plan.cols.shape[1] * real, 1)
+
+
+def _real_orbits(plan: SplitPlan) -> np.ndarray:
+    """Which orbits of a plan hold real characters: chi_j with 2 j = 0
+    componentwise mod the moduli.  An orbit's characters are all real or
+    none is, as the normaliser acts by automorphisms."""
+    coords = np.unravel_index(plan.orbit_reps, plan.moduli)
+    return np.logical_and.reduce([2 * j % n == 0 for j, n in zip(coords, plan.moduli)])
 
 
 def _solution(q: Quotient, det: int, rank: int) -> SolutionCount:

@@ -32,6 +32,7 @@ import argparse
 import json
 import math
 import sys
+from collections import Counter
 from dataclasses import asdict
 from typing import List, Optional, Sequence, Tuple
 
@@ -64,6 +65,12 @@ GROUP_RANKS = {"Z": 1, "Z2": 2, "Z3": 3, "Z4": 4}
 # The most entries of the permutations one sofic-check map stores, 240 MB as
 # int64; run_sofic_check keeps one map alive at a time.
 SOFIC_MAP_CAP = 3 * 10**7
+
+# The most report rows of one sofic-check, one per ordered pair of distinct
+# elements per quotient: a row takes about 750 bytes in CSV and 2.3 kB in
+# JSON (its dict and cells, its product among the needed elements, its text
+# and the renderer's copy), so 10^5 rows stay near 230 MB.
+SOFIC_ROW_CAP = 10**5
 
 
 class ConfigError(ValueError):
@@ -469,9 +476,16 @@ def run_sofic_check(args) -> int:
         quotients = _torus_quotients(args, rank)
     elements = _parse_elements(args.elements, rank)
     elements = [normalize_element(e, rank) for e in elements]
-    pairs = [(s, t) for s in elements for t in elements if s != t]
-    if not pairs:
+    # the ordered pairs of distinct elements, counted before any is listed
+    count = len(elements) ** 2 - sum(c * c for c in Counter(elements).values())
+    if not count:
         raise ConfigError("need at least two distinct elements for defect checks")
+    if count * len(quotients) > SOFIC_ROW_CAP:
+        raise ResourceGuardError(
+            f"{count * len(quotients)} report rows ({count} pairs of elements, "
+            f"{len(quotients)} quotients) exceed the cap {SOFIC_ROW_CAP}"
+        )
+    pairs = [(s, t) for s in elements for t in elements if s != t]
 
     needed = set(elements) | {element_mul(s, t, rank) for s, t in pairs}
     d = max(q.size for q in quotients)

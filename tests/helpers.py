@@ -597,11 +597,14 @@ def heisenberg_table(n):
 
 
 def every_character_count(f: GroupRingElement, q: Quotient) -> SolutionCount:
-    """``fix_count`` by the split with every character of A its own orbit:
-    one block per character, the oracle for the normaliser's orbits."""
+    """``fix_count`` by the split with every character of A its own orbit
+    and the plan's symmetry flag cleared: one block per character and
+    det M lifted whole, the oracle for the normaliser's orbits and for the
+    square-root lift of a symmetric f."""
     plan = q.split_plan(f)
     size = math.prod(plan.moduli)
-    plan = replace(plan, orbit_reps=np.arange(size), orbit_sizes=np.ones(size, dtype=np.int64))
+    ones = np.ones(size, dtype=np.int64)
+    plan = replace(plan, orbit_reps=np.arange(size), orbit_sizes=ones, symmetric=False)
     need = _crt_prime_count(sum(c * c for c in plan.coeffs) ** q.size)
     [(det, rank)] = _split_det([plan], [need])
     return SolutionCount(det) if det else SolutionCount(None, q.size - rank)

@@ -770,10 +770,12 @@ def test_split_prime_counts(monkeypatch):
         assert (sc.nullity, count) == (2, 1), j
     # SL(2,7), d = 336 in 14 blocks of 24: the singular Laplacian's short
     # block is trivial, with budget 8^24 < 2^90, three primes; its
-    # determinant would need 25, and lambda = 5 draws its 28
+    # determinant would need 25.  lambda = 5 is symmetric, so it lifts the
+    # square root H of det M, |H| <= 29^84, in 14 primes where det M would
+    # need 28; a non-symmetric f with sum c^2 = 31 draws its 28
     table, a, b = sl2_table(7)
     q = ExplicitQuotient(table, {"a": a, "b": b}, "SL(2,7)")
-    for lam, want in ((4, 3), (5, 28)):
+    for lam, want in ((4, 3), (5, 14)):
         f = GroupRingElement(
             0, {parse_word(w): -1 for w in ("a", "a^-1", "b", "b^-1")} | {(): lam}
         )
@@ -781,6 +783,8 @@ def test_split_prime_counts(monkeypatch):
         assert count == want
         assert count <= algebraic._crt_prime_count((lam * lam + 4) ** 336)
         assert sc.is_finite == (lam == 5)
+    sc, count = _count_drawn(drawn, _asymmetric(), q)
+    assert sc.is_finite and count == algebraic._crt_prime_count(31**336) == 28
 
 
 # ---------------------------------------------------------------------------
@@ -1434,15 +1438,21 @@ def test_sl2_orbit_sizes():
     # A = <-u>, u = [[1, 2], [0, 1]], of order 2p is its own centraliser, so
     # it does not grow; the Borel subgroup normalises it and multiplies j
     # mod 2p by the odd e that are squares mod p: orbits {0}, {p} and four
-    # of (p - 1) / 2
+    # of (p - 1) / 2.  A symmetric f closes them under j -> -j too, which
+    # merges them in pairs when -1 is not a square mod p (p = 3 mod 4)
     for p in (5, 7, 11):
         table, a, b = sl2_table(p)
-        plan = ExplicitQuotient(table, {"a": a, "b": b}).split_plan(_laplacian(5))
-        assert plan.moduli == (2 * p,)
+        q = ExplicitQuotient(table, {"a": a, "b": b})
+        plan = q.split_plan(_laplacian(5))
+        assert plan.moduli == (2 * p,) and plan.symmetric
         assert plan.cols.shape == (5, (p * p - 1) // 2)
-        assert sorted(plan.orbit_sizes.tolist()) == [1, 1] + [(p - 1) // 2] * 4
+        merged = [p - 1] * 2 if p % 4 == 3 else [(p - 1) // 2] * 4
+        assert sorted(plan.orbit_sizes.tolist()) == [1, 1] + merged
         sizes = dict(zip(plan.orbit_reps.tolist(), plan.orbit_sizes.tolist()))
         assert sizes[0] == sizes[p] == 1
+        plan = q.split_plan(_asymmetric())
+        assert not plan.symmetric
+        assert sorted(plan.orbit_sizes.tolist()) == [1, 1] + [(p - 1) // 2] * 4
 
 
 def _plan_bytes(plan):
@@ -1474,14 +1484,23 @@ def test_abelian_tables_split_into_characters():
         plan = q.split_plan(f)
         assert plan.moduli == (2,) * k and plan.cols.shape[1] == 1
         assert fix_count(f, q).value == det_abs_exact(regular_rep_matrix(f, q))
+    # x has order 2 in (Z/2 x Z/4) and (Z/2 x Z/6), where 6 - x - 2 x^-2 is
+    # symmetric, so their non-real characters pair up with their inverses;
+    # 6 - x - 2 y is symmetric in neither, every character its own orbit
     rng = random.Random(181)
+    merged = {(2, 4): [1, 1, 2, 2, 1, 1], (2, 6): [1, 1, 2, 2, 2, 2, 1, 1]}
     for moduli in ([12], [2, 4], [3, 3], [2, 6], [4, 4]):
         tq, eq = _abelian_pair(moduli, rng)
         f = GroupRingElement(0, {(): 6, (("x", 1),): -1, (("x", -2),): -2})
         plan = eq.split_plan(f)
         assert math.prod(plan.moduli) == tq.size and plan.cols.shape[1] == 1
-        assert plan.orbit_sizes.tolist() == [1] * tq.size
+        assert plan.orbit_sizes.tolist() == merged.get(tuple(moduli), [1] * tq.size)
+        assert plan.symmetric == (tuple(moduli) in merged)
         _assert_matches_every_character(f, eq)
+        g = GroupRingElement(0, {(): 6, (("x", 1),): -1, (("xy"[len(moduli) - 1], 1),): -2})
+        plan = eq.split_plan(g)
+        assert not plan.symmetric and plan.orbit_sizes.tolist() == [1] * tq.size
+        _assert_matches_every_character(g, eq)
 
 
 def test_heisenberg_tables_split_over_a_rank_two_subgroup():
@@ -1495,11 +1514,175 @@ def test_heisenberg_tables_split_over_a_rank_two_subgroup():
                 assert got.value == det_abs_exact(regular_rep_matrix(f, q)), q.label
         assert _assert_matches_every_character(_laplacian(4, "xy"), q).nullity == 1
     # H3(Z/9): A = (Z/9)^2, 81 blocks of 9 x 9; the characters trivial on
-    # the centre are fixed, the others fall into orbits of 3 and of 9
+    # the centre are fixed, the others fall into orbits of 3 and of 9.  The
+    # symmetric Laplacian pairs each non-trivial orbit with its inverse
     table, x, y = heisenberg_table(9)
-    plan = ExplicitQuotient(table, {"x": x, "y": y}).split_plan(_laplacian(5, "xy"))
-    assert plan.moduli == (9, 9) and plan.cols.shape == (5, 9)
+    q = ExplicitQuotient(table, {"x": x, "y": y})
+    plan = q.split_plan(_laplacian(5, "xy"))
+    assert plan.moduli == (9, 9) and plan.cols.shape == (5, 9) and plan.symmetric
+    assert sorted(plan.orbit_sizes.tolist()) == [1] + [2] * 4 + [6] * 3 + [18] * 3
+    plan = q.split_plan(_asymmetric("x", "y"))
+    assert plan.moduli == (9, 9) and not plan.symmetric
     assert sorted(plan.orbit_sizes.tolist()) == [1] * 9 + [3] * 6 + [9] * 6
+
+
+# ---------------------------------------------------------------------------
+# the square-root lift of a symmetric f: |det M| = |S| H^2
+
+
+def _plus_adjoint(u):
+    """u + u*, a symmetric element."""
+    terms = dict(u.terms)
+    for w, c in involution(u).terms.items():
+        terms[w] = terms.get(w, 0) + c
+    return GroupRingElement(0, terms)
+
+
+def _lift_battery_quotients(rng):
+    """(quotient, generator names): SL(2,p) for p <= 7 and Z/n tables,
+    relabelled at random, H3(Z/n) for n <= 6 and the XOR tables (Z/2)^k."""
+    out = []
+    for p in (3, 5, 7):
+        table, a, b = sl2_table(p)
+        perm = list(range(len(table)))
+        rng.shuffle(perm)
+        images = {"a": perm[a], "b": perm[b]}
+        out.append((ExplicitQuotient(relabel_table(table, perm), images, f"SL(2,{p})'"), "ab"))
+    for n in range(2, 7):
+        table, x, y = heisenberg_table(n)
+        out.append((ExplicitQuotient(table, {"x": x, "y": y}, f"H3(Z/{n})"), "xy"))
+    for k in range(1, 5):
+        d = 2**k
+        table = [[i ^ j for j in range(d)] for i in range(d)]
+        images = {"abcd"[i]: 1 << i for i in range(k)}
+        out.append((ExplicitQuotient(table, images, f"(Z/2)^{k}"), "abcd"[:k]))
+    for n in (2, 3, 4, 5, 6, 8, 12):
+        perm = list(range(n))
+        rng.shuffle(perm)
+        out.append((ExplicitQuotient(relabel_table(cyclic_table(n), perm), {"a": perm[1 % n]}), "a"))
+    return out
+
+
+def _lift_battery_elements(rng, q, gens):
+    """(symmetric?, f): random symmetric u + u*, one of them balanced (so
+    singular), v* (p + 2 - b - b^-1) v with v = 1 - a, singular like 1 - a
+    while its middle factor is singular mod p, and random non-symmetric f,
+    one of them balanced."""
+    a, b = gens[0], gens[-1]
+    one_minus_a = GroupRingElement(0, {(): 1, ((a, 1),): -1})
+    p = _character_primes(max(_order(q, x) for x in range(q.size)), 1)[0]
+    middle = GroupRingElement(0, {(): p + 2, ((b, 1),): -1, ((b, -1),): -1})
+    yield True, _ring_mul(_ring_mul(involution(one_minus_a), middle), one_minus_a)
+    for i in range(3):
+        yield True, _plus_adjoint(_random_word_element(rng, gens, balanced=i == 0))
+        yield False, _random_word_element(rng, gens, balanced=i == 0)
+
+
+def test_symmetric_lift_matches_the_general_route():
+    # every count and nullity as the oracle's, which clears the symmetry
+    # flag, and as the dense determinant's at d <= 64
+    rng = random.Random(233)
+    tally = {(flag, finite): 0 for flag in (True, False) for finite in (True, False)}
+    for q, gens in _lift_battery_quotients(rng):
+        for symmetric, f in _lift_battery_elements(rng, q, gens):
+            if f.is_zero:
+                continue
+            plan = q.split_plan(f)
+            assert plan.symmetric or not symmetric, (f.render(), q.label)
+            got = _assert_matches_every_character(f, q)
+            if q.size <= 64:
+                det = det_abs_exact(regular_rep_matrix(f, q))
+                assert (got.value or 0) == det, (f.render(), q.label)
+            tally[plan.symmetric, got.is_finite] += 1
+    assert min(tally.values()) >= 10, tally
+
+
+def test_symmetric_lift_on_relabelled_sl2_11(monkeypatch):
+    # d = 1320 with its identity moved off index 0: lambda = 5 lifts H in 54
+    # primes over 4 blocks, where the oracle lifts det M in 107 over 22.  S,
+    # the two real blocks, |S| <= 9^120, is lifted from the first 13 primes
+    # (rounds of four, the last cut at 13), so the other 41 build the two
+    # blocks of H alone
+    rng = random.Random(239)
+    table, a, b = sl2_table(11)
+    perm = list(range(len(table)))
+    rng.shuffle(perm)
+    q = ExplicitQuotient(relabel_table(table, perm), {"a": perm[a], "b": perm[b]}, "SL(2,11)'")
+    assert q.identity_index != 0
+    f = _laplacian(5)
+    plan = q.split_plan(f)
+    assert plan.symmetric and plan.orbits == 4
+    assert algebraic._estimate(f, q, 0)[1] == 54
+    assert algebraic._crt_prime_count(29**1320) == 107
+    assert algebraic._real_prime_count(plan) == algebraic._crt_prime_count(9**120, 1) == 13
+    blocks = []
+    kernel = algebraic._det_mod_batched
+    monkeypatch.setattr(
+        algebraic, "_det_mod_batched", lambda a, mods: blocks.append(len(a)) or kernel(a, mods)
+    )
+    got = fix_count(f, q)
+    assert sum(blocks) == 13 * 4 + 41 * 2
+    monkeypatch.setattr(algebraic, "_det_mod_batched", kernel)
+    want = every_character_count(f, q)
+    assert got.is_finite and got.value == want.value
+
+
+def test_symmetric_lift_when_a_prime_drops_rank(monkeypatch):
+    # a symmetric f, invertible over Q, with a block singular mod the first
+    # prime p, drawn alone: that block's det is 0 in only one of H and S, and
+    # the other keeps its true residue at p.  p + 2 - b - b^-1 vanishes mod p
+    # at the trivial character, which is real; c + a + a^-1 on Z/n, with
+    # c = -(w + w^-1) mod p for the root w the split takes, at a non-real one
+    drawn = _drawn_primes(monkeypatch)
+    monkeypatch.setattr(algebraic, "_CHAR_BLOCK", 1)
+    cases = []
+    for q, gens in _explicit_quotients(random.Random(241)):
+        if q.size in (6, 24):
+            k = math.lcm(*q.split_plan(GroupRingElement(0, {(): 1})).moduli)
+            p = _character_primes(k, 1)[0]
+            b = gens[-1]
+            cases.append((GroupRingElement(0, {(): p + 2, ((b, 1),): -1, ((b, -1),): -1}), q, p))
+    for n in (5, 8, 12):
+        p = _character_primes(n, 1)[0]
+        w = int(algebraic._root_powers([n], [p])[0, 1])
+        c = -(w + pow(w, -1, p)) % p
+        f = GroupRingElement(0, {(): c, (("a", 1),): 1, (("a", -1),): 1})
+        cases.append((f, ExplicitQuotient(cyclic_table(n), {"a": 1}), p))
+    for f, q, p in cases:
+        assert q.split_plan(f).symmetric
+        det = det_abs_exact(regular_rep_matrix(f, q))
+        assert det and det % p == 0, (f.render(), q.label)
+        sc, _ = _count_drawn(drawn, f, q)
+        assert drawn[0] == p and len(drawn) > 1
+        assert sc.value == det, (f.render(), q.label)
+        _assert_matches_every_character(f, q)
+    assert len(cases) == 7
+
+
+def test_symmetric_prime_count_is_the_largest_bound():
+    # on a symmetric plan the count is the largest of H's, S's and the rank
+    # budget's; on any other, Hadamard's
+    table, a, b = sl2_table(7)
+    q = ExplicitQuotient(table, {"a": a, "b": b})
+    for f, squares, l1 in ((_laplacian(5), 29, 9), (_asymmetric(), 31, 9)):
+        plan = q.split_plan(f)
+        full = algebraic._crt_prime_count(squares**336)
+        h = algebraic._crt_prime_count(squares**336, 4)
+        # two real characters, 0 and 7, and phi(14) / 2 = 3
+        s = min(full, algebraic._crt_prime_count(l1 ** (24 * 2), 1))
+        rank = algebraic._crt_prime_count(l1 ** (24 * 3), 1)
+        want = max(h, s, rank) if plan.symmetric else full
+        assert algebraic._det_prime_count(plan, 336) == want
+        assert (h, s, rank) == (14, 6, 8)
+    # (Z/2)^6: every character real, so S is det M and lifts in full, and
+    # H = 1 needs nothing it does not draw anyway
+    d = 64
+    q = ExplicitQuotient([[i ^ j for j in range(d)] for i in range(d)], {"abcdef"[i]: 1 << i for i in range(6)})
+    f = GroupRingElement(0, {(): 7, (("a", 1),): -1, (("f", 1),): -2, (("a", 1), ("b", 1)): 1})
+    plan = q.split_plan(f)
+    assert plan.symmetric and algebraic._real_orbits(plan).all()
+    assert algebraic._det_prime_count(plan, d) == algebraic._crt_prime_count(55**d)
+    assert fix_count(f, q).value == det_abs_exact(regular_rep_matrix(f, q))
 
 
 def test_det_equals_snf_product_equals_count():

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 from sofic import SubshiftSFT, TorusQuotient, hom_count_exact, sofic_map_from_quotient
-from sofic import algebraic, parse_laurent, spectral, subshift, torus_quotient
+from sofic import algebraic, cli, parse_laurent, spectral, subshift, torus_quotient
 from sofic.cli import main
 
 from helpers import cyclic_table, lucas_numbers, s3_table, sl2_table
@@ -519,6 +519,30 @@ def test_sofic_check_refuses_before_any_permutation(capsys, monkeypatch, argv, c
     assert captured.out == ""
     assert captured.err == message
     assert built == []
+
+
+def test_sofic_check_refuses_rows_before_listing_pairs(capsys, monkeypatch):
+    # 2,000 elements: 3,998,000 pairs, refused before any pair, product or
+    # permutation is made
+    products = _spy(monkeypatch, cli, "element_mul")
+    built = _spy(monkeypatch, TorusQuotient, "coset_translation_perm")
+    elements = ";".join(str(k) for k in range(1, 2001))
+    assert main(["sofic-check", "--quotients", "1..1", "--elements", elements]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "resource guard: 3998000 report rows (3998000 pairs of elements, 1 quotients) "
+        "exceed the cap 100000\n"
+    )
+    assert products == built == []
+    # the cap counts the rows written: repeated elements pair once per copy
+    monkeypatch.setattr(cli, "SOFIC_ROW_CAP", 20)
+    argv = ["sofic-check", "--quotients", "3..4", "--elements", "1;2;2;3"]
+    assert main(argv) == 0
+    assert len(_csv_rows(capsys.readouterr().out)) == 20
+    monkeypatch.setattr(cli, "SOFIC_ROW_CAP", 19)
+    assert main(argv) == 4
+    assert "20 report rows (10 pairs of elements, 2 quotients)" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
