@@ -9,27 +9,21 @@ every proper subshift from the full shift.  Positive budgets relax the
 count sitewise (the microstate version) and interpolate back toward k^n.
 A wider window is a nearest-neighbor shift on blocks (its higher-block
 presentation), so its counts come from the same kind of transfer walk.
+Every count here is read off one entropy table per shift.
 """
 
 import itertools
 import math
 
-from sofic import (
-    full_shift,
-    golden_mean,
-    subshift_entropy_table,
-    transfer_matrix_count,
-)
+from sofic import SubshiftSFT, full_shift, golden_mean, subshift_entropy_table
 
 
 def main():
     gm = golden_mean()
     print("golden-mean shift: alphabet {0,1}, forbidden word 11")
     print(f"{'n':>4} {'count':>12} {'h_n':>12}  vs log 2 = {math.log(2):.6f}")
-    for n in range(2, 31, 4):
-        count = transfer_matrix_count(gm, n, 0)
-        h = math.log(count) / n
-        print(f"{n:>4} {count:>12} {h:>12.6f}  gap {math.log(2) - h:.6f}")
+    for row in subshift_entropy_table(gm, range(2, 31, 4)).rows:
+        print(f"{row.n:>4} {row.count:>12} {row.h_n:>12.6f}  gap {math.log(2) - row.h_n:.6f}")
     golden = math.log((1 + math.sqrt(5)) / 2)
     print(f"limit: log((1 + sqrt 5)/2) = {golden:.6f}")
 
@@ -43,18 +37,14 @@ def main():
 
     print()
     print("full shift on 3 symbols: every count is exactly 3^n")
-    shift3 = full_shift(3)
-    for n in (5, 10, 15):
-        count = transfer_matrix_count(shift3, n, 0)
-        print(f"  n = {n:>2}: count = {count} = 3^{n}, h = {math.log(count)/n:.12f}")
+    for row in subshift_entropy_table(full_shift(3), [5, 10, 15]).rows:
+        print(f"  n = {row.n:>2}: count = {row.count} = 3^{row.n}, h = {row.h_n:.12f}")
 
     print()
     print("a subshift with no odd cycles (alternating 0101...):")
-    from sofic import SubshiftSFT
-
     alt = SubshiftSFT(alphabet=(0, 1), window=(0, 1), allowed=frozenset({(0, 1), (1, 0)}))
-    for n in (3, 4, 5, 6):
-        print(f"  n = {n}: count = {transfer_matrix_count(alt, n, 0)}")
+    for row in subshift_entropy_table(alt, [3, 4, 5, 6]).rows:
+        print(f"  n = {row.n}: count = {row.count}")
     print("zero counts report h = -inf; the library never hides them.")
 
     print()

@@ -13,10 +13,10 @@ The package computes, exactly where the mathematics is exact:
   formula and torus quadrature) together with torus invertibility
   certificates;
 * homomorphism-counting entropy of subshifts of finite type over sofic
-  approximations: on cyclic quotients by powers of a truncated polynomial
-  transfer matrix on the higher-block presentation, for any window, and by
-  budgeted exhaustive enumeration over any sofic map, or where that is
-  cheaper;
+  approximations: one table over the cyclic quotients Z/n, by powers of a
+  truncated polynomial transfer matrix on the higher-block presentation for
+  any window, or by enumeration where that is estimated cheaper; and one
+  budgeted exhaustive count over any sofic map;
 * multiplicativity and freeness defects of sofic maps.
 """
 
@@ -52,14 +52,12 @@ from .spectral import (
     mahler_quadrature,
 )
 from .subshift import (
-    HomCountReport,
     SubshiftEntropyTable,
     SubshiftSFT,
     full_shift,
     golden_mean,
     hom_count_exact,
     subshift_entropy_table,
-    transfer_matrix_count,
 )
 
 __version__ = "0.1.0"
@@ -90,13 +88,11 @@ __all__ = [
     "certify_invertible_torus",
     "mahler_jensen",
     "mahler_quadrature",
-    "HomCountReport",
     "SubshiftEntropyTable",
     "SubshiftSFT",
     "full_shift",
     "golden_mean",
     "hom_count_exact",
     "subshift_entropy_table",
-    "transfer_matrix_count",
     "__version__",
 ]

@@ -54,7 +54,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import Iterable, List, Optional, Sequence
 
 import numpy as np
 
@@ -209,8 +209,8 @@ def _crt_prime_count(bound: int, power: int = 2) -> int:
     return -(-(bound << power).bit_length() // (30 * power))
 
 
-def _power_prime_count(base: int, d: int, power: int = 2) -> int:
-    """_crt_prime_count(base ** d, power), base >= 0 and d >= 1, without the power:
+def _power_bits(base: int, d: int) -> int:
+    """(base ** d).bit_length(), base >= 0 and d >= 1, without the power:
     square and multiply keeps lo 2^shift <= base^e <= hi 2^shift, lo and hi
     cut to `precision` bits (rounded down and up), and the precision doubles
     until their bit lengths agree, and so agree with that of base^d."""
@@ -222,8 +222,14 @@ def _power_prime_count(base: int, d: int, power: int = 2) -> int:
             cut = max(0, hi.bit_length() - precision)
             lo, hi, shift = lo >> cut, -(-hi >> cut), 2 * shift + cut
         if lo.bit_length() == hi.bit_length():
-            return _crt_prime_count(lo << shift, power)
+            return lo.bit_length() + shift
         precision *= 2
+
+
+def _power_prime_count(base: int, d: int, power: int = 2) -> int:
+    """_crt_prime_count(base ** d, power) without the power, from 2^(b - 1),
+    or 0, of the same bit length b (`_power_bits`)."""
+    return _crt_prime_count(1 << _power_bits(base, d) >> 1, power)
 
 
 def _crt_symmetric(residues: Sequence[int], primes: Sequence[int]) -> int:
@@ -825,34 +831,30 @@ class EntropyTrace:
 
 def entropy_trace(
     f: GroupRingElement,
-    quotients: Sequence[Quotient],
+    quotients: Iterable[Quotient],
     reference: Optional[float] = None,
 ) -> EntropyTrace:
     """Evaluate h_n = log|Fix| / |G/Gn| along a chain of finite quotients.
 
-    The quotient list must be ordered by nondecreasing size.  Quotients
-    where the fixed-point group is infinite are skipped with their nullity.
-    Every quotient is estimated before any is counted, and the trace is
-    refused, before its first prime, at the first quotient whose estimated
-    work would take the running total over COST_CAP.  The counts then run
-    as one `_split_det` over the plans kept from the estimate.  A plan holds
-    its terms and its orbits (a torus plan its terms alone), and `_split_det`
-    keeps per character only the orbits still short of full rank, so a long
-    trace holds little more than its plans.
+    The quotients, any iterable, are drawn one at a time and must come in
+    nondecreasing size.  Quotients where the fixed-point group is infinite
+    are skipped with their nullity.  Every quotient is estimated as it is
+    drawn, before any is counted, and the trace is refused, before its first
+    prime and before the next quotient is drawn, at the first quotient whose
+    estimated work would take the running total over COST_CAP.  The counts
+    then run as one `_split_det` over the plans kept from the estimate.  A
+    plan holds its terms and its orbits (a torus plan its terms alone), and
+    `_split_det` keeps per character only the orbits still short of full
+    rank, so a long trace holds little more than its plans.
     """
-    quotients = list(quotients)
-    if not quotients:
-        raise ValueError("at least one quotient required")
-    sizes = [q.size for q in quotients]
-    if any(b < a for a, b in zip(sizes, sizes[1:])):
-        raise ValueError("quotients must be ordered by nondecreasing size")
-
     identity = identity_element(f.rank)
     trace = EntropyTrace(f_description=f.render(), reference_value=reference)
     seen_caveats = set()
-    plans, needs = [], []
+    kept, plans, needs = [], [], []
     spent = 0
     for q in quotients:
+        if kept and q.size < kept[-1].size:
+            raise ValueError("quotients must be ordered by nondecreasing size")
         for s in f.support():
             if s != identity and q.index(s) == q.identity_index:
                 note = f"support element {s!r} lies in the kernel at {q.label}"
@@ -860,9 +862,12 @@ def entropy_trace(
                     seen_caveats.add(note)
                     trace.caveats.append(note)
         plan, need, spent = _estimate(f, q, spent)
+        kept.append(q)
         plans.append(plan)
         needs.append(need)
-    for q, split in zip(quotients, _split_det(plans, needs)):
+    if not kept:
+        raise ValueError("at least one quotient required")
+    for q, split in zip(kept, _split_det(plans, needs)):
         sc = _solution(q, *split)
         if sc.is_finite:
             log_fix = log_big_int(sc.value)

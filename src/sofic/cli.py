@@ -34,10 +34,11 @@ import math
 import sys
 from collections import Counter
 from dataclasses import asdict
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from . import algebraic, spectral, subshift as subshift_mod
 from .groups import (
+    COSET_CAP,
     ExplicitQuotient,
     GroupRingElement,
     ResourceGuardError,
@@ -150,7 +151,9 @@ def build_parser() -> argparse.ArgumentParser:
 # argument helpers
 
 
-def _parse_range(text: str) -> List[int]:
+def _parse_range(text: str) -> range:
+    """The range a..b, refused over COSET_CAP values before it is listed:
+    no subcommand admits that many quotients or lengths."""
     parts = text.split("..")
     if len(parts) != 2:
         raise ConfigError(f"quotient range must look like a..b, got {text!r}")
@@ -160,7 +163,11 @@ def _parse_range(text: str) -> List[int]:
         raise ConfigError(f"quotient range bounds must be integers, got {text!r}") from None
     if a < 1 or b < a:
         raise ConfigError(f"quotient range must satisfy 1 <= a <= b, got {text!r}")
-    return list(range(a, b + 1))
+    if b - a + 1 > COSET_CAP:
+        raise ResourceGuardError(
+            f"quotient range {text!r} holds {b - a + 1} values, over the cap {COSET_CAP}"
+        )
+    return range(a, b + 1)
 
 
 def _parse_int_list(text: str) -> List[int]:
@@ -274,7 +281,9 @@ def _resolve_group(args) -> Tuple[int, Optional[GroupRingElement], Optional[list
     raise ConfigError(f"unknown group {group!r}; use Z, Z2, Z3, Z4, or file:<path>")
 
 
-def _torus_quotients(args, rank: int) -> list:
+def _torus_quotients(args, rank: int) -> Tuple[int, Iterable]:
+    """How many torus quotients the flags name, and the quotients; those of
+    a --quotients range are built as they are drawn."""
     if args.moduli:
         if args.quotients:
             raise ConfigError("give either --quotients or --moduli, not both")
@@ -286,10 +295,11 @@ def _torus_quotients(args, rank: int) -> list:
                     f"--moduli {text!r} has {len(moduli)} entries, expected {rank}"
                 )
             quotients.append(torus_quotient(moduli))
-        return quotients
+        return len(quotients), quotients
     if not args.quotients:
         raise ConfigError("a quotient range (--quotients a..b) is required")
-    return [torus_quotient([n] * rank) for n in _parse_range(args.quotients)]
+    moduli = _parse_range(args.quotients)
+    return len(moduli), (torus_quotient([n] * rank) for n in moduli)
 
 
 def _write_report(text: str, out: Optional[str]):
@@ -362,7 +372,7 @@ def run_algebraic(args) -> int:
         if not args.poly:
             raise ConfigError("--poly is required for torus groups")
         f = parse_laurent(args.poly, rank)
-        quotients = _torus_quotients(args, rank)
+        quotients = _torus_quotients(args, rank)[1]
     if f.is_zero:
         raise ConfigError("the zero element has no principal algebraic action")
 
@@ -471,21 +481,23 @@ def run_mahler(args) -> int:
 def run_sofic_check(args) -> int:
     rank, _, chain_quotients = _resolve_group(args)
     if rank == 0:
-        quotients = chain_quotients
+        count_quotients, quotients = len(chain_quotients), chain_quotients
     else:
-        quotients = _torus_quotients(args, rank)
+        count_quotients, quotients = _torus_quotients(args, rank)
     elements = _parse_elements(args.elements, rank)
     elements = [normalize_element(e, rank) for e in elements]
     # the ordered pairs of distinct elements, counted before any is listed
     count = len(elements) ** 2 - sum(c * c for c in Counter(elements).values())
     if not count:
         raise ConfigError("need at least two distinct elements for defect checks")
-    if count * len(quotients) > SOFIC_ROW_CAP:
+    # and the rows, before any quotient is built
+    if count * count_quotients > SOFIC_ROW_CAP:
         raise ResourceGuardError(
-            f"{count * len(quotients)} report rows ({count} pairs of elements, "
-            f"{len(quotients)} quotients) exceed the cap {SOFIC_ROW_CAP}"
+            f"{count * count_quotients} report rows ({count} pairs of elements, "
+            f"{count_quotients} quotients) exceed the cap {SOFIC_ROW_CAP}"
         )
     pairs = [(s, t) for s in elements for t in elements if s != t]
+    quotients = list(quotients)
 
     needed = set(elements) | {element_mul(s, t, rank) for s, t in pairs}
     d = max(q.size for q in quotients)

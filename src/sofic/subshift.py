@@ -30,37 +30,31 @@ at the largest budget below n; a budget of at least n admits all m^n
 labelings.  A table walks its sorted lengths once, in exact integers.  For
 the window {0, 1} the step matrix is T + z(J - T), J the all-ones matrix.
 A wide window with short lengths can make the walk dearer than
-enumeration, so a table compares the two estimates before any work; where
-enumeration is cheaper, or the walk's estimate exceeds the cap, it
-enumerates all m^n labelings once per length, under a cap checked for
-every length first.  A nearest-neighbor window always walks, and is
-refused when the walk's estimate exceeds the cap.
+enumerating all m^n labelings once per length, so `_walks` picks the
+route, and guards it, before any work.  Over any other sofic map,
+`hom_count_exact` enumerates.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-import math
 from collections.abc import Iterable as IterableABC
 from dataclasses import dataclass, field
 from typing import Iterable, List, Sequence
 
 import numpy as np
 
-from .algebraic import log_big_int
+from .algebraic import _power_bits, log_big_int
 from .groups import ResourceGuardError, SoficMap, _is_integer
 from .groups import sofic_map_from_quotient, torus_quotient
 
 __all__ = [
     "SubshiftSFT",
-    "HomCountReport",
     "SubshiftEntropyTable",
     "TableRow",
     "full_shift",
     "golden_mean",
-    "budget_from_delta",
-    "transfer_matrix_count",
     "hom_count_exact",
     "subshift_entropy_table",
 ]
@@ -142,14 +136,6 @@ class SubshiftSFT:
     def symbol_index(self) -> dict:
         return {s: i for i, s in enumerate(self.alphabet)}
 
-    def allowed_pairs(self) -> set:
-        """Allowed transitions (symbol at 0, symbol at 1) for NN windows."""
-        if not self.is_nearest_neighbor:
-            raise ValueError("window shape unsupported; expected offsets {0, 1}")
-        i0 = self.window.index(0)
-        i1 = self.window.index(1)
-        return {(pat[i0], pat[i1]) for pat in self.allowed}
-
     def to_json_obj(self) -> dict:
         return {
             "alphabet": list(self.alphabet),
@@ -188,57 +174,6 @@ def golden_mean() -> SubshiftSFT:
     return SubshiftSFT(
         alphabet=(0, 1), window=(0, 1), allowed=frozenset({(0, 0), (0, 1), (1, 0)})
     )
-
-
-@dataclass(frozen=True)
-class HomCountReport:
-    """One homomorphism count over one sofic approximation.
-
-    ``budget`` is the number of sites allowed to carry a disallowed
-    pulled-back pattern and ``delta`` the matching l^2 threshold, related
-    by budget = floor(delta^2 * d).
-    """
-
-    quotient_label: str
-    d: int
-    delta: float
-    budget: int
-    count: int
-    method: str
-
-    def __post_init__(self):
-        if self.budget != budget_from_delta(self.delta, self.d):
-            raise ValueError("budget and delta are inconsistent")
-
-
-def budget_from_delta(delta: float, d: int) -> int:
-    """floor(delta^2 * d), with a small epsilon so exact roundtrips survive."""
-    return int(math.floor(delta * delta * d + 1e-6))
-
-
-def _delta_for_budget(budget: int, d: int) -> float:
-    return math.sqrt(budget / d) if d > 0 else 0.0
-
-
-def transfer_matrix_count(sft: SubshiftSFT, n: int, budget: int = 0) -> int:
-    """Labelings of Z/n with at most ``budget`` bad cyclic transitions.
-
-    A transition at site k is the pair (l(k), l(k+1 mod n)); it is bad when
-    not allowed.  The count is the sum of the coefficients of z^0..z^budget
-    in trace((T + z(J - T))^n), T the 0/1 transition matrix and J the
-    all-ones matrix; the zero-budget count is trace(T^n).  A budget of at
-    least n admits every labeling, m^n of them, and builds no polynomial;
-    any other walk is refused first when its estimate exceeds the cap.
-    """
-    if n < 1:
-        raise ValueError("cycle length must be >= 1")
-    if budget < 0:
-        raise ValueError("budget must be >= 0")
-    sft.allowed_pairs()  # rejects windows other than {0, 1}
-    if budget >= n:
-        return len(sft.alphabet) ** n
-    _check_walk_cost(sft, [n])
-    return sum(_transfer_traces(sft, [n], budget)[n])
 
 
 def _mat_mul(a: list, b: list, mask: int) -> list:
@@ -303,7 +238,7 @@ def _transfer_traces(sft: SubshiftSFT, lengths: Iterable[int], degree: int) -> d
     power by squaring.
     """
     lengths = sorted(set(lengths))
-    width = (len(sft.alphabet) ** lengths[-1]).bit_length()
+    width = _power_bits(len(sft.alphabet), lengths[-1])
     mask = (1 << (width * (degree + 1))) - 1
     step = _block_step(sft, (1 << width) & mask)
     slot = (1 << width) - 1
@@ -318,43 +253,52 @@ def _transfer_traces(sft: SubshiftSFT, lengths: Iterable[int], degree: int) -> d
     return traces
 
 
-def _walk_cost(sft: SubshiftSFT, lengths: Sequence[int]) -> int:
+def _walk_cost(sft: SubshiftSFT, lengths: Sequence[int], degree: int) -> int:
     """The estimated cost of a table's transfer walk.
 
     Each gap g between sorted distinct lengths adds bit_length(g) +
     popcount(g) - 1 matrix products: one fewer raises the step matrix to g
     by squaring, one more multiplies that into the running power, which the
     first gap does not, and that product stands for building the step
-    matrix.  The estimate is the count times (m^k)^3, k = ``_block_length``.
+    matrix.  A product of (m^k)^3 entry products, k = ``_block_length``,
+    multiplies entries of ``_transfer_traces``'s width * (degree + 1) bits,
+    so the estimate is the count times (m^k)^3 times the 64-bit words of an
+    entry.
     """
     distinct = sorted(set(lengths))
     gaps = [n - prev for prev, n in zip([0] + distinct, distinct)]
     products = sum(g.bit_length() + g.bit_count() - 1 for g in gaps)
-    return products * (len(sft.alphabet) ** _block_length(sft)) ** 3
+    m = len(sft.alphabet)
+    words = -(-_power_bits(m, distinct[-1]) * (degree + 1) // 64)
+    return products * words * (m ** _block_length(sft)) ** 3
 
 
-def _check_walk_cost(sft: SubshiftSFT, lengths: Sequence[int]) -> None:
-    """Refuse a transfer walk whose estimate (`_walk_cost`) exceeds the cap."""
-    walk = _walk_cost(sft, lengths)
-    if walk > DEFAULT_ENUMERATION_CAP:
-        raise ResourceGuardError(
-            f"the transfer walk's estimated cost {walk} exceeds the cap "
-            f"{DEFAULT_ENUMERATION_CAP}"
-        )
+def _walks(sft: SubshiftSFT, lengths: Sequence[int], degree: int) -> bool:
+    """Whether a table of ``lengths``, truncated at z^degree, walks; the
+    refusal of the route it picks is raised here, before any work.
 
-
-def _walk_is_cheaper(sft: SubshiftSFT, lengths: Sequence[int]) -> bool:
-    """Whether a table's transfer walk is estimated (`_walk_cost`) to cost
-    less than its enumeration, and no more than the cap.  Enumeration's
-    estimate is m^n * n for each distinct length, summed shortest first
-    until it passes the walk's.
+    A nearest-neighbor window walks, and is refused when the walk's
+    estimate (`_walk_cost`) exceeds the cap.  Any other window walks when
+    that estimate is within the cap and below enumeration's, m^n * n for
+    each distinct length, summed shortest first until it passes the walk's;
+    otherwise every length, in the order given, is checked against the
+    labelings cap.
     """
     m = len(sft.alphabet)
-    walk = _walk_cost(sft, lengths)
-    if walk > DEFAULT_ENUMERATION_CAP:
-        return False
-    distinct = sorted(set(lengths))
-    return any(total > walk for total in itertools.accumulate(m**n * n for n in distinct))
+    walk = _walk_cost(sft, lengths, degree)
+    enumeration = itertools.accumulate(m**n * n for n in sorted(set(lengths)))
+    if sft.is_nearest_neighbor or (
+        walk <= DEFAULT_ENUMERATION_CAP and any(total > walk for total in enumeration)
+    ):
+        if walk > DEFAULT_ENUMERATION_CAP:
+            raise ResourceGuardError(
+                f"the transfer walk's estimated cost {walk} exceeds the cap "
+                f"{DEFAULT_ENUMERATION_CAP}"
+            )
+        return True
+    for n in lengths:
+        _check_cap(m, n)
+    return False
 
 
 def _pulled_back_checks(sft: SubshiftSFT, sigma: SoficMap, constraints) -> list:
@@ -380,31 +324,23 @@ def hom_count_exact(
     sigma: SoficMap,
     constraints: Iterable[int],
     budget: int = 0,
-) -> HomCountReport:
+) -> int:
     """Exhaustively count labelings with at most ``budget`` bad sites.
 
     ``constraints`` is the finite set of group elements being tested; a
     site is good when every window translate fitting inside the constraint
-    set pulls back to an allowed pattern.  Enumeration is capped at
-    DEFAULT_ENUMERATION_CAP labelings; on cyclic quotients with the window
-    as constraint set, subshift_entropy_table gives the same counts by a
-    transfer walk.
+    set pulls back to an allowed pattern.  Over d sites the paper's
+    microstates within delta are these counts at budget = floor(delta^2 d).
+    Enumeration is capped at DEFAULT_ENUMERATION_CAP labelings; on cyclic
+    quotients with the window as constraint set, subshift_entropy_table
+    gives the same counts by a transfer walk.
     """
     if budget < 0:
         raise ValueError("budget must be >= 0")
     if sigma.rank != 1:
         raise ValueError("subshift counting requires a rank-1 sofic map")
-    d = sigma.d
-    _check_cap(len(sft.alphabet), d)
-    tally = _bad_site_tally(sft, sigma, constraints)
-    return HomCountReport(
-        quotient_label=sigma.label or f"d={d}",
-        d=d,
-        delta=_delta_for_budget(min(budget, d), d),
-        budget=min(budget, d),
-        count=sum(tally[: budget + 1]),
-        method="exact_enumeration",
-    )
+    _check_cap(len(sft.alphabet), sigma.d)
+    return sum(_bad_site_tally(sft, sigma, constraints)[: budget + 1])
 
 
 def _check_cap(m: int, d: int) -> None:
@@ -501,11 +437,8 @@ def subshift_entropy_table(
     number of bad sites, or m^n when the budget is at least n.  The
     counts come from one walk through the powers of the higher-block
     transfer matrix, truncated at the largest budget below the longest
-    length.  Nearest-neighbor windows always walk, after the walk's
-    estimated cost is checked against the cap.  Other windows walk when
-    the walk's estimated cost, from m, the window span and the lengths, is
-    below enumeration's and within the cap; otherwise they enumerate every
-    labeling once per length, after the cap is checked for every length.
+    length, or from enumerating every labeling once per length, as
+    `_walks` picks and guards.
     """
     lengths = [int(n) for n in lengths]
     if not lengths:
@@ -516,16 +449,12 @@ def subshift_entropy_table(
     if budgets[0] < 0:
         raise ValueError("budgets must be >= 0")
 
-    if sft.is_nearest_neighbor:
-        _check_walk_cost(sft, lengths)
-    if sft.is_nearest_neighbor or _walk_is_cheaper(sft, lengths):
+    degree = max(b for b in budgets if b < max(lengths))
+    if _walks(sft, lengths, degree):
         method = "transfer_matrix"
-        degree = max(b for b in budgets if b < max(lengths))
         tallies = _transfer_traces(sft, lengths, degree)
     else:
         method = "exact_enumeration"
-        for n in lengths:
-            _check_cap(len(sft.alphabet), n)
         tallies = {}
         for n in dict.fromkeys(lengths):
             sigma = sofic_map_from_quotient(torus_quotient([n]), set(sft.window))

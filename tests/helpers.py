@@ -11,6 +11,8 @@ The one exception is ``det_abs_exact``: it drives the library's modular
 elimination kernel on the dense matrix, so it checks the split and the
 character product by a different reduction to the same kernel, and the
 kernel itself is checked against ``det_fraction`` and ``det_bareiss``.
+``table_count`` is no oracle: it reads the library's own cyclic count off
+an entropy table, for the tests to hold against the oracles.
 """
 
 import math
@@ -32,7 +34,7 @@ from sofic.algebraic import (
     log_big_int,
 )
 from sofic.groups import GroupRingElement, Quotient, ResourceGuardError
-from sofic.subshift import HomCountReport
+from sofic.subshift import subshift_entropy_table
 
 # The most entries the dense oracle's d x d matrix may have.
 MATRIX_ENTRIES_CAP = 10**6
@@ -376,13 +378,29 @@ def count_torus_solutions_brute(rows):
     return int(np.count_nonzero((image == 0).all(axis=1)))
 
 
+def allowed_pairs(sft):
+    """Allowed transitions (symbol at 0, symbol at 1) of a window {0, 1}."""
+    if not sft.is_nearest_neighbor:
+        raise ValueError("window shape unsupported; expected offsets {0, 1}")
+    i0 = sft.window.index(0)
+    i1 = sft.window.index(1)
+    return {(pat[i0], pat[i1]) for pat in sft.allowed}
+
+
+def table_count(sft, n, budget=0):
+    """The library's count of the labelings of Z/n with at most `budget` bad
+    sites, read off its one-length entropy table (the row of the largest
+    budget, as the table adds budget 0)."""
+    return subshift_entropy_table(sft, [n], [budget]).rows[-1].count
+
+
 def count_cycles_brute(sft, n, budget):
     """Cyclic labelings with at most `budget` bad transitions, exhaustively.
 
     Transitions are (l(k), l(k+1 mod n)); bad means not in the allowed
     pair set of the nearest-neighbor SFT.
     """
-    pairs = sft.allowed_pairs()
+    pairs = allowed_pairs(sft)
     symbols = sft.alphabet
     m = len(symbols)
     ok = np.zeros((m, m), dtype=bool)
@@ -400,7 +418,7 @@ def count_cycles_brute(sft, n, budget):
 
 def transition_matrix_power_trace(sft, n):
     """trace(T^n) with exact integer arithmetic (row-by-row matrix power)."""
-    pairs = sft.allowed_pairs()
+    pairs = allowed_pairs(sft)
     symbols = sft.alphabet
     m = len(symbols)
     t = [[1 if (a, b) in pairs else 0 for b in symbols] for a in symbols]
@@ -420,7 +438,7 @@ def transfer_dp_count(sft, n, budget):
     transitions so far) along the path, closed by the transition back to
     the start symbol.  O(m^3 n budget) per count.
     """
-    pairs = sft.allowed_pairs()
+    pairs = allowed_pairs(sft)
     symbols = sft.alphabet
     m = len(symbols)
     ok = [[(a, b) in pairs for b in symbols] for a in symbols]
@@ -503,14 +521,7 @@ def hom_count_full_shift(k, sigma):
     """
     if k < 1:
         raise ValueError("alphabet size must be >= 1")
-    return HomCountReport(
-        quotient_label=sigma.label or f"d={sigma.d}",
-        d=sigma.d,
-        delta=0.0,
-        budget=0,
-        count=k**sigma.d,
-        method="closed_form",
-    )
+    return k**sigma.d
 
 
 def lucas_numbers(up_to):

@@ -337,8 +337,8 @@ def test_subshift_invalid_sft(tmp_path, capsys, sft):
 
 
 def test_subshift_resource_guard(tmp_path, capsys, monkeypatch):
-    # 100 symbols over Z/1..20: 20 products of 100 x 100 matrices, 2 * 10^7,
-    # over the default cap, refused before the walk starts
+    # 100 symbols over Z/1..20: 20 products of 100 x 100 matrices of 3-word
+    # entries, 6 * 10^7, over the default cap, refused before the walk starts
     monkeypatch.setattr(subshift, "_transfer_traces", _refuse)
     obj = {"alphabet": list(range(100)), "window": [0, 1],
            "allowed": [[a, b] for a in range(100) for b in range(100) if a != b]}
@@ -346,7 +346,7 @@ def test_subshift_resource_guard(tmp_path, capsys, monkeypatch):
     sft_path.write_text(json.dumps(obj), encoding="utf-8")
     rc = main(["subshift", "--sft", str(sft_path), "--quotients", "1..20"])
     assert rc == 4
-    assert "resource guard: the transfer walk's estimated cost 20000000" in capsys.readouterr().err
+    assert "resource guard: the transfer walk's estimated cost 60000000" in capsys.readouterr().err
 
 
 def test_subshift_window3_beyond_enumeration_cap(tmp_path):
@@ -369,8 +369,7 @@ def test_subshift_window3_beyond_enumeration_cap(tmp_path):
         n, budget = int(row["n"]), int(row["budget"])
         if n <= 12:
             sigma = sofic_map_from_quotient(torus_quotient([n]), {0, 1, 2})
-            report = hom_count_exact(sft, sigma, (0, 1, 2), budget=budget)
-            assert int(row["count"]) == report.count, row
+            assert int(row["count"]) == hom_count_exact(sft, sigma, (0, 1, 2), budget), row
 
 
 # ---------------------------------------------------------------------------
@@ -649,6 +648,65 @@ def test_algebraic_refuses_before_any_scan_or_prime(capsys, monkeypatch, argv, c
     assert captured.out == ""
     assert captured.err.startswith(message)
     assert scans == [] and drawn == []
+
+
+def test_algebraic_builds_no_quotient_past_the_refused_one(capsys, monkeypatch):
+    # the trace draws its quotients one at a time and is refused at Z/1371,
+    # so the 998,629 after it are never built
+    built = _spy(monkeypatch, cli, "torus_quotient")
+    argv = ["algebraic", "--poly", "3 - x - x^-1", "--quotients", "1..1000000"]
+    assert main(argv) == 4
+    assert capsys.readouterr().err == (
+        "resource guard: estimated cost at Z/1371 exceeds the cap 1000000000: "
+        "work 1001649456 so far, prime supply 4669440\n"
+    )
+    assert len(built) == 1371
+
+
+def test_sofic_check_counts_rows_before_building_quotients(capsys, monkeypatch):
+    built = _spy(monkeypatch, cli, "torus_quotient")
+    argv = ["sofic-check", "--quotients", "1..1000000", "--elements", "1;2"]
+    assert main(argv) == 4
+    assert capsys.readouterr().err == (
+        "resource guard: 2000000 report rows (2 pairs of elements, 1000000 quotients) "
+        "exceed the cap 100000\n"
+    )
+    assert built == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["algebraic", "--poly", "3 - x - x^-1"],
+    ["sofic-check", "--elements", "1;2"],
+    ["subshift", "--sft", "{sft}"],
+], ids=["algebraic", "sofic-check", "subshift"])
+def test_a_range_over_the_coset_cap_is_refused_before_it_is_listed(tmp_path, argv):
+    # in a child held to 2 GB of address space, so that listing 10^9 values
+    # fails fast instead of stalling the suite
+    import os
+    import resource
+    import subprocess
+    from pathlib import Path
+
+    import sofic
+
+    sft = tmp_path / "golden_mean.json"
+    sft.write_text(json.dumps(subshift.golden_mean().to_json_obj()), encoding="utf-8")
+    src = str(Path(sofic.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    args = [a.format(sft=sft) for a in argv] + ["--quotients", "1..1000000000"]
+    proc = subprocess.run([sys.executable, "-m", "sofic", *args], capture_output=True,
+                          env=env, preexec_fn=limit, timeout=120)
+    assert proc.returncode == 4, proc.stderr.decode()
+    assert proc.stdout == b""
+    assert proc.stderr.decode() == (
+        "resource guard: quotient range '1..1000000000' holds 1000000000 values, "
+        "over the cap 1000000\n"
+    )
 
 
 def test_algebraic_refuses_shrinking_chain(tmp_path, capsys):
