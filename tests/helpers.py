@@ -631,6 +631,37 @@ def relabel_table(table, perm):
     return out
 
 
+def group_table_oracle(table, images):
+    """(identity, inverses) when ``table`` is a group that the elements in
+    ``images`` (a mapping) generate, else None.  A Latin square, an identity
+    found by search, associativity over all d^3 triples, and generation by
+    a breadth-first search over the images and their inverses."""
+    d = len(table)
+    assert d <= 12, "all d^3 triples are checked"
+    full = set(range(d))
+    if any(set(row) != full for row in table):
+        return None
+    if any({row[y] for row in table} != full for y in range(d)):
+        return None
+    ids = [u for u in range(d) if all(table[u][x] == x == table[x][u] for x in range(d))]
+    if not ids:
+        return None
+    e = ids[0]
+    for x in range(d):
+        for y in range(d):
+            for z in range(d):
+                if table[table[x][y]][z] != table[x][table[y][z]]:
+                    return None
+    inverses = [row.index(e) for row in table]
+    steps = set(images.values()) | {inverses[g] for g in images.values()}
+    seen = [e]
+    for x in seen:
+        for g in steps:
+            if table[x][g] not in seen:
+                seen.append(table[x][g])
+    return (e, inverses) if len(seen) == d else None
+
+
 def kesten_mckay_log_det(lam, points=4000):
     """Integral of log(lam - x) against the Kesten-McKay measure of the
     4-regular tree, density 4 sqrt(12 - x^2) / (2 pi (16 - x^2)) on

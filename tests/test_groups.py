@@ -21,7 +21,7 @@ from sofic import (
 from sofic import groups
 from sofic.groups import word_inv, word_mul
 
-from helpers import cyclic_table, relabel_table, s3_table
+from helpers import cyclic_table, group_table_oracle, relabel_table, s3_table, sl2_table
 
 
 # ---------------------------------------------------------------------------
@@ -111,6 +111,32 @@ def test_render_canonical_examples():
     assert parse_laurent("x - 2", 1).render() == "-2 + x"
     assert parse_laurent("5 - x - x^-1 - y - y^-1", 2).render() == "5 - x - x^-1 - y - y^-1"
     assert GroupRingElement(1, {}).render() == "0"
+
+
+@pytest.mark.parametrize("rank, terms, rendered", [
+    (1, {0: 2.7, 1: True}, None),
+    (1, {0: 2, 1: True}, None),
+    (1, {1.5: 1}, None),
+    (1, {True: 1}, None),
+    (1, {(1.9,): 1}, None),
+    (2, {(1.9, 0): 1}, None),
+    (2, {(True, 0): 1}, None),
+    (2, {(0, 1): np.float64(1)}, None),
+    (0, {(("a", 1.5),): 1}, None),
+    (0, {(("a", 1),): False}, None),
+    (1, {np.int64(2): np.int64(3), (1,): 2**70}, "1180591620717411303424*x + 3*x^2"),
+    (2, {(np.int32(1), 2**64): -1}, "-x*y^18446744073709551616"),
+    (0, {(("a", np.int8(2)),): 1}, "a^2"),
+], ids=["float coefficient", "bool coefficient", "float exponent", "bool exponent",
+        "float in a 1-tuple", "float in a tuple", "bool in a tuple", "numpy float coefficient",
+        "float in a word", "bool coefficient in word mode", "big and numpy ints",
+        "exponent beyond 2^63", "numpy int in a word"])
+def test_group_ring_element_takes_integers_only(rank, terms, rendered):
+    if rendered is None:
+        with pytest.raises(ValueError, match="must be an integer|integer exponents"):
+            GroupRingElement(rank, terms)
+    else:
+        assert GroupRingElement(rank, terms).render() == rendered
 
 
 def test_parse_plus_negation_is_zero():
@@ -391,13 +417,21 @@ def test_explicit_quotient_refuses_an_unknown_generator():
     assert str(info.value) == "unknown generator 'b' for quotient C3"
 
 
-def test_explicit_quotient_names_first_non_permutation():
-    # identity 0 and two-sided inverses, but not Latin squares; rows and
-    # columns are checked in the order row 1, column 1, row 2, ...
-    with pytest.raises(ValueError, match="row 1 of"):
-        ExplicitQuotient([[0, 1, 2], [1, 0, 1], [2, 1, 0]], {"a": 1})
-    with pytest.raises(ValueError, match="column 1 of"):
-        ExplicitQuotient([[0, 1, 2], [1, 0, 2], [2, 1, 0]], {"a": 1})
+@pytest.mark.parametrize("table, images, message", [
+    ([[0, 1], [1, 1]], {"a": 1}, "element 1 has no inverse"),
+    ([[(x - y) % 5 for y in range(5)] for x in range(5)], {"a": 1},
+     "multiplication table has no identity element"),
+    # the order-5 quasigroup of test_explicit_quotient_rejects_non_group
+    ([[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]],
+     {"a": 1}, "multiplication table is not associative"),
+    (cyclic_table(6), {"a": 2},
+     "generator images do not generate the quotient (3 of 6 cosets reached)"),
+], ids=["no inverse", "no identity", "not associative", "not generating"])
+def test_explicit_quotient_names_first_failing_axiom(table, images, message):
+    # identity, then inverses, then Light's test on the images, then generation
+    with pytest.raises(ValueError) as info:
+        ExplicitQuotient(table, images)
+    assert str(info.value) == message
 
 
 def _switched_cyclic(n):
@@ -442,11 +476,12 @@ def test_explicit_quotient_rejects_non_associative_loops():
         with pytest.raises(ValueError, match="associative"):
             ExplicitQuotient(loop, {"a": 1})
     assert _failing_middles(NUCLEAR_Z3_LOOP) == {3, 4, 5}
-    # The only generator image, 1, passes every associativity test, and the
-    # failure lies at elements it does not reach; the table check does not
-    # depend on the images, so this is reported as non-associative.
-    with pytest.raises(ValueError, match="associative"):
+    # The only generator image, 1, passes Light's test and generates {0, 1, 2}
+    with pytest.raises(ValueError) as info:
         ExplicitQuotient(NUCLEAR_Z3_LOOP, {"a": 1})
+    assert str(info.value) == (
+        "generator images do not generate the quotient (3 of 6 cosets reached)"
+    )
     for _ in range(5):
         perm = list(range(6))
         rng.shuffle(perm)
@@ -457,3 +492,133 @@ def test_explicit_quotient_rejects_non_associative_loops():
 def test_explicit_quotient_rejects_non_generating_images():
     with pytest.raises(ValueError, match="generate"):
         ExplicitQuotient(cyclic_table(6), {"a": 2})  # <2> has index 2 in Z/6
+
+
+def _closure_table(e, gens, mul):
+    """The multiplication table of the group that ``gens`` generate under
+    ``mul``, its elements numbered in breadth-first order from e."""
+    elems, index = [e], {e: 0}
+    for x in elems:
+        for g in gens:
+            y = mul(x, g)
+            if y not in index:
+                index[y] = len(elems)
+                elems.append(y)
+    return [[index[mul(x, y)] for y in elems] for x in elems]
+
+
+def _perm_group(*gens):
+    n = len(gens[0])
+    return _closure_table(tuple(range(n)), gens, lambda p, q: tuple(p[i] for i in q))
+
+
+def _cyclic_product(m, n):
+    return _closure_table(
+        (0, 0), [(1, 0), (0, 1)], lambda a, b: ((a[0] + b[0]) % m, (a[1] + b[1]) % n)
+    )
+
+
+def _sl2_mod3(a, b):
+    return (
+        (a[0] * b[0] + a[1] * b[2]) % 3,
+        (a[0] * b[1] + a[1] * b[3]) % 3,
+        (a[2] * b[0] + a[3] * b[2]) % 3,
+        (a[2] * b[1] + a[3] * b[3]) % 3,
+    )
+
+
+# groups of order at most 12: cyclic, products of two cyclic groups, S3,
+# the dihedral groups of orders 8, 10 and 12, A4, (Z/2)^3 and Q8
+SMALL_GROUPS = (
+    [cyclic_table(n) for n in range(1, 13)]
+    + [_cyclic_product(m, n) for m, n in ((2, 2), (2, 4), (2, 6), (3, 3))]
+    + [
+        _perm_group((1, 0, 2), (1, 2, 0)),  # S3
+        _perm_group((1, 2, 3, 0), (2, 1, 0, 3)),  # D4
+        _perm_group((1, 2, 3, 4, 0), (0, 4, 3, 2, 1)),  # D5
+        _perm_group((1, 2, 3, 4, 5, 0), (0, 5, 4, 3, 2, 1)),  # D6
+        _perm_group((1, 2, 0, 3), (0, 2, 3, 1)),  # A4
+        _perm_group((1, 0, 2, 3, 4, 5), (0, 1, 3, 2, 4, 5), (0, 1, 2, 3, 5, 4)),  # (Z/2)^3
+        _closure_table((1, 0, 0, 1), [(0, 2, 1, 0), (1, 1, 1, 2)], _sl2_mod3),  # Q8
+    ]
+)
+
+
+def _images(rng, d):
+    """Every element, or one to three at random."""
+    elems = range(d) if rng.random() < 0.3 else rng.sample(range(d), rng.randint(1, min(3, d)))
+    return {f"g{i}": x for i, x in enumerate(elems)}
+
+
+def _table_battery(rng):
+    """(table, images): relabelled groups and one-entry corruptions of them,
+    x - y and the affine tables a x + b y + c mod n, random tables with an
+    identity and right inverses, and left-zero bands with an identity
+    adjoined."""
+    for _ in range(150):
+        group = rng.choice(SMALL_GROUPS)
+        d = len(group)
+        table = relabel_table(group, rng.sample(range(d), d))
+        yield table, _images(rng, d)
+        if d > 1:
+            x, y = rng.randrange(d), rng.randrange(d)
+            table = [row[:] for row in table]
+            table[x][y] = (table[x][y] + rng.randrange(1, d)) % d
+            yield table, _images(rng, d)
+    for n in range(2, 13):
+        yield [[(x - y) % n for y in range(n)] for x in range(n)], _images(rng, n)
+    for _ in range(40):
+        n = rng.randint(2, 12)
+        a, b, c = rng.randrange(n), rng.randrange(n), rng.randrange(n)
+        yield [[(a * x + b * y + c) % n for y in range(n)] for x in range(n)], _images(rng, n)
+    for _ in range(300):
+        d = rng.randint(2, 7)
+        table = [[rng.randrange(d) for _ in range(d)] for _ in range(d)]
+        for x in range(d):
+            table[0][x] = table[x][0] = x  # the identity 0
+        for x in range(1, d):
+            table[x][rng.randrange(1, d)] = 0  # a right inverse
+        yield relabel_table(table, rng.sample(range(d), d)), _images(rng, d)
+    for d in range(2, 13):
+        band = [list(range(d))] + [[x] * d for x in range(1, d)]
+        yield relabel_table(band, rng.sample(range(d), d)), _images(rng, d)
+
+
+def test_explicit_quotient_agrees_with_the_group_oracle():
+    assert [len(g) for g in SMALL_GROUPS[12:]] == [4, 8, 12, 9, 6, 8, 10, 12, 12, 8, 8]
+    battery = list(_table_battery(random.Random(21)))
+    assert len(battery) >= 500
+    accepted = 0
+    for table, images in battery:
+        expected = group_table_oracle(table, images)
+        try:
+            q = ExplicitQuotient(table, images)
+        except ValueError:
+            assert expected is None, (table, images)
+            continue
+        assert expected is not None, (table, images)
+        assert q.identity_index == expected[0]
+        assert [q.inv(a) for a in range(q.size)] == expected[1]
+        accepted += 1
+    assert 100 <= accepted <= len(battery) - 100
+
+
+def test_light_test_runs_at_most_log2_d_plus_one_times(monkeypatch):
+    # each image that passes and grows the closure at least doubles it
+    calls = []
+    take = np.take
+
+    def spy(*args, **kwargs):
+        calls.append(None)
+        return take(*args, **kwargs)
+
+    monkeypatch.setattr(groups.np, "take", spy)
+    sl2, _, _ = sl2_table(5)
+    for table, images in (
+        (cyclic_table(64), {f"g{k}": k for k in range(1, 64)}),
+        (relabel_table(sl2, random.Random(5).sample(range(120), 120)),
+         {f"g{k}": k for k in range(120)}),
+    ):
+        calls.clear()
+        ExplicitQuotient(table, images)
+        assert 1 <= len(calls) <= len(table).bit_length()
