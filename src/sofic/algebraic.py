@@ -253,12 +253,15 @@ def _det_mod_batched(a: np.ndarray, mods: np.ndarray) -> tuple:
     below pivot c become piv_c * row - a[i][c] * pivot row, which scales
     the determinant by piv_c^(m-1-c).  That scale is the product of the
     prefix products piv_0 ... piv_c for c < m - 1, divided out once at the
-    end, so no inverse is taken per column.  A matrix left with pivot 0
-    takes one from its trailing block (`_pivot_across_columns`), so its
-    pivot is 0 only when the whole trailing block is, and its rank is the
-    number of nonzero pivots.  Residues stay below 2^31, so every product
-    of two stays inside int64.  The inverse of the scale is taken only
-    where it is not 1 (never for a 1 x 1 matrix).
+    end, so no inverse is taken per column.  One pivot rule: a pivot 0 at
+    (c, c) is swapped for the first nonzero entry of the trailing block,
+    first by column and then by row, and each row or column swap flips the
+    sign.  A nonsingular matrix finds that entry in column c, so only a
+    singular one swaps columns.  A trailing block of zeros keeps pivot 0
+    and drops the rank by one, so the rank is the number of nonzero
+    pivots.  Residues stay below 2^31, so every product of two stays
+    inside int64.  The inverse of the scale is taken only where it is not
+    1 (never for a 1 x 1 matrix).
     """
     n, m, _ = a.shape
     diag = np.ones(n, dtype=np.int64)
@@ -268,16 +271,16 @@ def _det_mod_batched(a: np.ndarray, mods: np.ndarray) -> tuple:
     for c in range(m):
         piv = a[:, c, c]  # a view: it follows the swaps below
         if not piv.all():
-            # first nonzero row at or below c
-            r = c + np.argmax(a[:, c:, c] != 0, axis=1)
-            swap = np.flatnonzero(r != c)
-            if swap.size:
-                top = a[swap, c].copy()
-                a[swap, c] = a[swap, r[swap]]
-                a[swap, r[swap]] = top
-                flips[swap] ^= True
-            if not piv.all():
-                _pivot_across_columns(a, c, np.flatnonzero(piv == 0), rank)
+            b = np.flatnonzero(piv == 0)
+            # each trailing block's entries in column-major order
+            live = a[b, c:, c:].transpose(0, 2, 1).reshape(b.size, -1) != 0
+            j, i = np.divmod(np.argmax(live, axis=1), m - c)
+            found = live.any(axis=1)
+            rank[b[~found]] -= 1
+            b, i, j = b[found], c + i[found], c + j[found]
+            a[b, c:, c], a[b, c:, j] = a[b, c:, j], a[b, c:, c]
+            a[b, c, c:], a[b, i, c:] = a[b, i, c:], a[b, c, c:]
+            flips[b] ^= (i != c) != (j != c)
         diag = diag * piv % mods
         if c + 1 == m:
             break
@@ -291,30 +294,6 @@ def _det_mod_batched(a: np.ndarray, mods: np.ndarray) -> tuple:
     inv = [pow(int(s), -1, int(p)) for s, p in zip(scale[rescale], mods[rescale])]
     diag[rescale] = diag[rescale] * np.array(inv, dtype=np.int64) % mods[rescale]
     return np.where(flips, (mods - diag) % mods, diag), rank
-
-
-def _pivot_across_columns(a: np.ndarray, c: int, empty: np.ndarray, rank: np.ndarray):
-    """A pivot at (c, c) for each a[b], b in `empty`, whose column c is zero
-    from row c down, taken from its trailing block when that is not zero.
-
-    Such a matrix is singular, so no sign is kept.  Copying a trailing
-    column over the zero column c keeps the span of the trailing columns,
-    and a row swap keeps the rank.  A matrix whose trailing block is zero
-    keeps pivot 0, which `rank` counts.
-    """
-    live = a[empty, c:, c + 1 :] != 0
-    found = live.any(axis=(1, 2))
-    rank[empty[~found]] -= 1
-    b, live = empty[found], live[found]
-    if b.size:
-        # the first trailing column with a nonzero entry, and its first one
-        j = np.argmax(live.any(axis=1), axis=1)
-        i = c + np.argmax(live[np.arange(b.size), :, j], axis=1)
-        rows = np.arange(c, a.shape[1])
-        a[b[:, None], rows, c] = a[b[:, None], rows, c + 1 + j[:, None]]
-        top = a[b, c].copy()
-        a[b, c] = a[b, i]
-        a[b, i] = top
 
 
 @dataclass(frozen=True)
@@ -415,8 +394,10 @@ class _Split:
     empty once the plan is full) with their largest ranks so far
     (``best``).  The orbits built each round are ``reps`` (None: every
     character), ``orbits`` of them, whose exponents in H are ``h_sizes``
-    (None: 1 each); a symmetric plan's ``s_sizes`` are every orbit's
-    exponent in S, which takes residues at its first ``s_need`` primes."""
+    (None: 1 each).  Every plan lifts |S| |H|^e: S takes residues at its
+    first ``s_need`` primes, each orbit's exponent in it ``s_sizes``.  A
+    symmetric plan has e = 2; any other has e = 1 and s_need = 0, so S = 1
+    and H = det M."""
 
     def __init__(self, plan: SplitPlan, det_need: int):
         self.plan = plan
@@ -427,11 +408,12 @@ class _Split:
         self.orbits = plan.orbits
         self.l1 = sum(abs(c) for c in plan.coeffs)
         self.reps, self.h_sizes, self.s_sizes = plan.orbit_reps, plan.orbit_sizes, None
+        self.e, self.s_need = 1, 0
         if plan.symmetric:
             real = _real_orbits(plan)
             self.h_sizes = np.where(real, 0, plan.orbit_sizes // 2)
             self.s_sizes = np.where(real, plan.orbit_sizes, 0)
-            self.s_need = _real_prime_count(plan)
+            self.e, self.s_need = 2, _real_prime_count(plan)
         self.primes: List[int] = []
         self.residues: List[int] = []
         self.s_residues: List[int] = []
@@ -450,7 +432,7 @@ class _Split:
         if not self.full:
             # n primes above 2^30 have a product above 2^(30 n)
             need = min(need, -(-(self.l1 ** (self.m * self.phi)).bit_length() // 30))
-        elif self.s_sizes is not None and len(self.s_residues) < self.s_need:
+        elif len(self.s_residues) < self.s_need:
             # the real blocks are built only until S has its primes
             need = min(need, self.s_need)
         return max(0, min(need - len(self.primes), self.block))
@@ -492,12 +474,12 @@ def _split_det(plans: Sequence[SplitPlan], det_needs: Sequence[int]) -> List[tup
     when det M != 0, |H| <= (sum c^2)^(d/4), half the determinant's bits;
     every eigenvalue of M is at most l1, so |S| <= l1^(m #real), and
     |S| <= |det M| too.  The lift is |S| |H|^e for every plan, e = 2 on a
-    symmetric plan and e = 1 with no S (H = det M) on any other.  The rank
-    witness halves as well: a Hermitian block of rank R has a nonzero real
-    coefficient of x^(m-R) in its characteristic polynomial, a sum of its
-    R x R principal minors and the product of its nonzero eigenvalues, so
-    of norm at most l1^(m phi(o)/2) over the real subfield (l1^m when
-    o <= 2).
+    symmetric plan; any other has e = 1 and S = 1, from no primes, so
+    H = det M.  The rank witness halves as well: a Hermitian block of rank
+    R has a nonzero real coefficient of x^(m-R) in its characteristic
+    polynomial, a sum of its R x R principal minors and the product of its
+    nonzero eigenvalues, so of norm at most l1^(m phi(o)/2) over the real
+    subfield (l1^m when o <= 2).
 
     Each plan's primes are drawn in rounds.  The first round meets the
     budget of phi = 1, the least any block can need.  While some block has
@@ -508,9 +490,9 @@ def _split_det(plans: Sequence[SplitPlan], det_needs: Sequence[int]) -> List[tup
     and the products H and S are lifted by CRT.  S takes residues at its
     first primes only, as many as its own bound needs (or all drawn, if
     fewer), and a full plan's round stops there while S is short: once S
-    has them, the later rounds build only the non-real orbits, those of H.  A round draws
-    at most a chunk of primes per plan, sized by the plan's blocks, so each
-    plan draws the same primes as it would alone.
+    has them, the later rounds build only the non-real orbits, those of H.
+    A round draws at most a chunk of primes per plan, sized by the plan's
+    blocks, so each plan draws the same primes as it would alone.
 
     Within a round, consecutive plans of one block size m are eliminated as
     one group (`_split_groups`): their rows (one per prime) are padded to
@@ -537,12 +519,11 @@ def _split_det(plans: Sequence[SplitPlan], det_needs: Sequence[int]) -> List[tup
         elif not s.full:
             sizes = 1 if plan.orbit_sizes is None else plan.orbit_sizes[s.short]
             out.append((0, s.d - int(((s.m - s.best) * sizes).sum())))
-        elif s.s_sizes is None:
-            out.append((abs(_crt_symmetric(s.residues, s.primes)), s.d))
         else:
-            # S takes the first len(s_residues) primes
-            h = _crt_symmetric(s.residues, s.primes)
-            out.append((abs(_crt_symmetric(s.s_residues, s.primes)) * h * h, s.d))
+            # S takes the first len(s_residues) primes; none lift to 0, and
+            # S = 1 then, as S != 0 on a full plan
+            h = abs(_crt_symmetric(s.residues, s.primes))
+            out.append(((abs(_crt_symmetric(s.s_residues, s.primes)) or 1) * h**s.e, s.d))
     return out
 
 
@@ -652,21 +633,16 @@ def _split_round(group: list) -> None:
                 gcds = np.gcd(np.gcd.reduce(expo, axis=(0, 1)), s.k)
                 phi = max(_totient(s.k // g) for g in set(gcds.tolist()))
                 s.phi = (phi + 1) // 2 if s.plan.symmetric else phi
-                if s.s_sizes is None:
-                    # a block short of full rank at every prime so far has
-                    # det 0 there; on a symmetric plan, in H or in S only
-                    s.residues += [0] * len(chunk)
-                    continue
         if products is None:
             products = _row_products(_characters(dets, splits, owner), mods)
         own = slice(starts[i], starts[i] + len(chunk))
         s.residues += products[own]
-        if s.s_sizes is not None:
-            if len(s.s_residues) < s.s_need:
-                real = np.repeat(dets[own, : s.orbits], s.s_sizes, axis=1)
-                s.s_residues += _row_products(real, mods[own])
+        if len(s.s_residues) < s.s_need:
+            real = np.repeat(dets[own, : s.orbits], s.s_sizes, axis=1)
+            s.s_residues += _row_products(real, mods[own])
+        if s.plan.symmetric and s.full and len(s.s_residues) >= s.s_need:
             live = np.flatnonzero(s.h_sizes)
-            if s.full and len(s.s_residues) >= s.s_need and 0 < live.size < s.orbits:
+            if 0 < live.size < s.orbits:
                 # S is lifted: the later primes build the orbits of H alone
                 s.reps, s.h_sizes, s.orbits = s.reps[live], s.h_sizes[live], live.size
 

@@ -108,7 +108,7 @@ def normalize_element(elem, rank: int) -> Element:
         if not _is_integer(value):
             raise ValueError(f"rank-1 element must be an integer, got {elem!r}")
         return int(value)
-    if isinstance(elem, (int, np.integer)):
+    if not isinstance(elem, Iterable):
         raise ValueError(f"rank-{rank} element must be a {rank}-tuple, got {elem!r}")
     if not all(_is_integer(x) for x in elem):
         raise ValueError(f"element {elem!r} must have integer exponents")
@@ -529,7 +529,10 @@ class TorusQuotient:
     moduli: tuple
 
     def __post_init__(self):
-        moduli = tuple(int(n) for n in self.moduli)
+        moduli = tuple(self.moduli)
+        if not all(_is_integer(n) for n in moduli):
+            raise ValueError(f"moduli must be integers, got {list(moduli)!r}")
+        moduli = tuple(int(n) for n in moduli)
         if not moduli:
             raise ValueError("at least one modulus required")
         if any(n < 1 for n in moduli):

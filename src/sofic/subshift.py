@@ -335,6 +335,8 @@ def hom_count_exact(
     quotients with the window as constraint set, subshift_entropy_table
     gives the same counts by a transfer walk.
     """
+    if not _is_integer(budget):
+        raise ValueError(f"budget must be an integer, got {budget!r}")
     if budget < 0:
         raise ValueError("budget must be >= 0")
     if sigma.rank != 1:
@@ -440,6 +442,10 @@ def subshift_entropy_table(
     length, or from enumerating every labeling once per length, as
     `_walks` picks and guards.
     """
+    lengths, budgets = list(lengths), list(budgets)
+    for x in lengths + budgets:
+        if not _is_integer(x):
+            raise ValueError(f"cycle lengths and budgets must be integers, got {x!r}")
     lengths = [int(n) for n in lengths]
     if not lengths:
         raise ValueError("at least one cycle length required")

@@ -186,7 +186,18 @@ def test_algebraic_chain_refuses_malformed_fields(tmp_path, capsys, chain, field
      "error: malformed JSON in '{path}': Expecting value (at position 15)\n"),
     (json.dumps(_z3_chain()), ["--poly", "x - 2"],
      "error: explicit chains take the polynomial from the chain file, not --poly\n"),
-], ids=["malformed JSON", "poly flag"])
+    (json.dumps({"quotients": _z3_chain()["quotients"]}), [],
+     "error: the quotient chain file defines no 'poly'\n"),
+    (json.dumps(_z3_chain(poly={"e": 3, "a+b": -1})), [],
+     "error: unexpected character '+' in word (at position 1)\n"),
+    (json.dumps(_z3_chain(poly={"e": 3, "a a": -1})), [],
+     "error: missing '*' between word factors (at position 2)\n"),
+    (json.dumps(_z3_chain(poly={"e": 3, "a*2": -1})), [],
+     "error: expected generator name, got '2' (at position 2)\n"),
+    (json.dumps(_z3_chain(poly={"e": 3, "a*": -1})), [],
+     "error: word ends with dangling '*' (at position 2)\n"),
+], ids=["malformed JSON", "poly flag", "no poly", "unexpected character in a word",
+        "missing star in a word", "number for a generator", "dangling star in a word"])
 def test_algebraic_chain_file_refusals(tmp_path, capsys, text, flags, message):
     chain_path = tmp_path / "chain.json"
     chain_path.write_text(text, encoding="utf-8")
@@ -288,6 +299,20 @@ def test_subshift_malformed_json(tmp_path, capsys):
     rc = main(["subshift", "--sft", str(bad), "--quotients", "2..4"])
     assert rc == 2
     assert "position" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("obj, message", [
+    ({"alphabet": [0, 0], "window": [0, 1], "allowed": [[0, 0]]}, "alphabet has repeated symbols"),
+    ({"alphabet": [0, 1], "window": [], "allowed": [[]]}, "window must be nonempty"),
+    ([0, 1], "SFT description must be a JSON object"),
+], ids=["repeated symbols", "empty window", "not an object"])
+def test_subshift_invalid_sft_messages(tmp_path, capsys, obj, message):
+    path = tmp_path / "sft.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    assert main(["subshift", "--sft", str(path), "--quotients", "2..4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: invalid SFT in '{path}': {message}\n"
 
 
 def test_subshift_unreadable_sft(tmp_path, capsys):
@@ -635,11 +660,13 @@ def test_algebraic_rank1_reference_computes_no_quadrature(monkeypatch):
      "error: quotient range must satisfy 1 <= a <= b, got '0..3'\n"),
     (["--poly", "3 - x", "--quotients", "5..3"], 2,
      "error: quotient range must satisfy 1 <= a <= b, got '5..3'\n"),
+    (["--poly", "3 - x - x^-1", "--quotients", "1..1000001"], 4,
+     "resource guard: quotient range '1..1000001' holds 1000001 values, over the cap 1000000\n"),
 ], ids=["unordered", "rank-1 trace over the cap", "rank-2 trace over the cap", "grid of 1",
         "grid of 0", "grid over the cap", "unknown group", "unreadable chain",
         "torus without poly", "zero f", "quotients and moduli", "moduli of the wrong length",
         "moduli not integers", "no quotients", "range without dots", "range from 0",
-        "decreasing range"])
+        "decreasing range", "range over the coset cap"])
 def test_algebraic_refuses_before_any_scan_or_prime(capsys, monkeypatch, argv, code, message):
     scans = _spy(monkeypatch, spectral, "_grid_values")
     drawn = _spy(monkeypatch, algebraic, "_character_primes")

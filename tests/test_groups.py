@@ -139,6 +139,23 @@ def test_group_ring_element_takes_integers_only(rank, terms, rendered):
         assert GroupRingElement(rank, terms).render() == rendered
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: GroupRingElement(-1, {}), "rank must be >= 0"),
+    (lambda: GroupRingElement(2, {1.5: 1}), "rank-2 element must be a 2-tuple, got 1.5"),
+    (lambda: GroupRingElement(2, {None: 1}), "rank-2 element must be a 2-tuple, got None"),
+    (lambda: groups.normalize_element(2.5, 3), "rank-3 element must be a 3-tuple, got 2.5"),
+    (lambda: groups.normalize_element(3, 2), "rank-2 element must be a 2-tuple, got 3"),
+    (lambda: groups.normalize_element("a", 0), "word-mode element must be a word tuple, got 'a'"),
+    (lambda: groups.normalize_element((1, 2, 3), 2), "element (1, 2, 3) has length 3, expected 2"),
+], ids=["negative rank", "float at rank 2", "None at rank 2", "float at rank 3", "int at rank 2",
+        "string in word mode", "tuple of the wrong length"])
+def test_elements_of_the_wrong_shape_are_refused(make, message):
+    # rank 2 and up refuse a non-iterable as ranks 0 and 1 do, with ValueError
+    with pytest.raises(ValueError) as info:
+        make()
+    assert str(info.value) == message
+
+
 def test_parse_plus_negation_is_zero():
     rng = random.Random(7)
     for _ in range(50):

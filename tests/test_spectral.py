@@ -7,6 +7,7 @@ import pytest
 from sofic import spectral
 from sofic import (
     GroupRingElement,
+    MahlerEstimate,
     NearZeroError,
     ResourceGuardError,
     certify_invertible_torus,
@@ -252,6 +253,20 @@ def test_certificate_margin_covers_float_error_at_large_norm():
 def test_certificate_grid_validation():
     with pytest.raises(ValueError):
         certify_invertible_torus(parse_laurent("3 - x", 1), 1)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: certify_invertible_torus(GroupRingElement(0, {(): 3}), 16),
+     "torus certificate requires rank >= 1"),
+    (lambda: MahlerEstimate(value=math.inf, error_bound=0.0, method="jensen", evaluations=1),
+     "estimate value must be finite"),
+    (lambda: MahlerEstimate(value=0.5, error_bound=-1e-3, method="jensen", evaluations=1),
+     "error bound must be finite and nonnegative"),
+], ids=["rank-0 certificate", "infinite estimate", "negative error bound"])
+def test_certificate_and_estimate_refusal_messages(make, message):
+    with pytest.raises(ValueError) as info:
+        make()
+    assert str(info.value) == message
 
 
 def test_grid_cap_refuses_before_any_evaluation(monkeypatch):

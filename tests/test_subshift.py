@@ -3,6 +3,7 @@ import json
 import math
 import random
 
+import numpy as np
 import pytest
 
 from sofic import (
@@ -48,6 +49,50 @@ def test_sft_validation():
         SubshiftSFT(alphabet=(0, 1), window=(0, 1), allowed=frozenset({(0, 7)}))
     with pytest.raises(ValueError):
         SubshiftSFT(alphabet=(0, 1), window=(0, 0), allowed=frozenset({(0, 0)}))
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: full_shift(0), "alphabet size must be >= 1"),
+    (lambda: hom_count_exact(golden_mean(), _cyclic_sigma(3), (0, 1), budget=-1),
+     "budget must be >= 0"),
+    (lambda: hom_count_exact(golden_mean(), sofic_map_from_quotient(
+        torus_quotient([2, 2]), {(0, 0), (1, 0)}), (0, 1)),
+     "subshift counting requires a rank-1 sofic map"),
+], ids=["full shift on 0", "negative budget", "rank-2 map"])
+def test_shift_and_count_refusal_messages(make, message):
+    with pytest.raises(ValueError) as info:
+        make()
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("make, want", [
+    (lambda: torus_quotient([2.7]), "moduli must be integers, got [2.7]"),
+    (lambda: torus_quotient(["3"]), "moduli must be integers, got ['3']"),
+    (lambda: torus_quotient([True, 3]), "moduli must be integers, got [True, 3]"),
+    (lambda: subshift_entropy_table(golden_mean(), [2.5]),
+     "cycle lengths and budgets must be integers, got 2.5"),
+    (lambda: subshift_entropy_table(golden_mean(), ["3"]),
+     "cycle lengths and budgets must be integers, got '3'"),
+    (lambda: subshift_entropy_table(golden_mean(), [3], [1.5]),
+     "cycle lengths and budgets must be integers, got 1.5"),
+    (lambda: subshift_entropy_table(golden_mean(), [3], [False]),
+     "cycle lengths and budgets must be integers, got False"),
+    (lambda: hom_count_exact(golden_mean(), _cyclic_sigma(3), (0, 1), budget=1.5),
+     "budget must be an integer, got 1.5"),
+    (lambda: torus_quotient([np.int64(3), np.int32(2)]).size, 6),
+    (lambda: [r.count for r in subshift_entropy_table(golden_mean(), [np.int64(3)],
+                                                      [np.int32(1)]).rows], [4, 7]),
+    (lambda: hom_count_exact(golden_mean(), _cyclic_sigma(3), (0, 1), budget=np.int64(1)), 7),
+], ids=["float modulus", "string modulus", "bool modulus", "float length", "string length",
+        "float budget", "bool budget", "float hom_count budget", "numpy moduli",
+        "numpy length and budget", "numpy hom_count budget"])
+def test_moduli_lengths_and_budgets_take_integers_only(make, want):
+    if isinstance(want, str):
+        with pytest.raises(ValueError) as info:
+            make()
+        assert str(info.value) == want
+    else:
+        assert make() == want
 
 
 def test_sft_json_roundtrip():
