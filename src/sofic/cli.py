@@ -15,20 +15,22 @@ sofic-check  multiplicativity and freeness defects of quotient-induced
 Exit codes: 0 success, 2 invalid input, 3 non-invertible input (report is
 still written), 4 resource guard tripped.
 
-Every report comes from one renderer, ``_render``, and is deterministic:
-identical configurations produce byte-identical output.  CSV carries the
-main table only: a header, then one line per row, where an empty cell is a
-missing value, a number is written by ``repr`` and free text is quoted only
-when it holds a comma, a double quote or a newline.  JSON is the whole
-report as an object with ``indent=2``: the same table plus, by subcommand,
-the skipped quotients, the caveats (only when there are any), the
-invertibility certificate, the residual or the SFT echo.  In it ``null``
-stands for a missing value or, in a table row, a non-finite float.
+One writer, ``_report``, writes every report as it renders it, never as
+one string, and deterministically: identical configurations produce
+byte-identical output.  CSV carries the main table only: a header, then
+one line per row, where an empty cell is a missing value, a number is
+written by ``repr`` and free text is quoted only when it holds a comma, a
+double quote or a newline.  JSON is the whole report as an object with
+``indent=2``: the same table plus, by subcommand, the skipped quotients,
+the caveats (only when there are any), the invertibility certificate, the
+residual or the SFT echo.  In it ``null`` stands for a missing value or,
+in a table row, a non-finite float.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -68,9 +70,9 @@ GROUP_RANKS = {"Z": 1, "Z2": 2, "Z3": 3, "Z4": 4}
 SOFIC_MAP_CAP = 3 * 10**7
 
 # The most report rows of one sofic-check, one per ordered pair of distinct
-# elements per quotient: a row takes about 750 bytes in CSV and 2.3 kB in
-# JSON (its dict and cells, its product among the needed elements, its text
-# and the renderer's copy), so 10^5 rows stay near 230 MB.
+# elements per quotient: a row takes about 70 bytes in CSV (its pair and
+# product) and 470 bytes in JSON (also its cells, held for json.dump), so
+# 10^5 rows peak near 37 MB and 76 MB, of which 30 MB hold no row.
 SOFIC_ROW_CAP = 10**5
 
 
@@ -202,14 +204,6 @@ def _parse_elements(text: str, rank: int) -> list:
     return elements
 
 
-def _element_str(elem, rank: int) -> str:
-    if rank == 0:
-        return render_word(elem)
-    if rank == 1:
-        return str(elem)
-    return "|".join(str(x) for x in elem)
-
-
 def _load_chain(path: str):
     """Load an explicit quotient chain: optional poly, quotient list."""
     try:
@@ -302,14 +296,6 @@ def _torus_quotients(args, rank: int) -> Tuple[int, Iterable]:
     return len(moduli), (torus_quotient([n] * rank) for n in moduli)
 
 
-def _write_report(text: str, out: Optional[str]):
-    if out:
-        with open(out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 def _json_cell(value):
     return None if isinstance(value, float) and not math.isfinite(value) else value
 
@@ -324,31 +310,38 @@ def _csv_cell(value) -> str:
     return value
 
 
-def _render(fmt: str, obj: dict, table: str, columns: Sequence[str]) -> str:
-    """The report of ``obj``, whose ``table`` entry lists the rows as dicts.
+def _report(args, obj: dict, table: str, columns: Sequence[str]) -> None:
+    """Write the report of ``obj`` to ``args.out``, or stdout, as it renders.
 
-    JSON writes all of ``obj`` in its key order, each row cut to
-    ``columns`` and a non-finite float in a row written as null.  CSV
-    writes the table only: the header ``columns``, then one line per row.
-    Cells must be Python numbers, strings or None: ``repr`` of a numpy
-    scalar is not its value's text.  Dataclass rows come as ``vars(row)``:
-    their cells are flat, and ``asdict`` would deep-copy each one, which
-    costs more than the rest of the rendering of a long subshift table.
+    ``obj[table]`` yields the rows as dicts, once.  JSON writes all of
+    ``obj`` in its key order, the rows cut to ``columns`` (the one table
+    held) and a non-finite float in a row written as null.  CSV writes the
+    header ``columns``, then each row as it is drawn.  Cells must be Python
+    numbers, strings or None: ``repr`` of a numpy scalar is not its value's
+    text.  Dataclass rows come as ``vars(row)``, as ``asdict`` would
+    deep-copy each flat one.  A refusal comes before this call, so none
+    writes a byte or creates ``--out``.
 
     CPython writes an int of more than 4300 digits only with its limit
     lifted, so an exact count of any length is written with the limit lifted
-    for the rendering alone, which parses nothing.
+    for the writing alone, which parses nothing.
     """
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        if fmt == "json":
-            rows = [{c: _json_cell(row[c]) for c in columns} for row in obj[table]]
-            return json.dumps({**obj, table: rows}, indent=2) + "\n"
-        lines = [",".join(columns)]
-        for row in obj[table]:
-            lines.append(",".join([_csv_cell(row[c]) for c in columns]))
-        return "\n".join(lines) + "\n"
+        if args.format == "json":
+            obj = {**obj, table: [{c: _json_cell(row[c]) for c in columns} for row in obj[table]]}
+        with (
+            open(args.out, "w", encoding="utf-8", newline="\n")
+            if args.out else contextlib.nullcontext(sys.stdout)
+        ) as fh:
+            if args.format == "json":
+                json.dump(obj, fh, indent=2)
+            else:
+                fh.write(",".join(columns))
+                for row in obj[table]:
+                    fh.write("\n" + ",".join([_csv_cell(row[c]) for c in columns]))
+            fh.write("\n")
     finally:
         sys.set_int_max_str_digits(limit)
 
@@ -377,6 +370,8 @@ def run_algebraic(args) -> int:
         raise ConfigError("the zero element has no principal algebraic action")
 
     grid = DEFAULT_GRIDS.get(rank) if args.grid is None else args.grid
+    if rank >= 2:  # the reference is the quadrature's, on an even grid >= 4
+        spectral._check_quadrature(f, grid)
     if rank >= 1:
         spectral._check_grid(rank, grid)
     # the trace checks the quotient order and refuses an over-cap chain
@@ -394,15 +389,14 @@ def run_algebraic(args) -> int:
     obj = {
         "f_description": trace.f_description,
         "reference_value": trace.reference_value,
-        "records": [vars(r) for r in trace.records],
+        "records": (vars(r) for r in trace.records),
         "skipped": [vars(r) for r in trace.skipped],
     }
     if trace.caveats:
         obj["caveats"] = trace.caveats
     obj["certificate"] = asdict(certificate) if certificate is not None else None
     obj["residual"] = trace.residual
-    report = _render(args.format, obj, "records", ("label", "d", "log_fix_count", "h_n"))
-    _write_report(report, args.out)
+    _report(args, obj, "records", ("label", "d", "log_fix_count", "h_n"))
 
     summary = sys.stdout if args.out else sys.stderr
     if trace.records:
@@ -439,9 +433,8 @@ def run_subshift(args) -> int:
 
     lengths = _parse_range(args.quotients)
     table = subshift_mod.subshift_entropy_table(sft, lengths, _parse_int_list(args.budget))
-    obj = {"sft": sft.to_json_obj(), "rows": [vars(r) for r in table.rows]}
-    report = _render(args.format, obj, "rows", ("n", "budget", "count", "h_n", "method"))
-    _write_report(report, args.out)
+    obj = {"sft": sft.to_json_obj(), "rows": (vars(r) for r in table.rows)}
+    _report(args, obj, "rows", ("n", "budget", "count", "h_n", "method"))
     return EXIT_OK
 
 
@@ -463,11 +456,11 @@ def run_mahler(args) -> int:
 
     obj = {
         "poly": f.render(),
-        "estimates": [vars(e) for e in estimates],
+        "estimates": (vars(e) for e in estimates),
         "certificate": asdict(certificate),
     }
     columns = ("method", "value", "error_bound", "evaluations", "grid")
-    _write_report(_render(args.format, obj, "estimates", columns), args.out)
+    _report(args, obj, "estimates", columns)
 
     summary = sys.stdout if args.out else sys.stderr
     for e in estimates:
@@ -484,8 +477,7 @@ def run_sofic_check(args) -> int:
         count_quotients, quotients = len(chain_quotients), chain_quotients
     else:
         count_quotients, quotients = _torus_quotients(args, rank)
-    elements = _parse_elements(args.elements, rank)
-    elements = [normalize_element(e, rank) for e in elements]
+    elements = [normalize_element(e, rank) for e in _parse_elements(args.elements, rank)]
     # the ordered pairs of distinct elements, counted before any is listed
     count = len(elements) ** 2 - sum(c * c for c in Counter(elements).values())
     if not count:
@@ -507,25 +499,31 @@ def run_sofic_check(args) -> int:
             f"{SOFIC_MAP_CAP} permutation entries"
         )
 
-    rows = []
+    # every needed element is a product of listed ones, so taking their
+    # images refuses an unknown generator before the first byte
     for q in quotients:
-        sigma = sofic_map_from_quotient(q, needed)
-        for s, t in pairs:
-            rows.append(
-                {
+        for e in elements:
+            q.index(e)
+    # one string per element, shared by its rows
+    names = {e: render_word(e) if rank == 0 else str(e) if rank == 1 else
+             "|".join(map(str, e)) for e in elements}
+
+    def rows():
+        for q in quotients:
+            sigma = sofic_map_from_quotient(q, needed)
+            for s, t in pairs:
+                yield {
                     "label": q.label,
                     "d": q.size,
-                    "s": _element_str(s, rank),
-                    "t": _element_str(t, rank),
+                    "s": names[s],
+                    "t": names[t],
                     "multiplicative_defect": multiplicative_defect(sigma, s, t),
                     "freeness_defect": freeness_defect(sigma, s, t),
                 }
-            )
-        del sigma  # freed before the next quotient's map is built
+            del sigma  # freed before the next quotient's map is built
 
     columns = ("label", "d", "s", "t", "multiplicative_defect", "freeness_defect")
-    report = _render(args.format, {"group": args.group, "rows": rows}, "rows", columns)
-    _write_report(report, args.out)
+    _report(args, {"group": args.group, "rows": rows()}, "rows", columns)
     return EXIT_OK
 
 

@@ -164,13 +164,6 @@ def mahler_jensen(f: GroupRingElement) -> MahlerEstimate:
     coeffs = [0.0] * (degree + 1)
     for e, c in f.terms.items():
         coeffs[e - lo] = float(c)
-    if degree == 0:
-        value = math.log(abs(coeffs[0]))
-        return MahlerEstimate(
-            value=value, error_bound=4e-16 * (1.0 + abs(value)), method="jensen",
-            evaluations=0,
-        )
-
     poly = np.array(coeffs[::-1])
     dpoly = np.polyder(poly)
     value = math.log(abs(coeffs[-1]))
@@ -204,6 +197,8 @@ def _jensen_error(poly: np.ndarray, roots: np.ndarray) -> float:
     Cauchy's bound 1 + max |a_j / lead| caps hi.
     """
     n = len(roots)
+    if n == 0:  # a constant or monomial f
+        return 0.0
     lead = abs(poly[0])
     mags = np.abs(roots)
     rounding = 2.0 * n * _UNIT_ROUNDOFF * np.polyval(np.abs(poly), mags)

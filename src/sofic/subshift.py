@@ -159,6 +159,8 @@ class SubshiftSFT:
 
 def full_shift(k: int) -> SubshiftSFT:
     """The unconstrained shift on k symbols (all transitions allowed)."""
+    if not _is_integer(k):
+        raise ValueError(f"alphabet size must be an integer, got {k!r}")
     if k < 1:
         raise ValueError("alphabet size must be >= 1")
     symbols = tuple(range(k))

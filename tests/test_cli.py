@@ -4,6 +4,7 @@ import io
 import json
 import math
 import sys
+import tracemalloc
 
 import pytest
 
@@ -569,6 +570,46 @@ def test_sofic_check_refuses_rows_before_listing_pairs(capsys, monkeypatch):
     assert "20 report rows (10 pairs of elements, 2 quotients)" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_sofic_check_refuses_an_unknown_generator_before_any_byte(tmp_path, capsys, fmt):
+    # every element's image is checked before the writer starts, so neither
+    # the CSV header nor an empty --out file comes before the refusal
+    chain_path = tmp_path / "chain.json"
+    chain_path.write_text(json.dumps({"quotients": [
+        {"label": "C5", "table": cyclic_table(5), "images": {"a": 1}},
+        {"label": "C6", "table": cyclic_table(6), "images": {"a": 1}},
+    ]}), encoding="utf-8")
+    out = tmp_path / "defects"
+    argv = ["sofic-check", "--group", f"file:{chain_path}", "--elements", "a;zz",
+            "--format", fmt]
+    for extra in ([], ["--out", str(out)]):
+        assert main(argv + extra) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: unknown generator 'zz' for quotient C5\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("fmt, bound", [("csv", 100), ("json", 1000)])
+def test_sofic_check_streams_its_rows(tmp_path, fmt, bound):
+    # tracemalloc peaks at 60 and 120 elements (3,540 and 14,280 rows), the
+    # report written to a file: a CSV row is written as it is drawn, and a
+    # JSON row is held only as the cut copy that json.dump writes, so an
+    # added row costs about 45 B in CSV and 450 B in JSON
+    def peak(n):
+        elements = ";".join(str(k) for k in range(1, n + 1))
+        argv = ["sofic-check", "--quotients", "1..1", "--elements", elements,
+                "--format", fmt, "--out", str(tmp_path / "defects")]
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert (peak(120) - peak(60)) / (14280 - 3540) < bound
+
+
 # ---------------------------------------------------------------------------
 # quotient order, checked by entropy_trace alone
 
@@ -662,11 +703,14 @@ def test_algebraic_rank1_reference_computes_no_quadrature(monkeypatch):
      "error: quotient range must satisfy 1 <= a <= b, got '5..3'\n"),
     (["--poly", "3 - x - x^-1", "--quotients", "1..1000001"], 4,
      "resource guard: quotient range '1..1000001' holds 1000001 values, over the cap 1000000\n"),
+    # the rank-2 reference is a quadrature, which needs an even grid >= 4
+    (["--group", "Z2", "--poly", "5 - x - x^-1 - y - y^-1", "--quotients", "2..4",
+      "--grid", "5"], 2, "error: grid must be an even integer >= 4\n"),
 ], ids=["unordered", "rank-1 trace over the cap", "rank-2 trace over the cap", "grid of 1",
         "grid of 0", "grid over the cap", "unknown group", "unreadable chain",
         "torus without poly", "zero f", "quotients and moduli", "moduli of the wrong length",
         "moduli not integers", "no quotients", "range without dots", "range from 0",
-        "decreasing range", "range over the coset cap"])
+        "decreasing range", "range over the coset cap", "odd grid at rank 2"])
 def test_algebraic_refuses_before_any_scan_or_prime(capsys, monkeypatch, argv, code, message):
     scans = _spy(monkeypatch, spectral, "_grid_values")
     drawn = _spy(monkeypatch, algebraic, "_character_primes")

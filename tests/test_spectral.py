@@ -47,6 +47,18 @@ def test_jensen_constant_and_scaling():
     assert mahler_jensen(parse_laurent("7", 1)).value == pytest.approx(math.log(7))
     # monomial factors do not change the measure
     assert mahler_jensen(parse_laurent("7*x^3", 1)).value == pytest.approx(math.log(7))
+    # a constant or monomial has no roots: log|c| exactly, the rounding floor
+    # 4e-16 (1 + |log|c||) as its bound, and no evaluations
+    for text, value, bound in [
+        ("7", 1.9459101490553132, 1.1783640596221253e-15),
+        ("-3", 1.0986122886681098, 8.39444915467244e-16),
+        ("3*x^5", 1.0986122886681098, 8.39444915467244e-16),
+        ("-2*x^-4", 0.6931471805599453, 6.772588722239782e-16),
+        ("9223372036854775807", 43.66827237527655, 1.786730895011062e-14),
+    ]:
+        estimate = mahler_jensen(parse_laurent(text, 1))
+        assert (estimate.value, estimate.error_bound, estimate.evaluations) == (
+            value, bound, 0), text
 
 
 def test_jensen_rejects_zero_and_wrong_rank():

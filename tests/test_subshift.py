@@ -95,6 +95,21 @@ def test_moduli_lengths_and_budgets_take_integers_only(make, want):
         assert make() == want
 
 
+@pytest.mark.parametrize("k, want", [
+    (2.5, "alphabet size must be an integer, got 2.5"),
+    ("3", "alphabet size must be an integer, got '3'"),
+    (True, "alphabet size must be an integer, got True"),
+    (np.int64(3), (0, 1, 2)),
+], ids=["float", "string", "bool", "numpy integer"])
+def test_full_shift_takes_an_integer_size_only(k, want):
+    if isinstance(want, str):
+        with pytest.raises(ValueError) as info:
+            full_shift(k)
+        assert str(info.value) == want
+    else:
+        assert full_shift(k).alphabet == want
+
+
 def test_sft_json_roundtrip():
     gm = golden_mean()
     text = json.dumps(gm.to_json_obj())
