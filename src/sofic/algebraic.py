@@ -13,8 +13,23 @@ solution count is |det M| exactly.  Normalizing, h_n = log|count| / d is
 the per-quotient entropy value, and exp(log|det M| / d) is the
 finite-dimensional determinant with respect to the normalized trace.
 
-Every count is exact over arbitrary-precision integers, by one route for
-every quotient, which never builds M.  Right translation by an abelian
+Every count is exact over arbitrary-precision integers, by one of two
+routes, neither of which builds M.  On a rank-1 torus Z/n, with
+f = x^lo p(x), p of degree D and leading coefficient lc, and A = lc C for
+C the companion matrix of p / lc,
+
+    |det M| = |Res(x^n - 1, p)| = |det(A^n - lc^n I)| / |lc|^(n (D - 1)),
+
+the periodic-point count of Lind-Schmidt-Ward, so a trace walks A^n
+across its sizes and each count is one D x D Bareiss determinant and one
+exact division, with no prime; when the count is 0, the nullity is the
+sum of phi(o) over the o | n with Phi_o | p (`companion`).  That route
+costs D^3 per quotient and the other about the number of terms per
+character, so both are priced before any work, in one unit, and a rank-1
+trace takes the cheaper (`_counts`): a sparse f of high degree stays on
+the split.
+
+The split serves every quotient.  Right translation by an abelian
 subgroup A commutes with M, so modulo a prime p = 1 (mod exp A) M is
 similar to |A| blocks of size d/|A|, one per character of A (Serre,
 Linear Representations of Finite Groups, ch. 7).  Right translation by
@@ -47,7 +62,7 @@ non-real pair, and S, over the real characters: H is lifted against
 the same primes, the real blocks built only until S has its own.  When
 det M = 0 the same elimination gives the nullity d - rank M, each block's
 rank certified by a norm bound.  A count, or a trace, is refused before
-its first prime when its estimated cost exceeds COST_CAP.
+its first prime or power when its estimated cost exceeds COST_CAP.
 """
 
 from __future__ import annotations
@@ -79,7 +94,8 @@ __all__ = [
 LOG2 = math.log(2.0)
 
 # The most work one count or trace, or the prime supply of one count, may be
-# estimated at (`_estimate`): about 5 s at 4.4-5.3 ns a unit.
+# estimated at (`_estimate`, `companion.Companion.cost`): about 5 s at
+# 4.4-5.3 ns a unit.
 COST_CAP = 10**9
 
 
@@ -667,20 +683,84 @@ def _characters(dets: np.ndarray, splits: list, owner: np.ndarray) -> np.ndarray
     return flat.reshape(len(dets), -1)
 
 
+# ---------------------------------------------------------------------------
+# counts, priced and routed
+
+
 def fix_count(f: GroupRingElement, q: Quotient) -> SolutionCount:
     """Number of points of the principal algebraic action fixed by Gn.
 
     Pulling a fixed point back along the quotient map identifies the fixed
     set with the solutions of the convolution matrix on (R/Z)^d, so the
-    count is computed there exactly, by one route for every quotient: the
-    quotient's split plan over an abelian subgroup (the whole group on a
-    torus, a greedily grown one on an explicit quotient), whose one
-    elimination of a block per orbit of characters gives the determinant
-    and the rank, so the nullity d - rank when the determinant is 0.
-    Refused when its estimated cost (`_estimate`) exceeds COST_CAP.
+    count is computed there exactly: on a rank-1 torus by a power of the
+    companion matrix (`companion`) or by the split, whichever `_counts`
+    prices lower, and on any other quotient by its split plan over an
+    abelian subgroup (the whole group on a torus, a greedily grown one on
+    an explicit quotient), whose one elimination of a block per orbit of
+    characters gives the determinant and the rank, so the nullity d - rank
+    when the determinant is 0.  Refused when its estimated cost exceeds
+    COST_CAP.
     """
-    plan, primes, _ = _estimate(f, q, 0)
-    return _solution(q, *_split_det([plan], [primes])[0])
+    [(det, rank)] = _counts(f, [q])[1]
+    return _solution(q, det, rank)
+
+
+def _counts(f: GroupRingElement, quotients: Iterable[Quotient]) -> tuple:
+    """(the quotients drawn, (|det M|, rank M) at each), the quotients
+    drawn one at a time in nondecreasing size and each priced as it is
+    drawn, before any is counted.
+
+    Any quotient but a rank-1 torus is priced by `_estimate`, and the lot
+    is refused at the first whose work takes the running total over
+    COST_CAP.  A rank-1 trace keeps two running totals: the split's, from
+    each quotient's folded terms with no plan built (its prime supply
+    checked as in `_estimate`), and the companion walk's
+    (`companion.Companion.cost`).  It is refused at the first quotient
+    where neither total is within the cap, and otherwise takes the route of
+    the lower total, as `subshift._walks` picks its route.  The counts then
+    run as one walk or one `_split_det`.
+    """
+    companion = None
+    # a walk's elimination alone costs over D^3 units a count, so a larger D
+    # is never walked, nor its p written out densely
+    if f.rank == 1 and not f.is_zero and (max(f.terms) - min(f.terms)) ** 3 <= COST_CAP:
+        # imported here, so that only a rank-1 count loads the walk's code
+        from .companion import Companion
+
+        companion = Companion(f)
+    kept, plans, needs = [], [], []
+    spent = walked = supply = need = 0
+    # the quotient at which each rank-1 route passed the cap, and is dropped
+    split_out = walk_out = None
+    for q in quotients:
+        if kept and q.size < kept[-1].size:
+            raise ValueError("quotients must be ordered by nondecreasing size")
+        if companion is None or q.rank != 1:
+            plan, need, spent = _estimate(f, q, spent)
+            plans.append(plan)
+        else:
+            if split_out is None:
+                fhat = q.fold(f)
+                need = _power_prime_count(sum(c * c for c in fhat.values()), q.size)
+                spent += _split_work(need, q.size, 1, len(fhat))
+                supply = max(supply, _supply(need, q.moduli))
+                split_out = q.label if max(spent, supply) > COST_CAP else None
+            if walk_out is None:
+                last = kept[-1].size if kept else 0
+                walked += math.ceil(companion.cost(q.size - last, q.size))
+                walk_out = q.label if walked > COST_CAP else None
+            if split_out and walk_out:
+                raise _refusal(q, f"companion work {walked} at {walk_out}, split work {spent} "
+                               f"and prime supply {supply} at {split_out}")
+        kept.append(q)
+        needs.append(need)
+    if not kept:
+        raise ValueError("at least one quotient required")
+    if companion is not None and (split_out or walked <= spent):
+        return kept, companion.counts([q.size for q in kept])
+    if companion is not None:
+        plans = [q.split_plan(f) for q in kept]
+    return kept, _split_det(plans, needs)
 
 
 def _estimate(f: GroupRingElement, q: Quotient, spent: int) -> tuple:
@@ -690,23 +770,40 @@ def _estimate(f: GroupRingElement, q: Quotient, spent: int) -> tuple:
 
     The split draws at most `_det_prime_count` primes.  Each
     costs, per orbit representative, an elimination of m^3 and a block built
-    from terms x m^2 entries, plus 16 for roots and CRT: W = primes x orbits
-    x (m^3 + terms m^2 + 16), in units of about 5 ns.  Serving them takes a
-    pool of about primes x phi(exp A) primes, 64 units each to sieve.
+    from terms x m^2 entries, plus 16 for roots and CRT, and the plan's
+    rounds have a fixed cost: W = primes x orbits x (m^3 + terms m^2 + 16)
+    + _SPLIT_PLAN, in units of about 5 ns.  Serving them takes a pool of
+    about primes x phi(exp A) primes, 64 units each to sieve.
     """
     if f.rank != q.rank:
         raise ValueError(f"element/quotient mode mismatch (ranks {f.rank} and {q.rank})")
     plan = q.split_plan(f)
     terms, m = plan.cols.shape
     primes = _det_prime_count(plan, q.size)
-    work = spent + primes * plan.orbits * (m**3 + terms * m * m + 16)
-    pool = 64 * primes * _totient(math.lcm(*plan.moduli))
+    work = spent + _split_work(primes, plan.orbits, m, terms)
+    pool = _supply(primes, plan.moduli)
     if max(work, pool) > COST_CAP:
-        raise ResourceGuardError(
-            f"estimated cost at {q.label or f'd={q.size}'} exceeds the cap {COST_CAP}: "
-            f"work {work} so far, prime supply {pool}"
-        )
+        raise _refusal(q, f"work {work} so far, prime supply {pool}")
     return plan, primes, work
+
+
+# Units of the fixed work of one plan in `_split_det`: a plan takes at least
+# one round, of about 100 us of numpy calls.
+_SPLIT_PLAN = 20_000
+
+
+def _split_work(primes: int, orbits: int, m: int, terms: int) -> int:
+    return primes * orbits * (m**3 + terms * m * m + 16) + _SPLIT_PLAN
+
+
+def _supply(primes: int, moduli: Sequence[int]) -> int:
+    return 64 * primes * _totient(math.lcm(*moduli))
+
+
+def _refusal(q: Quotient, detail: str) -> ResourceGuardError:
+    return ResourceGuardError(
+        f"estimated cost at {q.label or f'd={q.size}'} exceeds the cap {COST_CAP}: {detail}"
+    )
 
 
 def _det_prime_count(plan: SplitPlan, d: int) -> int:
@@ -816,34 +913,30 @@ def entropy_trace(
     nondecreasing size.  Quotients where the fixed-point group is infinite
     are skipped with their nullity.  Every quotient is estimated as it is
     drawn, before any is counted, and the trace is refused, before its first
-    prime and before the next quotient is drawn, at the first quotient whose
-    estimated work would take the running total over COST_CAP.  The counts
-    then run as one `_split_det` over the plans kept from the estimate.  A
-    plan holds its terms and its orbits (a torus plan its terms alone), and
-    `_split_det` keeps per character only the orbits still short of full
-    rank, so a long trace holds little more than its plans.
+    prime or power and before the next quotient is drawn, at the first
+    quotient whose estimated work would take the running total over
+    COST_CAP (on rank 1, both routes' totals; see `_counts`).  The counts
+    then run as one walk through the companion matrix's powers, or as one
+    `_split_det` over the plans kept from the estimate.  A plan holds its
+    terms and its orbits (a torus plan its terms alone), and `_split_det`
+    keeps per character only the orbits still short of full rank, so a long
+    trace holds little more than its plans.
     """
     identity = identity_element(f.rank)
     trace = EntropyTrace(f_description=f.render(), reference_value=reference)
     seen_caveats = set()
-    kept, plans, needs = [], [], []
-    spent = 0
-    for q in quotients:
-        if kept and q.size < kept[-1].size:
-            raise ValueError("quotients must be ordered by nondecreasing size")
-        for s in f.support():
-            if s != identity and q.index(s) == q.identity_index:
-                note = f"support element {s!r} lies in the kernel at {q.label}"
-                if note not in seen_caveats:
-                    seen_caveats.add(note)
-                    trace.caveats.append(note)
-        plan, need, spent = _estimate(f, q, spent)
-        kept.append(q)
-        plans.append(plan)
-        needs.append(need)
-    if not kept:
-        raise ValueError("at least one quotient required")
-    for q, split in zip(kept, _split_det(plans, needs)):
+
+    def drawn():
+        for q in quotients:
+            for s in f.support():
+                if s != identity and q.index(s) == q.identity_index:
+                    note = f"support element {s!r} lies in the kernel at {q.label}"
+                    if note not in seen_caveats:
+                        seen_caveats.add(note)
+                        trace.caveats.append(note)
+            yield q
+
+    for q, split in zip(*_counts(f, drawn())):
         sc = _solution(q, *split)
         if sc.is_finite:
             log_fix = log_big_int(sc.value)

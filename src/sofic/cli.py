@@ -380,11 +380,12 @@ def run_algebraic(args) -> int:
     certificate = None
     if rank >= 1:
         certificate, quadrature = spectral._torus_scan(f, grid)
-        try:  # Jensen's on rank 1, else the quadrature; a refused one is dropped
+        try:  # Jensen's on rank 1, else the quadrature; a refused Jensen's is a caveat
             estimate = spectral.mahler_jensen(f) if rank == 1 else quadrature()
             trace.reference_value = estimate.value
-        except (spectral.NearZeroError, ValueError):
-            pass
+        except (spectral.NearZeroError, ValueError) as exc:
+            if rank == 1:
+                trace.caveats.append(f"no reference value: {exc}")
 
     obj = {
         "f_description": trace.f_description,

@@ -265,13 +265,24 @@ def _walk_cost(sft: SubshiftSFT, lengths: Sequence[int], degree: int) -> int:
     matrix.  A product of (m^k)^3 entry products, k = ``_block_length``,
     multiplies entries of ``_transfer_traces``'s width * (degree + 1) bits,
     so the estimate is the count times (m^k)^3 times the 64-bit words of an
-    entry.
+    entry.  The gaps are sorted and tallied by value, so only the distinct
+    gaps (at most sqrt(2 max(lengths)) of them) are priced one at a time.
     """
-    distinct = sorted(set(lengths))
-    gaps = [n - prev for prev, n in zip([0] + distinct, distinct)]
-    products = sum(g.bit_length() + g.bit_count() - 1 for g in gaps)
+    try:
+        lengths = np.sort(np.asarray(lengths, dtype=np.int64))
+    except OverflowError:  # a length past int64 stays a Python int
+        lengths = np.sort(np.asarray(lengths, dtype=object))
+    # lengths and gaps are >= 1, so a difference from 0 marks a new value
+    distinct = lengths[np.diff(lengths, prepend=0) != 0]
+    gaps = np.sort(np.diff(distinct, prepend=0))
+    first = np.flatnonzero(np.diff(gaps, prepend=0) != 0)
+    counts = np.diff(first, append=len(gaps))
+    products = sum(
+        count * (g.bit_length() + g.bit_count() - 1)
+        for g, count in zip(gaps[first].tolist(), counts.tolist())
+    )
     m = len(sft.alphabet)
-    words = -(-_power_bits(m, distinct[-1]) * (degree + 1) // 64)
+    words = -(-_power_bits(m, int(distinct[-1])) * (degree + 1) // 64)
     return products * words * (m ** _block_length(sft)) ** 3
 
 
@@ -446,7 +457,7 @@ def subshift_entropy_table(
     """
     lengths, budgets = list(lengths), list(budgets)
     for x in lengths + budgets:
-        if not _is_integer(x):
+        if type(x) is not int and not _is_integer(x):  # a plain int needs no ABC check
             raise ValueError(f"cycle lengths and budgets must be integers, got {x!r}")
     lengths = [int(n) for n in lengths]
     if not lengths:

@@ -12,7 +12,9 @@ elimination kernel on the dense matrix, so it checks the split and the
 character product by a different reduction to the same kernel, and the
 kernel itself is checked against ``det_fraction`` and ``det_bareiss``.
 ``table_count`` is no oracle: it reads the library's own cyclic count off
-an entropy table, for the tests to hold against the oracles.
+an entropy table, for the tests to hold against the oracles.  Nor is
+``split_count``: it runs the library's split, the route that rank-1 tori
+leave when the companion walk prices lower, as the oracle for that walk.
 """
 
 import math
@@ -22,6 +24,7 @@ from typing import List
 
 import numpy as np
 
+from sofic import algebraic
 from sofic.algebraic import (
     _CHAR_BLOCK,
     SolutionCount,
@@ -619,6 +622,24 @@ def every_character_count(f: GroupRingElement, q: Quotient) -> SolutionCount:
     need = _crt_prime_count(sum(c * c for c in plan.coeffs) ** q.size)
     [(det, rank)] = _split_det([plan], [need])
     return SolutionCount(det) if det else SolutionCount(None, q.size - rank)
+
+
+def split_count(f: GroupRingElement, q: Quotient) -> SolutionCount:
+    """``fix_count`` by the split alone, from the plan and prime count of
+    its estimate, whatever the quotient.  The split is called through the
+    module, so a spy set on it there sees the call."""
+    plan, need, _ = algebraic._estimate(f, q, 0)
+    [(det, rank)] = algebraic._split_det([plan], [need])
+    return SolutionCount(det) if det else SolutionCount(None, q.size - rank)
+
+
+def walk_products_per_gap(lengths):
+    """The matrix products of a subshift table's transfer walk, one gap at
+    a time between the sorted distinct lengths (0 before the first):
+    bit_length(g) + popcount(g) - 1 each."""
+    distinct = sorted(set(lengths))
+    gaps = [n - prev for prev, n in zip([0] + distinct, distinct)]
+    return sum(g.bit_length() + g.bit_count() - 1 for g in gaps)
 
 
 def relabel_table(table, perm):

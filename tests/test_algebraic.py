@@ -1,7 +1,9 @@
+import io
 import itertools
 import json
 import math
 import random
+import sys
 import tracemalloc
 
 import numpy as np
@@ -19,7 +21,7 @@ from sofic import (
     parse_word,
     torus_quotient,
 )
-from sofic import algebraic
+from sofic import algebraic, companion
 from sofic.algebraic import _character_primes
 from sofic.groups import ResourceGuardError, TorusQuotient
 
@@ -333,17 +335,22 @@ def test_prime_pool_refuses_below_its_floor(monkeypatch):
 
 
 def test_torus_trace_budgets_sieve_two_segments(monkeypatch):
-    # the bench torus_trace inputs draw every modulus 1..104 (the rank-2
-    # tori only 2..12) from the first 2 x 2^15 numbers below 2^31
+    # the bench torus_trace inputs: the rank-1 trace walks the companion
+    # matrix and draws no prime, the rank-2 tori draw moduli 2..12, and the
+    # split of every rank-1 modulus 1..104 draws from the first 2 x 2^15
+    # numbers below 2^31 too
     pool = _fresh_prime_pool(monkeypatch)
-    entropy_trace(
-        parse_laurent("3 - x - x^-1 + x^2 - x^-3", 1),
-        [torus_quotient([n]) for n in range(1, 105)],
-    )
+    f = parse_laurent("3 - x - x^-1 + x^2 - x^-3", 1)
+    quotients = [torus_quotient([n]) for n in range(1, 105)]
+    entropy_trace(f, quotients)
+    assert algebraic._CHAR_PRIMES == {} and pool.segments == []
     entropy_trace(
         parse_laurent("5 - x - x^-1 - y - y^-1", 2),
         [torus_quotient([n, n]) for n in range(2, 13)],
     )
+    assert sorted(algebraic._CHAR_PRIMES) == list(range(2, 13))
+    for q in quotients:
+        helpers.split_count(f, q)
     assert sorted(algebraic._CHAR_PRIMES) == list(range(1, 105))
     assert len(pool.segments) <= 2
 
@@ -597,17 +604,29 @@ def test_torus_fix_count_rank_mismatch_and_guard(monkeypatch):
         fix_count(parse_laurent("5 - x - y", 2), torus_quotient([4]))
     with pytest.raises(ValueError, match="mismatch"):
         fix_count(parse_laurent("3 - x", 1), torus_quotient([2, 2]))
-    # x - 2 at Z/2000: 78 primes for the bound 5^2000, each 2000 characters
-    # at 1 + 2 + 16 units, and a pool of 64 x 78 x phi(2000) = 3,993,600
+    # the split of x - 2 at Z/2000: 78 primes for the bound 5^2000, each
+    # 2000 characters at 1 + 2 + 16 units, 20,000 for the plan, and a pool
+    # of 64 x 78 x phi(2000) = 3,993,600
     f, q = parse_laurent("x - 2", 1), torus_quotient([2000])
     assert algebraic._crt_prime_count(5**2000) == 78
-    monkeypatch.setattr(algebraic, "COST_CAP", 78 * 2000 * 19 - 1)
-    with pytest.raises(ResourceGuardError, match="work 2964000 so far, prime supply 3993600$"):
-        fix_count(f, q)
+    monkeypatch.setattr(algebraic, "COST_CAP", 78 * 2000 * 19 + 20000 - 1)
+    with pytest.raises(ResourceGuardError, match="work 2984000 so far, prime supply 3993600$"):
+        helpers.split_count(f, q)
     monkeypatch.setattr(algebraic, "COST_CAP", 3993600 - 1)
     with pytest.raises(ResourceGuardError, match="Z/2000 exceeds the cap 3993599"):
-        fix_count(f, q)
+        helpers.split_count(f, q)
     monkeypatch.setattr(algebraic, "COST_CAP", 3993600)
+    assert helpers.split_count(f, q).value == 2**2000 - 1
+    # fix_count prices the companion walk too, and is refused only past both
+    walk = math.ceil(companion.Companion(f).cost(2000, 2000))
+    assert walk < 78 * 2000 * 19
+    monkeypatch.setattr(algebraic, "COST_CAP", walk - 1)
+    with pytest.raises(ResourceGuardError, match=(
+        f"Z/2000 exceeds the cap {walk - 1}: companion work {walk} at Z/2000, "
+        "split work 2984000 and prime supply 3993600 at Z/2000$"
+    )):
+        fix_count(f, q)
+    monkeypatch.setattr(algebraic, "COST_CAP", walk)
     assert fix_count(f, q).value == 2**2000 - 1
 
 
@@ -648,13 +667,28 @@ def test_cost_guard_refuses_before_any_prime(monkeypatch):
     with pytest.raises(ResourceGuardError, match="at Z/1000xZ/1000 exceeds"):
         fix_count(laplacian, torus_quotient([1000, 1000]))
     f = parse_laurent("3 - x - x^-1", 1)
-    # 2,885 primes for the bound 11^50021, each 50021 characters at 20 units
-    with pytest.raises(ResourceGuardError, match="work 2886211700 so far"):
-        fix_count(f, torus_quotient([50021]))
+    # the split of Z/50021: 2,885 primes for the bound 11^50021, each 50021
+    # characters at 20 units
+    with pytest.raises(ResourceGuardError, match="work 2886231700 so far"):
+        helpers.split_count(f, torus_quotient([50021]))
     # Z/20011: work 1,154 x 20011 x 20 is within the cap, but serving 1,154
     # primes = 1 (mod 20011) needs a pool of about 1,154 x 20010 primes
-    with pytest.raises(ResourceGuardError, match="work 461853880 so far, prime supply 1477858560"):
-        fix_count(f, torus_quotient([20011]))
+    with pytest.raises(ResourceGuardError, match="work 461873880 so far, prime supply 1477858560"):
+        helpers.split_count(f, torus_quotient([20011]))
+    # the companion walk counts both, with no prime: |Res(x^n - 1, p)| is
+    # the Lucas number L_2n - 2 for p = -1 + 3x - x^2
+    lucas = helpers.lucas_numbers(2 * 50021)
+    for n in (20011, 50021):
+        assert fix_count(f, torus_quotient([n])).value == lucas[2 * n] - 2
+    # 3 - x^5 - x^-5 at Z/200000 passes the cap on both routes, refused
+    # before any power of the companion matrix is taken
+    monkeypatch.setattr(companion.Companion, "counts", refuse)
+    monkeypatch.setattr(companion, "_bareiss_det", refuse)
+    with pytest.raises(ResourceGuardError, match=(
+        r"at Z/200000 exceeds the cap 1000000000: companion work \d+ at Z/200000, "
+        r"split work 46128020000 and prime supply 59043840000 at Z/200000$"
+    )):
+        fix_count(parse_laurent("3 - x^5 - x^-5", 1), torus_quotient([200000]))
 
 
 def test_tori_past_the_old_matrix_guard_count_by_default():
@@ -669,8 +703,9 @@ def test_tori_past_the_old_matrix_guard_count_by_default():
 
 
 def test_trace_stops_at_the_quotient_that_passes_the_cap(monkeypatch):
-    f = parse_laurent("3 - x - x^-1", 1)
-    quotients = [torus_quotient([n]) for n in (5, 10, 20, 40, 80)]
+    # on rank 2, which only the split counts
+    f = parse_laurent("5 - x - x^-1 - y - y^-1", 2)
+    quotients = [torus_quotient([n, n]) for n in (2, 3, 5, 8, 12)]
     works = [algebraic._estimate(f, q, 0)[2] for q in quotients]
     drawn = []
     primes = algebraic._character_primes
@@ -681,7 +716,7 @@ def test_trace_stops_at_the_quotient_that_passes_the_cap(monkeypatch):
     # the whole trace is refused before its first prime
     monkeypatch.setattr(algebraic, "COST_CAP", sum(works[:3]))
     total = sum(works[:4])
-    with pytest.raises(ResourceGuardError, match=f"at Z/40 exceeds .*work {total} so far"):
+    with pytest.raises(ResourceGuardError, match=f"at Z/8xZ/8 exceeds .*work {total} so far"):
         entropy_trace(f, quotients)
     assert drawn == []
     monkeypatch.setattr(algebraic, "COST_CAP", sum(works))
@@ -712,7 +747,7 @@ def test_cost_estimate_bounds_the_primes_drawn(monkeypatch):
             continue
         drawn.clear()
         estimates.clear()
-        sc = fix_count(f, q)
+        sc = helpers.split_count(f, q)
         assert len(estimates) == 1, (f.render(), q.label)
         if sc.is_finite:
             assert len(drawn) == estimates[0], (f.render(), q.label)
@@ -739,11 +774,13 @@ def _drawn_primes(monkeypatch):
 
 def _count_drawn(drawn, f, q):
     drawn.clear()
-    sc = fix_count(f, q)
+    sc = helpers.split_count(f, q)
     return sc, len(drawn)
 
 
 def test_split_prime_counts(monkeypatch):
+    # the split called directly (`_count_drawn`), as fix_count walks the
+    # companion matrix on most rank-1 tori
     drawn = _drawn_primes(monkeypatch)
     # a nonsingular quotient draws exactly the determinant's budget
     rng = random.Random(163)
@@ -785,6 +822,173 @@ def test_split_prime_counts(monkeypatch):
         assert sc.is_finite == (lam == 5)
     sc, count = _count_drawn(drawn, _asymmetric(), q)
     assert sc.is_finite and count == algebraic._crt_prime_count(31**336) == 28
+
+
+# ---------------------------------------------------------------------------
+# rank-1 tori: the companion walk against the split
+
+
+def _poly_mul(a, b):
+    """The product of two ascending coefficient lists."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+# the cyclotomic polynomials Phi_o, o <= 12 but 11, ascending
+_PHI = {
+    1: [-1, 1], 2: [1, 1], 3: [1, 1, 1], 4: [1, 0, 1], 5: [1, 1, 1, 1, 1],
+    6: [1, -1, 1], 7: [1] * 7, 8: [1, 0, 0, 0, 1], 9: [1, 0, 0, 1, 0, 0, 1],
+    10: [1, -1, 1, -1, 1], 12: [1, 0, -1, 0, 1],
+}
+
+
+def _laurent(coeffs, lo):
+    """x^lo times the ascending coefficients, as a rank-1 element."""
+    return GroupRingElement(1, {lo + k: c for k, c in enumerate(coeffs) if c})
+
+
+def _rank1_battery(rng):
+    """(kind, f) pairs: non-monic p with either sign of lc, negative
+    exponents only, monomials, and singular f with several cyclotomic
+    factors."""
+    cases = []
+    for i in range(12):
+        lc = rng.choice((-5, -3, -2, 2, 3, 4))
+        coeffs = [rng.choice((-3, -1, 1, 2))]
+        coeffs += [rng.randint(-4, 4) for _ in range(rng.randint(0, 4))]
+        cases.append(("non-monic", _laurent(coeffs + [lc], rng.randint(-6, 2))))
+    for i in range(8):
+        coeffs = [rng.choice((-2, 1, 3))] + [rng.randint(-3, 3) for _ in range(rng.randint(1, 5))]
+        coeffs.append(rng.choice((-1, 1, -2)))
+        cases.append(("negative exponents", _laurent(coeffs, -len(coeffs) - rng.randint(0, 3))))
+    for c in (1, -1, 2, -3, 7):
+        cases.append(("monomial", _laurent([c], rng.randint(-5, 5))))
+    for i in range(10):
+        p = [rng.choice((-2, -1, 1, 3))] + [rng.randint(-2, 2) for _ in range(rng.randint(0, 2))]
+        for o in rng.sample(sorted(_PHI), rng.randint(2, 3)):
+            p = _poly_mul(p, _PHI[o])
+        if not p[-1]:
+            p[-1] = 1
+        cases.append(("cyclotomic", _laurent(p, rng.randint(-3, 1))))
+    return cases
+
+
+def test_companion_walk_matches_the_split_on_rank1_batteries(monkeypatch):
+    # every value and nullity over Z/1..60, walked step by step, against the
+    # split, with no prime drawn on the walk; fix_count takes the walk on
+    # most of them
+    drawn = _drawn_primes(monkeypatch)
+    walks = _spy_calls(monkeypatch, companion.Companion, "counts")
+    quotients = [torus_quotient([n]) for n in range(1, 61)]
+    kinds = {}
+    singular = 0
+    for kind, f in _rank1_battery(random.Random(241)):
+        drawn.clear()
+        got = companion.Companion(f).counts([q.size for q in quotients])
+        assert drawn == [], (kind, f.render())
+        for q, (det, rank) in zip(quotients, got):
+            want = helpers.split_count(f, q)
+            assert (det or None, q.size - rank) == (want.value, want.nullity), (f.render(), q)
+            singular += want.value is None
+        kinds[kind] = kinds.get(kind, 0) + 1
+    assert kinds == {"non-monic": 12, "negative exponents": 8, "monomial": 5, "cyclotomic": 10}
+    assert singular >= 100
+    walks.clear()
+    for kind, f in _rank1_battery(random.Random(241)):
+        algebraic._counts(f, quotients)
+    assert len(walks) >= 30
+
+
+def test_companion_nullity_finds_orders_past_the_degree():
+    # Phi_o | p for o up to 2 D^2: 1 + x + x^2 is Phi_3 with D = 2, and
+    # Phi_12 Phi_7 has D = 10 with o = 12
+    assert companion.Companion(parse_laurent("1 + x + x^2", 1))._nullity(6) == 2
+    walk = companion.Companion(_laurent(_poly_mul(_PHI[12], _PHI[7]), 0))
+    assert [walk._nullity(n) for n in (7, 12, 84, 5)] == [6, 4, 10, 0]
+    assert walk.orders == [(7, 6), (12, 4)]
+
+
+def test_companion_trace_with_gaps_squares_them(monkeypatch):
+    # a trace over sizes with gaps and repeats raises the long gaps by
+    # squaring; the counts match the split, the reports those of the split
+    squared = _spy_calls(monkeypatch, companion.Companion, "_power")
+    rng = random.Random(251)
+    sizes = [3, 7, 7, 40, 300, 301, 1000]
+    for kind, f in _rank1_battery(rng)[::3]:
+        squared.clear()
+        walk = companion.Companion(f)
+        for n, (det, rank) in zip(sizes, walk.counts(sizes)):
+            want = helpers.split_count(f, torus_quotient([n]))
+            assert (det or None, n - rank) == (want.value, want.nullity), (f.render(), n)
+        # the gap 301 -> 1000 is squared, unless f is a monomial
+        assert ((699,) in squared) == (walk.degree > 0), f.render()
+    from sofic.cli import main
+
+    argv = ["algebraic", "--poly", "5 + 2*x - 3*x^2 + 4*x^-1", "--format", "json",
+            *[arg for n in sizes for arg in ("--moduli", str(n))]]
+    out = io.StringIO()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert main(argv) == 0
+    f = parse_laurent("5 + 2*x - 3*x^2 + 4*x^-1", 1)
+    records = json.loads(out.getvalue())["records"]
+    assert [r["d"] for r in records] == sizes
+    for r in records:
+        want = log_big_int(helpers.split_count(f, torus_quotient([r["d"]])).value)
+        assert r["log_fix_count"] == want, r
+
+
+def test_companion_counts_one_large_torus_by_squaring(monkeypatch):
+    squared = _spy_calls(monkeypatch, companion.Companion, "_power")
+    drawn = _drawn_primes(monkeypatch)
+    f, q = parse_laurent("5 + 2*x - 3*x^2 + 4*x^-1", 1), torus_quotient([2999])
+    got = fix_count(f, q)
+    assert squared == [(2999,)] and drawn == []
+    assert got == helpers.split_count(f, q)
+
+
+def test_small_degree_rank1_trace_draws_no_prime(monkeypatch):
+    calls = _spy_calls(monkeypatch, algebraic, "_character_primes")
+    for text in ("3 - x - x^-1 + x^2 - x^-3", "1 + x + x^2", "x - 2"):
+        trace = entropy_trace(parse_laurent(text, 1), [torus_quotient([n]) for n in range(1, 105)])
+        assert len(trace.records) + len(trace.skipped) == 104
+    assert calls == []
+
+
+def test_sparse_high_degree_rank1_trace_takes_the_split(monkeypatch):
+    # D = 64 costs 64^3 per quotient on the walk, against 3 terms a
+    # character on the split
+    walks = _spy_calls(monkeypatch, companion.Companion, "counts")
+    splits = _spy_calls(monkeypatch, algebraic, "_split_det")
+    f = parse_laurent("3 - x^32 - x^-32", 1)
+    trace = entropy_trace(f, [torus_quotient([n]) for n in range(1, 105)])
+    assert walks == [] and len(splits) == 1
+    assert len(trace.records) == 104
+    # and so does D = 70 over Z/1..3, whose Jensen reference is refused
+    entropy_trace(parse_laurent("3 - x - x^70", 1), [torus_quotient([n]) for n in (1, 2, 3)])
+    assert walks == [] and len(splits) == 2
+    # a degree past the cube root of the cap is not priced for the walk at
+    # all, so its p of 10^12 + 1 coefficients is never written out
+    made = _spy_calls(monkeypatch, companion.Companion, "__init__")
+    # (on Z/6, x^(10^12) = x^4, and 3 - w^4 over w^6 = 1 is 3 - z over the
+    # cube roots z of unity, twice)
+    f = parse_laurent("3 - x^1000000000000", 1)
+    assert fix_count(f, torus_quotient([6])).value == (3**3 - 1) ** 2
+    assert made == [] and len(splits) == 3
+
+
+def _spy_calls(monkeypatch, owner, name):
+    """A list of the argument tuples of every call of owner.name, without a
+    bound instance."""
+    calls = []
+    real = getattr(owner, name)
+    if isinstance(owner, type):
+        monkeypatch.setattr(owner, name, lambda self, *a: calls.append(a) or real(self, *a))
+    else:
+        monkeypatch.setattr(owner, name, lambda *a: calls.append(a) or real(*a))
+    return calls
 
 
 # ---------------------------------------------------------------------------
@@ -848,7 +1052,7 @@ def _assert_batch_matches_lone_counts(log, pairs):
     for f, q in pairs:
         log["groups"].clear()
         log["primes"].clear()
-        sc = fix_count(f, q)
+        sc = helpers.split_count(f, q)
         assert all(len(group) == 1 for group in log["groups"])
         lone.append((sc, sorted(log["primes"]), sum(c for g in log["groups"] for _, c in g)))
     plans = [q.split_plan(f) for f, q in pairs]
@@ -935,9 +1139,10 @@ def test_long_torus_trace_counts_in_one_split(monkeypatch):
     # every plan of a long torus trace goes to one _split_det, each built
     # once; between rounds no split keeps an array with a per-character axis,
     # so the trace's tracemalloc peak is 4.3 MB (9.3 MB with every plan's
-    # exponent table and character list kept at once)
-    f = parse_laurent("1 + x + x^2 - x^-2", 1)
-    quotients = [torus_quotient([n]) for n in range(1, 401)]
+    # exponent table and character list kept at once).  The tori are
+    # Z/n x Z/1, whose plans are those of Z/n, as only the split counts rank 2
+    f = parse_laurent("1 + x + x^2 - x^-2", 2)
+    quotients = [torus_quotient([n, 1]) for n in range(1, 401)]
     # the lone counts first, so the trace draws only primes already cached
     drawn = _drawn_primes(monkeypatch)
     lone = [fix_count(f, q) for q in quotients]

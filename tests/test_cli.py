@@ -9,7 +9,7 @@ import tracemalloc
 import pytest
 
 from sofic import SubshiftSFT, TorusQuotient, hom_count_exact, sofic_map_from_quotient
-from sofic import algebraic, cli, parse_laurent, spectral, subshift, torus_quotient
+from sofic import algebraic, cli, companion, parse_laurent, spectral, subshift, torus_quotient
 from sofic.cli import main
 
 from helpers import cyclic_table, lucas_numbers, s3_table, sl2_table
@@ -97,12 +97,14 @@ def _refuse(*args):
 
 
 def test_algebraic_resource_guard(tmp_path, capsys, monkeypatch):
-    # the default cost cap refuses Z/50021 before any prime is drawn
+    # the default cost cap refuses Z/200000 of 3 - x^5 - x^-5 on both routes,
+    # before any prime is drawn or any power of the companion matrix taken
     monkeypatch.setattr(algebraic, "_character_primes", _refuse)
-    rc = main(["algebraic", "--group", "Z", "--poly", "3 - x - x^-1",
-               "--quotients", "50021..50021"])
+    monkeypatch.setattr(companion.Companion, "counts", _refuse)
+    rc = main(["algebraic", "--group", "Z", "--poly", "3 - x^5 - x^-5",
+               "--quotients", "200000..200000"])
     assert rc == 4
-    assert "resource guard: estimated cost at Z/50021 exceeds" in capsys.readouterr().err
+    assert "resource guard: estimated cost at Z/200000 exceeds" in capsys.readouterr().err
 
 
 def test_algebraic_explicit_chain_matches_torus(tmp_path):
@@ -670,8 +672,9 @@ def test_algebraic_rank1_reference_computes_no_quadrature(monkeypatch):
     (["--group", "Z2", "--poly", "5 - x - x^-1 - y - y^-1", "--moduli", "3,3",
       "--moduli", "2,2"], 2, "error: quotients must be ordered by nondecreasing size\n"),
     (["--poly", "3 - x - x^-1", "--quotients", "1..100000"], 4,
-     "resource guard: estimated cost at Z/1371 exceeds the cap 1000000000: "
-     "work 1001649456 so far, prime supply 4669440\n"),
+     "resource guard: estimated cost at Z/13436 exceeds the cap 1000000000: "
+     "companion work 1000065915 at Z/13436, split work 1000717536 and prime supply "
+     "6534528 at Z/1358\n"),
     (["--group", "Z2", "--poly", "5 - x - x^-1 - y - y^-1", "--quotients", "1..1000"], 4,
      "resource guard: estimated cost at Z/"),
     (["--poly", "3 - x - x^-1", "--quotients", "1..300", "--grid", "1"], 2,
@@ -714,24 +717,47 @@ def test_algebraic_rank1_reference_computes_no_quadrature(monkeypatch):
 def test_algebraic_refuses_before_any_scan_or_prime(capsys, monkeypatch, argv, code, message):
     scans = _spy(monkeypatch, spectral, "_grid_values")
     drawn = _spy(monkeypatch, algebraic, "_character_primes")
+    walks = _spy(monkeypatch, companion.Companion, "counts")
     assert main(["algebraic", *argv]) == code
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(message)
-    assert scans == [] and drawn == []
+    assert scans == [] and drawn == [] and walks == []
+
+
+def test_refused_rank1_reference_is_named_in_the_caveats(capsys, monkeypatch):
+    # Jensen's root finder refuses degree 70: the counts stay (from the split,
+    # which prices D = 70 lower), and the refusal is the last caveat
+    walks = _spy(monkeypatch, companion.Companion, "counts")
+    argv = ["algebraic", "--poly", "3 - x - x^70", "--quotients", "1..3", "--format", "json"]
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    obj = json.loads(captured.out)
+    note = "no reference value: degree 70 exceeds root-finder cap 64"
+    assert obj["reference_value"] is None and obj["residual"] is None
+    assert obj["caveats"][-1] == note
+    assert captured.err.endswith(f"caveat: {note}\n")
+    assert walks == []
+    f = parse_laurent("3 - x - x^70", 1)
+    assert [r["log_fix_count"] for r in obj["records"]] == [
+        algebraic.log_big_int(algebraic.fix_count(f, torus_quotient([n])).value) for n in (1, 2, 3)
+    ]
+    assert main(["mahler", "--poly", "3 - x - x^70"]) == 2
 
 
 def test_algebraic_builds_no_quotient_past_the_refused_one(capsys, monkeypatch):
-    # the trace draws its quotients one at a time and is refused at Z/1371,
-    # so the 998,629 after it are never built
+    # the trace draws its quotients one at a time and is refused at Z/13436,
+    # where the companion walk passes the cap (the split passed it at
+    # Z/1358), so the 986,564 after it are never built
     built = _spy(monkeypatch, cli, "torus_quotient")
     argv = ["algebraic", "--poly", "3 - x - x^-1", "--quotients", "1..1000000"]
     assert main(argv) == 4
     assert capsys.readouterr().err == (
-        "resource guard: estimated cost at Z/1371 exceeds the cap 1000000000: "
-        "work 1001649456 so far, prime supply 4669440\n"
+        "resource guard: estimated cost at Z/13436 exceeds the cap 1000000000: "
+        "companion work 1000065915 at Z/13436, split work 1000717536 and prime supply "
+        "6534528 at Z/1358\n"
     )
-    assert len(built) == 1371
+    assert len(built) == 13436
 
 
 def test_sofic_check_counts_rows_before_building_quotients(capsys, monkeypatch):

@@ -27,6 +27,7 @@ from helpers import (
     table_count,
     transfer_dp_count,
     transition_matrix_power_trace,
+    walk_products_per_gap,
 )
 
 
@@ -583,6 +584,27 @@ def test_walk_estimate_counts_the_words_of_an_entry(monkeypatch):
     # 10^6 products of 15,626 words
     with pytest.raises(ResourceGuardError, match="cost 125008000000 exceeds the cap 10000000$"):
         subshift_entropy_table(gm, range(1, 10**6 + 1))
+
+
+def test_walk_estimate_tallies_gaps_as_the_per_gap_sum():
+    # the product count of the walk, tallied by gap value, against the sum
+    # one gap at a time, on random length sets (repeats, any order, lengths
+    # past int64) and on ranges
+    rng = random.Random(257)
+    gm = golden_mean()
+    window3 = SubshiftSFT(alphabet=(0, 1), window=(0, 1, 2),
+                          allowed=frozenset(itertools.product((0, 1), repeat=3)))
+    cases = [range(a, b) for a, b in ((1, 2), (1, 401), (7, 9000), (123, 100000))]
+    for _ in range(200):
+        top = rng.choice((3, 60, 5000, 10**6, 2**70))
+        cases.append([rng.randint(1, top) for _ in range(rng.randint(1, 60))])
+    for lengths in cases:
+        for sft in (gm, window3):
+            m, k = len(sft.alphabet), subshift._block_length(sft)
+            for degree in (0, 3):
+                words = -(-subshift._power_bits(m, max(lengths)) * (degree + 1) // 64)
+                want = walk_products_per_gap(lengths) * words * (m**k) ** 3
+                assert subshift._walk_cost(sft, lengths, degree) == want
 
 
 def test_entropy_table_checks_cap_before_enumerating(monkeypatch):
