@@ -22,9 +22,9 @@ C the companion matrix of p / lc,
 
 the periodic-point count of Lind-Schmidt-Ward, so a trace walks A^n
 across its sizes and each count is one D x D Bareiss determinant and one
-exact division, with no prime; when the count is 0, the nullity is the
-sum of phi(o) over the o | n with Phi_o | p (`companion`).  That route
-costs D^3 per quotient and the other about the number of terms per
+exact division, with no prime; when the count is 0, the same elimination
+gives the nullity, D minus the rank of A^n - lc^n I (`companion`).  That
+route costs D^3 per quotient and the other about the number of terms per
 character, so both are priced before any work, in one unit, and a rank-1
 trace takes the cheaper (`_counts`): a sparse f of high degree stays on
 the split.

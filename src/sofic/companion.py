@@ -14,12 +14,16 @@ the periodic-point count of a toral or solenoidal automorphism
 Polynomials and Entropy in Algebraic Dynamics, Springer 1999).  A trace
 walks A^n across its sizes: P -> P A is a column shift and one
 combination, and a gap is raised by squaring when `Companion._walk`
-prices that lower.  Each count is one D x D fraction-free determinant and
-one exact division, with no prime, no CRT and no bound.  When the count
-is 0, the nullity is the number of n-th roots of unity among the roots of
-p, the sum of phi(o) over the o | n with Phi_o | p; each such o has
-phi(o) <= D, and phi(o) >= sqrt(o / 2), so o <= 2 D^2, and they are found
-once per f by exact division.
+prices that lower.  Each count is one D x D fraction-free elimination and
+one exact division, with no prime, no CRT and no bound.
+
+The same elimination gives the nullity when the count is 0.  With
+q = x^n - 1 mod p, A^n - lc^n I = lc^n q(C), and column j of q(C) holds the
+coefficients of x^j q mod p.  For g = gcd(p, x^n - 1), the first D - deg g
+columns are independent and every later one lies in their span (together
+they span the ideal (g) / (p)), so the first column with no pivot is the
+rank D - deg g.  As x^n - 1 is squarefree, deg g is the number of n-th
+roots of unity among the roots of p, the nullity of M_n.
 
 `Companion.cost` prices a count in the units of `algebraic.COST_CAP`
 (about 5 ns), from the sizes of the minors that the elimination builds, so
@@ -30,9 +34,8 @@ is imported by the first rank-1 count, not with the package.
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
-from .algebraic import _prime_factors
 from .groups import GroupRingElement
 
 # Units (about 5 ns, as COST_CAP's) of the interpreted work of one count on
@@ -61,7 +64,7 @@ class Companion:
         exps = sorted(f.terms)
         self.degree = exps[-1] - exps[0]
         p = [f.terms.get(exps[0] + k, 0) for k in range(self.degree + 1)]
-        self.p, self.lc = p, p[-1]
+        self.lc = p[-1]
         # A's last column, without its zeros
         self.taps = [(k, -a) for k, a in enumerate(p[:-1]) if a]
         # the bits per power of n of a minor of order j of A^n - lc^n I grow
@@ -69,12 +72,10 @@ class Companion:
         # growth, as M(p) = |lc| prod max(1, |alpha|) <= |p|_2 (Landau)
         self.lead = math.log2(abs(self.lc))
         self.growth = math.log2(sum(a * a for a in p)) / 2 - self.lead
-        self.orders: Optional[list] = None
 
     def cost(self, gap: int, n: int) -> float:
-        """The units of A^n from A^(n - gap), from the identity when gap = n
-        (with the search for cyclotomic factors, `_nullity`), and of the
-        count at Z/n."""
+        """The units of A^n from A^(n - gap), from the identity when
+        gap = n, and of the count at Z/n."""
         D = self.degree
         # the words of a minor of order j of A^n - lc^n I
         words = [(n * (j * self.lead + self.growth) + j) / 64 for j in range(D + 1)]
@@ -90,9 +91,6 @@ class Companion:
             work += (D - 1 - k) * _ROW + (D - 1 - k) ** 2 * update
         if abs(self.lc) > 1:
             work += _mul_cost(words[D]) + _div_cost(words[1], words[D - 1])
-        if gap == n:
-            # the sieve of phi up to 2 D^2 in `_nullity`
-            work += 10 * _COUNT_BASE + 260 * D * D
         return work
 
     def _walk(self, gap: int, words: float) -> tuple:
@@ -106,11 +104,11 @@ class Companion:
 
     def counts(self, sizes: Sequence[int]) -> List[tuple]:
         """(|det M_n|, rank M_n) for the nondecreasing sizes n, one walk
-        through the powers of A: each gap stepped or squared, whichever
-        `_walk` prices lower."""
+        through the powers of A from the identity: each gap stepped or
+        squared, whichever `_walk` prices lower."""
         D = self.degree
         out: List[tuple] = []
-        power, last = None, 0
+        power, last = _identity(D), 0
         for n in sizes:
             if n == last:
                 out.append(out[-1])
@@ -118,11 +116,8 @@ class Companion:
             if D:
                 steps, squares = self._walk(n - last, (n * (self.lead + self.growth) + 1) / 64)
                 if squares < steps:
-                    lift = self._power(n - last)
-                    power = lift if power is None else _matmul(power, lift)
+                    power = _matmul(power, self._power(n - last))
                 else:
-                    if power is None:
-                        power = [[int(i == j) for j in range(D)] for i in range(D)]
                     for _ in range(n - last):
                         power = self._times_a(power)
             out.append(self._count(power, n))
@@ -137,44 +132,27 @@ class Companion:
 
     def _power(self, e: int) -> list:
         """A^e, e >= 1, by squaring, the multiplications by A as steps."""
-        power = [[0] * self.degree for _ in range(self.degree)]
-        for i in range(self.degree):
-            power[i][-1] = -self.p[i]
-            if i:
-                power[i][i - 1] = self.lc
+        power = self._times_a(_identity(self.degree))
         for bit in bin(e)[3:]:
             power = _matmul(power, power)
             if bit == "1":
                 power = self._times_a(power)
         return power
 
-    def _count(self, power: Optional[list], n: int) -> tuple:
+    def _count(self, power: list, n: int) -> tuple:
         D, lc = self.degree, self.lc
         if not D:
             return abs(lc) ** n, n
         shifted, scale = [row[:] for row in power], lc**n
         for i, row in enumerate(shifted):
             row[i] -= scale
-        det = abs(_bareiss_det(shifted))
-        if det:
-            return det // abs(lc) ** (n * (D - 1)), n
-        return 0, n - self._nullity(n)
+        det, rank = _det_rank(shifted)
+        # rank M_n = n - nullity, the nullity D - rank (module docstring)
+        return abs(det) // abs(lc) ** (n * (D - 1)), n - D + rank
 
-    def _nullity(self, n: int) -> int:
-        """The number of n-th roots of unity among the roots of p: the sum
-        of phi(o) over the o | n with Phi_o | p.  Each such o has
-        phi(o) <= D, and phi(o) >= sqrt(o / 2), so o <= 2 D^2: the orders
-        are found once, over those o, by exact division."""
-        if self.orders is None:
-            D = self.degree
-            phi = list(range(2 * D * D + 1))
-            for k in range(2, len(phi)):
-                if phi[k] == k:  # k is prime
-                    for j in range(k, len(phi), k):
-                        phi[j] -= phi[j] // k
-            self.orders = [(o, phi[o]) for o in range(1, len(phi))
-                           if phi[o] <= D and _divides(_cyclotomic(o, phi[o]), self.p)]
-        return sum(degree for o, degree in self.orders if n % o == 0)
+
+def _identity(D: int) -> list:
+    return [[int(i == j) for j in range(D)] for i in range(D)]
 
 
 def _matmul(a: list, b: list) -> list:
@@ -182,17 +160,20 @@ def _matmul(a: list, b: list) -> list:
     return [[sum(x * y for x, y in zip(row, col)) for col in columns] for row in a]
 
 
-def _bareiss_det(a: list) -> int:
-    """The determinant of a nonempty square integer matrix (a list of rows,
+def _det_rank(a: list) -> tuple:
+    """(det, rank) of a nonempty square integer matrix (a list of rows,
     changed in place) by fraction-free elimination (Bareiss, Math. Comp. 22,
     1968): each update is an exact quotient by the previous pivot, and a row
-    is swapped in for a pivot 0."""
+    is swapped in for a pivot 0.  The rank is the index of the first column
+    with no pivot, so it is exact only for a matrix whose leading columns up
+    to the rank are independent and span the rest, as q(C)'s do (module
+    docstring)."""
     sign, previous = 1, 1
     for k in range(len(a) - 1):
         if not a[k][k]:
             swap = next((i for i in range(k + 1, len(a)) if a[i][k]), None)
             if swap is None:
-                return 0
+                return 0, k
             a[k], a[swap], sign = a[swap], a[k], -sign
         pivot, top = a[k][k], a[k]
         for row in a[k + 1 :]:
@@ -200,33 +181,5 @@ def _bareiss_det(a: list) -> int:
             for j in range(k + 1, len(a)):
                 row[j] = (pivot * row[j] - lead * top[j]) // previous
         previous = pivot
-    return sign * a[-1][-1]
-
-
-def _cyclotomic(o: int, degree: int) -> list:
-    """Phi_o's coefficients, ascending, from prod over d | o of
-    (x^d - 1)^mu(o/d) as power series cut at x^degree, degree = phi(o)."""
-    series = [1] + [0] * degree
-    primes = _prime_factors(o)
-    for mask in range(1 << len(primes)):
-        d = o // math.prod(p for i, p in enumerate(primes) if mask >> i & 1)
-        if mask.bit_count() % 2 == 0:  # times x^d - 1
-            for i in range(degree, -1, -1):
-                series[i] = (series[i - d] if i >= d else 0) - series[i]
-        else:  # over x^d - 1, that is times -(1 + x^d + x^2d + ...)
-            for i in range(d, degree + 1):
-                series[i] += series[i - d]
-            series = [-c for c in series]
-    return series
-
-
-def _divides(divisor: list, p: list) -> bool:
-    """Whether the monic integer polynomial `divisor` divides p (both
-    ascending)."""
-    rest, e = list(p), len(divisor) - 1
-    for i in range(len(p) - 1, e - 1, -1):
-        c = rest[i]
-        if c:
-            for j, d in enumerate(divisor):
-                rest[i - e + j] -= c * d
-    return not any(rest[:e])
+    det = sign * a[-1][-1]
+    return det, len(a) - (not det)

@@ -299,10 +299,9 @@ def _walks(sft: SubshiftSFT, lengths: Sequence[int], degree: int) -> bool:
     """
     m = len(sft.alphabet)
     walk = _walk_cost(sft, lengths, degree)
-    enumeration = itertools.accumulate(m**n * n for n in sorted(set(lengths)))
-    if sft.is_nearest_neighbor or (
-        walk <= DEFAULT_ENUMERATION_CAP and any(total > walk for total in enumeration)
-    ):
+    if sft.is_nearest_neighbor or (walk <= DEFAULT_ENUMERATION_CAP and any(
+        total > walk for total in itertools.accumulate(m**n * n for n in sorted(set(lengths)))
+    )):
         if walk > DEFAULT_ENUMERATION_CAP:
             raise ResourceGuardError(
                 f"the transfer walk's estimated cost {walk} exceeds the cap "
@@ -455,20 +454,20 @@ def subshift_entropy_table(
     length, or from enumerating every labeling once per length, as
     `_walks` picks and guards.
     """
-    lengths, budgets = list(lengths), list(budgets)
+    lengths, budgets, values = list(lengths), list(budgets), []
     for x in lengths + budgets:
         if type(x) is not int and not _is_integer(x):  # a plain int needs no ABC check
             raise ValueError(f"cycle lengths and budgets must be integers, got {x!r}")
-    lengths = [int(n) for n in lengths]
+        values.append(int(x))
+    lengths, budgets = values[: len(lengths)], sorted(set(values[len(lengths) :]) | {0})
     if not lengths:
         raise ValueError("at least one cycle length required")
-    if any(n < 1 for n in lengths):
+    if min(lengths) < 1:
         raise ValueError("cycle lengths must be >= 1")
-    budgets = sorted({int(b) for b in budgets} | {0})
     if budgets[0] < 0:
         raise ValueError("budgets must be >= 0")
 
-    degree = max(b for b in budgets if b < max(lengths))
+    degree = max(filter(max(lengths).__gt__, budgets))
     if _walks(sft, lengths, degree):
         method = "transfer_matrix"
         tallies = _transfer_traces(sft, lengths, degree)

@@ -683,7 +683,7 @@ def test_cost_guard_refuses_before_any_prime(monkeypatch):
     # 3 - x^5 - x^-5 at Z/200000 passes the cap on both routes, refused
     # before any power of the companion matrix is taken
     monkeypatch.setattr(companion.Companion, "counts", refuse)
-    monkeypatch.setattr(companion, "_bareiss_det", refuse)
+    monkeypatch.setattr(companion, "_det_rank", refuse)
     with pytest.raises(ResourceGuardError, match=(
         r"at Z/200000 exceeds the cap 1000000000: companion work \d+ at Z/200000, "
         r"split work 46128020000 and prime supply 59043840000 at Z/200000$"
@@ -876,12 +876,31 @@ def _rank1_battery(rng):
     return cases
 
 
+def _ranks_checked(monkeypatch):
+    """A list to which every singular elimination of the walk appends its
+    rank and helpers.rank_fraction of the same D x D matrix."""
+    checked = []
+    real = companion._det_rank
+
+    def det_rank(a):
+        rows = [row[:] for row in a]
+        det, rank = real(a)
+        if not det:
+            checked.append((rank, helpers.rank_fraction(rows)))
+        return det, rank
+
+    monkeypatch.setattr(companion, "_det_rank", det_rank)
+    return checked
+
+
 def test_companion_walk_matches_the_split_on_rank1_batteries(monkeypatch):
     # every value and nullity over Z/1..60, walked step by step, against the
-    # split, with no prime drawn on the walk; fix_count takes the walk on
-    # most of them
+    # split, with no prime drawn on the walk, and the rank of every singular
+    # elimination against exact rational elimination; fix_count takes the
+    # walk on most of them
     drawn = _drawn_primes(monkeypatch)
     walks = _spy_calls(monkeypatch, companion.Companion, "counts")
+    ranks = _ranks_checked(monkeypatch)
     quotients = [torus_quotient([n]) for n in range(1, 61)]
     kinds = {}
     singular = 0
@@ -896,19 +915,48 @@ def test_companion_walk_matches_the_split_on_rank1_batteries(monkeypatch):
         kinds[kind] = kinds.get(kind, 0) + 1
     assert kinds == {"non-monic": 12, "negative exponents": 8, "monomial": 5, "cyclotomic": 10}
     assert singular >= 100
+    assert len(ranks) >= 100 and all(rank == want for rank, want in ranks)
     walks.clear()
     for kind, f in _rank1_battery(random.Random(241)):
         algebraic._counts(f, quotients)
     assert len(walks) >= 30
 
 
+def test_companion_nullity_with_repeated_roots_on_the_circle(monkeypatch):
+    # a root of unity of multiplicity k drops the rank of M_n by one, not k:
+    # the elimination's first column with no pivot is the rank, against the
+    # split over Z/1..60 and exact rational elimination
+    ranks = _ranks_checked(monkeypatch)
+    quotients = [torus_quotient([n]) for n in range(1, 61)]
+    cubed = _poly_mul(_PHI[1], _poly_mul(_PHI[1], _PHI[1]))
+    cases = {
+        "Phi_3^2": _poly_mul(_PHI[3], _PHI[3]),
+        "(1 + x)^2": _poly_mul(_PHI[2], _PHI[2]),
+        "Phi_3^2 Phi_4": _poly_mul(_poly_mul(_PHI[3], _PHI[3]), _PHI[4]),
+        "Phi_1^3 (2 - x)": _poly_mul(cubed, [2, -1]),
+        "Phi_12^2 Phi_2": _poly_mul(_poly_mul(_PHI[12], _PHI[12]), _PHI[2]),
+    }
+    singular = 0
+    for lo, (name, p) in enumerate(cases.items()):
+        f = _laurent(p, -lo)
+        got = companion.Companion(f).counts([q.size for q in quotients])
+        for q, (det, rank) in zip(quotients, got):
+            want = helpers.split_count(f, q)
+            assert (det or None, q.size - rank) == (want.value, want.nullity), (name, q)
+            singular += want.value is None
+    # singular where 3 | n, 2 | n, 3 | n or 4 | n, always, and 2 | n
+    assert singular == 20 + 30 + 30 + 60 + 30
+    assert len(ranks) == singular and all(rank == want for rank, want in ranks)
+
+
 def test_companion_nullity_finds_orders_past_the_degree():
-    # Phi_o | p for o up to 2 D^2: 1 + x + x^2 is Phi_3 with D = 2, and
-    # Phi_12 Phi_7 has D = 10 with o = 12
-    assert companion.Companion(parse_laurent("1 + x + x^2", 1))._nullity(6) == 2
+    # the nullity is the number of n-th roots of unity among the roots of p:
+    # 1 + x + x^2 = Phi_3 at Z/6, and Phi_12 Phi_7 (D = 10, order 12 past D)
+    [(det, rank)] = companion.Companion(parse_laurent("1 + x + x^2", 1)).counts([6])
+    assert (det, 6 - rank) == (0, 2)
     walk = companion.Companion(_laurent(_poly_mul(_PHI[12], _PHI[7]), 0))
-    assert [walk._nullity(n) for n in (7, 12, 84, 5)] == [6, 4, 10, 0]
-    assert walk.orders == [(7, 6), (12, 4)]
+    sizes = [5, 7, 12, 84]
+    assert [n - rank for n, (det, rank) in zip(sizes, walk.counts(sizes))] == [0, 6, 4, 10]
 
 
 def test_companion_trace_with_gaps_squares_them(monkeypatch):

@@ -673,7 +673,7 @@ def test_algebraic_rank1_reference_computes_no_quadrature(monkeypatch):
       "--moduli", "2,2"], 2, "error: quotients must be ordered by nondecreasing size\n"),
     (["--poly", "3 - x - x^-1", "--quotients", "1..100000"], 4,
      "resource guard: estimated cost at Z/13436 exceeds the cap 1000000000: "
-     "companion work 1000065915 at Z/13436, split work 1000717536 and prime supply "
+     "companion work 1000049875 at Z/13436, split work 1000717536 and prime supply "
      "6534528 at Z/1358\n"),
     (["--group", "Z2", "--poly", "5 - x - x^-1 - y - y^-1", "--quotients", "1..1000"], 4,
      "resource guard: estimated cost at Z/"),
@@ -754,7 +754,7 @@ def test_algebraic_builds_no_quotient_past_the_refused_one(capsys, monkeypatch):
     assert main(argv) == 4
     assert capsys.readouterr().err == (
         "resource guard: estimated cost at Z/13436 exceeds the cap 1000000000: "
-        "companion work 1000065915 at Z/13436, split work 1000717536 and prime supply "
+        "companion work 1000049875 at Z/13436, split work 1000717536 and prime supply "
         "6534528 at Z/1358\n"
     )
     assert len(built) == 13436

@@ -59,7 +59,14 @@ def test_sft_validation():
     (lambda: hom_count_exact(golden_mean(), sofic_map_from_quotient(
         torus_quotient([2, 2]), {(0, 0), (1, 0)}), (0, 1)),
      "subshift counting requires a rank-1 sofic map"),
-], ids=["full shift on 0", "negative budget", "rank-2 map"])
+    (lambda: subshift_entropy_table(golden_mean(), []), "at least one cycle length required"),
+    (lambda: subshift_entropy_table(golden_mean(), [3, 0]), "cycle lengths must be >= 1"),
+    (lambda: subshift_entropy_table(golden_mean(), [3], [2, -1]), "budgets must be >= 0"),
+    # every value is checked for integers before any range check
+    (lambda: subshift_entropy_table(golden_mean(), [0], [-1, 0.5]),
+     "cycle lengths and budgets must be integers, got 0.5"),
+], ids=["full shift on 0", "negative budget", "rank-2 map", "no length", "length 0",
+        "negative table budget", "integers first"])
 def test_shift_and_count_refusal_messages(make, message):
     with pytest.raises(ValueError) as info:
         make()
