@@ -3,8 +3,8 @@
 The package computes, exactly where the mathematics is exact:
 
 * entropy convergence traces h_n = log|Fix| / |G/G_n| of principal
-  algebraic actions: exact fixed-point counts on the rank-1 tori by powers
-  of the companion matrix, with no prime, where that is priced cheaper;
+  algebraic actions: exact fixed-point counts on the rank-1 tori by a
+  resultant with x^n - 1 mod p, with no prime, where that is priced cheaper;
   elsewhere by one split over an abelian
   subgroup (the whole group on a torus quotient, one grown greedily on an
   explicit one), one block per orbit of characters, evaluated modulo primes

@@ -15,19 +15,20 @@ finite-dimensional determinant with respect to the normalized trace.
 
 Every count is exact over arbitrary-precision integers, by one of two
 routes, neither of which builds M.  On a rank-1 torus Z/n, with
-f = x^lo p(x), p of degree D and leading coefficient lc, and A = lc C for
-C the companion matrix of p / lc,
+f = x^lo p(x), p of degree D and leading coefficient lc, and
+s = lc^n x^n - lc^n mod p,
 
-    |det M| = |Res(x^n - 1, p)| = |det(A^n - lc^n I)| / |lc|^(n (D - 1)),
+    |det M| = |Res(x^n - 1, p)| = |Res(p, s)| / |lc|^(n (D - 1) + deg s),
 
-the periodic-point count of Lind-Schmidt-Ward, so a trace walks A^n
-across its sizes and each count is one D x D Bareiss determinant and one
-exact division, with no prime; when the count is 0, the same elimination
-gives the nullity, D minus the rank of A^n - lc^n I (`companion`).  That
-route costs D^3 per quotient and the other about the number of terms per
-character, so both are priced before any work, in one unit, and a rank-1
-trace takes the cheaper (`_counts`): a sparse f of high degree stays on
-the split.
+the periodic-point count of Lind-Schmidt-Ward, so a trace walks lc^n x^n
+mod p across its sizes and each count is one subresultant remainder
+sequence and one exact division, with no prime; when the count is 0, the
+last remainder's degree, deg gcd(p, x^n - 1), is the nullity (`companion`).
+That route costs D^2 products of growing integers per quotient and the
+other about the number of terms per character, so both are priced before
+any work, in one unit, and a rank-1 trace takes the cheaper (`_counts`): a
+sparse f of high degree, or a dense one of degree 20 or more, stays on the
+split.
 
 The split serves every quotient.  Right translation by an abelian
 subgroup A commutes with M, so modulo a prime p = 1 (mod exp A) M is
@@ -692,14 +693,13 @@ def fix_count(f: GroupRingElement, q: Quotient) -> SolutionCount:
 
     Pulling a fixed point back along the quotient map identifies the fixed
     set with the solutions of the convolution matrix on (R/Z)^d, so the
-    count is computed there exactly: on a rank-1 torus by a power of the
-    companion matrix (`companion`) or by the split, whichever `_counts`
-    prices lower, and on any other quotient by its split plan over an
-    abelian subgroup (the whole group on a torus, a greedily grown one on
-    an explicit quotient), whose one elimination of a block per orbit of
-    characters gives the determinant and the rank, so the nullity d - rank
-    when the determinant is 0.  Refused when its estimated cost exceeds
-    COST_CAP.
+    count is computed there exactly: on a rank-1 torus by a resultant
+    (`companion`) or by the split, whichever `_counts` prices lower, and on
+    any other quotient by its split plan over an abelian subgroup (the whole
+    group on a torus, a greedily grown one on an explicit quotient), whose
+    one elimination of a block per orbit of characters gives the
+    determinant and the rank, so the nullity d - rank when the determinant
+    is 0.  Refused when its estimated cost exceeds COST_CAP.
     """
     [(det, rank)] = _counts(f, [q])[1]
     return _solution(q, det, rank)
@@ -721,13 +721,14 @@ def _counts(f: GroupRingElement, quotients: Iterable[Quotient]) -> tuple:
     run as one walk or one `_split_det`.
     """
     companion = None
-    # a walk's elimination alone costs over D^3 units a count, so a larger D
-    # is never walked, nor its p written out densely
-    if f.rank == 1 and not f.is_zero and (max(f.terms) - min(f.terms)) ** 3 <= COST_CAP:
-        # imported here, so that only a rank-1 count loads the walk's code
-        from .companion import Companion
+    if f.rank == 1 and not f.is_zero:
+        # imported here, so that only a rank-1 count loads the walk's code; a
+        # D whose count alone, over D^2 coefficient updates, passes the cap
+        # is never walked, nor its p written out densely
+        from .companion import Companion, count_floor
 
-        companion = Companion(f)
+        if count_floor(max(f.terms) - min(f.terms)) <= COST_CAP:
+            companion = Companion(f)
     kept, plans, needs = [], [], []
     spent = walked = supply = need = 0
     # the quotient at which each rank-1 route passed the cap, and is dropped
@@ -916,11 +917,11 @@ def entropy_trace(
     prime or power and before the next quotient is drawn, at the first
     quotient whose estimated work would take the running total over
     COST_CAP (on rank 1, both routes' totals; see `_counts`).  The counts
-    then run as one walk through the companion matrix's powers, or as one
-    `_split_det` over the plans kept from the estimate.  A plan holds its
-    terms and its orbits (a torus plan its terms alone), and `_split_det`
-    keeps per character only the orbits still short of full rank, so a long
-    trace holds little more than its plans.
+    then run as one walk through lc^n x^n mod p, a resultant at each size,
+    or as one `_split_det` over the plans kept from the estimate.  A plan
+    holds its terms and its orbits (a torus plan its terms alone), and
+    `_split_det` keeps per character only the orbits still short of full
+    rank, so a long trace holds little more than its plans.
     """
     identity = identity_element(f.rank)
     trace = EntropyTrace(f_description=f.render(), reference_value=reference)

@@ -1,34 +1,25 @@
-"""Exact fixed-point counts on the rank-1 tori Z/n by companion-matrix powers.
+"""Exact fixed-point counts on the rank-1 tori Z/n by a polynomial walk.
 
-Write f = x^lo p(x), where p = sum a_k x^k has degree D and leading
-coefficient lc = a_D, and let A = lc C, where C is the companion matrix of
-p / lc: A is the integer matrix with lc on the subdiagonal and -a_k in the
-last column, and its eigenvalues are lc alpha over the roots alpha of p.
-The convolution matrix M_n of f on Z/n is a circulant, so
+For f = x^lo p(x), p of degree D and leading coefficient lc, the circulant
+M_n of f on Z/n has |det M_n| = |Res(x^n - 1, p)| = |lc|^n prod |alpha^n -
+1| over the roots alpha of p (Lind-Schmidt-Ward, Invent. Math. 101, 1990).
+A trace walks t_n = lc^n x^n mod p, of degree < D: a step is t_(n+1) =
+lc x t_n - c p, c the x^D coefficient of x t_n, and a long gap is squared,
+t_(a+b) being the pseudo-remainder of t_a t_b by p, its degree taken as
+2D - 2, divided by lc^(D - 1).  With s = t_n - lc^n = lc^n (x^n - 1) mod p,
 
-    |det M_n| = |Res(x^n - 1, p)| = |lc|^n prod |alpha^n - 1|
-              = |det(A^n - lc^n I)| / |lc|^(n (D - 1)),
+    Res(p, s) = lc^(deg s) prod s(alpha) = lc^(deg s + n D) prod (alpha^n - 1),
 
-the periodic-point count of a toral or solenoidal automorphism
-(Lind-Schmidt-Ward, Invent. Math. 101, 1990; Everest-Ward, Heights of
-Polynomials and Entropy in Algebraic Dynamics, Springer 1999).  A trace
-walks A^n across its sizes: P -> P A is a column shift and one
-combination, and a gap is raised by squaring when `Companion._walk`
-prices that lower.  Each count is one D x D fraction-free elimination and
-one exact division, with no prime, no CRT and no bound.
+so |det M_n| = |Res(p, s)| / |lc|^(n (D - 1) + deg s): one subresultant
+remainder sequence (Collins, J. ACM 14, 1967; Cohen, GTM 138, 3.3) and one
+exact division, with no prime, no CRT and no bound.  When the count is 0,
+the last nonzero remainder, a rational multiple of Euclid's, is a multiple
+of gcd(p, s) = gcd(p, x^n - 1) (p itself when s = 0); as x^n - 1 is
+squarefree, its degree is the number of n-th roots of unity among the
+roots of p, the nullity of M_n.
 
-The same elimination gives the nullity when the count is 0.  With
-q = x^n - 1 mod p, A^n - lc^n I = lc^n q(C), and column j of q(C) holds the
-coefficients of x^j q mod p.  For g = gcd(p, x^n - 1), the first D - deg g
-columns are independent and every later one lies in their span (together
-they span the ideal (g) / (p)), so the first column with no pivot is the
-rank D - deg g.  As x^n - 1 is squarefree, deg g is the number of n-th
-roots of unity among the roots of p, the nullity of M_n.
-
-`Companion.cost` prices a count in the units of `algebraic.COST_CAP`
-(about 5 ns), from the sizes of the minors that the elimination builds, so
-that `algebraic._counts` can compare the walk with the split.  The module
-is imported by the first rank-1 count, not with the package.
+`Companion.cost` prices a count in `algebraic.COST_CAP`'s units (about 5 ns)
+for `algebraic._counts`.  The module is imported by the first rank-1 count.
 """
 
 from __future__ import annotations
@@ -38,148 +29,155 @@ from typing import List, Sequence
 
 from .groups import GroupRingElement
 
-# Units (about 5 ns, as COST_CAP's) of the interpreted work of one count on
-# a rank-1 torus, and of one matrix row in it.
+# Units (about 5 ns, as COST_CAP's) of the interpreted work of one count, of
+# one step, product or pass of a pseudo-remainder, and of one coefficient.
 _COUNT_BASE = 1500
-_ROW = 100
+_CALL = 250
+_TERM = 25
 
 
 def _mul_cost(words: float) -> float:
-    """Units of one product of two integers of `words` 64-bit words
-    (Karatsuba's exponent log2 3)."""
+    """Units of one product of integers of `words` 64-bit words (Karatsuba)."""
     return 8 * max(words, 1.0) ** 1.585
 
 
 def _div_cost(quotient: float, divisor: float) -> float:
-    """Units of one quotient of integers, by schoolbook division, the
-    quotient and the divisor given in words."""
+    """Units of one schoolbook quotient, its sizes given in words."""
     return 2 * max(quotient, 1.0) * max(divisor, 1.0)
 
 
+def count_floor(degree: int) -> int:
+    """The fewest units of a count for p of degree D: the fixed work and the
+    resultant's D - 1 stages of two passes and the quotients each."""
+    stages = max(degree - 1, 0)
+    return _COUNT_BASE + stages * 2 * _CALL + 3 * _TERM * degree * stages // 2
+
+
 class Companion:
-    """The walk through the powers of A for one f = x^lo p(x), p = sum a_k
-    x^k of degree D and leading coefficient lc = a_D, and its prices."""
+    """The walk through t_n = lc^n x^n mod p for one f = x^lo p(x)."""
 
     def __init__(self, f: GroupRingElement):
         exps = sorted(f.terms)
         self.degree = exps[-1] - exps[0]
-        p = [f.terms.get(exps[0] + k, 0) for k in range(self.degree + 1)]
-        self.lc = p[-1]
-        # A's last column, without its zeros
-        self.taps = [(k, -a) for k, a in enumerate(p[:-1]) if a]
-        # the bits per power of n of a minor of order j of A^n - lc^n I grow
-        # as those of the j largest |lc alpha| together, at most j lead +
-        # growth, as M(p) = |lc| prod max(1, |alpha|) <= |p|_2 (Landau)
+        self.p = [f.terms.get(exps[0] + k, 0) for k in range(self.degree + 1)]
+        self.lc = self.p[-1]
+        self.taps = [(k, a) for k, a in enumerate(self.p[:-1]) if a]
+        # a minor of order j of s(C), C the companion matrix of p, has at most
+        # n (j lead + growth) bits, as M(p) <= |p|_2 (Landau)
         self.lead = math.log2(abs(self.lc))
-        self.growth = math.log2(sum(a * a for a in p)) / 2 - self.lead
+        self.growth = math.log2(sum(a * a for a in self.p)) / 2 - self.lead
 
     def cost(self, gap: int, n: int) -> float:
-        """The units of A^n from A^(n - gap), from the identity when
-        gap = n, and of the count at Z/n."""
-        D = self.degree
-        # the words of a minor of order j of A^n - lc^n I
-        words = [(n * (j * self.lead + self.growth) + j) / 64 for j in range(D + 1)]
-        work = _COUNT_BASE + _ROW * D * D + _mul_cost(n * self.lead / 64)
-        if not D:
-            return work
-        work += min(self._walk(gap, words[1]))
-        # Bareiss: step k updates D - 1 - k rows, (D - 1 - k)^2 entries into
-        # minors of order k + 2, each by two products and, past the first
-        # step, one exact quotient by a minor of order k
+        """The units of t_n from t_(n - gap) (t_0 = 1) and of the count."""
+        D, lead = self.degree, self.lead
+        work = count_floor(D) + _mul_cost(n * lead / 64)
+        # a minor of order j > 0 has base + j step words; p's own, order 0, one
+        base, step = n * self.growth / 64, (n * lead + 1) / 64
+        work += min(self._walk(gap, base + step))
+        # stage k of the resultant, from remainders of minors of orders k and
+        # k + 1 (subresultants): two passes over D - 1 - k coefficients, each
+        # two products of both orders, and as many quotients by g h
         for k in range(D - 1):
-            update = 2 * _mul_cost(words[k + 1]) + (k > 0) * _div_cost(words[k + 2], words[k])
-            work += (D - 1 - k) * _ROW + (D - 1 - k) ** 2 * update
-        if abs(self.lc) > 1:
-            work += _mul_cost(words[D]) + _div_cost(words[1], words[D - 1])
-        return work
+            low, high = k and base + k * step, base + (k + 1) * step
+            update = 2 * _mul_cost(low + high) + _div_cost(high + step, 2 * low)
+            work += (D - 1 - k) * update
+        divisor = n * D * lead / 64
+        return work + _mul_cost(divisor) + _div_cost(base + step, divisor)
 
     def _walk(self, gap: int, words: float) -> tuple:
-        """(units of gap steps P -> P A, units of P A^gap with A^gap by
-        squaring) for entries of `words` words."""
+        """(units of gap steps, of t_gap by squares and one product)."""
         D = self.degree
-        steps = gap * D * (_ROW + (D + len(self.taps)) * (8 + words))
-        # the squares' sizes double, so all before the last cost half of it
-        squares = gap.bit_length() * D * D * _ROW + D**3 * 1.5 * _mul_cost(words)
-        return steps, squares
+        steps = gap * (_CALL + (D + len(self.taps)) * (_TERM + words))
+        # a product is D^2 products and D passes by p; the last square has
+        # half t_n's words, all before it half its cost, the last product two
+        calls = (gap.bit_length() + 1) * (2 * D * D * _TERM + (D + 1) * _CALL)
+        return steps, calls + D * D * (3.5 * _mul_cost(words / 2) + 2 * words)
 
     def counts(self, sizes: Sequence[int]) -> List[tuple]:
-        """(|det M_n|, rank M_n) for the nondecreasing sizes n, one walk
-        through the powers of A from the identity: each gap stepped or
-        squared, whichever `_walk` prices lower."""
-        D = self.degree
+        """(|det M_n|, rank M_n) for the nondecreasing sizes n, one walk from
+        t_0 = 1: each gap stepped or squared, whichever `_walk` prices lower."""
+        D, lc = self.degree, self.lc
+        if not D:
+            return [(abs(lc) ** n, n) for n in sizes]
         out: List[tuple] = []
-        power, last = _identity(D), 0
+        t, last = [1] + [0] * (D - 1), 0
         for n in sizes:
-            if n == last:
-                out.append(out[-1])
-                continue
-            if D:
+            # a gap of one is always cheaper stepped
+            if n - last > 1:
                 steps, squares = self._walk(n - last, (n * (self.lead + self.growth) + 1) / 64)
                 if squares < steps:
-                    power = _matmul(power, self._power(n - last))
-                else:
-                    for _ in range(n - last):
-                        power = self._times_a(power)
-            out.append(self._count(power, n))
+                    t, last = self._mul(t, self._power(n - last)), n
+            for _ in range(n - last):
+                t = self._step(t)
+            s = [t[0] - lc**n] + t[1:]
+            while s and not s[-1]:
+                s.pop()
+            res, nullity = _resultant(self.p, s)
+            out.append((abs(res) // abs(lc) ** (n * (D - 1) + len(s) - 1), n - nullity))
             last = n
         return out
 
-    def _times_a(self, power: list) -> list:
-        """P A: the columns shifted left and scaled by lc, the last one
-        P times A's last column."""
-        lc, taps = self.lc, self.taps
-        return [[lc * v for v in row[1:]] + [sum([row[k] * a for k, a in taps])] for row in power]
+    def _step(self, t: list) -> list:
+        """t_(n+1) = lc x t_n - c p from t_n."""
+        c = t[-1]
+        t = [0] + [self.lc * v for v in t[:-1]]
+        for k, a in self.taps:
+            t[k] -= c * a
+        return t
+
+    def _mul(self, u: list, v: list) -> list:
+        """t_(a+b) from t_a and t_b: the pseudo-remainder of their product,
+        of degree 2D - 2, divided by lc^(D - 1)."""
+        product = [0] * (2 * self.degree - 1)
+        for i, x in enumerate(u):
+            if x:
+                for j, y in enumerate(v, i):
+                    product[j] += x * y
+        scale = self.lc ** (self.degree - 1)
+        return [c // scale for c in _prem(product, self.p)]
 
     def _power(self, e: int) -> list:
-        """A^e, e >= 1, by squaring, the multiplications by A as steps."""
-        power = self._times_a(_identity(self.degree))
+        """t_e, e >= 1, by squaring, the multiplications by lc x as steps."""
+        t = self._step([1] + [0] * (self.degree - 1))
         for bit in bin(e)[3:]:
-            power = _matmul(power, power)
+            t = self._mul(t, t)
             if bit == "1":
-                power = self._times_a(power)
-        return power
-
-    def _count(self, power: list, n: int) -> tuple:
-        D, lc = self.degree, self.lc
-        if not D:
-            return abs(lc) ** n, n
-        shifted, scale = [row[:] for row in power], lc**n
-        for i, row in enumerate(shifted):
-            row[i] -= scale
-        det, rank = _det_rank(shifted)
-        # rank M_n = n - nullity, the nullity D - rank (module docstring)
-        return abs(det) // abs(lc) ** (n * (D - 1)), n - D + rank
+                t = self._step(t)
+        return t
 
 
-def _identity(D: int) -> list:
-    return [[int(i == j) for j in range(D)] for i in range(D)]
+def _prem(u: list, v: list) -> list:
+    """The pseudo-remainder lc(v)^(len(u) - len(v) + 1) u mod v of integer
+    polynomials (ascending coefficients), len(v) - 1 of them."""
+    lead, m = v[-1], len(v) - 1
+    u, scale = list(u), 1
+    while len(u) > m:
+        top = u.pop()
+        cut = len(u) - m
+        # each step scales u by lead; a coefficient takes the scales it
+        # missed as it enters the window that v reaches
+        u[cut] *= scale
+        u[cut:] = [lead * c - top * b for c, b in zip(u[cut:], v)]
+        scale *= lead
+    return u
 
 
-def _matmul(a: list, b: list) -> list:
-    columns = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in columns] for row in a]
-
-
-def _det_rank(a: list) -> tuple:
-    """(det, rank) of a nonempty square integer matrix (a list of rows,
-    changed in place) by fraction-free elimination (Bareiss, Math. Comp. 22,
-    1968): each update is an exact quotient by the previous pivot, and a row
-    is swapped in for a pivot 0.  The rank is the index of the first column
-    with no pivot, so it is exact only for a matrix whose leading columns up
-    to the rank are independent and span the rest, as q(C)'s do (module
-    docstring)."""
-    sign, previous = 1, 1
-    for k in range(len(a) - 1):
-        if not a[k][k]:
-            swap = next((i for i in range(k + 1, len(a)) if a[i][k]), None)
-            if swap is None:
-                return 0, k
-            a[k], a[swap], sign = a[swap], a[k], -sign
-        pivot, top = a[k][k], a[k]
-        for row in a[k + 1 :]:
-            lead = row[k]
-            for j in range(k + 1, len(a)):
-                row[j] = (pivot * row[j] - lead * top[j]) // previous
-        previous = pivot
-    det = sign * a[-1][-1]
-    return det, len(a) - (not det)
+def _resultant(a: list, b: list) -> tuple:
+    """(Res(a, b), deg gcd(a, b)) of integer polynomials, deg a > deg b, b
+    without trailing zeros, by the subresultant remainder sequence (Cohen,
+    Algorithm 3.3.7, without contents)."""
+    g = h = sign = 1
+    while len(b) > 1:
+        da, db = len(a) - 1, len(b) - 1
+        delta = da - db
+        if da & db & 1:
+            sign = -sign
+        r = _prem(a, b)
+        while r and not r[-1]:
+            r.pop()
+        scale = g * h**delta
+        a, b = b, [c // scale for c in r]
+        g = a[-1]
+        h = g**delta // h ** (delta - 1)
+    da = len(a) - 1
+    return (sign * b[0] ** da // h ** (da - 1), 0) if b else (0, da)

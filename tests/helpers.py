@@ -14,7 +14,10 @@ kernel itself is checked against ``det_fraction`` and ``det_bareiss``.
 ``table_count`` is no oracle: it reads the library's own cyclic count off
 an entropy table, for the tests to hold against the oracles.  Nor is
 ``split_count``: it runs the library's split, the route that rank-1 tori
-leave when the companion walk prices lower, as the oracle for that walk.
+leave when the companion walk prices lower, as an oracle for that walk.
+The walk's other oracle, ``companion_count``, is the matrix form it
+replaced: a power of the integer companion matrix, its Bareiss determinant
+and its rank by rational elimination.
 """
 
 import math
@@ -631,6 +634,43 @@ def split_count(f: GroupRingElement, q: Quotient) -> SolutionCount:
     plan, need, _ = algebraic._estimate(f, q, 0)
     [(det, rank)] = algebraic._split_det([plan], [need])
     return SolutionCount(det) if det else SolutionCount(None, q.size - rank)
+
+
+def companion_count(f: GroupRingElement, n: int) -> SolutionCount:
+    """``fix_count`` on Z/n of a rank-1 f = x^lo p(x), p of degree D and
+    leading coefficient lc, from A = lc C, C the companion matrix of p / lc:
+    |det M_n| = |det(A^n - lc^n I)| / |lc|^(n (D - 1)), and when that is 0
+    the nullity D - rank(A^n - lc^n I), the rank by ``rank_fraction``."""
+    lo, hi = min(f.terms), max(f.terms)
+    D, lc = hi - lo, f.terms[hi]
+    if not D:
+        return SolutionCount(abs(lc) ** n)
+    a = [[lc * (i == j + 1) for j in range(D - 1)] + [-f.terms.get(lo + i, 0)] for i in range(D)]
+    power = [[int(i == j) for j in range(D)] for i in range(D)]
+    for bit in bin(n)[2:]:
+        power = _matmul(power, power)
+        if bit == "1":
+            power = _matmul(power, a)
+    for i in range(D):
+        power[i][i] -= lc**n
+    det = det_bareiss(power)
+    if det:
+        return SolutionCount(abs(det) // abs(lc) ** (n * (D - 1)))
+    return SolutionCount(None, D - rank_fraction(power))
+
+
+def _matmul(a, b):
+    columns = list(zip(*b))
+    return [[sum(x * y for x, y in zip(row, col)) for col in columns] for row in a]
+
+
+def sylvester(a, b):
+    """The Sylvester matrix of two integer polynomials (ascending
+    coefficients), deg a + deg b square: deg b shifted rows of a over deg a
+    of b.  Its determinant is Res(a, b), and its nullity deg gcd(a, b)."""
+    m, k = len(a) - 1, len(b) - 1
+    rows = [[0] * i + a[::-1] + [0] * (k - 1 - i) for i in range(k)]
+    return rows + [[0] * i + b[::-1] + [0] * (m - 1 - i) for i in range(m)]
 
 
 def walk_products_per_gap(lengths):

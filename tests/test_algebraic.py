@@ -681,9 +681,10 @@ def test_cost_guard_refuses_before_any_prime(monkeypatch):
     for n in (20011, 50021):
         assert fix_count(f, torus_quotient([n])).value == lucas[2 * n] - 2
     # 3 - x^5 - x^-5 at Z/200000 passes the cap on both routes, refused
-    # before any power of the companion matrix is taken
+    # before any step, square or resultant of the walk
     monkeypatch.setattr(companion.Companion, "counts", refuse)
-    monkeypatch.setattr(companion, "_det_rank", refuse)
+    monkeypatch.setattr(companion.Companion, "_mul", refuse)
+    monkeypatch.setattr(companion, "_resultant", refuse)
     with pytest.raises(ResourceGuardError, match=(
         r"at Z/200000 exceeds the cap 1000000000: companion work \d+ at Z/200000, "
         r"split work 46128020000 and prime supply 59043840000 at Z/200000$"
@@ -852,8 +853,8 @@ def _laurent(coeffs, lo):
 
 def _rank1_battery(rng):
     """(kind, f) pairs: non-monic p with either sign of lc, negative
-    exponents only, monomials, and singular f with several cyclotomic
-    factors."""
+    exponents only, monomials, singular f with several cyclotomic factors,
+    and linear p."""
     cases = []
     for i in range(12):
         lc = rng.choice((-5, -3, -2, 2, 3, 4))
@@ -873,61 +874,54 @@ def _rank1_battery(rng):
         if not p[-1]:
             p[-1] = 1
         cases.append(("cyclotomic", _laurent(p, rng.randint(-3, 1))))
+    for lc in (-3, -1, 2):
+        cases.append(("linear", _laurent([rng.choice((-2, 1, 3)), lc], rng.randint(-3, 1))))
     return cases
 
 
-def _ranks_checked(monkeypatch):
-    """A list to which every singular elimination of the walk appends its
-    rank and helpers.rank_fraction of the same D x D matrix."""
-    checked = []
-    real = companion._det_rank
-
-    def det_rank(a):
-        rows = [row[:] for row in a]
-        det, rank = real(a)
-        if not det:
-            checked.append((rank, helpers.rank_fraction(rows)))
-        return det, rank
-
-    monkeypatch.setattr(companion, "_det_rank", det_rank)
-    return checked
+def _check_rank1(f, sizes, got):
+    """The number of singular counts among got, the walk's (|det M_n|, rank
+    M_n) at the sizes n, each checked against the split and the matrix form,
+    whose nullities come from exact rational elimination."""
+    singular = 0
+    for n, (det, rank) in zip(sizes, got):
+        want = helpers.split_count(f, torus_quotient([n]))
+        assert helpers.companion_count(f, n) == want, (f.render(), n)
+        assert (det or None, n - rank) == (want.value, want.nullity), (f.render(), n)
+        singular += want.value is None
+    return singular
 
 
 def test_companion_walk_matches_the_split_on_rank1_batteries(monkeypatch):
     # every value and nullity over Z/1..60, walked step by step, against the
-    # split, with no prime drawn on the walk, and the rank of every singular
-    # elimination against exact rational elimination; fix_count takes the
-    # walk on most of them
+    # matrix form and the split, with no prime drawn on the walk; fix_count
+    # takes the walk on most of them
     drawn = _drawn_primes(monkeypatch)
     walks = _spy_calls(monkeypatch, companion.Companion, "counts")
-    ranks = _ranks_checked(monkeypatch)
-    quotients = [torus_quotient([n]) for n in range(1, 61)]
+    sizes = list(range(1, 61))
     kinds = {}
     singular = 0
     for kind, f in _rank1_battery(random.Random(241)):
         drawn.clear()
-        got = companion.Companion(f).counts([q.size for q in quotients])
+        got = companion.Companion(f).counts(sizes)
         assert drawn == [], (kind, f.render())
-        for q, (det, rank) in zip(quotients, got):
-            want = helpers.split_count(f, q)
-            assert (det or None, q.size - rank) == (want.value, want.nullity), (f.render(), q)
-            singular += want.value is None
+        singular += _check_rank1(f, sizes, got)
         kinds[kind] = kinds.get(kind, 0) + 1
-    assert kinds == {"non-monic": 12, "negative exponents": 8, "monomial": 5, "cyclotomic": 10}
+    assert kinds == {"non-monic": 12, "negative exponents": 8, "monomial": 5, "cyclotomic": 10,
+                     "linear": 3}
     assert singular >= 100
-    assert len(ranks) >= 100 and all(rank == want for rank, want in ranks)
     walks.clear()
+    quotients = [torus_quotient([n]) for n in sizes]
     for kind, f in _rank1_battery(random.Random(241)):
         algebraic._counts(f, quotients)
     assert len(walks) >= 30
 
 
-def test_companion_nullity_with_repeated_roots_on_the_circle(monkeypatch):
+def test_companion_nullity_with_repeated_roots_on_the_circle():
     # a root of unity of multiplicity k drops the rank of M_n by one, not k:
-    # the elimination's first column with no pivot is the rank, against the
-    # split over Z/1..60 and exact rational elimination
-    ranks = _ranks_checked(monkeypatch)
-    quotients = [torus_quotient([n]) for n in range(1, 61)]
+    # the last remainder's degree is that of the squarefree gcd, against the
+    # matrix form and the split over Z/1..60
+    sizes = list(range(1, 61))
     cubed = _poly_mul(_PHI[1], _poly_mul(_PHI[1], _PHI[1]))
     cases = {
         "Phi_3^2": _poly_mul(_PHI[3], _PHI[3]),
@@ -939,14 +933,32 @@ def test_companion_nullity_with_repeated_roots_on_the_circle(monkeypatch):
     singular = 0
     for lo, (name, p) in enumerate(cases.items()):
         f = _laurent(p, -lo)
-        got = companion.Companion(f).counts([q.size for q in quotients])
-        for q, (det, rank) in zip(quotients, got):
-            want = helpers.split_count(f, q)
-            assert (det or None, q.size - rank) == (want.value, want.nullity), (name, q)
-            singular += want.value is None
+        singular += _check_rank1(f, sizes, companion.Companion(f).counts(sizes))
     # singular where 3 | n, 2 | n, 3 | n or 4 | n, always, and 2 | n
     assert singular == 20 + 30 + 30 + 60 + 30
-    assert len(ranks) == singular and all(rank == want for rank, want in ranks)
+
+
+def test_companion_resultant_against_the_sylvester_determinant():
+    # the signed resultant and the gcd degree of random pairs, both degrees
+    # odd among them (where the sign flips), with common factors and either
+    # sign of either leading coefficient, against the Sylvester matrix's
+    # determinant and nullity by exact rational elimination
+    rng = random.Random(263)
+    seen = set()
+    def cofactor(degree, leads):
+        return [rng.randint(-3, 3) for _ in range(degree)] + [rng.choice(leads)]
+
+    for _ in range(300):
+        common = cofactor(rng.randint(0, 2), (-2, 1, 3))
+        da = rng.randint(len(common), 7)
+        db = rng.randint(len(common) - 1, da - 1)
+        a = _poly_mul(common, cofactor(da - len(common) + 1, (-3, -1, 2)))
+        b = _poly_mul(common, cofactor(db - len(common) + 1, (-2, 1, 3)))
+        rows = helpers.sylvester(a, b)
+        want = (det_fraction(rows), len(rows) - rank_fraction(rows))
+        assert companion._resultant(a, b) == want, (a, b)
+        seen.add((len(a) % 2 == len(b) % 2 == 0, want[0] == 0))
+    assert seen == {(False, False), (False, True), (True, False), (True, True)}
 
 
 def test_companion_nullity_finds_orders_past_the_degree():
@@ -961,16 +973,15 @@ def test_companion_nullity_finds_orders_past_the_degree():
 
 def test_companion_trace_with_gaps_squares_them(monkeypatch):
     # a trace over sizes with gaps and repeats raises the long gaps by
-    # squaring; the counts match the split, the reports those of the split
+    # squaring; the counts match the matrix form and the split, the reports
+    # those of the split
     squared = _spy_calls(monkeypatch, companion.Companion, "_power")
     rng = random.Random(251)
     sizes = [3, 7, 7, 40, 300, 301, 1000]
     for kind, f in _rank1_battery(rng)[::3]:
         squared.clear()
         walk = companion.Companion(f)
-        for n, (det, rank) in zip(sizes, walk.counts(sizes)):
-            want = helpers.split_count(f, torus_quotient([n]))
-            assert (det or None, n - rank) == (want.value, want.nullity), (f.render(), n)
+        _check_rank1(f, sizes, walk.counts(sizes))
         # the gap 301 -> 1000 is squared, unless f is a monomial
         assert ((699,) in squared) == (walk.degree > 0), f.render()
     from sofic.cli import main
@@ -994,7 +1005,7 @@ def test_companion_counts_one_large_torus_by_squaring(monkeypatch):
     f, q = parse_laurent("5 + 2*x - 3*x^2 + 4*x^-1", 1), torus_quotient([2999])
     got = fix_count(f, q)
     assert squared == [(2999,)] and drawn == []
-    assert got == helpers.split_count(f, q)
+    assert got == helpers.split_count(f, q) == helpers.companion_count(f, 2999)
 
 
 def test_small_degree_rank1_trace_draws_no_prime(monkeypatch):
@@ -1006,8 +1017,8 @@ def test_small_degree_rank1_trace_draws_no_prime(monkeypatch):
 
 
 def test_sparse_high_degree_rank1_trace_takes_the_split(monkeypatch):
-    # D = 64 costs 64^3 per quotient on the walk, against 3 terms a
-    # character on the split
+    # D = 64 costs the resultant's 63 stages per quotient on the walk,
+    # against 3 terms a character on the split
     walks = _spy_calls(monkeypatch, companion.Companion, "counts")
     splits = _spy_calls(monkeypatch, algebraic, "_split_det")
     f = parse_laurent("3 - x^32 - x^-32", 1)
@@ -1017,14 +1028,36 @@ def test_sparse_high_degree_rank1_trace_takes_the_split(monkeypatch):
     # and so does D = 70 over Z/1..3, whose Jensen reference is refused
     entropy_trace(parse_laurent("3 - x - x^70", 1), [torus_quotient([n]) for n in (1, 2, 3)])
     assert walks == [] and len(splits) == 2
-    # a degree past the cube root of the cap is not priced for the walk at
-    # all, so its p of 10^12 + 1 coefficients is never written out
+    # a degree whose resultant alone would pass the cap is not priced for
+    # the walk at all, so its p of 10^12 + 1 coefficients is never written
+    # out
     made = _spy_calls(monkeypatch, companion.Companion, "__init__")
     # (on Z/6, x^(10^12) = x^4, and 3 - w^4 over w^6 = 1 is 3 - z over the
     # cube roots z of unity, twice)
     f = parse_laurent("3 - x^1000000000000", 1)
     assert fix_count(f, torus_quotient([6])).value == (3**3 - 1) ** 2
     assert made == [] and len(splits) == 3
+
+
+def test_dense_high_degree_rank1_trace_takes_the_split(monkeypatch):
+    # a dense p of degree 50 with coefficients up to 9: the resultant's
+    # remainders grow by a minor order a stage, so the walk is priced far
+    # over the split's 51 terms a character, and the counts are the split's
+    walks = _spy_calls(monkeypatch, companion.Companion, "counts")
+    splits = _spy_calls(monkeypatch, algebraic, "_split_det")
+    rng = random.Random(271)
+    p = [rng.choice((-9, -5, 4, 7))] + [rng.randint(-9, 9) for _ in range(49)] + [5]
+    f = _laurent(p, -25)
+    quotients = [torus_quotient([n]) for n in range(1, 101)]
+    trace = entropy_trace(f, quotients)
+    assert walks == [] and len(splits) == 1
+    assert len(trace.records) + len(trace.skipped) == 100
+    # by a wide margin: the walk is priced over 100 times the split
+    spent = 0
+    for q in quotients:
+        spent = algebraic._estimate(f, q, spent)[2]
+    walk = companion.Companion(f)
+    assert sum(walk.cost(1, n) for n in range(1, 101)) > 100 * spent
 
 
 def _spy_calls(monkeypatch, owner, name):

@@ -672,8 +672,8 @@ def test_algebraic_rank1_reference_computes_no_quadrature(monkeypatch):
     (["--group", "Z2", "--poly", "5 - x - x^-1 - y - y^-1", "--moduli", "3,3",
       "--moduli", "2,2"], 2, "error: quotients must be ordered by nondecreasing size\n"),
     (["--poly", "3 - x - x^-1", "--quotients", "1..100000"], 4,
-     "resource guard: estimated cost at Z/13436 exceeds the cap 1000000000: "
-     "companion work 1000049875 at Z/13436, split work 1000717536 and prime supply "
+     "resource guard: estimated cost at Z/13424 exceeds the cap 1000000000: "
+     "companion work 1000065313 at Z/13424, split work 1000717536 and prime supply "
      "6534528 at Z/1358\n"),
     (["--group", "Z2", "--poly", "5 - x - x^-1 - y - y^-1", "--quotients", "1..1000"], 4,
      "resource guard: estimated cost at Z/"),
@@ -746,18 +746,18 @@ def test_refused_rank1_reference_is_named_in_the_caveats(capsys, monkeypatch):
 
 
 def test_algebraic_builds_no_quotient_past_the_refused_one(capsys, monkeypatch):
-    # the trace draws its quotients one at a time and is refused at Z/13436,
+    # the trace draws its quotients one at a time and is refused at Z/13424,
     # where the companion walk passes the cap (the split passed it at
-    # Z/1358), so the 986,564 after it are never built
+    # Z/1358), so the 986,576 after it are never built
     built = _spy(monkeypatch, cli, "torus_quotient")
     argv = ["algebraic", "--poly", "3 - x - x^-1", "--quotients", "1..1000000"]
     assert main(argv) == 4
     assert capsys.readouterr().err == (
-        "resource guard: estimated cost at Z/13436 exceeds the cap 1000000000: "
-        "companion work 1000049875 at Z/13436, split work 1000717536 and prime supply "
+        "resource guard: estimated cost at Z/13424 exceeds the cap 1000000000: "
+        "companion work 1000065313 at Z/13424, split work 1000717536 and prime supply "
         "6534528 at Z/1358\n"
     )
-    assert len(built) == 13436
+    assert len(built) == 13424
 
 
 def test_sofic_check_counts_rows_before_building_quotients(capsys, monkeypatch):
