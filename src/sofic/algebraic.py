@@ -28,7 +28,8 @@ That route costs D^2 products of growing integers per quotient and the
 other about the number of terms per character, so both are priced before
 any work, in one unit, and a rank-1 trace takes the cheaper (`_counts`): a
 sparse f of high degree, or a dense one of degree 20 or more, stays on the
-split.
+split.  The split is priced only when its floor, the fixed cost of a plan
+per quotient, cannot rule it out, or once the walk's price passes the cap.
 
 The split serves every quotient.  Right translation by an abelian
 subgroup A commutes with M, so modulo a prime p = 1 (mod exp A) M is
@@ -694,7 +695,8 @@ def fix_count(f: GroupRingElement, q: Quotient) -> SolutionCount:
     Pulling a fixed point back along the quotient map identifies the fixed
     set with the solutions of the convolution matrix on (R/Z)^d, so the
     count is computed there exactly: on a rank-1 torus by a resultant
-    (`companion`) or by the split, whichever `_counts` prices lower, and on
+    (`companion`) or by the split, whichever `_counts` prices lower (the
+    split priced only when the walk's price passes its floor), and on
     any other quotient by its split plan over an abelian subgroup (the whole
     group on a torus, a greedily grown one on an explicit quotient), whose
     one elimination of a block per orbit of characters gives the
@@ -712,13 +714,15 @@ def _counts(f: GroupRingElement, quotients: Iterable[Quotient]) -> tuple:
 
     Any quotient but a rank-1 torus is priced by `_estimate`, and the lot
     is refused at the first whose work takes the running total over
-    COST_CAP.  A rank-1 trace keeps two running totals: the split's, from
-    each quotient's folded terms with no plan built (its prime supply
-    checked as in `_estimate`), and the companion walk's
-    (`companion.Companion.cost`).  It is refused at the first quotient
-    where neither total is within the cap, and otherwise takes the route of
-    the lower total, as `subshift._walks` picks its route.  The counts then
-    run as one walk or one `_split_det`.
+    COST_CAP.  A rank-1 trace prices the companion walk as each quotient is
+    drawn (`companion.Companion.cost`), and the split, from each quotient's
+    folded terms with no plan built (its prime supply checked as in
+    `_estimate`), only where its total decides something: once the walk's
+    passes the cap, so that the trace is refused at the first quotient
+    where neither total is within it, and at the end, unless the walk's is
+    within the split's floor of _SPLIT_PLAN per quotient.  The trace takes
+    the route of the lower total, as `subshift._walks` picks its route,
+    and its counts run as one walk or one `_split_det`.
     """
     companion = None
     if f.rank == 1 and not f.is_zero:
@@ -733,35 +737,51 @@ def _counts(f: GroupRingElement, quotients: Iterable[Quotient]) -> tuple:
     spent = walked = supply = need = 0
     # the quotient at which each rank-1 route passed the cap, and is dropped
     split_out = walk_out = None
+    # rank-1 quotients kept[:priced] have the split priced, or it passed the
+    # cap among them
+    priced = 0
+
+    def price_split(stop: int) -> None:
+        """Price the split of kept[priced:stop] in order, until its total
+        passes the cap."""
+        nonlocal priced, spent, supply, split_out
+        while priced < stop and not split_out:
+            q = kept[priced]
+            fhat = q.fold(f)
+            need = needs[priced] = _power_prime_count(sum(c * c for c in fhat.values()), q.size)
+            spent += _split_work(need, q.size, 1, len(fhat))
+            supply = max(supply, _supply(need, q.moduli))
+            split_out = q.label if max(spent, supply) > COST_CAP else None
+            priced += 1
+
     for q in quotients:
         if kept and q.size < kept[-1].size:
             raise ValueError("quotients must be ordered by nondecreasing size")
         if companion is None or q.rank != 1:
             plan, need, spent = _estimate(f, q, spent)
             plans.append(plan)
-        else:
-            if split_out is None:
-                fhat = q.fold(f)
-                need = _power_prime_count(sum(c * c for c in fhat.values()), q.size)
-                spent += _split_work(need, q.size, 1, len(fhat))
-                supply = max(supply, _supply(need, q.moduli))
-                split_out = q.label if max(spent, supply) > COST_CAP else None
-            if walk_out is None:
-                last = kept[-1].size if kept else 0
-                walked += math.ceil(companion.cost(q.size - last, q.size))
-                walk_out = q.label if walked > COST_CAP else None
-            if split_out and walk_out:
-                raise _refusal(q, f"companion work {walked} at {walk_out}, split work {spent} "
-                               f"and prime supply {supply} at {split_out}")
+        elif walk_out is None:
+            last = kept[-1].size if kept else 0
+            walked += math.ceil(companion.cost(q.size - last, q.size))
+            walk_out = q.label if walked > COST_CAP else None
         kept.append(q)
         needs.append(need)
+        if walk_out:
+            price_split(len(kept))
+            if split_out:
+                raise _refusal(q, f"companion work {walked} at {walk_out}, split work {spent} "
+                               f"and prime supply {supply} at {split_out}")
     if not kept:
         raise ValueError("at least one quotient required")
-    if companion is not None and (split_out or walked <= spent):
-        return kept, companion.counts([q.size for q in kept])
-    if companion is not None:
-        plans = [q.split_plan(f) for q in kept]
-    return kept, _split_det(plans, needs)
+    if companion is None:
+        return kept, _split_det(plans, needs)
+    # each plan left unpriced costs the split at least _SPLIT_PLAN, so the
+    # walk is taken unpriced while within that floor
+    if walked > spent + _SPLIT_PLAN * (len(kept) - priced):
+        price_split(len(kept))
+        if not split_out and walked > spent:
+            return kept, _split_det([q.split_plan(f) for q in kept], needs)
+    return kept, companion.counts([q.size for q in kept])
 
 
 def _estimate(f: GroupRingElement, q: Quotient, spent: int) -> tuple:
@@ -916,21 +936,24 @@ def entropy_trace(
     drawn, before any is counted, and the trace is refused, before its first
     prime or power and before the next quotient is drawn, at the first
     quotient whose estimated work would take the running total over
-    COST_CAP (on rank 1, both routes' totals; see `_counts`).  The counts
-    then run as one walk through lc^n x^n mod p, a resultant at each size,
-    or as one `_split_det` over the plans kept from the estimate.  A plan
+    COST_CAP (on rank 1, where neither route's total is within it; the
+    split's is priced only once the walk's passes the cap, or at the end
+    where its floor cannot rule it out; see `_counts`).  The counts then
+    run as one walk through lc^n x^n mod p, a resultant at each size, or as
+    one `_split_det` over the plans of the estimate.  A plan
     holds its terms and its orbits (a torus plan its terms alone), and
     `_split_det` keeps per character only the orbits still short of full
     rank, so a long trace holds little more than its plans.
     """
     identity = identity_element(f.rank)
+    support = [s for s in f.support() if s != identity]
     trace = EntropyTrace(f_description=f.render(), reference_value=reference)
     seen_caveats = set()
 
     def drawn():
         for q in quotients:
-            for s in f.support():
-                if s != identity and q.index(s) == q.identity_index:
+            for s in support:
+                if q.index(s) == q.identity_index:
                     note = f"support element {s!r} lies in the kernel at {q.label}"
                     if note not in seen_caveats:
                         seen_caveats.add(note)

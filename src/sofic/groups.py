@@ -78,6 +78,9 @@ class ResourceGuardError(RuntimeError):
 
 def _is_integer(value) -> bool:
     """Whether an input field holds an integer: bools, floats and strings do not."""
+    # a plain int, the common case, skips the slower ABC check
+    if type(value) is int:
+        return True
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 

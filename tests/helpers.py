@@ -17,7 +17,9 @@ an entropy table, for the tests to hold against the oracles.  Nor is
 leave when the companion walk prices lower, as an oracle for that walk.
 The walk's other oracle, ``companion_count``, is the matrix form it
 replaced: a power of the integer companion matrix, its Bareiss determinant
-and its rank by rational elimination.
+and its rank by rational elimination.  ``rank1_route`` prices a rank-1
+trace's two routes at every quotient, the eager form of the library's route
+choice, which prices the split only where it can change the outcome.
 """
 
 import math
@@ -39,7 +41,7 @@ from sofic.algebraic import (
     fix_count,
     log_big_int,
 )
-from sofic.groups import GroupRingElement, Quotient, ResourceGuardError
+from sofic.groups import GroupRingElement, Quotient, ResourceGuardError, torus_quotient
 from sofic.subshift import subshift_entropy_table
 
 # The most entries the dense oracle's d x d matrix may have.
@@ -657,6 +659,39 @@ def companion_count(f: GroupRingElement, n: int) -> SolutionCount:
     if det:
         return SolutionCount(abs(det) // abs(lc) ** (n * (D - 1)))
     return SolutionCount(None, D - rank_fraction(power))
+
+
+def rank1_route(f: GroupRingElement, sizes) -> str:
+    """The route of a rank-1 trace of f over Z/n, n in the nondecreasing
+    sizes, priced as every quotient is drawn: "walk", "split", or the text
+    of the refusal.  Both routes' totals run side by side, the split's from
+    each quotient's folded terms; the trace is refused at the first
+    quotient where neither is within COST_CAP, and otherwise takes the
+    route of the lower total, the walk on a tie or once the split is out.
+    The eager form of the pricing in ``algebraic._counts``, which prices
+    the split only where its total decides the route."""
+    from sofic.companion import Companion
+
+    walk = Companion(f)
+    spent = walked = supply = last = 0
+    split_out = walk_out = None
+    for n in sizes:
+        q = torus_quotient([n])
+        if split_out is None:
+            fhat = q.fold(f)
+            need = algebraic._power_prime_count(sum(c * c for c in fhat.values()), n)
+            spent += algebraic._split_work(need, n, 1, len(fhat))
+            supply = max(supply, algebraic._supply(need, q.moduli))
+            split_out = q.label if max(spent, supply) > algebraic.COST_CAP else None
+        if walk_out is None:
+            walked += math.ceil(walk.cost(n - last, n))
+            walk_out = q.label if walked > algebraic.COST_CAP else None
+        if split_out and walk_out:
+            return str(algebraic._refusal(q, f"companion work {walked} at {walk_out}, "
+                                             f"split work {spent} and prime supply {supply} "
+                                             f"at {split_out}"))
+        last = n
+    return "walk" if split_out or walked <= spent else "split"
 
 
 def _matmul(a, b):

@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import random
+import re
 import sys
 import tracemalloc
 
@@ -1010,10 +1011,80 @@ def test_companion_counts_one_large_torus_by_squaring(monkeypatch):
 
 def test_small_degree_rank1_trace_draws_no_prime(monkeypatch):
     calls = _spy_calls(monkeypatch, algebraic, "_character_primes")
+    # nor prices the split it drops: the walk's total stays within the
+    # split's floor of _SPLIT_PLAN a quotient, so no quotient is folded
+    folds = _spy_calls(monkeypatch, TorusQuotient, "fold")
+    bounds = _spy_calls(monkeypatch, algebraic, "_power_prime_count")
     for text in ("3 - x - x^-1 + x^2 - x^-3", "1 + x + x^2", "x - 2"):
         trace = entropy_trace(parse_laurent(text, 1), [torus_quotient([n]) for n in range(1, 105)])
         assert len(trace.records) + len(trace.skipped) == 104
-    assert calls == []
+    trace = entropy_trace(parse_laurent("3 - x - x^-1", 1), [torus_quotient([n]) for n in range(1, 1001)])
+    assert len(trace.records) == 1000
+    assert calls == [] and folds == [] and bounds == []
+
+
+def _rank1_route_battery():
+    """(f, sizes) pairs whose rank-1 traces take the walk, take the split,
+    or are refused with either route out first: sparse p of rising degree,
+    seeded dense p, a constant, x - 1 and a non-monic p, each over short
+    and long ranges."""
+    texts = [f"3 - x^{k} - x^-{k}" for k in (1, 8, 16, 32)]
+    fs = [parse_laurent(text, 1) for text in texts + ["3 - x - x^33", "3 - x - x^70"]]
+    rng = random.Random(2701)
+    for degree in (10, 20, 40):
+        p = [rng.randint(1, 9)] + [rng.randint(-9, 9) for _ in range(degree - 1)]
+        fs.append(_laurent(p + [rng.choice((-7, -3, 2, 5))], -(degree // 2)))
+    fs += [parse_laurent(text, 1) for text in ("5", "x - 1", "5 + 2*x - 3*x^2 + 4*x^-1")]
+    ranges = [range(1, 4), range(1, 105), range(5, 61), range(1, 2001), range(1, 14001)]
+    return [(f, sizes) for f in fs for sizes in ranges]
+
+
+def test_rank1_route_matches_the_eager_pricing(monkeypatch):
+    # the split is priced only where its total decides the route, yet every
+    # trace takes the route, the prime counts and the refusal of the form
+    # that priced both routes at every quotient (helpers.rank1_route)
+    walks, walk = [], companion.Companion.counts
+    # a long walk is not run: its sizes are checked, and its counts, like
+    # every walk's, are held against both oracles by the rank-1 batteries
+    monkeypatch.setattr(companion.Companion, "counts", lambda self, sizes: walks.append(sizes) or (
+        walk(self, sizes) if len(sizes) <= 104 else [None] * len(sizes)))
+    splits = _spy_calls(monkeypatch, algebraic, "_split_det")
+    refusal = re.compile(r"estimated cost at (Z/\d+) .*: companion work \d+ at (Z/\d+), "
+                         r"split work \d+ and prime supply \d+ at (Z/\d+)")
+    seen, refused = set(), set()
+    for f, sizes in _rank1_route_battery():
+        if (f.render(), sizes.start) in refused:
+            # a longer range from the same start draws the same quotients up
+            # to the same refusal
+            continue
+        route = helpers.rank1_route(f, sizes)
+        del walks[:], splits[:]
+        try:
+            # drawn lazily, so that a refused trace builds no quotient past
+            # the refused one
+            kept, counts = algebraic._counts(f, (torus_quotient([n]) for n in sizes))
+        except ResourceGuardError as error:
+            assert str(error) == route, (f.render(), sizes)
+            assert walks == [] and splits == []
+            refused.add((f.render(), sizes.start))
+            at, walk_out, split_out = refusal.fullmatch(route).groups()
+            seen.add("walk out first" if walk_out != at else "split out first")
+            continue
+        assert route == ("walk" if walks else "split") and len(walks) + len(splits) == 1, (
+            f.render(), sizes)
+        seen.add(route)
+        quotients = [torus_quotient([n]) for n in sizes]
+        assert kept == quotients
+        if walks:
+            assert walks == [list(sizes)]
+            if len(sizes) <= 104:
+                assert counts == walk(companion.Companion(f), sizes)
+        else:
+            # the plans and prime counts of each quotient's own estimate
+            plans, needs, _ = zip(*[algebraic._estimate(f, q, 0) for q in quotients])
+            assert splits[0][1] == list(needs)
+            assert counts == algebraic._split_det(plans, needs)
+    assert seen == {"walk", "split", "walk out first", "split out first"}
 
 
 def test_sparse_high_degree_rank1_trace_takes_the_split(monkeypatch):

@@ -1,3 +1,4 @@
+import enum
 import random
 
 import numpy as np
@@ -113,6 +114,10 @@ def test_render_canonical_examples():
     assert GroupRingElement(1, {}).render() == "0"
 
 
+class _Exponent(enum.IntEnum):
+    TWO = 2
+
+
 @pytest.mark.parametrize("rank, terms, rendered", [
     (1, {0: 2.7, 1: True}, None),
     (1, {0: 2, 1: True}, None),
@@ -127,10 +132,13 @@ def test_render_canonical_examples():
     (1, {np.int64(2): np.int64(3), (1,): 2**70}, "1180591620717411303424*x + 3*x^2"),
     (2, {(np.int32(1), 2**64): -1}, "-x*y^18446744073709551616"),
     (0, {(("a", np.int8(2)),): 1}, "a^2"),
+    (1, {np.bool_(True): 1}, None),
+    # an int subclass passes by the ABC check, after the plain int's fast path
+    (1, {_Exponent.TWO: 1, 0: 1}, "1 + x^2"),
 ], ids=["float coefficient", "bool coefficient", "float exponent", "bool exponent",
         "float in a 1-tuple", "float in a tuple", "bool in a tuple", "numpy float coefficient",
         "float in a word", "bool coefficient in word mode", "big and numpy ints",
-        "exponent beyond 2^63", "numpy int in a word"])
+        "exponent beyond 2^63", "numpy int in a word", "numpy bool exponent", "IntEnum exponent"])
 def test_group_ring_element_takes_integers_only(rank, terms, rendered):
     if rendered is None:
         with pytest.raises(ValueError, match="must be an integer|integer exponents"):
