@@ -28,8 +28,9 @@ That route costs D^2 products of growing integers per quotient and the
 other about the number of terms per character, so both are priced before
 any work, in one unit, and a rank-1 trace takes the cheaper (`_counts`): a
 sparse f of high degree, or a dense one of degree 20 or more, stays on the
-split.  The split is priced only when its floor, the fixed cost of a plan
-per quotient, cannot rule it out, or once the walk's price passes the cap.
+split.  A split is priced once, from the plan it runs (`_estimate`); on a
+rank-1 torus only when its floor, the fixed cost of a plan per quotient,
+cannot rule it out, or once the walk's price passes the cap.
 
 The split serves every quotient.  Right translation by an abelian
 subgroup A commutes with M, so modulo a prime p = 1 (mod exp A) M is
@@ -712,17 +713,19 @@ def _counts(f: GroupRingElement, quotients: Iterable[Quotient]) -> tuple:
     drawn one at a time in nondecreasing size and each priced as it is
     drawn, before any is counted.
 
-    Any quotient but a rank-1 torus is priced by `_estimate`, and the lot
-    is refused at the first whose work takes the running total over
-    COST_CAP.  A rank-1 trace prices the companion walk as each quotient is
-    drawn (`companion.Companion.cost`), and the split, from each quotient's
-    folded terms with no plan built (its prime supply checked as in
-    `_estimate`), only where its total decides something: once the walk's
-    passes the cap, so that the trace is refused at the first quotient
-    where neither total is within it, and at the end, unless the walk's is
-    within the split's floor of _SPLIT_PLAN per quotient.  The trace takes
-    the route of the lower total, as `subshift._walks` picks its route,
-    and its counts run as one walk or one `_split_det`.
+    Every split is priced by `_estimate`, from the plan it would run, and
+    any quotient but a rank-1 torus as it is drawn: the lot is refused at
+    the first whose work takes the running total, or whose prime supply,
+    over COST_CAP.  A rank-1 trace prices the companion walk as each
+    quotient is drawn (`companion.Companion.cost`), and the split only
+    where its total decides something: once the walk's passes the cap, so
+    that the trace is refused at the first quotient where neither total is
+    within it, and at the end, unless the walk's is within the split's
+    floor of _SPLIT_PLAN per quotient not yet priced.  The trace takes the
+    route of the lower total, as `subshift._walks` picks its route, and its
+    counts run as one walk or as one `_split_det` over the plans that the
+    pricing built.  Of a quotient, only its size, rank, label and split
+    plan are read.
     """
     companion = None
     if f.rank == 1 and not f.is_zero:
@@ -733,41 +736,40 @@ def _counts(f: GroupRingElement, quotients: Iterable[Quotient]) -> tuple:
 
         if count_floor(max(f.terms) - min(f.terms)) <= COST_CAP:
             companion = Companion(f)
+    # the split's plans and prime counts, of kept[:len(plans)]
     kept, plans, needs = [], [], []
-    spent = walked = supply = need = 0
+    spent = walked = supply = pool = 0
     # the quotient at which each rank-1 route passed the cap, and is dropped
     split_out = walk_out = None
-    # rank-1 quotients kept[:priced] have the split priced, or it passed the
-    # cap among them
-    priced = 0
 
-    def price_split(stop: int) -> None:
-        """Price the split of kept[priced:stop] in order, until its total
-        passes the cap."""
-        nonlocal priced, spent, supply, split_out
-        while priced < stop and not split_out:
-            q = kept[priced]
-            fhat = q.fold(f)
-            need = needs[priced] = _power_prime_count(sum(c * c for c in fhat.values()), q.size)
-            spent += _split_work(need, q.size, 1, len(fhat))
-            supply = max(supply, _supply(need, q.moduli))
-            split_out = q.label if max(spent, supply) > COST_CAP else None
-            priced += 1
+    def price_split() -> None:
+        """Price the split of the kept quotients not yet priced, in order,
+        until its total passes the cap."""
+        nonlocal spent, supply, pool, split_out
+        while len(plans) < len(kept) and not split_out:
+            q = kept[len(plans)]
+            plan, need, spent, pool = _estimate(f, q, spent)
+            plans.append(plan)
+            needs.append(need)
+            supply = max(supply, pool)
+            split_out = q.label if max(spent, pool) > COST_CAP else None
 
     for q in quotients:
-        if kept and q.size < kept[-1].size:
+        last = kept[-1].size if kept else 0
+        if q.size < last:
             raise ValueError("quotients must be ordered by nondecreasing size")
-        if companion is None or q.rank != 1:
-            plan, need, spent = _estimate(f, q, spent)
-            plans.append(plan)
+        if f.rank != q.rank:
+            raise ValueError(f"element/quotient mode mismatch (ranks {f.rank} and {q.rank})")
+        kept.append(q)
+        if companion is None:
+            price_split()
+            if split_out:
+                raise _refusal(q, f"work {spent} so far, prime supply {pool}")
         elif walk_out is None:
-            last = kept[-1].size if kept else 0
             walked += math.ceil(companion.cost(q.size - last, q.size))
             walk_out = q.label if walked > COST_CAP else None
-        kept.append(q)
-        needs.append(need)
         if walk_out:
-            price_split(len(kept))
+            price_split()
             if split_out:
                 raise _refusal(q, f"companion work {walked} at {walk_out}, split work {spent} "
                                f"and prime supply {supply} at {split_out}")
@@ -777,48 +779,35 @@ def _counts(f: GroupRingElement, quotients: Iterable[Quotient]) -> tuple:
         return kept, _split_det(plans, needs)
     # each plan left unpriced costs the split at least _SPLIT_PLAN, so the
     # walk is taken unpriced while within that floor
-    if walked > spent + _SPLIT_PLAN * (len(kept) - priced):
-        price_split(len(kept))
+    if walked > spent + _SPLIT_PLAN * (len(kept) - len(plans)):
+        price_split()
         if not split_out and walked > spent:
-            return kept, _split_det([q.split_plan(f) for q in kept], needs)
+            return kept, _split_det(plans, needs)
     return kept, companion.counts([q.size for q in kept])
 
 
 def _estimate(f: GroupRingElement, q: Quotient, spent: int) -> tuple:
-    """(q's split plan of f, the determinant's CRT prime count, spent + W),
-    refused when spent + W, or the cost of the prime supply, exceeds
-    COST_CAP.
+    """(q's split plan of f, the determinant's CRT prime count, spent + W,
+    the cost of the prime supply), for `_counts` to hold against COST_CAP:
+    the one price of a split, read from the plan that `_split_det` runs.
 
-    The split draws at most `_det_prime_count` primes.  Each
-    costs, per orbit representative, an elimination of m^3 and a block built
-    from terms x m^2 entries, plus 16 for roots and CRT, and the plan's
-    rounds have a fixed cost: W = primes x orbits x (m^3 + terms m^2 + 16)
-    + _SPLIT_PLAN, in units of about 5 ns.  Serving them takes a pool of
+    The split draws at most `_det_prime_count` primes.  Each costs, per
+    orbit representative, an elimination of m^3 and a block built from
+    terms x m^2 entries, plus 16 for roots and CRT, and the plan's rounds
+    have a fixed cost: W = primes x orbits x (m^3 + terms m^2 + 16) +
+    _SPLIT_PLAN, in units of about 5 ns.  Serving them takes a pool of
     about primes x phi(exp A) primes, 64 units each to sieve.
     """
-    if f.rank != q.rank:
-        raise ValueError(f"element/quotient mode mismatch (ranks {f.rank} and {q.rank})")
     plan = q.split_plan(f)
     terms, m = plan.cols.shape
     primes = _det_prime_count(plan, q.size)
-    work = spent + _split_work(primes, plan.orbits, m, terms)
-    pool = _supply(primes, plan.moduli)
-    if max(work, pool) > COST_CAP:
-        raise _refusal(q, f"work {work} so far, prime supply {pool}")
-    return plan, primes, work
+    work = spent + primes * plan.orbits * (m**3 + terms * m * m + 16) + _SPLIT_PLAN
+    return plan, primes, work, 64 * primes * _totient(math.lcm(*plan.moduli))
 
 
 # Units of the fixed work of one plan in `_split_det`: a plan takes at least
 # one round, of about 100 us of numpy calls.
 _SPLIT_PLAN = 20_000
-
-
-def _split_work(primes: int, orbits: int, m: int, terms: int) -> int:
-    return primes * orbits * (m**3 + terms * m * m + 16) + _SPLIT_PLAN
-
-
-def _supply(primes: int, moduli: Sequence[int]) -> int:
-    return 64 * primes * _totient(math.lcm(*moduli))
 
 
 def _refusal(q: Quotient, detail: str) -> ResourceGuardError:
@@ -940,27 +929,19 @@ def entropy_trace(
     split's is priced only once the walk's passes the cap, or at the end
     where its floor cannot rule it out; see `_counts`).  The counts then
     run as one walk through lc^n x^n mod p, a resultant at each size, or as
-    one `_split_det` over the plans of the estimate.  A plan
+    one `_split_det` over the plans the split was priced from.  A plan
     holds its terms and its orbits (a torus plan its terms alone), and
     `_split_det` keeps per character only the orbits still short of full
-    rank, so a long trace holds little more than its plans.
+    rank, so a long trace holds little more than its plans.  The caveats
+    come from the quotients drawn, in order, each note once.
     """
+    kept, counts = _counts(f, quotients)
     identity = identity_element(f.rank)
     support = [s for s in f.support() if s != identity]
-    trace = EntropyTrace(f_description=f.render(), reference_value=reference)
-    seen_caveats = set()
-
-    def drawn():
-        for q in quotients:
-            for s in support:
-                if q.index(s) == q.identity_index:
-                    note = f"support element {s!r} lies in the kernel at {q.label}"
-                    if note not in seen_caveats:
-                        seen_caveats.add(note)
-                        trace.caveats.append(note)
-            yield q
-
-    for q, split in zip(*_counts(f, drawn())):
+    notes = (f"support element {s!r} lies in the kernel at {q.label}"
+             for q in kept for s in support if q.index(s) == q.identity_index)
+    trace = EntropyTrace(f.render(), reference_value=reference, caveats=list(dict.fromkeys(notes)))
+    for q, split in zip(kept, counts):
         sc = _solution(q, *split)
         if sc.is_finite:
             log_fix = log_big_int(sc.value)

@@ -97,10 +97,16 @@ class Companion:
         """(|det M_n|, rank M_n) for the nondecreasing sizes n, one walk from
         t_0 = 1: each gap stepped or squared, whichever `_walk` prices lower."""
         D, lc = self.degree, self.lc
-        if not D:
-            return [(abs(lc) ** n, n) for n in sizes]
         out: List[tuple] = []
-        t, last = [1] + [0] * (D - 1), 0
+        last = 0
+        if not D:
+            # one running |lc|^n, times |lc|^gap at each size
+            power = 1
+            for n in sizes:
+                power, last = power * abs(lc) ** (n - last), n
+                out.append((power, n))
+            return out
+        t = [1] + [0] * (D - 1)
         for n in sizes:
             # a gap of one is always cheaper stepped
             if n - last > 1:

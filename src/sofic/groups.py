@@ -526,7 +526,8 @@ class TorusQuotient:
 
     Cosets are indexed 0..size-1 in lexicographic order of their exponent
     vectors (row-major), and coset arithmetic is componentwise modular
-    addition.
+    addition.  A count reads its size, rank, label and `split_plan`, which
+    is both what the split runs and what it is priced from.
     """
 
     moduli: tuple
@@ -584,21 +585,16 @@ class TorusQuotient:
         grid = np.arange(self.size, dtype=np.int64).reshape(self.moduli)
         return np.roll(grid, [-s for s in shift], axis=tuple(range(self.rank))).ravel()
 
-    def fold(self, f: GroupRingElement) -> dict:
-        """fhat without its zeros, keyed by the coordinates of c^-1, that is
-        -c componentwise mod n_i."""
+    def split_plan(self, f: GroupRingElement) -> SplitPlan:
+        """The split over A = the whole quotient: one coset and 1 x 1
+        blocks, the characters, the terms fhat without its zeros, each at
+        the coordinates of c^-1, that is -c componentwise mod n_i."""
         moduli = self.moduli
         fhat: dict = {}
         for s, c in f.terms.items():
             key = tuple(-x % n for x, n in zip((s,) if len(moduli) == 1 else s, moduli))
             fhat[key] = fhat.get(key, 0) + c
-        return {key: c for key, c in fhat.items() if c}
-
-    def split_plan(self, f: GroupRingElement) -> SplitPlan:
-        """The split over A = the whole quotient: one coset and 1 x 1
-        blocks, the characters, the terms folded by `fold`."""
-        moduli = self.moduli
-        fhat = self.fold(f)
+        fhat = {key: c for key, c in fhat.items() if c}
         coords = np.array(list(fhat), dtype=np.int64).reshape(len(fhat), 1, len(moduli))
         cols = np.zeros((len(fhat), 1), dtype=np.int64)
         # A = G is abelian, so every orbit of characters is a single one

@@ -269,9 +269,10 @@ def _check_grid(rank: int, grid: int) -> None:
 def _torus_scan(f: GroupRingElement, grid: int) -> tuple:
     """(certify_invertible_torus(f, grid), quadrature) from one evaluation
     of |F| on the grid, where quadrature() is mahler_quadrature(f, grid)
-    from the same values, with its exceptions.  The quadrature runs only
-    when called, so a caller that takes its reference elsewhere pays for
-    the scan and the certificate alone.
+    from the same values, with its near-zero refusal; every caller runs
+    `_check_quadrature` before the scan.  The quadrature runs only when
+    called, so a caller that takes its reference elsewhere pays for the
+    scan and the certificate alone.
     """
     _check_grid(f.rank, grid)
     values = np.abs(_grid_values(f, grid))
@@ -297,7 +298,6 @@ def _torus_scan(f: GroupRingElement, grid: int) -> tuple:
     )
 
     def quadrature() -> MahlerEstimate:
-        _check_quadrature(f, grid)
         if vmin < max(NEAR_ZERO_QUADRATURE, float_error):
             raise NearZeroError(
                 f"|F| = {vmin:.3e} at grid point {witness}; "

@@ -633,7 +633,9 @@ def split_count(f: GroupRingElement, q: Quotient) -> SolutionCount:
     """``fix_count`` by the split alone, from the plan and prime count of
     its estimate, whatever the quotient.  The split is called through the
     module, so a spy set on it there sees the call."""
-    plan, need, _ = algebraic._estimate(f, q, 0)
+    plan, need, work, supply = algebraic._estimate(f, q, 0)
+    if max(work, supply) > algebraic.COST_CAP:
+        raise algebraic._refusal(q, f"work {work} so far, prime supply {supply}")
     [(det, rank)] = algebraic._split_det([plan], [need])
     return SolutionCount(det) if det else SolutionCount(None, q.size - rank)
 
@@ -664,10 +666,11 @@ def companion_count(f: GroupRingElement, n: int) -> SolutionCount:
 def rank1_route(f: GroupRingElement, sizes) -> str:
     """The route of a rank-1 trace of f over Z/n, n in the nondecreasing
     sizes, priced as every quotient is drawn: "walk", "split", or the text
-    of the refusal.  Both routes' totals run side by side, the split's from
-    each quotient's folded terms; the trace is refused at the first
-    quotient where neither is within COST_CAP, and otherwise takes the
-    route of the lower total, the walk on a tie or once the split is out.
+    of the refusal.  Both routes' totals run side by side, the split's
+    from each quotient's ``algebraic._estimate``; the trace is refused at
+    the first quotient where neither is within COST_CAP, and otherwise
+    takes the route of the lower total, the walk on a tie or once the
+    split is out.
     The eager form of the pricing in ``algebraic._counts``, which prices
     the split only where its total decides the route."""
     from sofic.companion import Companion
@@ -678,10 +681,8 @@ def rank1_route(f: GroupRingElement, sizes) -> str:
     for n in sizes:
         q = torus_quotient([n])
         if split_out is None:
-            fhat = q.fold(f)
-            need = algebraic._power_prime_count(sum(c * c for c in fhat.values()), n)
-            spent += algebraic._split_work(need, n, 1, len(fhat))
-            supply = max(supply, algebraic._supply(need, q.moduli))
+            _, _, spent, pool = algebraic._estimate(f, q, spent)
+            supply = max(supply, pool)
             split_out = q.label if max(spent, supply) > algebraic.COST_CAP else None
         if walk_out is None:
             walked += math.ceil(walk.cost(n - last, n))

@@ -693,6 +693,23 @@ def test_cost_guard_refuses_before_any_prime(monkeypatch):
         fix_count(parse_laurent("3 - x^5 - x^-5", 1), torus_quotient([200000]))
 
 
+def test_split_refusal_names_the_work_and_the_prime_supply(monkeypatch):
+    # a split-only count is refused by _counts from _estimate's numbers: on
+    # (Z/12)^2 at its work, and on Z/1 x Z/211, whose 13 primes = 1 (mod
+    # 211) need a pool of 64 x 13 x 210 primes, at its prime supply alone
+    f = parse_laurent("5 - x - x^-1 - y - y^-1", 2)
+    for moduli, over in (([12, 12], "work"), ([1, 211], "supply")):
+        q = torus_quotient(moduli)
+        _, _, work, supply = algebraic._estimate(f, q, 0)
+        assert (supply > work) == (over == "supply")
+        cap = max(work, supply) - 1
+        monkeypatch.setattr(algebraic, "COST_CAP", cap)
+        with pytest.raises(ResourceGuardError) as info:
+            fix_count(f, q)
+        assert str(info.value) == (f"estimated cost at {q.label} exceeds the cap {cap}: "
+                                   f"work {work} so far, prime supply {supply}")
+
+
 def test_tori_past_the_old_matrix_guard_count_by_default():
     # d = 1024 and 4096, with d^2 above 10^6: |Fix| is the product of the
     # character values 5 - 2 cos(2 pi j / n) - 2 cos(2 pi k / n)
@@ -1009,18 +1026,28 @@ def test_companion_counts_one_large_torus_by_squaring(monkeypatch):
     assert got == helpers.split_count(f, q) == helpers.companion_count(f, 2999)
 
 
+@pytest.mark.parametrize("lc", [1, -1, 5, -(2**63 - 1)])
+def test_companion_counts_of_a_monomial_keep_one_running_power(lc):
+    # D = 0: |lc|^n carried across gapped sizes with repeats, times |lc|^gap
+    sizes = [1, 1, 2, 5, 5, 6, 13, 40, 40, 41, 100]
+    for lo in (0, -3, 7):
+        walk = companion.Companion(GroupRingElement(1, {lo: lc}))
+        assert walk.degree == 0
+        assert walk.counts(sizes) == [(abs(lc) ** n, n) for n in sizes]
+
+
 def test_small_degree_rank1_trace_draws_no_prime(monkeypatch):
     calls = _spy_calls(monkeypatch, algebraic, "_character_primes")
     # nor prices the split it drops: the walk's total stays within the
-    # split's floor of _SPLIT_PLAN a quotient, so no quotient is folded
-    folds = _spy_calls(monkeypatch, TorusQuotient, "fold")
+    # split's floor of _SPLIT_PLAN a quotient, so no plan is built
+    plans = _spy_calls(monkeypatch, TorusQuotient, "split_plan")
     bounds = _spy_calls(monkeypatch, algebraic, "_power_prime_count")
     for text in ("3 - x - x^-1 + x^2 - x^-3", "1 + x + x^2", "x - 2"):
         trace = entropy_trace(parse_laurent(text, 1), [torus_quotient([n]) for n in range(1, 105)])
         assert len(trace.records) + len(trace.skipped) == 104
     trace = entropy_trace(parse_laurent("3 - x - x^-1", 1), [torus_quotient([n]) for n in range(1, 1001)])
     assert len(trace.records) == 1000
-    assert calls == [] and folds == [] and bounds == []
+    assert calls == [] and plans == [] and bounds == []
 
 
 def _rank1_route_battery():
@@ -1081,7 +1108,7 @@ def test_rank1_route_matches_the_eager_pricing(monkeypatch):
                 assert counts == walk(companion.Companion(f), sizes)
         else:
             # the plans and prime counts of each quotient's own estimate
-            plans, needs, _ = zip(*[algebraic._estimate(f, q, 0) for q in quotients])
+            plans, needs, _, _ = zip(*[algebraic._estimate(f, q, 0) for q in quotients])
             assert splits[0][1] == list(needs)
             assert counts == algebraic._split_det(plans, needs)
     assert seen == {"walk", "split", "walk out first", "split out first"}
@@ -2097,6 +2124,16 @@ def test_log_big_int():
 # entropy traces
 
 
+@pytest.mark.parametrize("value, nullity, message", [
+    (0, 0, "finite solution count must be >= 1"),
+    (5, 1, "finite count cannot carry a nullity"),
+    (None, 0, "infinite count requires nullity >= 1"),
+], ids=["count below 1", "finite with a nullity", "infinite without one"])
+def test_solution_count_invariants(value, nullity, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        algebraic.SolutionCount(value, nullity)
+
+
 def test_trace_bernoulli_constant():
     f = parse_laurent("3", 1)
     quotients = [torus_quotient([n]) for n in (2, 4, 8)]
@@ -2133,6 +2170,28 @@ def test_trace_kernel_caveat():
     trace = entropy_trace(f, [torus_quotient([4]), torus_quotient([8])])
     assert any("kernel" in note and "Z/4" in note for note in trace.caveats)
     assert not any("Z/8" in note for note in trace.caveats)
+
+
+def test_trace_caveats_in_quotient_order_each_once():
+    # x^2 and x^4 die in Z/2, x^4 in Z/4 too; a repeated quotient notes once
+    f = parse_laurent("x^4 + x^2 - 5", 1)
+    trace = entropy_trace(f, [torus_quotient([n]) for n in (2, 2, 3, 4, 4, 8)])
+    assert trace.caveats == [
+        "support element 2 lies in the kernel at Z/2",
+        "support element 4 lies in the kernel at Z/2",
+        "support element 4 lies in the kernel at Z/4",
+    ]
+
+
+def test_trace_refuses_a_rank_mismatch_or_an_unknown_generator():
+    with pytest.raises(ValueError, match=r"^element/quotient mode mismatch \(ranks 2 and 1\)$"):
+        entropy_trace(parse_laurent("5 - x - y", 2), [torus_quotient([3])])
+    q = ExplicitQuotient(cyclic_table(3), {"a": 1}, label="C3")
+    with pytest.raises(ValueError, match=r"^element/quotient mode mismatch \(ranks 1 and 0\)$"):
+        entropy_trace(parse_laurent("3 - x", 1), [q])
+    f = GroupRingElement(0, {(): 3, parse_word("b"): -1})
+    with pytest.raises(ValueError, match="^unknown generator 'b' for quotient C3$"):
+        entropy_trace(f, [q])
 
 
 def test_trace_requires_ordered_quotients():

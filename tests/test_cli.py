@@ -523,6 +523,16 @@ def test_sofic_check_explicit_chain(tmp_path):
     assert all(float(r["multiplicative_defect"]) == 0.0 for r in rows)
 
 
+def test_sofic_check_names_the_identity_word_e(tmp_path, capsys):
+    chain_path = tmp_path / "chain.json"
+    chain_path.write_text(json.dumps({"quotients": [
+        {"label": "C5", "table": cyclic_table(5), "images": {"a": 1}},
+    ]}), encoding="utf-8")
+    assert main(["sofic-check", "--group", f"file:{chain_path}", "--elements", "e;a"]) == 0
+    rows = _csv_rows(capsys.readouterr().out)
+    assert {(r["s"], r["t"]) for r in rows} == {("e", "a"), ("a", "e")}
+
+
 @pytest.mark.parametrize("argv, code, message", [
     (["--quotients", "3..4", "--elements", "1;x"], 2,
      "error: expected an integer element, got 'x'\n"),

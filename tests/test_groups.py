@@ -66,6 +66,24 @@ def test_parse_syntax_error_reports_position():
         parse_laurent("x^", 1)
 
 
+@pytest.mark.parametrize("text, message, position", [
+    ("x 3", "expected '+' or '-', got '3'", 2),
+    # after a coefficient, and after a factor
+    ("3*5", "expected variable after '*'", 1),
+    ("x*3", "expected variable after '*'", 1),
+], ids=["term without a sign", "coefficient star", "factor star"])
+def test_parse_error_names_the_token_and_its_position(text, message, position):
+    with pytest.raises(ParseError) as info:
+        parse_laurent(text, 1)
+    assert str(info.value).startswith(message)
+    assert info.value.position == position
+
+
+def test_parse_ignores_trailing_blanks():
+    assert parse_laurent("3 - x ", 1) == parse_laurent("3 - x", 1)
+    assert parse_word("a*b ") == (("a", 1), ("b", 1))
+
+
 def test_parse_variable_out_of_rank():
     with pytest.raises(ParseError, match="out of rank"):
         parse_laurent("x + y", 1)
@@ -162,6 +180,24 @@ def test_elements_of_the_wrong_shape_are_refused(make, message):
     with pytest.raises(ValueError) as info:
         make()
     assert str(info.value) == message
+
+
+def test_group_ring_element_is_immutable_hashable_and_renders():
+    f = parse_laurent("3 - x - x^-1", 1)
+    with pytest.raises(AttributeError, match="immutable"):
+        f.rank = 2
+    with pytest.raises(AttributeError, match="immutable"):
+        f.terms = {}
+    g = GroupRingElement(1, {1: -1, -1: -1, 0: 3})
+    assert hash(f) == hash(g) and len({f, g}) == 1
+    # the canonical term order, whatever order the terms were given in
+    assert str(f) == str(g) == f.render() == "3 - x - x^-1"
+    assert repr(f) == repr(g) == "GroupRingElement(rank=1, terms={0: 3, 1: -1, -1: -1})"
+
+
+def test_render_word_names_the_identity_e():
+    assert groups.render_word(()) == "e"
+    assert groups.render_word(parse_word("a*b^-1")) == "a*b^-1"
 
 
 def test_parse_plus_negation_is_zero():
@@ -279,6 +315,11 @@ def test_sofic_map_rejects_non_bijection():
         SoficMap(d=3, perms={0: [0, 0, 1]}, rank=1)
 
 
+def test_sofic_map_rejects_a_permutation_of_the_wrong_length():
+    with pytest.raises(ValueError, match="permutation for 0 has wrong length"):
+        SoficMap(d=3, perms={0: [0, 1]}, rank=1)
+
+
 def test_mode_mismatch():
     q = torus_quotient([4])
     f = parse_laurent("5 - x - y", 2)
@@ -382,6 +423,7 @@ def test_explicit_quotient_cyclic_matches_torus():
     sigma = sofic_map_from_quotient(q, [parse_word("a"), parse_word("a^2"), parse_word("a^3")])
     assert multiplicative_defect(sigma, parse_word("a"), parse_word("a^2")) == 0.0
     assert freeness_defect(sigma, parse_word("a"), parse_word("a^2")) == 0.0
+    assert repr(q) == "ExplicitQuotient(label='C6', size=6)"
 
 
 def test_explicit_quotient_s3():

@@ -50,6 +50,9 @@ def test_sft_validation():
         SubshiftSFT(alphabet=(0, 1), window=(0, 1), allowed=frozenset({(0, 7)}))
     with pytest.raises(ValueError):
         SubshiftSFT(alphabet=(0, 1), window=(0, 0), allowed=frozenset({(0, 0)}))
+    # a string is refused, not read as its characters
+    with pytest.raises(ValueError, match="^alphabet must be a list, got '01'$"):
+        SubshiftSFT(alphabet="01", window=(0, 1), allowed=frozenset({("0", "1")}))
 
 
 @pytest.mark.parametrize("make, message", [
