@@ -28,7 +28,8 @@ That route costs D^2 products of growing integers per quotient and the
 other about the number of terms per character, so both are priced before
 any work, in one unit, and a rank-1 trace takes the cheaper (`_counts`): a
 sparse f of high degree, or a dense one of degree 20 or more, stays on the
-split.  A split is priced once, from the plan it runs (`_estimate`); on a
+split.  A split is priced once, from the plan it runs, by `_Split`, the one
+priced plan, which holds its prime budgets, work and prime supply; on a
 rank-1 torus only when its floor, the fixed cost of a plan per quotient,
 cannot rule it out, or once the walk's price passes the cap.
 
@@ -97,8 +98,8 @@ __all__ = [
 LOG2 = math.log(2.0)
 
 # The most work one count or trace, or the prime supply of one count, may be
-# estimated at (`_estimate`, `companion.Companion.cost`): about 5 s at
-# 4.4-5.3 ns a unit.
+# estimated at (a priced plan's `_Split.work` and `_Split.supply`,
+# `companion.Companion.cost`): about 5 s at 4.4-5.3 ns a unit.
 COST_CAP = 10**9
 
 
@@ -406,33 +407,67 @@ def _row_products(values: np.ndarray, mods: np.ndarray) -> List[int]:
     return values[:, 0].tolist()
 
 
+# Units of the fixed work of one plan in `_split_det`: a plan takes at least
+# one round, of about 100 us of numpy calls.
+_SPLIT_PLAN = 20_000
+
+
 class _Split:
-    """One plan's progress in `_split_det`: the primes drawn, the residues
-    of H and of S at them (see `_split_det`), and the orbits that may still
-    be short of full rank (``short``, every orbit before the first prime;
-    empty once the plan is full) with their largest ranks so far
-    (``best``).  The orbits built each round are ``reps`` (None: every
-    character), ``orbits`` of them, whose exponents in H are ``h_sizes``
-    (None: 1 each).  Every plan lifts |S| |H|^e: S takes residues at its
-    first ``s_need`` primes, each orbit's exponent in it ``s_sizes``.  A
+    """One priced plan of `_split_det`, the one place a split is priced: its
+    prime budgets, work and supply, read once from the plan, and its
+    progress.
+
+    The split draws at most ``det_need`` primes: the CRT count of Hadamard's
+    bound on |det M|, or on a symmetric plan the largest of those of the
+    bounds on |H| and |S| and of the widest rank budget,
+    l1^(m ceil(phi(k) / 2)), k = exp A (see `_split_det`).  Each prime costs,
+    per orbit representative, an elimination of m^3 and a block built from
+    terms x m^2 entries, plus 16 for roots and CRT, and the plan's rounds
+    have a fixed cost: ``work`` = det_need x orbits x (m^3 + terms m^2 +
+    16) + _SPLIT_PLAN, in units of about 5 ns.  Serving the primes takes a
+    pool of about det_need x phi(k) primes, 64 units each to sieve
+    (``supply``).  `_counts` holds both against COST_CAP.
+
+    The progress: the primes drawn, the residues of H and of S at them, and
+    the orbits that may still be short of full rank (``short``, every orbit
+    before the first prime; empty once the plan is full) with their largest
+    ranks so far (``best``).  The orbits built each round are ``reps``
+    (None: every character), ``orbits`` of them, whose exponents in H are
+    ``h_sizes`` (None: 1 each).  Every plan lifts |S| |H|^e: S takes
+    residues at its first ``s_need`` primes, the CRT count of
+    |S| <= l1^(m #real), each orbit's exponent in it ``s_sizes``.  A
     symmetric plan has e = 2; any other has e = 1 and s_need = 0, so S = 1
     and H = det M."""
 
-    def __init__(self, plan: SplitPlan, det_need: int):
+    def __init__(self, plan: SplitPlan):
         self.plan = plan
-        self.det_need = det_need
         self.k = math.lcm(*plan.moduli)
-        self.m = m = plan.cols.shape[1]
-        self.d = math.prod(plan.moduli) * m
+        terms, m = plan.cols.shape
+        self.m, self.d = m, math.prod(plan.moduli) * m
         self.orbits = plan.orbits
-        self.l1 = sum(abs(c) for c in plan.coeffs)
+        self.l1 = l1 = sum(abs(c) for c in plan.coeffs)
+        squares = sum(c * c for c in plan.coeffs)
+        phi = _totient(self.k)
         self.reps, self.h_sizes, self.s_sizes = plan.orbit_reps, plan.orbit_sizes, None
         self.e, self.s_need = 1, 0
+        self.det_need = _power_prime_count(squares, self.d)
         if plan.symmetric:
-            real = _real_orbits(plan)
+            # the real characters, chi_j with 2 j = 0 componentwise mod the
+            # moduli: an orbit's are all real or none is, as the normaliser
+            # acts by automorphisms
+            coords = np.unravel_index(plan.orbit_reps, plan.moduli)
+            real = np.logical_and.reduce([2 * j % n == 0 for j, n in zip(coords, plan.moduli)])
             self.h_sizes = np.where(real, 0, plan.orbit_sizes // 2)
             self.s_sizes = np.where(real, plan.orbit_sizes, 0)
-            self.e, self.s_need = 2, _real_prime_count(plan)
+            # l1 = sum |fhat| bounds every eigenvalue of M
+            self.e, self.s_need = 2, _power_prime_count(l1, m * int(self.s_sizes.sum()), 1)
+            self.det_need = max(
+                _power_prime_count(squares, self.d, 4),
+                min(self.det_need, self.s_need),
+                _power_prime_count(l1, m * ((phi + 1) // 2), 1),
+            )
+        self.work = self.det_need * self.orbits * (m**3 + terms * m * m + 16) + _SPLIT_PLAN
+        self.supply = 64 * self.det_need * phi
         self.primes: List[int] = []
         self.residues: List[int] = []
         self.s_residues: List[int] = []
@@ -457,8 +492,8 @@ class _Split:
         return max(0, min(need - len(self.primes), self.block))
 
 
-def _split_det(plans: Sequence[SplitPlan], det_needs: Sequence[int]) -> List[tuple]:
-    """(|det M|, rank M) for each split plan over an abelian subgroup A.
+def _split_det(splits: Sequence[_Split]) -> List[tuple]:
+    """(|det M|, rank M) for each priced split plan over an abelian subgroup A.
 
     With k = exp(A), omega a primitive k-th root of unity mod a prime
     p = 1 (mod k), and chi_j(a) = omega^(sum_l j_l a_l k / n_l) the
@@ -504,8 +539,8 @@ def _split_det(plans: Sequence[SplitPlan], det_needs: Sequence[int]) -> List[tup
     budget of phi = 1, the least any block can need.  While some block has
     been short of full rank at every prime so far (so its det, and det M,
     is 0 there), a round draws up to the budget of the largest phi(o) among
-    those blocks; once none is, up to the plan's ``det_needs`` entry (which
-    covers every rank budget of a symmetric plan, see `_det_prime_count`),
+    those blocks; once none is, up to the plan's ``det_need`` (which covers
+    every rank budget of a symmetric plan, see `_Split`),
     and the products H and S are lifted by CRT.  S takes residues at its
     first primes only, as many as its own bound needs (or all drawn, if
     fewer), and a full plan's round stops there while S is short: once S
@@ -523,20 +558,19 @@ def _split_det(plans: Sequence[SplitPlan], det_needs: Sequence[int]) -> List[tup
     elimination when m > 1 (a 1 x 1 block is its own determinant) and one
     product tree for H; each symmetric plan adds its own tree for S.
     """
-    splits = [_Split(plan, need) if plan.coeffs else None for plan, need in zip(plans, det_needs)]
     while True:
-        todo = [(s, s.chunk()) for s in splits if s is not None]
-        todo = [(s, count) for s, count in todo if count]
+        # a plan without terms needs no prime
+        todo = [(s, count) for s in splits if (count := s.chunk())]
         if not todo:
             break
         for group in _split_groups(todo):
             _split_round(group)
     out = []
-    for plan, s in zip(plans, splits):
-        if s is None:
+    for s in splits:
+        if not s.plan.coeffs:
             out.append((0, 0))
         elif not s.full:
-            sizes = 1 if plan.orbit_sizes is None else plan.orbit_sizes[s.short]
+            sizes = 1 if s.plan.orbit_sizes is None else s.plan.orbit_sizes[s.short]
             out.append((0, s.d - int(((s.m - s.best) * sizes).sum())))
         else:
             # S takes the first len(s_residues) primes; none lift to 0, and
@@ -702,7 +736,8 @@ def fix_count(f: GroupRingElement, q: Quotient) -> SolutionCount:
     group on a torus, a greedily grown one on an explicit quotient), whose
     one elimination of a block per orbit of characters gives the
     determinant and the rank, so the nullity d - rank when the determinant
-    is 0.  Refused when its estimated cost exceeds COST_CAP.
+    is 0.  Refused when its estimated cost, that of the walk or of the one
+    priced plan (`_Split`), exceeds COST_CAP.
     """
     [(det, rank)] = _counts(f, [q])[1]
     return _solution(q, det, rank)
@@ -713,7 +748,7 @@ def _counts(f: GroupRingElement, quotients: Iterable[Quotient]) -> tuple:
     drawn one at a time in nondecreasing size and each priced as it is
     drawn, before any is counted.
 
-    Every split is priced by `_estimate`, from the plan it would run, and
+    Every split is priced once, as a `_Split` of the plan it would run, and
     any quotient but a rank-1 torus as it is drawn: the lot is refused at
     the first whose work takes the running total, or whose prime supply,
     over COST_CAP.  A rank-1 trace prices the companion walk as each
@@ -723,8 +758,8 @@ def _counts(f: GroupRingElement, quotients: Iterable[Quotient]) -> tuple:
     within it, and at the end, unless the walk's is within the split's
     floor of _SPLIT_PLAN per quotient not yet priced.  The trace takes the
     route of the lower total, as `subshift._walks` picks its route, and its
-    counts run as one walk or as one `_split_det` over the plans that the
-    pricing built.  Of a quotient, only its size, rank, label and split
+    counts run as one walk or as one `_split_det` over the priced
+    `_Split`s.  Of a quotient, only its size, rank, label and split
     plan are read.
     """
     companion = None
@@ -736,23 +771,23 @@ def _counts(f: GroupRingElement, quotients: Iterable[Quotient]) -> tuple:
 
         if count_floor(max(f.terms) - min(f.terms)) <= COST_CAP:
             companion = Companion(f)
-    # the split's plans and prime counts, of kept[:len(plans)]
-    kept, plans, needs = [], [], []
-    spent = walked = supply = pool = 0
+    # the split's priced plans, of kept[:len(splits)]
+    kept, splits = [], []
+    spent = walked = supply = 0
     # the quotient at which each rank-1 route passed the cap, and is dropped
     split_out = walk_out = None
 
     def price_split() -> None:
         """Price the split of the kept quotients not yet priced, in order,
         until its total passes the cap."""
-        nonlocal spent, supply, pool, split_out
-        while len(plans) < len(kept) and not split_out:
-            q = kept[len(plans)]
-            plan, need, spent, pool = _estimate(f, q, spent)
-            plans.append(plan)
-            needs.append(need)
-            supply = max(supply, pool)
-            split_out = q.label if max(spent, pool) > COST_CAP else None
+        nonlocal spent, supply, split_out
+        while len(splits) < len(kept) and not split_out:
+            q = kept[len(splits)]
+            s = _Split(q.split_plan(f))
+            splits.append(s)
+            spent += s.work
+            supply = max(supply, s.supply)
+            split_out = q.label if max(spent, s.supply) > COST_CAP else None
 
     for q in quotients:
         last = kept[-1].size if kept else 0
@@ -764,7 +799,7 @@ def _counts(f: GroupRingElement, quotients: Iterable[Quotient]) -> tuple:
         if companion is None:
             price_split()
             if split_out:
-                raise _refusal(q, f"work {spent} so far, prime supply {pool}")
+                raise _refusal(q, f"work {spent} so far, prime supply {splits[-1].supply}")
         elif walk_out is None:
             walked += math.ceil(companion.cost(q.size - last, q.size))
             walk_out = q.label if walked > COST_CAP else None
@@ -776,77 +811,20 @@ def _counts(f: GroupRingElement, quotients: Iterable[Quotient]) -> tuple:
     if not kept:
         raise ValueError("at least one quotient required")
     if companion is None:
-        return kept, _split_det(plans, needs)
+        return kept, _split_det(splits)
     # each plan left unpriced costs the split at least _SPLIT_PLAN, so the
     # walk is taken unpriced while within that floor
-    if walked > spent + _SPLIT_PLAN * (len(kept) - len(plans)):
+    if walked > spent + _SPLIT_PLAN * (len(kept) - len(splits)):
         price_split()
         if not split_out and walked > spent:
-            return kept, _split_det(plans, needs)
+            return kept, _split_det(splits)
     return kept, companion.counts([q.size for q in kept])
-
-
-def _estimate(f: GroupRingElement, q: Quotient, spent: int) -> tuple:
-    """(q's split plan of f, the determinant's CRT prime count, spent + W,
-    the cost of the prime supply), for `_counts` to hold against COST_CAP:
-    the one price of a split, read from the plan that `_split_det` runs.
-
-    The split draws at most `_det_prime_count` primes.  Each costs, per
-    orbit representative, an elimination of m^3 and a block built from
-    terms x m^2 entries, plus 16 for roots and CRT, and the plan's rounds
-    have a fixed cost: W = primes x orbits x (m^3 + terms m^2 + 16) +
-    _SPLIT_PLAN, in units of about 5 ns.  Serving them takes a pool of
-    about primes x phi(exp A) primes, 64 units each to sieve.
-    """
-    plan = q.split_plan(f)
-    terms, m = plan.cols.shape
-    primes = _det_prime_count(plan, q.size)
-    work = spent + primes * plan.orbits * (m**3 + terms * m * m + 16) + _SPLIT_PLAN
-    return plan, primes, work, 64 * primes * _totient(math.lcm(*plan.moduli))
-
-
-# Units of the fixed work of one plan in `_split_det`: a plan takes at least
-# one round, of about 100 us of numpy calls.
-_SPLIT_PLAN = 20_000
 
 
 def _refusal(q: Quotient, detail: str) -> ResourceGuardError:
     return ResourceGuardError(
         f"estimated cost at {q.label or f'd={q.size}'} exceeds the cap {COST_CAP}: {detail}"
     )
-
-
-def _det_prime_count(plan: SplitPlan, d: int) -> int:
-    """The primes `_split_det` draws for a nonsingular plan, and at most for
-    a singular one: the CRT count of Hadamard's bound on |det M|, or on a
-    symmetric plan the largest of those of the bounds on |H| and |S| and of
-    the widest rank budget, l1^(m ceil(phi(exp A) / 2)) (see `_split_det`)."""
-    squares = sum(c * c for c in plan.coeffs)
-    full = _power_prime_count(squares, d)
-    if not plan.symmetric:
-        return full
-    m, l1 = plan.cols.shape[1], sum(abs(c) for c in plan.coeffs)
-    degree = (_totient(math.lcm(*plan.moduli)) + 1) // 2
-    return max(
-        _power_prime_count(squares, d, 4),
-        min(full, _real_prime_count(plan)),
-        _power_prime_count(l1, m * degree, 1),
-    )
-
-
-def _real_prime_count(plan: SplitPlan) -> int:
-    """The CRT count of |S| <= l1^(m #real), l1 = sum |fhat| bounding
-    every eigenvalue of M."""
-    real = int(plan.orbit_sizes[_real_orbits(plan)].sum())
-    return _power_prime_count(sum(abs(c) for c in plan.coeffs), plan.cols.shape[1] * real, 1)
-
-
-def _real_orbits(plan: SplitPlan) -> np.ndarray:
-    """Which orbits of a plan hold real characters: chi_j with 2 j = 0
-    componentwise mod the moduli.  An orbit's characters are all real or
-    none is, as the normaliser acts by automorphisms."""
-    coords = np.unravel_index(plan.orbit_reps, plan.moduli)
-    return np.logical_and.reduce([2 * j % n == 0 for j, n in zip(coords, plan.moduli)])
 
 
 def _solution(q: Quotient, det: int, rank: int) -> SolutionCount:
@@ -929,7 +907,7 @@ def entropy_trace(
     split's is priced only once the walk's passes the cap, or at the end
     where its floor cannot rule it out; see `_counts`).  The counts then
     run as one walk through lc^n x^n mod p, a resultant at each size, or as
-    one `_split_det` over the plans the split was priced from.  A plan
+    one `_split_det` over the priced plans (`_Split`).  A plan
     holds its terms and its orbits (a torus plan its terms alone), and
     `_split_det` keeps per character only the orbits still short of full
     rank, so a long trace holds little more than its plans.  The caveats

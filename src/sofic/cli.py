@@ -320,7 +320,8 @@ def _report(args, obj: dict, table: str, columns: Sequence[str]) -> None:
     numbers, strings or None: ``repr`` of a numpy scalar is not its value's
     text.  Dataclass rows come as ``vars(row)``, as ``asdict`` would
     deep-copy each flat one.  A refusal comes before this call, so none
-    writes a byte or creates ``--out``.
+    writes a byte or creates ``--out``; an ``--out`` that cannot be opened
+    is a ConfigError, before any byte is written.
 
     CPython writes an int of more than 4300 digits only with its limit
     lifted, so an exact count of any length is written with the limit lifted
@@ -331,10 +332,11 @@ def _report(args, obj: dict, table: str, columns: Sequence[str]) -> None:
     try:
         if args.format == "json":
             obj = {**obj, table: [{c: _json_cell(row[c]) for c in columns} for row in obj[table]]}
-        with (
-            open(args.out, "w", encoding="utf-8", newline="\n")
-            if args.out else contextlib.nullcontext(sys.stdout)
-        ) as fh:
+        try:
+            out = open(args.out, "w", encoding="utf-8", newline="\n") if args.out else None
+        except OSError as exc:
+            raise ConfigError(f"cannot write report {args.out!r}: {exc}") from None
+        with out or contextlib.nullcontext(sys.stdout) as fh:
             if args.format == "json":
                 json.dump(obj, fh, indent=2)
             else:

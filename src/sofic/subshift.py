@@ -456,7 +456,7 @@ def subshift_entropy_table(
     """
     lengths, budgets, values = list(lengths), list(budgets), []
     for x in lengths + budgets:
-        if type(x) is not int and not _is_integer(x):  # a plain int needs no ABC check
+        if not _is_integer(x):
             raise ValueError(f"cycle lengths and budgets must be integers, got {x!r}")
         values.append(int(x))
     lengths, budgets = values[: len(lengths)], sorted(set(values[len(lengths) :]) | {0})

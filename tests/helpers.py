@@ -20,8 +20,11 @@ replaced: a power of the integer companion matrix, its Bareiss determinant
 and its rank by rational elimination.  ``rank1_route`` prices a rank-1
 trace's two routes at every quotient, the eager form of the library's route
 choice, which prices the split only where it can change the outcome.
+``split_price`` prices a split by the formulas that the library's priced
+plan folds into one object, each bound taken as its exact power.
 """
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -37,6 +40,7 @@ from sofic.algebraic import (
     _crt_prime_count,
     _crt_symmetric,
     _det_mod_batched,
+    _Split,
     _split_det,
     fix_count,
     log_big_int,
@@ -623,20 +627,20 @@ def every_character_count(f: GroupRingElement, q: Quotient) -> SolutionCount:
     plan = q.split_plan(f)
     size = math.prod(plan.moduli)
     ones = np.ones(size, dtype=np.int64)
-    plan = replace(plan, orbit_reps=np.arange(size), orbit_sizes=ones, symmetric=False)
-    need = _crt_prime_count(sum(c * c for c in plan.coeffs) ** q.size)
-    [(det, rank)] = _split_det([plan], [need])
+    split = _Split(replace(plan, orbit_reps=np.arange(size), orbit_sizes=ones, symmetric=False))
+    assert split.det_need == _crt_prime_count(sum(c * c for c in plan.coeffs) ** q.size)
+    [(det, rank)] = _split_det([split])
     return SolutionCount(det) if det else SolutionCount(None, q.size - rank)
 
 
 def split_count(f: GroupRingElement, q: Quotient) -> SolutionCount:
-    """``fix_count`` by the split alone, from the plan and prime count of
-    its estimate, whatever the quotient.  The split is called through the
-    module, so a spy set on it there sees the call."""
-    plan, need, work, supply = algebraic._estimate(f, q, 0)
-    if max(work, supply) > algebraic.COST_CAP:
-        raise algebraic._refusal(q, f"work {work} so far, prime supply {supply}")
-    [(det, rank)] = algebraic._split_det([plan], [need])
+    """``fix_count`` by the split alone, from its priced plan, whatever the
+    quotient.  The split is called through the module, so a spy set on it
+    there sees the call."""
+    split = algebraic._Split(q.split_plan(f))
+    if max(split.work, split.supply) > algebraic.COST_CAP:
+        raise algebraic._refusal(q, f"work {split.work} so far, prime supply {split.supply}")
+    [(det, rank)] = algebraic._split_det([split])
     return SolutionCount(det) if det else SolutionCount(None, q.size - rank)
 
 
@@ -667,10 +671,10 @@ def rank1_route(f: GroupRingElement, sizes) -> str:
     """The route of a rank-1 trace of f over Z/n, n in the nondecreasing
     sizes, priced as every quotient is drawn: "walk", "split", or the text
     of the refusal.  Both routes' totals run side by side, the split's
-    from each quotient's ``algebraic._estimate``; the trace is refused at
-    the first quotient where neither is within COST_CAP, and otherwise
-    takes the route of the lower total, the walk on a tie or once the
-    split is out.
+    from each quotient's priced plan, ``algebraic._Split``; the trace is
+    refused at the first quotient where neither is within COST_CAP, and
+    otherwise takes the route of the lower total, the walk on a tie or once
+    the split is out.
     The eager form of the pricing in ``algebraic._counts``, which prices
     the split only where its total decides the route."""
     from sofic.companion import Companion
@@ -681,8 +685,9 @@ def rank1_route(f: GroupRingElement, sizes) -> str:
     for n in sizes:
         q = torus_quotient([n])
         if split_out is None:
-            _, _, spent, pool = algebraic._estimate(f, q, spent)
-            supply = max(supply, pool)
+            split = algebraic._Split(q.split_plan(f))
+            spent += split.work
+            supply = max(supply, split.supply)
             split_out = q.label if max(spent, supply) > algebraic.COST_CAP else None
         if walk_out is None:
             walked += math.ceil(walk.cost(n - last, n))
@@ -693,6 +698,36 @@ def rank1_route(f: GroupRingElement, sizes) -> str:
                                              f"at {split_out}"))
         last = n
     return "walk" if split_out or walked <= spent else "split"
+
+
+def split_price(f: GroupRingElement, q: Quotient) -> tuple:
+    """(det_need, s_need, work, supply) of the split of f over q, by the
+    pricing formulas that ``algebraic._Split`` folds into one object, each
+    bound taken as its exact power.
+
+    det_need is the CRT count of Hadamard's bound (sum c^2)^d on det M^2,
+    or on a symmetric plan the largest of the counts of |H| <= (sum c^2)^(d/4),
+    of |S| (at most det M's), and of the widest rank budget
+    l1^(m ceil(phi(k) / 2)), k = exp A; s_need is that of
+    |S| <= l1^(m #real), #real the characters chi_j with 2 j = 0 mod the
+    moduli, 0 on any other plan.  work = det_need x orbits x (m^3 +
+    terms m^2 + 16) + _SPLIT_PLAN and supply = 64 det_need phi(k)."""
+    plan = q.split_plan(f)
+    terms, m = plan.cols.shape
+    squares = sum(c * c for c in plan.coeffs)
+    l1 = sum(abs(c) for c in plan.coeffs)
+    k = math.lcm(*plan.moduli)
+    phi = sum(math.gcd(i, k) == 1 for i in range(1, k + 1))
+    det_need, s_need = _crt_prime_count(squares**q.size), 0
+    if plan.symmetric:
+        every = list(itertools.product(*[range(n) for n in plan.moduli]))
+        real = sum(int(size) for j, size in zip(plan.orbit_reps, plan.orbit_sizes)
+                   if all(2 * c % n == 0 for c, n in zip(every[j], plan.moduli)))
+        s_need = _crt_prime_count(l1 ** (m * real), 1)
+        det_need = max(_crt_prime_count(squares**q.size, 4), min(det_need, s_need),
+                       _crt_prime_count(l1 ** (m * ((phi + 1) // 2)), 1))
+    work = det_need * plan.orbits * (m**3 + terms * m * m + 16) + algebraic._SPLIT_PLAN
+    return det_need, s_need, work, 64 * det_need * phi
 
 
 def _matmul(a, b):

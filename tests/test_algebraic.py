@@ -648,14 +648,14 @@ def test_estimate_prime_count_matches_the_exact_power():
             assert algebraic._power_prime_count(s, d) == exact, (s, d)
             edges.add((4 * s**d).bit_length() % 60)
     assert {59, 0, 1} <= edges
-    # and through the estimate, whose count is that of the Hadamard bound
+    # and through the priced plan, whose count is that of the Hadamard bound
     rng = random.Random(229)
     for i in range(40):
         f, q = _random_torus_case(rng, 1 + i % 3, balanced=i % 2 == 0)
         if f.is_zero:
             continue
         squares = sum(c * c for c in q.split_plan(f).coeffs)
-        assert algebraic._estimate(f, q, 0)[1] == algebraic._crt_prime_count(squares**q.size)
+        assert algebraic._Split(q.split_plan(f)).det_need == algebraic._crt_prime_count(squares**q.size)
 
 
 def test_cost_guard_refuses_before_any_prime(monkeypatch):
@@ -694,13 +694,14 @@ def test_cost_guard_refuses_before_any_prime(monkeypatch):
 
 
 def test_split_refusal_names_the_work_and_the_prime_supply(monkeypatch):
-    # a split-only count is refused by _counts from _estimate's numbers: on
+    # a split-only count is refused by _counts from its _Split's numbers: on
     # (Z/12)^2 at its work, and on Z/1 x Z/211, whose 13 primes = 1 (mod
     # 211) need a pool of 64 x 13 x 210 primes, at its prime supply alone
     f = parse_laurent("5 - x - x^-1 - y - y^-1", 2)
     for moduli, over in (([12, 12], "work"), ([1, 211], "supply")):
         q = torus_quotient(moduli)
-        _, _, work, supply = algebraic._estimate(f, q, 0)
+        split = algebraic._Split(q.split_plan(f))
+        work, supply = split.work, split.supply
         assert (supply > work) == (over == "supply")
         cap = max(work, supply) - 1
         monkeypatch.setattr(algebraic, "COST_CAP", cap)
@@ -725,7 +726,7 @@ def test_trace_stops_at_the_quotient_that_passes_the_cap(monkeypatch):
     # on rank 2, which only the split counts
     f = parse_laurent("5 - x - x^-1 - y - y^-1", 2)
     quotients = [torus_quotient([n, n]) for n in (2, 3, 5, 8, 12)]
-    works = [algebraic._estimate(f, q, 0)[2] for q in quotients]
+    works = [algebraic._Split(q.split_plan(f)).work for q in quotients]
     drawn = []
     primes = algebraic._character_primes
     monkeypatch.setattr(
@@ -753,7 +754,7 @@ def test_cost_estimate_bounds_the_primes_drawn(monkeypatch):
     monkeypatch.setattr(
         algebraic,
         "_split_det",
-        lambda plans, needs: estimates.extend(needs) or split(plans, needs),
+        lambda splits: estimates.extend(s.det_need for s in splits) or split(splits),
     )
     rng = random.Random(191)
     cases = [_random_torus_case(rng, 1 + i % 3, balanced=i % 4 == 0) for i in range(60)]
@@ -1107,10 +1108,10 @@ def test_rank1_route_matches_the_eager_pricing(monkeypatch):
             if len(sizes) <= 104:
                 assert counts == walk(companion.Companion(f), sizes)
         else:
-            # the plans and prime counts of each quotient's own estimate
-            plans, needs, _, _ = zip(*[algebraic._estimate(f, q, 0) for q in quotients])
-            assert splits[0][1] == list(needs)
-            assert counts == algebraic._split_det(plans, needs)
+            # the plans and prime counts of each quotient's own priced plan
+            priced = [algebraic._Split(q.split_plan(f)) for q in quotients]
+            assert [s.det_need for s in splits[0][0]] == [s.det_need for s in priced]
+            assert counts == algebraic._split_det(priced)
     assert seen == {"walk", "split", "walk out first", "split out first"}
 
 
@@ -1153,7 +1154,7 @@ def test_dense_high_degree_rank1_trace_takes_the_split(monkeypatch):
     # by a wide margin: the walk is priced over 100 times the split
     spent = 0
     for q in quotients:
-        spent = algebraic._estimate(f, q, spent)[2]
+        spent += algebraic._Split(q.split_plan(f)).work
     walk = companion.Companion(f)
     assert sum(walk.cost(1, n) for n in range(1, 101)) > 100 * spent
 
@@ -1234,11 +1235,11 @@ def _assert_batch_matches_lone_counts(log, pairs):
         sc = helpers.split_count(f, q)
         assert all(len(group) == 1 for group in log["groups"])
         lone.append((sc, sorted(log["primes"]), sum(c for g in log["groups"] for _, c in g)))
-    plans = [q.split_plan(f) for f, q in pairs]
-    needs = [algebraic._estimate(f, q, 0)[1] for f, q in pairs]
+    splits = [algebraic._Split(q.split_plan(f)) for f, q in pairs]
+    plans = [s.plan for s in splits]
     log["groups"].clear()
     log["primes"].clear()
-    results = algebraic._split_det(plans, needs)
+    results = algebraic._split_det(splits)
     drawn = [0] * len(plans)
     where = {id(plan): i for i, plan in enumerate(plans)}
     for group in log["groups"]:
@@ -1337,7 +1338,7 @@ def test_long_torus_trace_counts_in_one_split(monkeypatch):
             held.extend(a.size for a in vars(s).values() if isinstance(a, np.ndarray))
 
     monkeypatch.setattr(
-        algebraic, "_split_det", lambda plans, needs: calls.append(plans) or split_det(plans, needs)
+        algebraic, "_split_det", lambda splits: calls.append(splits) or split_det(splits)
     )
     monkeypatch.setattr(algebraic, "_split_round", round_spy)
     monkeypatch.setattr(
@@ -1625,7 +1626,7 @@ def test_split_fix_count_agrees_with_fk_determinant_and_guard(monkeypatch):
     assert fk_determinant_quotient(f, q) == pytest.approx(
         math.exp(log_big_int(sc.value) / q.size), rel=1e-15
     )
-    work = algebraic._estimate(f, q, 0)[2]
+    work = algebraic._Split(q.split_plan(f)).work
     monkeypatch.setattr(algebraic, "COST_CAP", work - 1)
     with pytest.raises(ResourceGuardError, match=f"work {work} so far"):
         fix_count(f, q)
@@ -1996,9 +1997,10 @@ def test_symmetric_lift_on_relabelled_sl2_11(monkeypatch):
     f = _laplacian(5)
     plan = q.split_plan(f)
     assert plan.symmetric and plan.orbits == 4
-    assert algebraic._estimate(f, q, 0)[1] == 54
+    split = algebraic._Split(plan)
+    assert split.det_need == 54
     assert algebraic._crt_prime_count(29**1320) == 107
-    assert algebraic._real_prime_count(plan) == algebraic._crt_prime_count(9**120, 1) == 13
+    assert split.s_need == algebraic._crt_prime_count(9**120, 1) == 13
     blocks = []
     kernel = algebraic._det_mod_batched
     monkeypatch.setattr(
@@ -2056,7 +2058,7 @@ def test_symmetric_prime_count_is_the_largest_bound():
         s = min(full, algebraic._crt_prime_count(l1 ** (24 * 2), 1))
         rank = algebraic._crt_prime_count(l1 ** (24 * 3), 1)
         want = max(h, s, rank) if plan.symmetric else full
-        assert algebraic._det_prime_count(plan, 336) == want
+        assert algebraic._Split(plan).det_need == want
         assert (h, s, rank) == (14, 6, 8)
     # (Z/2)^6: every character real, so S is det M and lifts in full, and
     # H = 1 needs nothing it does not draw anyway
@@ -2064,9 +2066,62 @@ def test_symmetric_prime_count_is_the_largest_bound():
     q = ExplicitQuotient([[i ^ j for j in range(d)] for i in range(d)], {"abcdef"[i]: 1 << i for i in range(6)})
     f = GroupRingElement(0, {(): 7, (("a", 1),): -1, (("f", 1),): -2, (("a", 1), ("b", 1)): 1})
     plan = q.split_plan(f)
-    assert plan.symmetric and algebraic._real_orbits(plan).all()
-    assert algebraic._det_prime_count(plan, d) == algebraic._crt_prime_count(55**d)
+    split = algebraic._Split(plan)
+    assert plan.symmetric and not split.h_sizes.any()
+    assert split.det_need == algebraic._crt_prime_count(55**d)
     assert fix_count(f, q).value == det_abs_exact(regular_rep_matrix(f, q))
+
+
+def test_priced_plan_matches_the_pricing_oracle():
+    # _Split's budgets, work and supply are those of the pricing formulas
+    # (helpers.split_price) on the torus, explicit, singular, relabelled
+    # SL(2,p) and rank-1 batteries
+    rng = random.Random(293)
+    cases = [_random_torus_case(rng, 1 + i % 3, balanced=i % 4 == 0) for i in range(60)]
+    for q, gens in _explicit_quotients(rng):
+        for i in range(2):
+            u = _random_word_element(rng, gens, balanced=i == 0)
+            cases += [(u, q), (_plus_adjoint(u), q)]
+    cases += [(f, q) for _, f, q, _ in _singular_explicit_cases(rng)]
+    for p in (3, 5, 7):
+        table, a, b = sl2_table(p)
+        perm = list(range(len(table)))
+        rng.shuffle(perm)
+        q = ExplicitQuotient(relabel_table(table, perm), {"a": perm[a], "b": perm[b]})
+        cases += [(_laplacian(5), q), (_laplacian(4), q)]
+        cases += [(_plus_adjoint(_random_word_element(rng, "ab", False)), q) for _ in range(2)]
+    fs = {f.render(): f for f, _ in _rank1_route_battery()}
+    cases += [(f, torus_quotient([n])) for f in fs.values() for n in range(1, 105)]
+    symmetric = 0
+    for f, q in cases:
+        split = algebraic._Split(q.split_plan(f))
+        got = (split.det_need, split.s_need, split.work, split.supply)
+        assert got == helpers.split_price(f, q), (f.render(), q.label)
+        symmetric += split.plan.symmetric and split.s_need > 0
+    assert symmetric >= 20
+
+
+def test_symmetric_count_reads_its_real_characters_once(monkeypatch):
+    # the real orbits, the one unravelling of the orbit representatives'
+    # coordinates in algebraic, are read once per symmetric count, as its
+    # plan is priced, and that one read serves its budgets and its lift
+    table, a, b = sl2_table(5)
+    q = ExplicitQuotient(table, {"a": a, "b": b})
+    f = _laplacian(5)
+    assert q.split_plan(f).symmetric
+    reads = []
+    unravel = np.unravel_index
+
+    def spy(*args):
+        if sys._getframe(1).f_globals["__name__"] == algebraic.__name__:
+            reads.append(args)
+        return unravel(*args)
+
+    monkeypatch.setattr(np, "unravel_index", spy)
+    got = fix_count(f, q)
+    assert len(reads) == 1
+    monkeypatch.setattr(np, "unravel_index", unravel)
+    assert got.value == every_character_count(f, q).value
 
 
 def test_det_equals_snf_product_equals_count():

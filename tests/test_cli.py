@@ -328,6 +328,21 @@ def test_subshift_unreadable_sft(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("where", ["missing directory", "directory"])
+def test_unwritable_out_is_invalid_input(tmp_path, capsys, fmt, where):
+    # an --out that cannot be opened exits 2 and writes no byte to stdout
+    path = tmp_path / "missing" / "x.csv" if where == "missing directory" else tmp_path
+    argv = ["mahler", "--poly", "3 - x - x^-1", "--format", fmt, "--out", str(path)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    reason = ("[Errno 2] No such file or directory" if where == "missing directory"
+              else "[Errno 21] Is a directory")
+    assert captured.err == f"error: cannot write report '{path}': {reason}: '{path}'\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_subshift_budgets(tmp_path):
     sft_path = tmp_path / "gm.json"
     sft_path.write_text(GM_JSON, encoding="utf-8")
