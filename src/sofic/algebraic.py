@@ -73,7 +73,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -851,16 +851,14 @@ def log_big_int(n: int) -> float:
 # entropy traces
 
 
-@dataclass(frozen=True)
-class TraceRecord:
+class TraceRecord(NamedTuple):
     label: str
     d: int
     log_fix_count: float
     h_n: float
 
 
-@dataclass(frozen=True)
-class SkippedQuotient:
+class SkippedQuotient(NamedTuple):
     label: str
     d: int
     nullity: int
@@ -923,9 +921,7 @@ def entropy_trace(
         sc = _solution(q, *split)
         if sc.is_finite:
             log_fix = log_big_int(sc.value)
-            trace.records.append(
-                TraceRecord(label=q.label, d=q.size, log_fix_count=log_fix, h_n=log_fix / q.size)
-            )
+            trace.records.append(TraceRecord(q.label, q.size, log_fix, log_fix / q.size))
         else:
-            trace.skipped.append(SkippedQuotient(label=q.label, d=q.size, nullity=sc.nullity))
+            trace.skipped.append(SkippedQuotient(q.label, q.size, sc.nullity))
     return trace

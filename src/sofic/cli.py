@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import sys
@@ -80,6 +81,7 @@ class ConfigError(ValueError):
     """Invalid command-line configuration or input file."""
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sofic",
@@ -313,15 +315,16 @@ def _csv_cell(value) -> str:
 def _report(args, obj: dict, table: str, columns: Sequence[str]) -> None:
     """Write the report of ``obj`` to ``args.out``, or stdout, as it renders.
 
-    ``obj[table]`` yields the rows as dicts, once.  JSON writes all of
-    ``obj`` in its key order, the rows cut to ``columns`` (the one table
-    held) and a non-finite float in a row written as null.  CSV writes the
-    header ``columns``, then each row as it is drawn.  Cells must be Python
-    numbers, strings or None: ``repr`` of a numpy scalar is not its value's
-    text.  Dataclass rows come as ``vars(row)``, as ``asdict`` would
-    deep-copy each flat one.  A refusal comes before this call, so none
-    writes a byte or creates ``--out``; an ``--out`` that cannot be opened
-    is a ConfigError, before any byte is written.
+    ``obj[table]`` yields the rows once, each a tuple of its cells in
+    ``columns`` order, so a named-tuple row whose fields are the columns
+    goes in as it is.  JSON writes all of ``obj`` in its key order, each
+    row as the object of its columns (the one table held) and a non-finite
+    float in a row written as null.  CSV writes the header ``columns``, then
+    each row as it is drawn.  Cells must be Python numbers, strings or None:
+    ``repr`` of a numpy scalar is not its value's text.  A refusal comes
+    before this call, so none writes a byte or creates ``--out``; an
+    ``--out`` that cannot be opened is a ConfigError, before any byte is
+    written.
 
     CPython writes an int of more than 4300 digits only with its limit
     lifted, so an exact count of any length is written with the limit lifted
@@ -331,7 +334,7 @@ def _report(args, obj: dict, table: str, columns: Sequence[str]) -> None:
     sys.set_int_max_str_digits(0)
     try:
         if args.format == "json":
-            obj = {**obj, table: [{c: _json_cell(row[c]) for c in columns} for row in obj[table]]}
+            obj = {**obj, table: [dict(zip(columns, map(_json_cell, row))) for row in obj[table]]}
         try:
             out = open(args.out, "w", encoding="utf-8", newline="\n") if args.out else None
         except OSError as exc:
@@ -342,7 +345,7 @@ def _report(args, obj: dict, table: str, columns: Sequence[str]) -> None:
             else:
                 fh.write(",".join(columns))
                 for row in obj[table]:
-                    fh.write("\n" + ",".join([_csv_cell(row[c]) for c in columns]))
+                    fh.write("\n" + ",".join(map(_csv_cell, row)))
             fh.write("\n")
     finally:
         sys.set_int_max_str_digits(limit)
@@ -392,8 +395,8 @@ def run_algebraic(args) -> int:
     obj = {
         "f_description": trace.f_description,
         "reference_value": trace.reference_value,
-        "records": (vars(r) for r in trace.records),
-        "skipped": [vars(r) for r in trace.skipped],
+        "records": trace.records,
+        "skipped": [r._asdict() for r in trace.skipped],
     }
     if trace.caveats:
         obj["caveats"] = trace.caveats
@@ -436,7 +439,7 @@ def run_subshift(args) -> int:
 
     lengths = _parse_range(args.quotients)
     table = subshift_mod.subshift_entropy_table(sft, lengths, _parse_int_list(args.budget))
-    obj = {"sft": sft.to_json_obj(), "rows": (vars(r) for r in table.rows)}
+    obj = {"sft": sft.to_json_obj(), "rows": table.rows}
     _report(args, obj, "rows", ("n", "budget", "count", "h_n", "method"))
     return EXIT_OK
 
@@ -459,7 +462,8 @@ def run_mahler(args) -> int:
 
     obj = {
         "poly": f.render(),
-        "estimates": (vars(e) for e in estimates),
+        "estimates": [(e.method, e.value, e.error_bound, e.evaluations, e.grid)
+                      for e in estimates],
         "certificate": asdict(certificate),
     }
     columns = ("method", "value", "error_bound", "evaluations", "grid")
@@ -515,14 +519,8 @@ def run_sofic_check(args) -> int:
         for q in quotients:
             sigma = sofic_map_from_quotient(q, needed)
             for s, t in pairs:
-                yield {
-                    "label": q.label,
-                    "d": q.size,
-                    "s": names[s],
-                    "t": names[t],
-                    "multiplicative_defect": multiplicative_defect(sigma, s, t),
-                    "freeness_defect": freeness_defect(sigma, s, t),
-                }
+                yield (q.label, q.size, names[s], names[t],
+                       multiplicative_defect(sigma, s, t), freeness_defect(sigma, s, t))
             del sigma  # freed before the next quotient's map is built
 
     columns = ("label", "d", "s", "t", "multiplicative_defect", "freeness_defect")

@@ -41,7 +41,7 @@ import itertools
 import json
 from collections.abc import Iterable as IterableABC
 from dataclasses import dataclass, field
-from typing import Iterable, List, Sequence
+from typing import Iterable, List, NamedTuple, Sequence
 
 import numpy as np
 
@@ -236,19 +236,26 @@ def _transfer_traces(sft: SubshiftSFT, lengths: Iterable[int], degree: int) -> d
     or of the trace, counts walks of at most n steps from one state, or the
     labelings of Z/n, so it is at most m^n < 2^width: slots never carry
     into each other, and truncation at z^degree is a bit mask.  The sorted
-    distinct lengths are walked once, P_n = P_prev B^(n - prev), each gap
-    power by squaring.
+    distinct lengths are walked once, P_n = P_prev B^(n - prev).  A gap of
+    1 is shift-and-add over B's m nonzeros per column, each added as it is
+    for weight 1 or shifted left by ``width`` for z and each sum masked
+    once: m^(2k+1) additions, not (m^k)^3 products.  A longer gap is
+    raised by squaring, as B^g is dense.
     """
     lengths = sorted(set(lengths))
     width = _power_bits(len(sft.alphabet), lengths[-1])
     mask = (1 << (width * (degree + 1))) - 1
     step = _block_step(sft, (1 << width) & mask)
+    # per column, its nonzero rows and their shifts: 0 for weight 1, width for z
+    cols = [[(u, 0 if w == 1 else width) for u, w in enumerate(c) if w] for c in zip(*step)]
     slot = (1 << width) - 1
-    traces = {}
-    power, done = None, 0
+    traces, power, done = {}, None, 0
     for n in lengths:
-        gap = _mat_pow(step, n - done, mask)
-        power = gap if power is None else _mat_mul(power, gap, mask)
+        if power is not None and n - done == 1:
+            power = [[sum([row[u] << s for u, s in col]) & mask for col in cols] for row in power]
+        else:
+            gap = _mat_pow(step, n - done, mask)
+            power = gap if power is None else _mat_mul(power, gap, mask)
         done = n
         trace = sum(row[i] for i, row in enumerate(power))
         traces[n] = [(trace >> (k * width)) & slot for k in range(degree + 1)]
@@ -265,8 +272,10 @@ def _walk_cost(sft: SubshiftSFT, lengths: Sequence[int], degree: int) -> int:
     matrix.  A product of (m^k)^3 entry products, k = ``_block_length``,
     multiplies entries of ``_transfer_traces``'s width * (degree + 1) bits,
     so the estimate is the count times (m^k)^3 times the 64-bit words of an
-    entry.  The gaps are sorted and tallied by value, so only the distinct
-    gaps (at most sqrt(2 max(lengths)) of them) are priced one at a time.
+    entry.  Every product is priced as dense, so a gap-1 step, which the
+    walk takes by m^(2k+1) shifts and adds, is bounded from above.  The
+    gaps are sorted and tallied by value, so only the distinct gaps (at
+    most sqrt(2 max(lengths)) of them) are priced one at a time.
     """
     try:
         lengths = np.sort(np.asarray(lengths, dtype=np.int64))
@@ -417,8 +426,7 @@ def _bad_site_tally(sft: SubshiftSFT, sigma: SoficMap, constraints) -> list:
     return tally.tolist()
 
 
-@dataclass(frozen=True)
-class TableRow:
+class TableRow(NamedTuple):
     n: int
     budget: int
     count: int
@@ -485,7 +493,5 @@ def subshift_entropy_table(
         for budget in budgets:
             count = m**n if budget >= n else prefix[budget]
             h = log_big_int(count) / n if count > 0 else float("-inf")
-            table.rows.append(
-                TableRow(n=n, budget=budget, count=count, h_n=h, method=method)
-            )
+            table.rows.append(TableRow(n, budget, count, h, method))
     return table

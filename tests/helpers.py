@@ -32,7 +32,7 @@ from typing import List
 
 import numpy as np
 
-from sofic import algebraic
+from sofic import algebraic, subshift
 from sofic.algebraic import (
     _CHAR_BLOCK,
     SolutionCount,
@@ -41,6 +41,7 @@ from sofic.algebraic import (
     _crt_symmetric,
     _det_mod_batched,
     _Split,
+    _power_bits,
     _split_det,
     fix_count,
     log_big_int,
@@ -742,6 +743,25 @@ def sylvester(a, b):
     m, k = len(a) - 1, len(b) - 1
     rows = [[0] * i + a[::-1] + [0] * (k - 1 - i) for i in range(k)]
     return rows + [[0] * i + b[::-1] + [0] * (m - 1 - i) for i in range(m)]
+
+
+def dense_transfer_traces(sft, lengths, degree):
+    """The table's transfer walk with every step a dense product: P_n =
+    P_prev B^(n - prev) by `_mat_mul` and `_mat_pow` for every gap, 1
+    included, where `subshift._transfer_traces` steps a gap of 1 by
+    shift-and-add over B's nonzero entries."""
+    lengths = sorted(set(lengths))
+    width = _power_bits(len(sft.alphabet), lengths[-1])
+    mask = (1 << (width * (degree + 1))) - 1
+    step = subshift._block_step(sft, (1 << width) & mask)
+    traces, power, done = {}, None, 0
+    for n in lengths:
+        gap = subshift._mat_pow(step, n - done, mask)
+        power = gap if power is None else subshift._mat_mul(power, gap, mask)
+        done = n
+        trace = sum(row[i] for i, row in enumerate(power))
+        traces[n] = [(trace >> (k * width)) & ((1 << width) - 1) for k in range(degree + 1)]
+    return traces
 
 
 def walk_products_per_gap(lengths):

@@ -924,6 +924,64 @@ def test_csv_json_numeric_fields_agree(tmp_path, command):
                 assert c[column] == repr(value), column
 
 
+def test_report_rows_are_named_tuples_of_their_columns(tmp_path, capsys):
+    # the writer takes a row as the tuple of its cells in column order, so the
+    # fields are the report's columns; the rows stay immutable, with the repr
+    # they had as frozen dataclasses
+    assert subshift.TableRow._fields == ("n", "budget", "count", "h_n", "method")
+    assert algebraic.TraceRecord._fields == ("label", "d", "log_fix_count", "h_n")
+    assert algebraic.SkippedQuotient._fields == ("label", "d", "nullity")
+    row = subshift.subshift_entropy_table(subshift.golden_mean(), [4]).rows[0]
+    assert repr(row) == (
+        f"TableRow(n=4, budget=0, count=7, h_n={math.log(7) / 4!r}, method='transfer_matrix')"
+    )
+    trace = algebraic.entropy_trace(parse_laurent("x - 1", 1), [torus_quotient([1])])
+    assert repr(trace.skipped[0]) == "SkippedQuotient(label='Z/1', d=1, nullity=1)"
+    record = algebraic.entropy_trace(parse_laurent("3", 1), [torus_quotient([2])]).records[0]
+    assert repr(record) == (
+        f"TraceRecord(label='Z/2', d=2, log_fix_count={math.log(9)!r}, h_n={math.log(3)!r})"
+    )
+    for held, name in ((row, "count"), (record, "h_n"), (trace.skipped[0], "nullity")):
+        with pytest.raises(AttributeError):
+            setattr(held, name, 0)
+    # a count of 0 writes h_n as -inf in CSV and null in JSON
+    sft_path = tmp_path / "alternating.json"
+    sft_path.write_text(ALTERNATING_JSON, encoding="utf-8")
+    argv = ["subshift", "--sft", str(sft_path), "--quotients", "3..3", "--format"]
+    assert main(argv + ["csv"]) == 0
+    assert capsys.readouterr().out == "n,budget,count,h_n,method\n3,0,0,-inf,transfer_matrix\n"
+    assert main(argv + ["json"]) == 0
+    assert json.loads(capsys.readouterr().out)["rows"] == [
+        {"n": 3, "budget": 0, "count": 0, "h_n": None, "method": "transfer_matrix"}
+    ]
+
+
+def test_the_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_successive_commands_write_what_each_writes_alone(tmp_path, capsys):
+    # one cached parser serves every call: no subcommand's flags or defaults
+    # leak into the next call's report
+    sft_path = tmp_path / "gm.json"
+    sft_path.write_text(GM_JSON, encoding="utf-8")
+    runs = [
+        ["subshift", "--sft", str(sft_path), "--quotients", "2..6", "--budget", "0,1"],
+        ["mahler", "--group", "Z2", "--poly", "5 - x - x^-1 - y - y^-1", "--grid", "16",
+         "--format", "json"],
+        ["algebraic", "--poly", "3 - x - x^-1", "--quotients", "1..5"],
+        ["sofic-check", "--quotients", "3..4", "--elements", "1;2"],
+    ]
+    alone = []
+    for argv in runs:
+        cli.build_parser.cache_clear()
+        alone.append((main(argv), capsys.readouterr()))
+    for order in (runs, runs[::-1]):
+        cli.build_parser.cache_clear()
+        together = [(main(argv), capsys.readouterr()) for argv in order]
+        assert together == [alone[runs.index(argv)] for argv in order]
+
+
 def test_stdout_report_when_no_out(capsys):
     rc = main(["algebraic", "--group", "Z", "--poly", "2", "--quotients", "1..3"])
     assert rc == 0

@@ -22,6 +22,7 @@ from helpers import (
     allowed_pairs,
     bad_site_tally_brute,
     count_cycles_brute,
+    dense_transfer_traces,
     hom_count_full_shift,
     lucas_numbers,
     table_count,
@@ -495,6 +496,31 @@ def test_transfer_walk_matches_brute_force_battery():
         if sft.allowed == {(0, 1)}:
             assert {r.count for r in table.rows if r.budget == 0} == {0}
     assert routes == {(True, True), (False, True), (False, False)}
+
+
+def test_sparse_walk_matches_the_dense_walk_battery():
+    # a gap of 1 is shift-and-add over the step's nonzeros, a longer one dense
+    # squaring; the walk with every step a dense product is the oracle
+    rng = random.Random(113)
+    length_sets = [
+        range(1, 9),  # consecutive: every gap 1
+        [2, 3, 6, 7, 8, 12],  # gapped: gaps of 1 and longer ones
+        [7],  # a single length, by squaring alone
+        [6, 2, 5, 2, 1, 6, 3],  # unsorted, with duplicates
+    ]
+    windows = [(0, 1), (1, 0), (0, 1, 2), (0, 2), (-2, 0, 1)]
+    sfts = [_random_sft(rng, m, w) for m in (1, 2, 3) for w in windows]
+    cases = [(sft, lengths, degree)
+             for sft in sfts for degree in range(4) for lengths in length_sets]
+    # the window (0, 3, 6) has m^6 states, so a dense product costs m^18
+    # entry products: the binary one walks every length set at degree 1 and
+    # the consecutive lengths at the other degrees; degree 0 masks z to 0
+    wide = _random_sft(rng, 2, (0, 3, 6))
+    cases += [(wide, lengths, 1) for lengths in length_sets]
+    cases += [(wide, length_sets[0], degree) for degree in (0, 2, 3)]
+    for sft, lengths, degree in cases:
+        want = dense_transfer_traces(sft, lengths, degree)
+        assert subshift._transfer_traces(sft, lengths, degree) == want, (sft, lengths, degree)
 
 
 def test_entropy_table_route_choice(monkeypatch):
