@@ -15,10 +15,10 @@ The package computes, exactly where the mathematics is exact:
   formula and torus quadrature) together with torus invertibility
   certificates;
 * homomorphism-counting entropy of subshifts of finite type over sofic
-  approximations: one table over the cyclic quotients Z/n, by powers of a
-  truncated polynomial transfer matrix on the higher-block presentation for
-  any window, or by enumeration where that is estimated cheaper; and one
-  budgeted exhaustive count over any sofic map;
+  approximations: one table over the cyclic quotients Z/n, by the
+  recurrence of a truncated polynomial transfer matrix's traces on the
+  higher-block presentation for any window, or by enumeration where that
+  is estimated cheaper; and one budgeted exhaustive count over any sofic map;
 * multiplicativity and freeness defects of sofic maps.
 """
 

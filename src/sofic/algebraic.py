@@ -769,8 +769,9 @@ def _counts(f: GroupRingElement, quotients: Iterable[Quotient]) -> tuple:
         # is never walked, nor its p written out densely
         from .companion import Companion, count_floor
 
-        if count_floor(max(f.terms) - min(f.terms)) <= COST_CAP:
-            companion = Companion(f)
+        lo, hi = min(f.terms), max(f.terms)
+        if count_floor(hi - lo) <= COST_CAP:
+            companion = Companion([f.terms.get(e, 0) for e in range(lo, hi + 1)])
     # the split's priced plans, of kept[:len(splits)]
     kept, splits = [], []
     spent = walked = supply = 0

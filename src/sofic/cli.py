@@ -471,7 +471,9 @@ def run_mahler(args) -> int:
 
     summary = sys.stdout if args.out else sys.stderr
     for e in estimates:
-        summary.write(f"{e.method}: {e.value!r} (error bound {e.error_bound:.3e})\n")
+        bound = (f"error bound {e.error_bound:.3e}" if e.error_bound is not None
+                 else f"no error bound: certificate {certificate.verdict}")
+        summary.write(f"{e.method}: {e.value!r} ({bound})\n")
     summary.write(f"certificate: {certificate.verdict}\n")
     if certificate.verdict == "not_invertible_suspected":
         return EXIT_NOT_INVERTIBLE

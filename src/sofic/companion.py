@@ -1,12 +1,13 @@
-"""Exact fixed-point counts on the rank-1 tori Z/n by a polynomial walk.
-
-For f = x^lo p(x), p of degree D and leading coefficient lc, the circulant
-M_n of f on Z/n has |det M_n| = |Res(x^n - 1, p)| = |lc|^n prod |alpha^n -
-1| over the roots alpha of p (Lind-Schmidt-Ward, Invent. Math. 101, 1990).
-A trace walks t_n = lc^n x^n mod p, of degree < D: a step is t_(n+1) =
-lc x t_n - c p, c the x^D coefficient of x t_n, and a long gap is squared,
-t_(a+b) being the pseudo-remainder of t_a t_b by p, its degree taken as
-2D - 2, divided by lc^(D - 1).  With s = t_n - lc^n = lc^n (x^n - 1) mod p,
+"""Integer polynomial walks t_n = lc^n x^n mod p, of degree < D for p of
+degree D and leading coefficient lc: a step is t_(n+1) = lc x t_n - c p, c
+the x^D coefficient of x t_n, and a long gap is squared, t_(a+b) being the
+pseudo-remainder of t_a t_b by p, its degree taken as 2D - 2, divided by
+lc^(D - 1).  A subshift table walks its transfer matrix's monic
+characteristic polynomial (`subshift._transfer_traces`), and a rank-1
+torus count walks f = x^lo p(x): the circulant M_n of f on Z/n has
+|det M_n| = |Res(x^n - 1, p)| = |lc|^n prod |alpha^n - 1| over the roots
+alpha of p (Lind-Schmidt-Ward, Invent. Math. 101, 1990).  With s = t_n -
+lc^n = lc^n (x^n - 1) mod p,
 
     Res(p, s) = lc^(deg s) prod s(alpha) = lc^(deg s + n D) prod (alpha^n - 1),
 
@@ -18,16 +19,15 @@ of gcd(p, s) = gcd(p, x^n - 1) (p itself when s = 0); as x^n - 1 is
 squarefree, its degree is the number of n-th roots of unity among the
 roots of p, the nullity of M_n.
 
-`Companion.cost` prices a count in `algebraic.COST_CAP`'s units (about 5 ns)
-for `algebraic._counts`.  The module is imported by the first rank-1 count.
+`walk_price` prices a walk and `Companion.cost` a count in
+`algebraic.COST_CAP`'s units (about 5 ns).  The module is imported by the
+first rank-1 count or subshift length past D.
 """
 
 from __future__ import annotations
 
 import math
-from typing import List, Sequence
-
-from .groups import GroupRingElement
+from typing import Iterable, Iterator, List, Sequence
 
 # Units (about 5 ns, as COST_CAP's) of the interpreted work of one count, of
 # one step, product or pass of a pseudo-remainder, and of one coefficient.
@@ -53,13 +53,22 @@ def count_floor(degree: int) -> int:
     return _COUNT_BASE + stages * 2 * _CALL + 3 * _TERM * degree * stages // 2
 
 
-class Companion:
-    """The walk through t_n = lc^n x^n mod p for one f = x^lo p(x)."""
+def walk_price(degree: int, taps: int, gap: int, words: float) -> tuple:
+    """(units of gap steps, of t_gap by squares and one product) for p of
+    degree D > 0 with ``taps`` nonzero terms below lc, t of ``words`` words."""
+    steps = gap * (_CALL + (degree + taps) * (_TERM + words))
+    # a product is D^2 products and D passes by p; the last square has half
+    # t_n's words, all before it half its cost, the last product two
+    calls = (gap.bit_length() + 1) * (2 * degree * degree * _TERM + (degree + 1) * _CALL)
+    return steps, calls + degree * degree * (3.5 * _mul_cost(words / 2) + 2 * words)
 
-    def __init__(self, f: GroupRingElement):
-        exps = sorted(f.terms)
-        self.degree = exps[-1] - exps[0]
-        self.p = [f.terms.get(exps[0] + k, 0) for k in range(self.degree + 1)]
+
+class Companion:
+    """The walk t_n = lc^n x^n mod p, p ascending, lc != 0, roots at 0 kept."""
+
+    def __init__(self, p: Sequence[int]):
+        self.p = list(p)
+        self.degree = len(self.p) - 1
         self.lc = self.p[-1]
         self.taps = [(k, a) for k, a in enumerate(self.p[:-1]) if a]
         # a minor of order j of s(C), C the companion matrix of p, has at most
@@ -73,7 +82,7 @@ class Companion:
         work = count_floor(D) + _mul_cost(n * lead / 64)
         # a minor of order j > 0 has base + j step words; p's own, order 0, one
         base, step = n * self.growth / 64, (n * lead + 1) / 64
-        work += min(self._walk(gap, base + step))
+        work += min(walk_price(D, len(self.taps), gap, base + step))
         # stage k of the resultant, from remainders of minors of orders k and
         # k + 1 (subresultants): two passes over D - 1 - k coefficients, each
         # two products of both orders, and as many quotients by g h
@@ -84,49 +93,45 @@ class Companion:
         divisor = n * D * lead / 64
         return work + _mul_cost(divisor) + _div_cost(base + step, divisor)
 
-    def _walk(self, gap: int, words: float) -> tuple:
-        """(units of gap steps, of t_gap by squares and one product)."""
-        D = self.degree
-        steps = gap * (_CALL + (D + len(self.taps)) * (_TERM + words))
-        # a product is D^2 products and D passes by p; the last square has
-        # half t_n's words, all before it half its cost, the last product two
-        calls = (gap.bit_length() + 1) * (2 * D * D * _TERM + (D + 1) * _CALL)
-        return steps, calls + D * D * (3.5 * _mul_cost(words / 2) + 2 * words)
-
     def counts(self, sizes: Sequence[int]) -> List[tuple]:
-        """(|det M_n|, rank M_n) for the nondecreasing sizes n, one walk from
-        t_0 = 1: each gap stepped or squared, whichever `_walk` prices lower."""
+        """(|det M_n|, rank M_n) for the nondecreasing sizes n, one `walk`."""
         D, lc = self.degree, self.lc
         out: List[tuple] = []
-        last = 0
         if not D:
             # one running |lc|^n, times |lc|^gap at each size
-            power = 1
+            power, last = 1, 0
             for n in sizes:
                 power, last = power * abs(lc) ** (n - last), n
                 out.append((power, n))
             return out
-        t = [1] + [0] * (D - 1)
-        for n in sizes:
-            # a gap of one is always cheaper stepped
-            if n - last > 1:
-                steps, squares = self._walk(n - last, (n * (self.lead + self.growth) + 1) / 64)
-                if squares < steps:
-                    t, last = self._mul(t, self._power(n - last)), n
-            for _ in range(n - last):
-                t = self._step(t)
+        for n, t in zip(sizes, self.walk(sizes, self.lead + self.growth)):
             s = [t[0] - lc**n] + t[1:]
             while s and not s[-1]:
                 s.pop()
             res, nullity = _resultant(self.p, s)
             out.append((abs(res) // abs(lc) ** (n * (D - 1) + len(s) - 1), n - nullity))
-            last = n
         return out
+
+    def walk(self, sizes: Iterable[int], bits: float) -> Iterator[list]:
+        """t_n for the nondecreasing sizes n, D > 0, from t_0 = 1: each gap
+        stepped or squared, as `walk_price` prices it at n ``bits`` + 1 bits."""
+        D, taps = self.degree, len(self.taps)
+        t, last = [1] + [0] * (D - 1), 0
+        for n in sizes:
+            # a gap of one is always cheaper stepped
+            if n - last > 1:
+                steps, squares = walk_price(D, taps, n - last, (n * bits + 1) / 64)
+                if squares < steps:
+                    t, last = self._mul(t, self._power(n - last)), n
+            for _ in range(n - last):
+                t = self._step(t)
+            last = n
+            yield t
 
     def _step(self, t: list) -> list:
         """t_(n+1) = lc x t_n - c p from t_n."""
         c = t[-1]
-        t = [0] + [self.lc * v for v in t[:-1]]
+        t = [0] + (t[:-1] if self.lc == 1 else [self.lc * v for v in t[:-1]])
         for k, a in self.taps:
             t[k] -= c * a
         return t

@@ -73,22 +73,24 @@ class MahlerEstimate:
 
     ``method`` is "jensen" (rank 1, root-based) or "quadrature" (uniform
     torus grid with ``grid`` points per axis).  ``evaluations`` counts
-    function or root evaluations behind the value.
+    function or root evaluations behind the value.  ``error_bound`` is None
+    where none is claimed (see `mahler_quadrature`).
     """
 
     value: float
-    error_bound: float
+    error_bound: Optional[float]
     method: str
     evaluations: int
     grid: Optional[int] = None
 
     def __post_init__(self):
         object.__setattr__(self, "value", float(self.value))
-        object.__setattr__(self, "error_bound", float(self.error_bound))
         if not math.isfinite(self.value):
             raise ValueError("estimate value must be finite")
-        if not math.isfinite(self.error_bound) or self.error_bound < 0:
-            raise ValueError("error bound must be finite and nonnegative")
+        if self.error_bound is not None:
+            object.__setattr__(self, "error_bound", float(self.error_bound))
+            if not math.isfinite(self.error_bound) or self.error_bound < 0:
+                raise ValueError("error bound must be finite and nonnegative")
 
 
 @dataclass(frozen=True)
@@ -224,9 +226,11 @@ def mahler_quadrature(f: GroupRingElement, grid: int) -> MahlerEstimate:
 
     ``grid`` must be an even number >= 4 so the half grid is a subgrid; the
     error bound is the observed change from the half grid plus a small
-    float-roundoff floor.  Aborts with NearZeroError if any grid value of
-    |F| falls below 1e-14 or below its evaluation error bound
-    (`_grid_error_bound`), which suggests f may vanish on the torus.
+    float-roundoff floor, None unless the grid certifies F free of zeros
+    (`certify_invertible_torus`), as both grids can alias alike.  Aborts
+    with NearZeroError if any grid value of |F| falls below 1e-14 or below
+    its evaluation error bound (`_grid_error_bound`), which suggests f may
+    vanish on the torus.
     """
     _check_quadrature(f, grid)
     return _torus_scan(f, grid)[1]()
@@ -308,7 +312,7 @@ def _torus_scan(f: GroupRingElement, grid: int) -> tuple:
         logs = np.log(values)
         value = float(np.mean(logs))
         value_half = float(np.mean(logs[(slice(None, None, 2),) * f.rank]))
-        error = abs(value - value_half) + 5e-14 * (1.0 + abs(value))
+        error = abs(value - value_half) + 5e-14 * (1.0 + abs(value)) if certified else None
         return MahlerEstimate(value=value, error_bound=error, method="quadrature",
                               evaluations=grid**f.rank, grid=grid)
 

@@ -19,26 +19,23 @@ they are reported under the same schema but labeled by their budget and
 never conflated with the zero-budget value.
 
 Every count is read off a tally of labelings by their number of bad sites,
-so all budgets of one length cost one computation.  On Z/n the tally is a
-transfer walk over the higher-block presentation of the shift: with the
-window shifted to start at 0 and span s, the states are the words of
-length max(s, 1), and the edge u -> u[1:] + (b,) has weight 1 when the
-window pattern read in u + (b,) is allowed and z otherwise.  Closed walks
-of length n are the labelings of Z/n, wrapped windows included, so the
-tally is the trace of the n-th power of that polynomial matrix, truncated
-at the largest budget below n; a budget of at least n admits all m^n
-labelings.  A table walks its sorted lengths once, in exact integers.  For
-the window {0, 1} the step matrix is T + z(J - T), J the all-ones matrix.
-A wide window with short lengths can make the walk dearer than
-enumerating all m^n labelings once per length, so `_walks` picks the
-route, and guards it, before any work.  Over any other sofic map,
-`hom_count_exact` enumerates.
+so all budgets of one length cost one computation.  On Z/n the tally is
+the trace of the n-th power of a polynomial transfer matrix on the
+higher-block presentation (`_block_step`), truncated at the largest budget
+below n.  The traces obey the integer linear recurrence of its
+characteristic polynomial (Bowen-Lanford; Lind-Marcus, Symbolic Dynamics
+and Coding, 6.4), so a table walks the powers step by step up to that
+polynomial's degree and recurs past it.  As enumerating all m^n labelings
+once per length can be cheaper, `_walks` picks the route, and guards it,
+before any work.  Over any other sofic map, `hom_count_exact` enumerates.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import math
+import operator
 from collections.abc import Iterable as IterableABC
 from dataclasses import dataclass, field
 from typing import Iterable, List, NamedTuple, Sequence
@@ -178,23 +175,6 @@ def golden_mean() -> SubshiftSFT:
     )
 
 
-def _mat_mul(a: list, b: list, mask: int) -> list:
-    cols = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) & mask for col in cols] for row in a]
-
-
-def _mat_pow(a: list, e: int, mask: int) -> list:
-    """a^e for e >= 1 by repeated squaring."""
-    result = None
-    while True:
-        if e & 1:
-            result = a if result is None else _mat_mul(result, a, mask)
-        e >>= 1
-        if not e:
-            return result
-        a = _mat_mul(a, a, mask)
-
-
 def _block_length(sft: SubshiftSFT) -> int:
     """Length of the higher-block states: the window's span, at least 1."""
     return max(max(sft.window) - min(sft.window), 1)
@@ -229,70 +209,77 @@ def _transfer_traces(sft: SubshiftSFT, lengths: Iterable[int], degree: int) -> d
 
     Closed walks of n steps are one to one with the labelings l of Z/n,
     even for n <= k: the walk starts at (l(0), .., l(k - 1 mod n)), and its
-    step i appends l(i + k mod n) and reads the window pattern at site i.
-    So the coefficient of z^j counts the labelings with exactly j bad
-    sites.  A polynomial entry is packed into one integer, ``width`` bits per
-    coefficient.  Coefficients are nonnegative, and each slot of a product,
-    or of the trace, counts walks of at most n steps from one state, or the
-    labelings of Z/n, so it is at most m^n < 2^width: slots never carry
-    into each other, and truncation at z^degree is a bit mask.  The sorted
-    distinct lengths are walked once, P_n = P_prev B^(n - prev).  A gap of
-    1 is shift-and-add over B's m nonzeros per column, each added as it is
-    for weight 1 or shifted left by ``width`` for z and each sum masked
-    once: m^(2k+1) additions, not (m^k)^3 products.  A longer gap is
-    raised by squaring, as B^g is dense.
+    step i appends l(i + k mod n) and reads the window pattern at site i,
+    so the coefficient of z^j counts the labelings with j bad sites.  B^n
+    is walked to n = min(D, top), D = (degree + 1) N for N states, by steps
+    P -> P B, shift-and-add over B's m nonzeros per column.  An entry packs
+    its coefficients ``width`` bits apart, each at most m^top < 2^width.
+
+    B = B_0 + z B_1 mod z^(degree + 1) acts as the D x D matrix M with B_0
+    on its block diagonal and B_1 below, so a coefficient of trace(B^n) is
+    a linear functional of M^n, and by Cayley-Hamilton sum_(j < D) t_j
+    times that of trace(B^j) (trace(B^0) = N), t = x^n mod Q: `companion`'s
+    monic walk on Q = det(x - M) = det(x - B_0)^(degree + 1), which Newton's
+    identities give from tr(M^i) = (degree + 1) tr(B_0^i), i <= D.
     """
     lengths = sorted(set(lengths))
-    width = _power_bits(len(sft.alphabet), lengths[-1])
+    m, top = len(sft.alphabet), lengths[-1]
+    size = m ** _block_length(sft)
+    order = (degree + 1) * size
+    width = _power_bits(m, top)
     mask = (1 << (width * (degree + 1))) - 1
     step = _block_step(sft, (1 << width) & mask)
     # per column, its nonzero rows and their shifts: 0 for weight 1, width for z
     cols = [[(u, 0 if w == 1 else width) for u, w in enumerate(c) if w] for c in zip(*step)]
     slot = (1 << width) - 1
-    traces, power, done = {}, None, 0
-    for n in lengths:
-        if power is not None and n - done == 1:
-            power = [[sum([row[u] << s for u, s in col]) & mask for col in cols] for row in power]
-        else:
-            gap = _mat_pow(step, n - done, mask)
-            power = gap if power is None else _mat_mul(power, gap, mask)
-        done = n
+    power = [[int(i == j) for j in range(size)] for i in range(size)]
+    tallies = [[size] + [0] * degree]
+    for _ in range(min(order, top)):
+        power = [[sum([row[u] << s for u, s in col]) & mask for col in cols] for row in power]
         trace = sum(row[i] for i, row in enumerate(power))
-        traces[n] = [(trace >> (k * width)) & slot for k in range(degree + 1)]
+        tallies.append([(trace >> (k * width)) & slot for k in range(degree + 1)])
+    traces = {n: tallies[n] for n in lengths if n <= order}
+    if rest := lengths[len(traces):]:
+        from .companion import Companion
+
+        # i e_i = sum_(j <= i) (-1)^(j - 1) e_(i - j) tr(M^j); Q = sum (-1)^i e_i x^(D - i)
+        e = [1]
+        for i in range(1, order + 1):
+            newton = sum((-1) ** (j - 1) * e[i - j] * tallies[j][0] for j in range(1, i + 1))
+            e.append((degree + 1) * newton // i)
+        walk = Companion([(-1) ** i * e[i] for i in range(order, -1, -1)]).walk(rest, math.log2(m))
+        columns = list(zip(*tallies[:order]))
+        for n, t in zip(rest, walk):
+            traces[n] = [sum(map(operator.mul, t, column)) for column in columns]
     return traces
 
 
 def _walk_cost(sft: SubshiftSFT, lengths: Sequence[int], degree: int) -> int:
-    """The estimated cost of a table's transfer walk.
+    """The estimated cost of a table's transfer walk (`_transfer_traces`):
+    min(D, top) steps of m^(2k+1) additions of a packed entry's words, and
+    per distinct length n past D, shortest first, its gap's
+    `companion.walk_price` (t's coefficients of n log2(m) + 1 bits, Q dense)
+    and (degree + 1) D multiply-adds, over `companion._TERM`, its price of
+    one coefficient; returned once the total passes DEFAULT_ENUMERATION_CAP."""
+    lengths = sorted(set(lengths))
+    m, top = len(sft.alphabet), lengths[-1]
+    size = m ** _block_length(sft)
+    order = (degree + 1) * size
+    words = -(-_power_bits(m, top) * (degree + 1) // 64)
+    cost = min(order, top) * m * size * size * words
+    rest = [n for n in lengths if n > order]
+    if rest:
+        from .companion import _TERM, walk_price
 
-    Each gap g between sorted distinct lengths adds bit_length(g) +
-    popcount(g) - 1 matrix products: one fewer raises the step matrix to g
-    by squaring, one more multiplies that into the running power, which the
-    first gap does not, and that product stands for building the step
-    matrix.  A product of (m^k)^3 entry products, k = ``_block_length``,
-    multiplies entries of ``_transfer_traces``'s width * (degree + 1) bits,
-    so the estimate is the count times (m^k)^3 times the 64-bit words of an
-    entry.  Every product is priced as dense, so a gap-1 step, which the
-    walk takes by m^(2k+1) shifts and adds, is bounded from above.  The
-    gaps are sorted and tallied by value, so only the distinct gaps (at
-    most sqrt(2 max(lengths)) of them) are priced one at a time.
-    """
-    try:
-        lengths = np.sort(np.asarray(lengths, dtype=np.int64))
-    except OverflowError:  # a length past int64 stays a Python int
-        lengths = np.sort(np.asarray(lengths, dtype=object))
-    # lengths and gaps are >= 1, so a difference from 0 marks a new value
-    distinct = lengths[np.diff(lengths, prepend=0) != 0]
-    gaps = np.sort(np.diff(distinct, prepend=0))
-    first = np.flatnonzero(np.diff(gaps, prepend=0) != 0)
-    counts = np.diff(first, append=len(gaps))
-    products = sum(
-        count * (g.bit_length() + g.bit_count() - 1)
-        for g, count in zip(gaps[first].tolist(), counts.tolist())
-    )
-    m = len(sft.alphabet)
-    words = -(-_power_bits(m, int(distinct[-1])) * (degree + 1) // 64)
-    return products * words * (m ** _block_length(sft)) ** 3
+        units, bits = 0.0, math.log2(m)
+        for last, n in zip([0] + rest, rest):
+            coefficient = (n * bits + 1) / 64
+            units += min(walk_price(order, order, n - last, coefficient))
+            units += (degree + 1) * order * (_TERM + coefficient)
+            if cost + units / _TERM > DEFAULT_ENUMERATION_CAP:
+                break
+        cost += math.ceil(units / _TERM)
+    return cost
 
 
 def _walks(sft: SubshiftSFT, lengths: Sequence[int], degree: int) -> bool:
@@ -457,10 +444,10 @@ def subshift_entropy_table(
     The zero budget is always included.  Each distinct length is computed
     once and every budget of its rows is a prefix sum of the counts by
     number of bad sites, or m^n when the budget is at least n.  The
-    counts come from one walk through the powers of the higher-block
-    transfer matrix, truncated at the largest budget below the longest
-    length, or from enumerating every labeling once per length, as
-    `_walks` picks and guards.
+    counts come from one transfer walk over the whole table, truncated at
+    the largest budget below the longest length (`_transfer_traces`), or
+    from enumerating every labeling once per length, as `_walks` picks and
+    guards.
     """
     lengths, budgets, values = list(lengths), list(budgets), []
     for x in lengths + budgets:

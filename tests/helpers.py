@@ -680,7 +680,7 @@ def rank1_route(f: GroupRingElement, sizes) -> str:
     the split only where its total decides the route."""
     from sofic.companion import Companion
 
-    walk = Companion(f)
+    walk = Companion(ascending(f))
     spent = walked = supply = last = 0
     split_out = walk_out = None
     for n in sizes:
@@ -745,32 +745,46 @@ def sylvester(a, b):
     return rows + [[0] * i + b[::-1] + [0] * (m - 1 - i) for i in range(m)]
 
 
+def ascending(f):
+    """The ascending coefficients of p for a rank-1 f = x^lo p(x), lo the
+    least exponent of f, as `companion.Companion` takes them."""
+    lo, hi = min(f.terms), max(f.terms)
+    return [f.terms.get(e, 0) for e in range(lo, hi + 1)]
+
+
 def dense_transfer_traces(sft, lengths, degree):
-    """The table's transfer walk with every step a dense product: P_n =
-    P_prev B^(n - prev) by `_mat_mul` and `_mat_pow` for every gap, 1
-    included, where `subshift._transfer_traces` steps a gap of 1 by
-    shift-and-add over B's nonzero entries."""
+    """The table's transfer walk by dense matrix powers: P_n = P_prev
+    B^(n - prev) for every gap between the sorted distinct lengths, B^g by
+    repeated squaring, every entry a packed polynomial masked at z^degree,
+    where `subshift._transfer_traces` steps to D by shift-and-add and
+    recurs past it."""
+
+    def mul(a, b):
+        cols = list(zip(*b))
+        return [[sum(x * y for x, y in zip(row, col)) & mask for col in cols] for row in a]
+
+    def power(a, e):
+        result = None
+        while True:
+            if e & 1:
+                result = a if result is None else mul(result, a)
+            e >>= 1
+            if not e:
+                return result
+            a = mul(a, a)
+
     lengths = sorted(set(lengths))
     width = _power_bits(len(sft.alphabet), lengths[-1])
     mask = (1 << (width * (degree + 1))) - 1
     step = subshift._block_step(sft, (1 << width) & mask)
-    traces, power, done = {}, None, 0
+    traces, walked, done = {}, None, 0
     for n in lengths:
-        gap = subshift._mat_pow(step, n - done, mask)
-        power = gap if power is None else subshift._mat_mul(power, gap, mask)
+        gap = power(step, n - done)
+        walked = gap if walked is None else mul(walked, gap)
         done = n
-        trace = sum(row[i] for i, row in enumerate(power))
+        trace = sum(row[i] for i, row in enumerate(walked))
         traces[n] = [(trace >> (k * width)) & ((1 << width) - 1) for k in range(degree + 1)]
     return traces
-
-
-def walk_products_per_gap(lengths):
-    """The matrix products of a subshift table's transfer walk, one gap at
-    a time between the sorted distinct lengths (0 before the first):
-    bit_length(g) + popcount(g) - 1 each."""
-    distinct = sorted(set(lengths))
-    gaps = [n - prev for prev, n in zip([0] + distinct, distinct)]
-    return sum(g.bit_length() + g.bit_count() - 1 for g in gaps)
 
 
 def relabel_table(table, perm):

@@ -446,6 +446,30 @@ def test_mahler_vanishing_input(tmp_path):
     assert obj["certificate"]["witness"] == [0.0, 0.0]
 
 
+@pytest.mark.parametrize("poly, value", [
+    # x -> x^256 keeps the measure, m(3 - x - x^-1) = 0.9624237, and the
+    # 1-D integral of arccosh((10 - 2 cos a) / 2) gives 2.2816116; the grid
+    # and its half alias the same frequencies, so both read a wrong value
+    ("3 - x^256 - x^-256 + y - y", "0.0"),
+    ("10 - x^256 - x^-256 - y^256 - y^-256", "1.7917594692280547"),
+])
+def test_mahler_claims_no_bound_without_a_certificate(capsys, poly, value):
+    argv = ["mahler", "--group", "Z2", "--poly", poly, "--grid", "256"]
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.out == f"method,value,error_bound,evaluations,grid\nquadrature,{value},,65536,256\n"
+    assert captured.err == (f"quadrature: {value} (no error bound: certificate unknown)\n"
+                            "certificate: unknown\n")
+    assert main(argv + ["--format", "json"]) == 0
+    obj = json.loads(capsys.readouterr().out)
+    assert obj["certificate"]["verdict"] == "unknown"
+    assert obj["estimates"] == [{"method": "quadrature", "value": float(value),
+                                 "error_bound": None, "evaluations": 65536, "grid": 256}]
+    # a certified grid keeps the bound
+    assert main(["mahler", "--group", "Z2", "--poly", "5 - x - x^-1 - y - y^-1", "--grid", "256"]) == 0
+    assert "(error bound 1.256e-13)\ncertificate: certified_invertible\n" in capsys.readouterr().err
+
+
 def test_mahler_refuses_a_grid_of_zero(capsys):
     # a given --grid 0 is refused, not read as the default grid
     assert main(["mahler", "--group", "Z", "--poly", "3 - x - x^-1", "--grid", "0"]) == 2
@@ -1042,3 +1066,30 @@ def test_explicit_chain_run_skips_numpy_ma(tmp_path):
     proc = subprocess.run(argv, capture_output=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert out.read_text(encoding="utf-8").startswith("label,d,")
+
+
+def test_import_leaves_the_companion_walk_unloaded():
+    # importing the package, which the bench times as set-up, loads no
+    # companion code: a subshift table loads it only once a length passes
+    # D, here 2 states at budget 0
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import sofic
+
+    src = str(Path(sofic.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = (
+        "import sys\n"
+        "import sofic, sofic.cli\n"
+        "assert 'sofic.companion' not in sys.modules\n"
+        "sofic.subshift_entropy_table(sofic.golden_mean(), [1, 2])\n"
+        "assert 'sofic.companion' not in sys.modules\n"
+        "assert sofic.subshift_entropy_table(sofic.golden_mean(), [3]).rows[0].count == 4\n"
+        "assert 'sofic.companion' in sys.modules\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env)
+    assert proc.returncode == 0, proc.stderr

@@ -154,6 +154,21 @@ def test_quadrature_rank2_self_consistency():
     assert fine.grid == 512
 
 
+def test_quadrature_claims_a_bound_only_on_a_certified_grid():
+    # at grid 256, x^256 folds onto the constant term: the grid and its half
+    # both read log 3 - log 1 = 0 for 3 - x^256 - x^-256, which has measure
+    # m(3 - x - x^-1) = 0.962..., and the certificate is unknown
+    f = parse_laurent("3 - x^256 - x^-256 + y - y", 2)
+    aliased = mahler_quadrature(f, 256)
+    assert (aliased.value, aliased.error_bound) == (0.0, None)
+    assert certify_invertible_torus(f, 256).verdict == "unknown"
+    fine = mahler_quadrature(parse_laurent("3 - x - x^-1", 2), 256)
+    assert fine.error_bound is not None
+    assert abs(fine.value - 0.9624236501192069) <= fine.error_bound
+    # an estimate may carry no bound, but not a negative or infinite one
+    assert MahlerEstimate(value=0.5, error_bound=None, method="quadrature", evaluations=4).error_bound is None
+
+
 def test_quadrature_near_zero_aborts():
     with pytest.raises(NearZeroError) as info:
         mahler_quadrature(parse_laurent("x - 1", 1), 64)

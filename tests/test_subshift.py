@@ -16,7 +16,7 @@ from sofic import (
     subshift_entropy_table,
     torus_quotient,
 )
-from sofic import subshift
+from sofic import companion, subshift
 
 from helpers import (
     allowed_pairs,
@@ -28,7 +28,6 @@ from helpers import (
     table_count,
     transfer_dp_count,
     transition_matrix_power_trace,
-    walk_products_per_gap,
 )
 
 
@@ -218,8 +217,9 @@ def test_transfer_large_length_and_huge_budget(monkeypatch):
 
 
 def test_transfer_count_refuses_a_costly_walk(monkeypatch):
-    # 100 symbols at n = 1023: 19 products of 100 x 100 matrices whose
-    # entries, 100^1023 < 2^6797, take 107 words, 2.033 * 10^9, over the cap
+    # 100 symbols at n = 1023: D = 100 shift-and-add steps of 100^3 additions
+    # of entries of 107 words (100^1023 < 2^6797), 1.07 * 10^10, and the
+    # first length past D, its walk and dot, over the cap
     def no_walk(sft, lengths, degree):
         raise AssertionError("the walk started before the guard refused")
 
@@ -229,7 +229,7 @@ def test_transfer_count_refuses_a_costly_walk(monkeypatch):
         window=(0, 1),
         allowed=frozenset((a, b) for a in range(100) for b in range(100) if a != b),
     )
-    message = "estimated cost 2033000000 exceeds the cap 10000000"
+    message = "estimated cost 10701084607 exceeds the cap 10000000"
     with pytest.raises(ResourceGuardError, match=message):
         subshift_entropy_table(wide, [1023])
 
@@ -499,25 +499,39 @@ def test_transfer_walk_matches_brute_force_battery():
 
 
 def test_sparse_walk_matches_the_dense_walk_battery():
-    # a gap of 1 is shift-and-add over the step's nonzeros, a longer one dense
-    # squaring; the walk with every step a dense product is the oracle
+    # the walk steps to D = (degree + 1) m^k by shift-and-add and recurs
+    # past it by the companion walk on chi^(degree + 1); dense matrix powers
+    # of the step matrix are the oracle
     rng = random.Random(113)
     length_sets = [
-        range(1, 9),  # consecutive: every gap 1
-        [2, 3, 6, 7, 8, 12],  # gapped: gaps of 1 and longer ones
-        [7],  # a single length, by squaring alone
+        range(1, 9),  # consecutive
+        [2, 3, 6, 7, 8, 12],  # gapped
+        [7],  # a single length
         [6, 2, 5, 2, 1, 6, 3],  # unsorted, with duplicates
+        range(1, 41),  # consecutive, past D for all but the largest D
+        [3, 17, 18, 33, 50],  # gapped, past D
+        [45],  # a single length past D
     ]
     windows = [(0, 1), (1, 0), (0, 1, 2), (0, 2), (-2, 0, 1)]
     sfts = [_random_sft(rng, m, w) for m in (1, 2, 3) for w in windows]
+    # B_0 = [[1, 1], [0, 0]] is singular: chi = x (x - 1) keeps its root 0
+    sfts.append(SubshiftSFT(alphabet=(0, 1), window=(0, 1), allowed=frozenset({(0, 0), (0, 1)})))
     cases = [(sft, lengths, degree)
              for sft in sfts for degree in range(4) for lengths in length_sets]
-    # the window (0, 3, 6) has m^6 states, so a dense product costs m^18
-    # entry products: the binary one walks every length set at degree 1 and
-    # the consecutive lengths at the other degrees; degree 0 masks z to 0
+    # the window (0, 3, 6) has m^6 states: the binary one at degree 1 on
+    # the short length sets, and the consecutive lengths at the other
+    # degrees; degree 0 masks z to 0
     wide = _random_sft(rng, 2, (0, 3, 6))
-    cases += [(wide, lengths, 1) for lengths in length_sets]
+    cases += [(wide, lengths, 1) for lengths in length_sets[:4]]
     cases += [(wide, length_sets[0], degree) for degree in (0, 2, 3)]
+    # random windows of at most 9 states, lengths within and past D
+    for _ in range(20):
+        m = rng.choice((1, 2, 3))
+        span = rng.randint(0, 2 if m == 3 else 3)
+        window = rng.sample(range(-1, span), rng.randint(1, span + 1)) if span else [rng.randint(-2, 2)]
+        degree = rng.randint(0, 3)
+        top = (degree + 1) * m ** max(span, 1) + 12
+        cases.append((_random_sft(rng, m, tuple(window)), rng.sample(range(1, top + 1), 6), degree))
     for sft, lengths, degree in cases:
         want = dense_transfer_traces(sft, lengths, degree)
         assert subshift._transfer_traces(sft, lengths, degree) == want, (sft, lengths, degree)
@@ -541,36 +555,39 @@ def test_entropy_table_route_choice(monkeypatch):
 
     monkeypatch.setattr(subshift, "_transfer_traces", walk_spy)
     monkeypatch.setattr(subshift, "_bad_site_tally", tally_spy)
-    # 4 states: 8 * 64 = 512 for 1..8 (7 products, 1 to build) against 3586
+    # 4 states, D = 4: 4 shift-and-add steps of 2^5 additions, 128, and the
+    # companion walk and dots of 5..8, 161, against enumeration's 642 by n = 6
+    assert subshift._walk_cost(window3, range(1, 9), 0) == 289
     assert subshift._walks(window3, range(1, 9), 0)
     assert subshift_entropy_table(window3, range(1, 9)).rows[0].method == "transfer_matrix"
     assert (len(walks), tallies) == (1, [])
     # the same walk is refused by a cap below its estimate
-    monkeypatch.setattr(subshift, "DEFAULT_ENUMERATION_CAP", 511)
+    monkeypatch.setattr(subshift, "DEFAULT_ENUMERATION_CAP", 288)
     assert not subshift._walks(window3, range(1, 9), 0)
     table = subshift_entropy_table(window3, range(1, 9))
     assert {r.method for r in table.rows} == {"exact_enumeration"}
     assert (len(walks), tallies) == (1, list(range(1, 9)))
     monkeypatch.setattr(subshift, "DEFAULT_ENUMERATION_CAP", cap)
-    # the estimate counts the walk's matrix products, plus one for the step
-    # matrix: 5 = 101b takes 3 by squaring, the gap 7 = 111b 4, joining them 1
-    products = []
-    mat_mul = subshift._mat_mul
+    # the lengths past D, each once and in order, are the companion walk's:
+    # 5 from t_0 = 1, then the gap 7, each with its dots, priced with the
+    # 4 steps at 353
+    walked = []
+    walk = companion.Companion.walk
 
-    def mul_spy(*args):
-        products.append(1)
-        return mat_mul(*args)
+    def walk_spy_sizes(self, sizes, bits):
+        walked.append(list(sizes))
+        return walk(self, sizes, bits)
 
-    monkeypatch.setattr(subshift, "_mat_mul", mul_spy)
-    monkeypatch.setattr(subshift, "DEFAULT_ENUMERATION_CAP", (8 + 1) * 64)
+    monkeypatch.setattr(companion.Companion, "walk", walk_spy_sizes)
+    monkeypatch.setattr(subshift, "DEFAULT_ENUMERATION_CAP", 353)
     assert subshift._walks(window3, [12, 5, 12], 0)
     # below it the walk is not taken, and enumeration refuses 2^12 labelings
-    monkeypatch.setattr(subshift, "DEFAULT_ENUMERATION_CAP", (8 + 1) * 64 - 1)
+    monkeypatch.setattr(subshift, "DEFAULT_ENUMERATION_CAP", 352)
     with pytest.raises(ResourceGuardError, match="^4096 labelings exceed the enumeration cap"):
         subshift._walks(window3, [12, 5, 12], 0)
     monkeypatch.setattr(subshift, "DEFAULT_ENUMERATION_CAP", cap)
     subshift_entropy_table(window3, [12, 5, 12])
-    assert len(products) == 8
+    assert walked == [[5, 12]]
     assert len(walks) == 2
     # 4096 states cost more than enumerating short lengths
     assert not subshift._walks(wide, range(1, 11), 0)
@@ -582,12 +599,13 @@ def test_entropy_table_route_choice(monkeypatch):
         subshift_entropy_table(wide, [25])
     assert len(walks) == 2 and len(tallies) == 8 + 10
     # nearest-neighbor windows walk whatever enumeration's estimate, up to
-    # the cap: 30 = 11110b takes 8 products of 2 x 2 matrices, 64
-    monkeypatch.setattr(subshift, "DEFAULT_ENUMERATION_CAP", 64)
+    # the cap: 2 steps of 2^3 additions, 16, and the companion walk to 30
+    # with its dot, 235
+    monkeypatch.setattr(subshift, "DEFAULT_ENUMERATION_CAP", 251)
     assert subshift_entropy_table(golden_mean(), [30]).rows[0].count == 1860498
     assert len(walks) == 3
-    monkeypatch.setattr(subshift, "DEFAULT_ENUMERATION_CAP", 63)
-    with pytest.raises(ResourceGuardError, match="estimated cost 64 exceeds the cap 63"):
+    monkeypatch.setattr(subshift, "DEFAULT_ENUMERATION_CAP", 250)
+    with pytest.raises(ResourceGuardError, match="estimated cost 251 exceeds the cap 250"):
         subshift_entropy_table(golden_mean(), [30])
     assert len(walks) == 3
 
@@ -604,43 +622,39 @@ def test_nearest_neighbor_table_walks_where_enumeration_is_cheaper(monkeypatch):
 
 
 def test_walk_estimate_counts_the_words_of_an_entry(monkeypatch):
-    # an entry packs degree + 1 slots of bit_length(2^n) = n + 1 bits: over
-    # 1..4000 at budgets 0..3, 4000 products of 2 x 2 matrices of 251 words
+    # an entry packs degree + 1 slots of bit_length(m^n) bits: the binary
+    # window (0, 1, 2) at budgets 0..3 has D = 16 states of the truncated
+    # step, and at n = 16 its 16 steps of 2^5 additions take entries of
+    # 4 * 17 bits, 2 words
+    window3 = SubshiftSFT(alphabet=(0, 1), window=(0, 1, 2),
+                          allowed=frozenset(itertools.product((0, 1), repeat=3)))
+    assert subshift._walk_cost(window3, [16], 3) == 16 * 2**5 * 2
+    assert subshift._walk_cost(window3, range(1, 17), 3) == 16 * 2**5 * 2
+    # the binary window (0, 3, 6) over Z/1..60 at degree 1 is all steps:
+    # D = 128 > 60, 60 steps of 2^13 additions of 2 words
+    w036 = SubshiftSFT((0, 1), (0, 3, 6), frozenset(itertools.product((0, 1), repeat=3)) - {(1, 1, 1)})
+    assert subshift._walk_cost(w036, range(1, 61), 1) == 60 * 2**13 * 2
+    # past D the companion walk and its dots add, priced in companion's
+    # units over its per-coefficient ``_TERM``: the golden mean at budgets
+    # 0..3 (D = 8) over 1..400, whose 8 steps cost 8 * 2^3 * 26, and over
+    # 1..4000; a single length is squared
     gm = golden_mean()
-    assert subshift._walk_cost(gm, range(1, 4001), 3) == 4000 * 8 * 251
-    assert subshift._walk_cost(gm, range(1, 401), 3) == 400 * 8 * 26
-    assert subshift._walk_cost(gm, [10**4], 0) == 18 * 8 * 157
+    assert subshift._walk_cost(gm, range(1, 401), 3) == 8 * 8 * 26 + 25362
+    assert subshift._walk_cost(gm, range(1, 4001), 3) == 8 * 8 * 251 + 471924
+    assert subshift._walk_cost(gm, [10**4], 0) == 2 * 8 * 157 + 5116
+    for lengths, degree in (([10**6], 0), ([10**5], 3), (range(1, 4001), 3), (range(1, 8001), 3)):
+        assert subshift._walk_cost(gm, lengths, degree) <= subshift.DEFAULT_ENUMERATION_CAP
+    # a length past int64 is priced, not overflowed
+    assert subshift._walk_cost(gm, [3, 2**70, 3], 0) > subshift.DEFAULT_ENUMERATION_CAP
 
     def no_walk(sft, lengths, degree):
         raise AssertionError("the walk started before the guard refused")
 
     monkeypatch.setattr(subshift, "_transfer_traces", no_walk)
-    with pytest.raises(ResourceGuardError, match="cost 32064000 exceeds the cap 10000000$"):
-        subshift_entropy_table(gm, range(1, 8001), [0, 1, 2, 3])
-    # 10^6 products of 15,626 words
-    with pytest.raises(ResourceGuardError, match="cost 125008000000 exceeds the cap 10000000$"):
+    # the lengths past D are priced shortest first, and the price is
+    # reported as soon as it passes the cap: here near n = 68,000
+    with pytest.raises(ResourceGuardError, match="cost 10000267 exceeds the cap 10000000$"):
         subshift_entropy_table(gm, range(1, 10**6 + 1))
-
-
-def test_walk_estimate_tallies_gaps_as_the_per_gap_sum():
-    # the product count of the walk, tallied by gap value, against the sum
-    # one gap at a time, on random length sets (repeats, any order, lengths
-    # past int64) and on ranges
-    rng = random.Random(257)
-    gm = golden_mean()
-    window3 = SubshiftSFT(alphabet=(0, 1), window=(0, 1, 2),
-                          allowed=frozenset(itertools.product((0, 1), repeat=3)))
-    cases = [range(a, b) for a, b in ((1, 2), (1, 401), (7, 9000), (123, 100000))]
-    for _ in range(200):
-        top = rng.choice((3, 60, 5000, 10**6, 2**70))
-        cases.append([rng.randint(1, top) for _ in range(rng.randint(1, 60))])
-    for lengths in cases:
-        for sft in (gm, window3):
-            m, k = len(sft.alphabet), subshift._block_length(sft)
-            for degree in (0, 3):
-                words = -(-subshift._power_bits(m, max(lengths)) * (degree + 1) // 64)
-                want = walk_products_per_gap(lengths) * words * (m**k) ** 3
-                assert subshift._walk_cost(sft, lengths, degree) == want
 
 
 def test_entropy_table_checks_cap_before_enumerating(monkeypatch):
