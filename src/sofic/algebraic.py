@@ -102,6 +102,27 @@ LOG2 = math.log(2.0)
 # `companion.Companion.cost`): about 5 s at 4.4-5.3 ns a unit.
 COST_CAP = 10**9
 
+# Units of the companion walk's interpreted work: one step, product or pass
+# of a pseudo-remainder, and one coefficient.
+_CALL = 250
+_TERM = 25
+
+
+def _mul_cost(words: float) -> float:
+    """Units of one product of integers of `words` 64-bit words (Karatsuba)."""
+    return 8 * max(words, 1.0) ** 1.585
+
+
+def walk_price(degree: int, taps: int, gap: int, words: float) -> tuple:
+    """(units of gap steps, of t_gap by squares and one product) of the
+    walk `companion.Companion.walk` for p of degree D > 0 with ``taps``
+    nonzero terms below lc, t of ``words`` words."""
+    steps = gap * (_CALL + (degree + taps) * (_TERM + words))
+    # a product is D^2 products and D passes by p; the last square has half
+    # t_n's words, all before it half its cost, the last product two
+    calls = (gap.bit_length() + 1) * (2 * degree * degree * _TERM + (degree + 1) * _CALL)
+    return steps, calls + degree * degree * (3.5 * _mul_cost(words / 2) + 2 * words)
+
 
 # ---------------------------------------------------------------------------
 # the modular kernel: primes below 2^31, batched elimination, CRT

@@ -19,9 +19,9 @@ of gcd(p, s) = gcd(p, x^n - 1) (p itself when s = 0); as x^n - 1 is
 squarefree, its degree is the number of n-th roots of unity among the
 roots of p, the nullity of M_n.
 
-`walk_price` prices a walk and `Companion.cost` a count in
+`algebraic.walk_price` prices a walk and `Companion.cost` a count in
 `algebraic.COST_CAP`'s units (about 5 ns).  The module is imported by the
-first rank-1 count or subshift length past D.
+first rank-1 count or recurred subshift table.
 """
 
 from __future__ import annotations
@@ -29,16 +29,10 @@ from __future__ import annotations
 import math
 from typing import Iterable, Iterator, List, Sequence
 
-# Units (about 5 ns, as COST_CAP's) of the interpreted work of one count, of
-# one step, product or pass of a pseudo-remainder, and of one coefficient.
+from .algebraic import _CALL, _TERM, _mul_cost, walk_price
+
+# Units (about 5 ns, as COST_CAP's) of the interpreted work of one count.
 _COUNT_BASE = 1500
-_CALL = 250
-_TERM = 25
-
-
-def _mul_cost(words: float) -> float:
-    """Units of one product of integers of `words` 64-bit words (Karatsuba)."""
-    return 8 * max(words, 1.0) ** 1.585
 
 
 def _div_cost(quotient: float, divisor: float) -> float:
@@ -51,16 +45,6 @@ def count_floor(degree: int) -> int:
     resultant's D - 1 stages of two passes and the quotients each."""
     stages = max(degree - 1, 0)
     return _COUNT_BASE + stages * 2 * _CALL + 3 * _TERM * degree * stages // 2
-
-
-def walk_price(degree: int, taps: int, gap: int, words: float) -> tuple:
-    """(units of gap steps, of t_gap by squares and one product) for p of
-    degree D > 0 with ``taps`` nonzero terms below lc, t of ``words`` words."""
-    steps = gap * (_CALL + (degree + taps) * (_TERM + words))
-    # a product is D^2 products and D passes by p; the last square has half
-    # t_n's words, all before it half its cost, the last product two
-    calls = (gap.bit_length() + 1) * (2 * degree * degree * _TERM + (degree + 1) * _CALL)
-    return steps, calls + degree * degree * (3.5 * _mul_cost(words / 2) + 2 * words)
 
 
 class Companion:

@@ -24,10 +24,12 @@ the trace of the n-th power of a polynomial transfer matrix on the
 higher-block presentation (`_block_step`), truncated at the largest budget
 below n.  The traces obey the integer linear recurrence of its
 characteristic polynomial (Bowen-Lanford; Lind-Marcus, Symbolic Dynamics
-and Coding, 6.4), so a table walks the powers step by step up to that
-polynomial's degree and recurs past it.  As enumerating all m^n labelings
-once per length can be cheaper, `_walks` picks the route, and guards it,
-before any work.  Over any other sofic map, `hom_count_exact` enumerates.
+and Coding, 6.4), so a table walks the powers step by step to its longest
+length, or, where the recurrence pays for its set-up, up to that
+polynomial's degree and recurs past it (`_walk_cost`).  As enumerating all
+m^n labelings once per length can be cheaper, `_walks` picks the route, and
+guards it, before any work.  Over any other sofic map, `hom_count_exact`
+enumerates.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from typing import Iterable, List, NamedTuple, Sequence
 
 import numpy as np
 
-from .algebraic import _power_bits, log_big_int
+from .algebraic import _TERM, _power_bits, log_big_int, walk_price
 from .groups import ResourceGuardError, SoficMap, _is_integer
 from .groups import sofic_map_from_quotient, torus_quotient
 
@@ -59,6 +61,15 @@ __all__ = [
 # The most labelings an enumeration, or units a transfer walk (`_walk_cost`),
 # may cost; a request over it raises ResourceGuardError before any work.
 DEFAULT_ENUMERATION_CAP = 10**7
+
+# A walk's unit (`_walk_cost`) is about 120 ns, calibrated on single-shot
+# runs in fresh processes: a step's fixed work, its work per entry and per
+# addition, and the 64-bit words per unit that it touches; the recurrence's
+# set-up (loading `companion` from bytecode, the walk's first call); and
+# enumeration's labeling sites per unit and set-up per length, in units.
+_STEP, _ENTRY, _ADD, _WORDS = 27, 3.2, 0.64, 32
+_RECUR = 3000
+_SITES, _ENUMERATE = 16, 2000
 
 _CHUNK = 1 << 16
 
@@ -204,23 +215,25 @@ def _block_step(sft: SubshiftSFT, z: int) -> list:
     return step
 
 
-def _transfer_traces(sft: SubshiftSFT, lengths: Iterable[int], degree: int) -> dict:
+def _transfer_traces(sft: SubshiftSFT, lengths: Iterable[int], degree: int, steps: int) -> dict:
     """n -> coefficients of z^0..z^degree in trace(B^n), B = ``_block_step``.
 
     Closed walks of n steps are one to one with the labelings l of Z/n,
     even for n <= k: the walk starts at (l(0), .., l(k - 1 mod n)), and its
     step i appends l(i + k mod n) and reads the window pattern at site i,
     so the coefficient of z^j counts the labelings with j bad sites.  B^n
-    is walked to n = min(D, top), D = (degree + 1) N for N states, by steps
-    P -> P B, shift-and-add over B's m nonzeros per column.  An entry packs
-    its coefficients ``width`` bits apart, each at most m^top < 2^width.
+    is walked to n = ``steps``, at least min(D, top) for D = (degree + 1) N
+    and N states, as `_walk_cost` plans it, by steps P -> P B,
+    shift-and-add over B's m nonzeros per column.  An entry packs its
+    coefficients ``width`` bits apart, each at most m^top < 2^width.
 
     B = B_0 + z B_1 mod z^(degree + 1) acts as the D x D matrix M with B_0
     on its block diagonal and B_1 below, so a coefficient of trace(B^n) is
-    a linear functional of M^n, and by Cayley-Hamilton sum_(j < D) t_j
-    times that of trace(B^j) (trace(B^0) = N), t = x^n mod Q: `companion`'s
-    monic walk on Q = det(x - M) = det(x - B_0)^(degree + 1), which Newton's
-    identities give from tr(M^i) = (degree + 1) tr(B_0^i), i <= D.
+    a linear functional of M^n, and every longer length recurs: by
+    Cayley-Hamilton it is sum_(j < D) t_j times that of trace(B^j)
+    (trace(B^0) = N), t = x^n mod Q, `companion`'s monic walk on
+    Q = det(x - M) = det(x - B_0)^(degree + 1), which Newton's identities
+    give from tr(M^i) = (degree + 1) tr(B_0^i), i <= D.
     """
     lengths = sorted(set(lengths))
     m, top = len(sft.alphabet), lengths[-1]
@@ -234,11 +247,11 @@ def _transfer_traces(sft: SubshiftSFT, lengths: Iterable[int], degree: int) -> d
     slot = (1 << width) - 1
     power = [[int(i == j) for j in range(size)] for i in range(size)]
     tallies = [[size] + [0] * degree]
-    for _ in range(min(order, top)):
+    for _ in range(steps):
         power = [[sum([row[u] << s for u, s in col]) & mask for col in cols] for row in power]
         trace = sum(row[i] for i, row in enumerate(power))
         tallies.append([(trace >> (k * width)) & slot for k in range(degree + 1)])
-    traces = {n: tallies[n] for n in lengths if n <= order}
+    traces = {n: tallies[n] for n in lengths if n <= steps}
     if rest := lengths[len(traces):]:
         from .companion import Companion
 
@@ -254,59 +267,74 @@ def _transfer_traces(sft: SubshiftSFT, lengths: Iterable[int], degree: int) -> d
     return traces
 
 
-def _walk_cost(sft: SubshiftSFT, lengths: Sequence[int], degree: int) -> int:
-    """The estimated cost of a table's transfer walk (`_transfer_traces`):
-    min(D, top) steps of m^(2k+1) additions of a packed entry's words, and
-    per distinct length n past D, shortest first, its gap's
-    `companion.walk_price` (t's coefficients of n log2(m) + 1 bits, Q dense)
-    and (degree + 1) D multiply-adds, over `companion._TERM`, its price of
-    one coefficient; returned once the total passes DEFAULT_ENUMERATION_CAP."""
+def _walk_cost(sft: SubshiftSFT, lengths: Sequence[int], degree: int) -> tuple:
+    """(units, steps) of the cheaper plan of a table's transfer walk
+    (`_transfer_traces`): S steps to the top length, R steps to min(D, top)
+    and recurs past D.
+
+    A step costs `_STEP`, `_ENTRY` for each of its m^(2k) entries, `_ADD`
+    for each of their m additions, and a unit per `_WORDS` 64-bit words
+    that its additions, masks, trace and slots touch, an entry packed for
+    the top length.  R adds `_RECUR` for its set-up, Newton's D^2 / 2
+    multiply-adds, and per distinct length n past D one step of the
+    companion walk and (degree + 1) D dot terms (`algebraic.walk_price`,
+    t's coefficients of n log2(m) + 1 bits, Q dense, over `_TERM`, its
+    price of one coefficient); then, shortest first and while R is below
+    S and the cap, each longer gap adds its walk's price over one step.
+    """
     lengths = sorted(set(lengths))
     m, top = len(sft.alphabet), lengths[-1]
     size = m ** _block_length(sft)
     order = (degree + 1) * size
-    words = -(-_power_bits(m, top) * (degree + 1) // 64)
-    cost = min(order, top) * m * size * size * words
-    rest = [n for n in lengths if n > order]
-    if rest:
-        from .companion import _TERM, walk_price
-
-        units, bits = 0.0, math.log2(m)
+    words = _power_bits(m, top) * (degree + 1) / 64
+    touched = size * size * (m + 1) + size + 2 * (degree + 1)
+    step = _STEP + size * size * (_ENTRY + m * _ADD) + touched * words / _WORDS
+    stepped, recurred = top * step, min(order, top) * step
+    if rest := [n for n in lengths if n > order]:
+        bits = math.log2(m)
+        coefficients = (sum(rest) * bits + len(rest)) / 64
+        units = walk_price(order, order, len(rest), coefficients / len(rest))[0]
+        units += (degree + 1) * order * (len(rest) * _TERM + coefficients)
+        recurred += _RECUR + order * order / 2 + units / _TERM
         for last, n in zip([0] + rest, rest):
-            coefficient = (n * bits + 1) / 64
-            units += min(walk_price(order, order, n - last, coefficient))
-            units += (degree + 1) * order * (_TERM + coefficient)
-            if cost + units / _TERM > DEFAULT_ENUMERATION_CAP:
+            if recurred > min(stepped, DEFAULT_ENUMERATION_CAP):
                 break
-        cost += math.ceil(units / _TERM)
-    return cost
+            if (gap := n - last) > 1:
+                steps, squares = walk_price(order, order, gap, (n * bits + 1) / 64)
+                recurred += (min(steps, squares) - steps / gap) / _TERM
+    if recurred < stepped:
+        return math.ceil(recurred), min(order, top)
+    return math.ceil(stepped), top
 
 
-def _walks(sft: SubshiftSFT, lengths: Sequence[int], degree: int) -> bool:
-    """Whether a table of ``lengths``, truncated at z^degree, walks; the
-    refusal of the route it picks is raised here, before any work.
+def _walks(sft: SubshiftSFT, lengths: Sequence[int], degree: int) -> int:
+    """The steps of a table's transfer walk, as `_walk_cost` plans it, or
+    0 when the table enumerates; the refusal of the route it picks is
+    raised here, before any work.
 
     A nearest-neighbor window walks, and is refused when the walk's
-    estimate (`_walk_cost`) exceeds the cap.  Any other window walks when
-    that estimate is within the cap and below enumeration's, m^n * n for
+    estimate exceeds the cap.  Any other window walks when that estimate
+    is within the cap and below enumeration's in the same unit: m^n * n
+    labeling sites, `_SITES` a unit, and `_ENUMERATE` units of set-up for
     each distinct length, summed shortest first until it passes the walk's;
     otherwise every length, in the order given, is checked against the
     labelings cap.
     """
     m = len(sft.alphabet)
-    walk = _walk_cost(sft, lengths, degree)
+    walk, steps = _walk_cost(sft, lengths, degree)
+    sites = (m**n * n + _SITES * _ENUMERATE for n in sorted(set(lengths)))
     if sft.is_nearest_neighbor or (walk <= DEFAULT_ENUMERATION_CAP and any(
-        total > walk for total in itertools.accumulate(m**n * n for n in sorted(set(lengths)))
+        total > walk * _SITES for total in itertools.accumulate(sites)
     )):
         if walk > DEFAULT_ENUMERATION_CAP:
             raise ResourceGuardError(
                 f"the transfer walk's estimated cost {walk} exceeds the cap "
                 f"{DEFAULT_ENUMERATION_CAP}"
             )
-        return True
+        return steps
     for n in lengths:
         _check_cap(m, n)
-    return False
+    return 0
 
 
 def _pulled_back_checks(sft: SubshiftSFT, sigma: SoficMap, constraints) -> list:
@@ -463,9 +491,9 @@ def subshift_entropy_table(
         raise ValueError("budgets must be >= 0")
 
     degree = max(filter(max(lengths).__gt__, budgets))
-    if _walks(sft, lengths, degree):
+    if steps := _walks(sft, lengths, degree):
         method = "transfer_matrix"
-        tallies = _transfer_traces(sft, lengths, degree)
+        tallies = _transfer_traces(sft, lengths, degree, steps)
     else:
         method = "exact_enumeration"
         tallies = {}

@@ -380,8 +380,9 @@ def test_subshift_invalid_sft(tmp_path, capsys, sft):
 
 
 def test_subshift_resource_guard(tmp_path, capsys, monkeypatch):
-    # 100 symbols over Z/1..20: 20 products of 100 x 100 matrices of 3-word
-    # entries, 6 * 10^7, over the default cap, refused before the walk starts
+    # 100 symbols over Z/1..20: 20 steps of 100^2 entries of 100 additions
+    # of 3-word entries, 1.5 * 10^7, over the default cap, refused before the
+    # walk starts
     monkeypatch.setattr(subshift, "_transfer_traces", _refuse)
     obj = {"alphabet": list(range(100)), "window": [0, 1],
            "allowed": [[a, b] for a in range(100) for b in range(100) if a != b]}
@@ -389,7 +390,7 @@ def test_subshift_resource_guard(tmp_path, capsys, monkeypatch):
     sft_path.write_text(json.dumps(obj), encoding="utf-8")
     rc = main(["subshift", "--sft", str(sft_path), "--quotients", "1..20"])
     assert rc == 4
-    assert "resource guard: the transfer walk's estimated cost 60000000" in capsys.readouterr().err
+    assert "resource guard: the transfer walk's estimated cost 14752489" in capsys.readouterr().err
 
 
 def test_subshift_window3_beyond_enumeration_cap(tmp_path):
@@ -1070,8 +1071,11 @@ def test_explicit_chain_run_skips_numpy_ma(tmp_path):
 
 def test_import_leaves_the_companion_walk_unloaded():
     # importing the package, which the bench times as set-up, loads no
-    # companion code: a subshift table loads it only once a length passes
-    # D, here 2 states at budget 0
+    # companion code, and neither do the bench's subshift tables, which
+    # step to their top: the golden mean over 1..400 at budgets 0..3 with
+    # either symbol role, and the window (0, 1, 2) over 1..18 at budgets
+    # 0, 1 with any two forbidden patterns; a table that recurs past D,
+    # the golden mean at [10^5] with budgets 0..3, loads it
     import os
     import subprocess
     import sys
@@ -1083,12 +1087,20 @@ def test_import_leaves_the_companion_walk_unloaded():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     code = (
-        "import sys\n"
+        "import itertools, sys\n"
         "import sofic, sofic.cli\n"
         "assert 'sofic.companion' not in sys.modules\n"
-        "sofic.subshift_entropy_table(sofic.golden_mean(), [1, 2])\n"
+        "for a, b in ((0, 1), (1, 0)):\n"
+        "    golden = sofic.SubshiftSFT((0, 1), (0, 1), [(a, a), (a, b), (b, a)])\n"
+        "    sofic.subshift_entropy_table(golden, range(1, 401), [0, 1, 2, 3])\n"
+        "patterns = list(itertools.product((0, 1), repeat=3))\n"
+        "for forbidden in itertools.combinations(patterns, 2):\n"
+        "    allowed = [p for p in patterns if p not in forbidden]\n"
+        "    window3 = sofic.SubshiftSFT((0, 1), (0, 1, 2), allowed)\n"
+        "    table = sofic.subshift_entropy_table(window3, range(1, 19), [0, 1])\n"
+        "    assert table.rows[0].method == 'transfer_matrix'\n"
         "assert 'sofic.companion' not in sys.modules\n"
-        "assert sofic.subshift_entropy_table(sofic.golden_mean(), [3]).rows[0].count == 4\n"
+        "sofic.subshift_entropy_table(sofic.golden_mean(), [10**5], [0, 1, 2, 3])\n"
         "assert 'sofic.companion' in sys.modules\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env)

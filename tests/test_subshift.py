@@ -205,10 +205,10 @@ def test_transfer_large_length_and_huge_budget(monkeypatch):
     degrees = []
     traces = subshift._transfer_traces
 
-    def spy(sft, lengths, degree):
+    def spy(sft, lengths, degree, steps):
         degrees.append(degree)
         assert degree <= max(lengths)  # before any polynomial is built
-        return traces(sft, lengths, degree)
+        return traces(sft, lengths, degree, steps)
 
     monkeypatch.setattr(subshift, "_transfer_traces", spy)
     table = subshift_entropy_table(golden_mean(), [3], [10**9])
@@ -217,10 +217,10 @@ def test_transfer_large_length_and_huge_budget(monkeypatch):
 
 
 def test_transfer_count_refuses_a_costly_walk(monkeypatch):
-    # 100 symbols at n = 1023: D = 100 shift-and-add steps of 100^3 additions
-    # of entries of 107 words (100^1023 < 2^6797), 1.07 * 10^10, and the
-    # first length past D, its walk and dot, over the cap
-    def no_walk(sft, lengths, degree):
+    # 100 symbols at n = 1023: the D = 100 shift-and-add steps of 100^2
+    # entries of 100 additions, each touching entries of 107 words
+    # (100^1023 < 2^6797), 4.0 * 10^8, and the recurrence to 1023, over the cap
+    def no_walk(sft, lengths, degree, steps):
         raise AssertionError("the walk started before the guard refused")
 
     monkeypatch.setattr(subshift, "_transfer_traces", no_walk)
@@ -229,7 +229,7 @@ def test_transfer_count_refuses_a_costly_walk(monkeypatch):
         window=(0, 1),
         allowed=frozenset((a, b) for a in range(100) for b in range(100) if a != b),
     )
-    message = "estimated cost 10701084607 exceeds the cap 10000000"
+    message = "estimated cost 402449751 exceeds the cap 10000000"
     with pytest.raises(ResourceGuardError, match=message):
         subshift_entropy_table(wide, [1023])
 
@@ -238,9 +238,9 @@ def test_table_full_budget_rows_keep_degree_low(monkeypatch):
     degrees = []
     traces = subshift._transfer_traces
 
-    def spy(sft, lengths, degree):
+    def spy(sft, lengths, degree, steps):
         degrees.append(degree)
-        return traces(sft, lengths, degree)
+        return traces(sft, lengths, degree, steps)
 
     monkeypatch.setattr(subshift, "_transfer_traces", spy)
     gm = golden_mean()
@@ -482,7 +482,7 @@ def test_transfer_walk_matches_brute_force_battery():
         for n in set(lengths):
             sigma = _cyclic_sigma(n, sft.window)
             brute[n] = bad_site_tally_brute(sft, sigma, sft.window)
-        walk = subshift._transfer_traces(sft, lengths, top)
+        walk = subshift._transfer_traces(sft, lengths, top, max(lengths))
         assert walk == {n: tally[: top + 1] + [0] * (top - n) for n, tally in brute.items()}
         walks = subshift._walks(sft, lengths, 2)  # the table's degree: 2 < top
         table = subshift_entropy_table(sft, lengths, budgets)
@@ -492,16 +492,17 @@ def test_transfer_walk_matches_brute_force_battery():
         for row in table.rows:
             assert row.count == sum(brute[row.n][: row.budget + 1]), (sft, row)
             assert row.method == ("transfer_matrix" if walks else "exact_enumeration")
-        routes.add((sft.is_nearest_neighbor, walks))
+        routes.add((sft.is_nearest_neighbor, bool(walks)))
         if sft.allowed == {(0, 1)}:
             assert {r.count for r in table.rows if r.budget == 0} == {0}
     assert routes == {(True, True), (False, True), (False, False)}
 
 
-def test_sparse_walk_matches_the_dense_walk_battery():
-    # the walk steps to D = (degree + 1) m^k by shift-and-add and recurs
-    # past it by the companion walk on chi^(degree + 1); dense matrix powers
-    # of the step matrix are the oracle
+def test_sparse_walk_matches_the_dense_walk_battery(monkeypatch):
+    # every table runs both plans: S steps to the top length by
+    # shift-and-add, R steps to min(D, top), D = (degree + 1) m^k, and
+    # recurs past D by the companion walk on chi^(degree + 1); dense matrix
+    # powers of the step matrix are the oracle
     rng = random.Random(113)
     length_sets = [
         range(1, 9),  # consecutive
@@ -511,6 +512,7 @@ def test_sparse_walk_matches_the_dense_walk_battery():
         range(1, 41),  # consecutive, past D for all but the largest D
         [3, 17, 18, 33, 50],  # gapped, past D
         [45],  # a single length past D
+        [200],  # a single long length
     ]
     windows = [(0, 1), (1, 0), (0, 1, 2), (0, 2), (-2, 0, 1)]
     sfts = [_random_sft(rng, m, w) for m in (1, 2, 3) for w in windows]
@@ -532,9 +534,28 @@ def test_sparse_walk_matches_the_dense_walk_battery():
         degree = rng.randint(0, 3)
         top = (degree + 1) * m ** max(span, 1) + 12
         cases.append((_random_sft(rng, m, tuple(window)), rng.sample(range(1, top + 1), 6), degree))
+    walked = []
+    walk = companion.Companion.walk
+
+    def walk_spy(self, sizes, bits):
+        walked.append(list(sizes))
+        return walk(self, sizes, bits)
+
+    monkeypatch.setattr(companion.Companion, "walk", walk_spy)
     for sft, lengths, degree in cases:
         want = dense_transfer_traces(sft, lengths, degree)
-        assert subshift._transfer_traces(sft, lengths, degree) == want, (sft, lengths, degree)
+        m, span = len(sft.alphabet), max(max(sft.window) - min(sft.window), 1)
+        past = [n for n in sorted(set(lengths)) if n > (degree + 1) * m**span]
+        # a dear set-up forces S, a dear step R, which recurs exactly the
+        # lengths past D
+        for price, recurred in (("_RECUR", []), ("_STEP", past)):
+            with monkeypatch.context() as patch:
+                patch.setattr(subshift, price, 10**9)
+                steps = subshift._walk_cost(sft, lengths, degree)[1]
+            walked.clear()
+            got = subshift._transfer_traces(sft, lengths, degree, steps)
+            assert got == want, (sft, lengths, degree, price)
+            assert walked == ([recurred] if recurred else []), (sft, lengths, degree, price)
 
 
 def test_entropy_table_route_choice(monkeypatch):
@@ -555,22 +576,29 @@ def test_entropy_table_route_choice(monkeypatch):
 
     monkeypatch.setattr(subshift, "_transfer_traces", walk_spy)
     monkeypatch.setattr(subshift, "_bad_site_tally", tally_spy)
-    # 4 states, D = 4: 4 shift-and-add steps of 2^5 additions, 128, and the
-    # companion walk and dots of 5..8, 161, against enumeration's 642 by n = 6
-    assert subshift._walk_cost(window3, range(1, 9), 0) == 289
-    assert subshift._walks(window3, range(1, 9), 0)
+    # 4 states, D = 4: S, 8 shift-and-add steps of 4^2 entries of 2
+    # additions, 792, below R's set-up, against enumeration's set-up and 2
+    # labeling sites at n = 1, over 2,000
+    assert subshift._walk_cost(window3, range(1, 9), 0) == (792, 8)
+    assert subshift._walks(window3, range(1, 9), 0) == 8
     assert subshift_entropy_table(window3, range(1, 9)).rows[0].method == "transfer_matrix"
     assert (len(walks), tallies) == (1, [])
     # the same walk is refused by a cap below its estimate
-    monkeypatch.setattr(subshift, "DEFAULT_ENUMERATION_CAP", 288)
+    monkeypatch.setattr(subshift, "DEFAULT_ENUMERATION_CAP", 791)
     assert not subshift._walks(window3, range(1, 9), 0)
     table = subshift_entropy_table(window3, range(1, 9))
     assert {r.method for r in table.rows} == {"exact_enumeration"}
     assert (len(walks), tallies) == (1, list(range(1, 9)))
+    # the 12 steps of [12, 5, 12], 1,189, are within a cap of 1,189
+    monkeypatch.setattr(subshift, "DEFAULT_ENUMERATION_CAP", 1189)
+    assert subshift._walks(window3, [12, 5, 12], 0) == 12
+    # below it the walk is not taken, and enumeration refuses 2^12 labelings
+    monkeypatch.setattr(subshift, "DEFAULT_ENUMERATION_CAP", 1188)
+    with pytest.raises(ResourceGuardError, match="^4096 labelings exceed the enumeration cap"):
+        subshift._walks(window3, [12, 5, 12], 0)
     monkeypatch.setattr(subshift, "DEFAULT_ENUMERATION_CAP", cap)
-    # the lengths past D, each once and in order, are the companion walk's:
-    # 5 from t_0 = 1, then the gap 7, each with its dots, priced with the
-    # 4 steps at 353
+    # R hands over at D = 4, and the lengths past it, each once and in
+    # order, are the companion walk's: 5 from t_0 = 1, then the gap 55
     walked = []
     walk = companion.Companion.walk
 
@@ -579,15 +607,9 @@ def test_entropy_table_route_choice(monkeypatch):
         return walk(self, sizes, bits)
 
     monkeypatch.setattr(companion.Companion, "walk", walk_spy_sizes)
-    monkeypatch.setattr(subshift, "DEFAULT_ENUMERATION_CAP", 353)
-    assert subshift._walks(window3, [12, 5, 12], 0)
-    # below it the walk is not taken, and enumeration refuses 2^12 labelings
-    monkeypatch.setattr(subshift, "DEFAULT_ENUMERATION_CAP", 352)
-    with pytest.raises(ResourceGuardError, match="^4096 labelings exceed the enumeration cap"):
-        subshift._walks(window3, [12, 5, 12], 0)
-    monkeypatch.setattr(subshift, "DEFAULT_ENUMERATION_CAP", cap)
-    subshift_entropy_table(window3, [12, 5, 12])
-    assert walked == [[5, 12]]
+    assert subshift._walk_cost(window3, [60, 5, 60], 0) == (4101, 4)
+    subshift_entropy_table(window3, [60, 5, 60])
+    assert walked == [[5, 60]]
     assert len(walks) == 2
     # 4096 states cost more than enumerating short lengths
     assert not subshift._walks(wide, range(1, 11), 0)
@@ -599,61 +621,65 @@ def test_entropy_table_route_choice(monkeypatch):
         subshift_entropy_table(wide, [25])
     assert len(walks) == 2 and len(tallies) == 8 + 10
     # nearest-neighbor windows walk whatever enumeration's estimate, up to
-    # the cap: 2 steps of 2^3 additions, 16, and the companion walk to 30
-    # with its dot, 235
-    monkeypatch.setattr(subshift, "DEFAULT_ENUMERATION_CAP", 251)
+    # the cap: S, 30 steps of 2^2 entries, 1,355, below R's set-up
+    assert subshift._walk_cost(golden_mean(), [30], 0) == (1355, 30)
+    monkeypatch.setattr(subshift, "DEFAULT_ENUMERATION_CAP", 1355)
     assert subshift_entropy_table(golden_mean(), [30]).rows[0].count == 1860498
     assert len(walks) == 3
-    monkeypatch.setattr(subshift, "DEFAULT_ENUMERATION_CAP", 250)
-    with pytest.raises(ResourceGuardError, match="estimated cost 251 exceeds the cap 250"):
+    monkeypatch.setattr(subshift, "DEFAULT_ENUMERATION_CAP", 1354)
+    with pytest.raises(ResourceGuardError, match="estimated cost 1355 exceeds the cap 1354"):
         subshift_entropy_table(golden_mean(), [30])
     assert len(walks) == 3
 
 
 def test_nearest_neighbor_table_walks_where_enumeration_is_cheaper(monkeypatch):
-    # Z/2: 2 products of 2 x 2 matrices, 16, against enumeration's 2^2 * 2 = 8
-    gm = golden_mean()
-    assert subshift._walk_cost(gm, [2], 0) == 16
+    # Z/2 on 20 symbols: 2 steps of 20^2 entries of 20 additions, 12,929,
+    # against enumeration's 20^2 * 2 labeling sites and its set-up, 2,050
+    shift = full_shift(20)
+    assert subshift._walk_cost(shift, [2], 0) == (12929, 2)
     tallies = []
     monkeypatch.setattr(subshift, "_bad_site_tally", lambda *a: tallies.append(a))
-    table = subshift_entropy_table(gm, [2])
-    assert [(r.count, r.method) for r in table.rows] == [(3, "transfer_matrix")]
+    table = subshift_entropy_table(shift, [2])
+    assert [(r.count, r.method) for r in table.rows] == [(400, "transfer_matrix")]
     assert tallies == []
 
 
 def test_walk_estimate_counts_the_words_of_an_entry(monkeypatch):
     # an entry packs degree + 1 slots of bit_length(m^n) bits: the binary
     # window (0, 1, 2) at budgets 0..3 has D = 16 states of the truncated
-    # step, and at n = 16 its 16 steps of 2^5 additions take entries of
-    # 4 * 17 bits, 2 words
+    # step, and at n = 16 both plans are its 16 steps of 4^2 entries of 2
+    # additions, 98.68 units, and 60 touched entries of 4 * 17 bits, 1.99
     window3 = SubshiftSFT(alphabet=(0, 1), window=(0, 1, 2),
                           allowed=frozenset(itertools.product((0, 1), repeat=3)))
-    assert subshift._walk_cost(window3, [16], 3) == 16 * 2**5 * 2
-    assert subshift._walk_cost(window3, range(1, 17), 3) == 16 * 2**5 * 2
+    assert subshift._walk_cost(window3, [16], 3) == (1611, 16)
+    assert subshift._walk_cost(window3, range(1, 17), 3) == (1611, 16)
     # the binary window (0, 3, 6) over Z/1..60 at degree 1 is all steps:
-    # D = 128 > 60, 60 steps of 2^13 additions of 2 words
+    # D = 128 > 60, 60 steps of 2^12 entries of 2 additions of 2 words;
+    # at [2000] S's 2000 steps of 63 words pass the cap, and R, 128 steps
+    # and the recurrence, is admitted
     w036 = SubshiftSFT((0, 1), (0, 3, 6), frozenset(itertools.product((0, 1), repeat=3)) - {(1, 1, 1)})
-    assert subshift._walk_cost(w036, range(1, 61), 1) == 60 * 2**13 * 2
-    # past D the companion walk and its dots add, priced in companion's
-    # units over its per-coefficient ``_TERM``: the golden mean at budgets
-    # 0..3 (D = 8) over 1..400, whose 8 steps cost 8 * 2^3 * 26, and over
-    # 1..4000; a single length is squared
+    assert subshift._walk_cost(w036, range(1, 61), 1) == (1146788, 60)
+    assert subshift._walk_cost(w036, [2000], 1) == (6626899, 128)
+    # past D, R adds its set-up, Newton, and per length a step of the
+    # companion walk and its dots: the golden mean at budgets 0..3 (D = 8)
+    # steps to 400, under R's set-up and 392 walk steps and dots, and
+    # recurs over 1..4000; a single length is squared
     gm = golden_mean()
-    assert subshift._walk_cost(gm, range(1, 401), 3) == 8 * 8 * 26 + 25362
-    assert subshift._walk_cost(gm, range(1, 4001), 3) == 8 * 8 * 251 + 471924
-    assert subshift._walk_cost(gm, [10**4], 0) == 2 * 8 * 157 + 5116
+    assert subshift._walk_cost(gm, range(1, 401), 3) == (24861, 400)
+    assert subshift._walk_cost(gm, range(1, 4001), 3) == (476691, 8)
+    assert subshift._walk_cost(gm, [10**4], 0) == (8365, 2)
     for lengths, degree in (([10**6], 0), ([10**5], 3), (range(1, 4001), 3), (range(1, 8001), 3)):
-        assert subshift._walk_cost(gm, lengths, degree) <= subshift.DEFAULT_ENUMERATION_CAP
+        assert subshift._walk_cost(gm, lengths, degree)[0] <= subshift.DEFAULT_ENUMERATION_CAP
     # a length past int64 is priced, not overflowed
-    assert subshift._walk_cost(gm, [3, 2**70, 3], 0) > subshift.DEFAULT_ENUMERATION_CAP
+    assert subshift._walk_cost(gm, [3, 2**70, 3], 0)[0] > subshift.DEFAULT_ENUMERATION_CAP
 
-    def no_walk(sft, lengths, degree):
+    def no_walk(sft, lengths, degree, steps):
         raise AssertionError("the walk started before the guard refused")
 
     monkeypatch.setattr(subshift, "_transfer_traces", no_walk)
-    # the lengths past D are priced shortest first, and the price is
-    # reported as soon as it passes the cap: here near n = 68,000
-    with pytest.raises(ResourceGuardError, match="cost 10000267 exceeds the cap 10000000$"):
+    # R's step and dots for each of the 10^6 lengths pass the cap before
+    # any gap is priced, and S's 10^6 steps more so
+    with pytest.raises(ResourceGuardError, match="cost 1891024310 exceeds the cap 10000000$"):
         subshift_entropy_table(gm, range(1, 10**6 + 1))
 
 
@@ -681,22 +707,22 @@ def test_entropy_table_checks_cap_before_enumerating(monkeypatch):
 
 
 def test_entropy_table_refuses_a_dear_nearest_neighbor_walk(monkeypatch):
-    # 100 symbols over Z/1..20: 20 products of 100 x 100 matrices whose
-    # entries, 100^20 < 2^133, take 3 words, 6 * 10^7, over the default cap,
-    # refused before any work
+    # 100 symbols over Z/1..20: 20 steps of 100^2 entries of 100 additions,
+    # touching entries of 3 words (100^20 < 2^133), 1.5 * 10^7, over the
+    # default cap, refused before any work
     wide = _random_sft(random.Random(103), 100, (0, 1))
     walks = []
     traces = subshift._transfer_traces
     monkeypatch.setattr(subshift, "_transfer_traces", lambda *a: walks.append(a) or traces(*a))
-    with pytest.raises(ResourceGuardError, match="cost 60000000 exceeds the cap 10000000$"):
+    with pytest.raises(ResourceGuardError, match="cost 14752489 exceeds the cap 10000000$"):
         subshift_entropy_table(wide, range(1, 21))
     assert walks == []
     # the default cap is the one consulted, and a raised cap admits the
-    # walk: Z/1, Z/2 take 2 products, 2 * 10^6
-    monkeypatch.setattr(subshift, "DEFAULT_ENUMERATION_CAP", 2 * 10**6 - 1)
-    with pytest.raises(ResourceGuardError, match="cost 2000000 exceeds"):
+    # walk: Z/1, Z/2 take 2 steps, 1,357,864
+    monkeypatch.setattr(subshift, "DEFAULT_ENUMERATION_CAP", 1357863)
+    with pytest.raises(ResourceGuardError, match="cost 1357864 exceeds"):
         subshift_entropy_table(wide, [1, 2])
-    monkeypatch.setattr(subshift, "DEFAULT_ENUMERATION_CAP", 2 * 10**6)
+    monkeypatch.setattr(subshift, "DEFAULT_ENUMERATION_CAP", 1357864)
     table = subshift_entropy_table(wide, [1, 2])
     want = [transition_matrix_power_trace(wide, n) for n in (1, 2)]
     assert [r.count for r in table.rows] == want
