@@ -66,7 +66,8 @@ non-real pair, and S, over the real characters: H is lifted against
 the same primes, the real blocks built only until S has its own.  When
 det M = 0 the same elimination gives the nullity d - rank M, each block's
 rank certified by a norm bound.  A count, or a trace, is refused before
-its first prime or power when its estimated cost exceeds COST_CAP.
+its first prime or power when its estimated cost exceeds COST_CAP, the one
+cap of every priced route, subshift tables' included.
 """
 
 from __future__ import annotations
@@ -97,9 +98,11 @@ __all__ = [
 
 LOG2 = math.log(2.0)
 
-# The most work one count or trace, or the prime supply of one count, may be
-# estimated at (a priced plan's `_Split.work` and `_Split.supply`,
-# `companion.Companion.cost`): about 5 s at 4.4-5.3 ns a unit.
+# The most work one count, trace, subshift table or enumeration, or the prime
+# supply of one count, may be estimated at (a priced plan's `_Split.work` and
+# `_Split.supply`, `companion.Companion.cost`, `subshift._walks`,
+# `subshift._enumeration_cost`): about 5 s at 4.4-5.3 ns a unit, the unit of
+# every price.  Read at call time, so that one value governs every guard.
 COST_CAP = 10**9
 
 # Units of the companion walk's interpreted work: one step, product or pass

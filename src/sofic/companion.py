@@ -20,8 +20,9 @@ squarefree, its degree is the number of n-th roots of unity among the
 roots of p, the nullity of M_n.
 
 `algebraic.walk_price` prices a walk and `Companion.cost` a count in
-`algebraic.COST_CAP`'s units (about 5 ns).  The module is imported by the
-first rank-1 count or recurred subshift table.
+`algebraic.COST_CAP`'s units (about 5 ns), the unit that a subshift table
+prices its steps and enumeration in too (`subshift._walk_cost`).  The
+module is imported by the first rank-1 count or recurred subshift table.
 """
 
 from __future__ import annotations

@@ -27,9 +27,10 @@ characteristic polynomial (Bowen-Lanford; Lind-Marcus, Symbolic Dynamics
 and Coding, 6.4), so a table walks the powers step by step to its longest
 length, or, where the recurrence pays for its set-up, up to that
 polynomial's degree and recurs past it (`_walk_cost`).  As enumerating all
-m^n labelings once per length can be cheaper, `_walks` picks the route, and
-guards it, before any work.  Over any other sofic map, `hom_count_exact`
-enumerates.
+m^n labelings once per length can be cheaper, `_walks` prices both routes
+in `algebraic.COST_CAP`'s unit, takes the cheaper, and refuses it over that
+cap, before any work.  Over any other sofic map, `hom_count_exact`
+enumerates, under the same cap.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ from typing import Iterable, List, NamedTuple, Sequence
 
 import numpy as np
 
+from . import algebraic
 from .algebraic import _TERM, _power_bits, log_big_int, walk_price
 from .groups import ResourceGuardError, SoficMap, _is_integer
 from .groups import sofic_map_from_quotient, torus_quotient
@@ -58,18 +60,15 @@ __all__ = [
     "subshift_entropy_table",
 ]
 
-# The most labelings an enumeration, or units a transfer walk (`_walk_cost`),
-# may cost; a request over it raises ResourceGuardError before any work.
-DEFAULT_ENUMERATION_CAP = 10**7
-
-# A walk's unit (`_walk_cost`) is about 120 ns, calibrated on single-shot
-# runs in fresh processes: a step's fixed work, its work per entry and per
-# addition, and the 64-bit words per unit that it touches; the recurrence's
-# set-up (loading `companion` from bytecode, the walk's first call); and
-# enumeration's labeling sites per unit and set-up per length, in units.
-_STEP, _ENTRY, _ADD, _WORDS = 27, 3.2, 0.64, 32
-_RECUR = 3000
-_SITES, _ENUMERATE = 16, 2000
+# Units of `algebraic.COST_CAP` (about 5 ns), calibrated on single-shot runs
+# in fresh processes: a step's fixed work, its work per entry and per
+# addition, and per 64-bit word that it touches (`_walk_cost`); the
+# recurrence's set-up (loading `companion` from bytecode, the walk's first
+# call); and enumeration's work per 16 labeling sites and set-up per length
+# (`_enumeration_cost`).
+_STEP, _ENTRY, _ADD, _WORD = 675, 80, 16, 0.78125
+_RECUR = 75000
+_SITES16, _ENUMERATE = 25, 50000
 
 _CHUNK = 1 << 16
 
@@ -136,10 +135,6 @@ class SubshiftSFT:
         object.__setattr__(self, "alphabet", alphabet)
         object.__setattr__(self, "window", window)
         object.__setattr__(self, "allowed", allowed)
-
-    @property
-    def is_nearest_neighbor(self) -> bool:
-        return set(self.window) == {0, 1}
 
     def symbol_index(self) -> dict:
         return {s: i for i, s in enumerate(self.alphabet)}
@@ -273,14 +268,14 @@ def _walk_cost(sft: SubshiftSFT, lengths: Sequence[int], degree: int) -> tuple:
     and recurs past D.
 
     A step costs `_STEP`, `_ENTRY` for each of its m^(2k) entries, `_ADD`
-    for each of their m additions, and a unit per `_WORDS` 64-bit words
-    that its additions, masks, trace and slots touch, an entry packed for
-    the top length.  R adds `_RECUR` for its set-up, Newton's D^2 / 2
-    multiply-adds, and per distinct length n past D one step of the
-    companion walk and (degree + 1) D dot terms (`algebraic.walk_price`,
-    t's coefficients of n log2(m) + 1 bits, Q dense, over `_TERM`, its
-    price of one coefficient); then, shortest first and while R is below
-    S and the cap, each longer gap adds its walk's price over one step.
+    for each of their m additions, and `_WORD` for each 64-bit word that
+    its additions, masks, trace and slots touch, an entry packed for the
+    top length.  R adds `_RECUR` for its set-up, Newton's D^2 / 2
+    multiply-adds at `_TERM`, and per distinct length n past D one step of
+    the companion walk and (degree + 1) D dot terms (`algebraic.walk_price`,
+    t's coefficients of n log2(m) + 1 bits, Q dense); then, shortest first
+    and while R is below S and the cap, each longer gap adds its walk's
+    price over one step.
     """
     lengths = sorted(set(lengths))
     m, top = len(sft.alphabet), lengths[-1]
@@ -288,23 +283,29 @@ def _walk_cost(sft: SubshiftSFT, lengths: Sequence[int], degree: int) -> tuple:
     order = (degree + 1) * size
     words = _power_bits(m, top) * (degree + 1) / 64
     touched = size * size * (m + 1) + size + 2 * (degree + 1)
-    step = _STEP + size * size * (_ENTRY + m * _ADD) + touched * words / _WORDS
+    step = _STEP + size * size * (_ENTRY + m * _ADD) + touched * words * _WORD
     stepped, recurred = top * step, min(order, top) * step
     if rest := [n for n in lengths if n > order]:
         bits = math.log2(m)
         coefficients = (sum(rest) * bits + len(rest)) / 64
-        units = walk_price(order, order, len(rest), coefficients / len(rest))[0]
-        units += (degree + 1) * order * (len(rest) * _TERM + coefficients)
-        recurred += _RECUR + order * order / 2 + units / _TERM
+        recurred += _RECUR + _TERM * order * order / 2
+        recurred += walk_price(order, order, len(rest), coefficients / len(rest))[0]
+        recurred += (degree + 1) * order * (len(rest) * _TERM + coefficients)
         for last, n in zip([0] + rest, rest):
-            if recurred > min(stepped, DEFAULT_ENUMERATION_CAP):
+            if recurred > min(stepped, algebraic.COST_CAP):
                 break
             if (gap := n - last) > 1:
                 steps, squares = walk_price(order, order, gap, (n * bits + 1) / 64)
-                recurred += (min(steps, squares) - steps / gap) / _TERM
+                recurred += min(steps, squares) - steps / gap
     if recurred < stepped:
         return math.ceil(recurred), min(order, top)
     return math.ceil(stepped), top
+
+
+def _enumeration_cost(m: int, n: int) -> int:
+    """Units of enumerating the m^n labelings of n sites: `_ENUMERATE` of
+    set-up and m^n n labeling sites at `_SITES16` per 16, in exact integers."""
+    return _ENUMERATE + (m**n * n * _SITES16 >> 4)
 
 
 def _walks(sft: SubshiftSFT, lengths: Sequence[int], degree: int) -> int:
@@ -312,29 +313,27 @@ def _walks(sft: SubshiftSFT, lengths: Sequence[int], degree: int) -> int:
     0 when the table enumerates; the refusal of the route it picks is
     raised here, before any work.
 
-    A nearest-neighbor window walks, and is refused when the walk's
-    estimate exceeds the cap.  Any other window walks when that estimate
-    is within the cap and below enumeration's in the same unit: m^n * n
-    labeling sites, `_SITES` a unit, and `_ENUMERATE` units of set-up for
-    each distinct length, summed shortest first until it passes the walk's;
-    otherwise every length, in the order given, is checked against the
-    labelings cap.
+    The table takes the cheaper of the walk and enumeration, which costs
+    `_enumeration_cost` per distinct length (ties enumerate), and is
+    refused when that price exceeds `algebraic.COST_CAP`.  Enumeration is
+    priced shortest first, only until it passes the walk's price or the
+    cap, and m^n is not raised for n past the bits of that limit, as it
+    passes the limit there.
     """
-    m = len(sft.alphabet)
+    m, cap = len(sft.alphabet), algebraic.COST_CAP
     walk, steps = _walk_cost(sft, lengths, degree)
-    sites = (m**n * n + _SITES * _ENUMERATE for n in sorted(set(lengths)))
-    if sft.is_nearest_neighbor or (walk <= DEFAULT_ENUMERATION_CAP and any(
-        total > walk * _SITES for total in itertools.accumulate(sites)
-    )):
-        if walk > DEFAULT_ENUMERATION_CAP:
-            raise ResourceGuardError(
-                f"the transfer walk's estimated cost {walk} exceeds the cap "
-                f"{DEFAULT_ENUMERATION_CAP}"
-            )
-        return steps
-    for n in lengths:
-        _check_cap(m, n)
-    return 0
+    limit, enumerated = min(walk, cap), 0
+    for n in sorted(set(lengths)):
+        if enumerated > limit:
+            break
+        enumerated += _enumeration_cost(m, n) if m == 1 or n <= limit.bit_length() else limit + 1
+    if enumerated <= limit:
+        return 0
+    if walk > cap:
+        raise ResourceGuardError(
+            f"the transfer walk's estimated cost {walk} and enumeration's exceed the cap {cap}"
+        )
+    return steps
 
 
 def _pulled_back_checks(sft: SubshiftSFT, sigma: SoficMap, constraints) -> list:
@@ -367,9 +366,9 @@ def hom_count_exact(
     site is good when every window translate fitting inside the constraint
     set pulls back to an allowed pattern.  Over d sites the paper's
     microstates within delta are these counts at budget = floor(delta^2 d).
-    Enumeration is capped at DEFAULT_ENUMERATION_CAP labelings; on cyclic
-    quotients with the window as constraint set, subshift_entropy_table
-    gives the same counts by a transfer walk.
+    Refused, before any work, when its price (`_enumeration_cost`) exceeds
+    `algebraic.COST_CAP`; on cyclic quotients with the window as constraint
+    set, subshift_entropy_table gives the same counts by a transfer walk.
     """
     if not _is_integer(budget):
         raise ValueError(f"budget must be an integer, got {budget!r}")
@@ -377,17 +376,11 @@ def hom_count_exact(
         raise ValueError("budget must be >= 0")
     if sigma.rank != 1:
         raise ValueError("subshift counting requires a rank-1 sofic map")
-    _check_cap(len(sft.alphabet), sigma.d)
-    return sum(_bad_site_tally(sft, sigma, constraints)[: budget + 1])
-
-
-def _check_cap(m: int, d: int) -> None:
-    total = m**d
-    if total > DEFAULT_ENUMERATION_CAP:
+    if (cost := _enumeration_cost(len(sft.alphabet), sigma.d)) > algebraic.COST_CAP:
         raise ResourceGuardError(
-            f"{total} labelings exceed the enumeration cap {DEFAULT_ENUMERATION_CAP}; "
-            "cyclic tables take the transfer walk where its estimate is lower and within the cap"
+            f"enumeration's estimated cost {cost} exceeds the cap {algebraic.COST_CAP}"
         )
+    return sum(_bad_site_tally(sft, sigma, constraints)[: budget + 1])
 
 
 def _pattern_codes(labels: np.ndarray, cols: list, m: int, dtype) -> np.ndarray:

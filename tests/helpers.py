@@ -22,6 +22,9 @@ trace's two routes at every quotient, the eager form of the library's route
 choice, which prices the split only where it can change the outcome.
 ``split_price`` prices a split by the formulas that the library's priced
 plan folds into one object, each bound taken as its exact power.
+``two_cap_route`` is no oracle of counts either: it is the subshift route
+rule of two caps of 10^7 that `algebraic.COST_CAP` replaced, kept so that
+the tests can show which tables keep their route under the one cap.
 """
 
 import itertools
@@ -393,7 +396,7 @@ def count_torus_solutions_brute(rows):
 
 def allowed_pairs(sft):
     """Allowed transitions (symbol at 0, symbol at 1) of a window {0, 1}."""
-    if not sft.is_nearest_neighbor:
+    if set(sft.window) != {0, 1}:
         raise ValueError("window shape unsupported; expected offsets {0, 1}")
     i0 = sft.window.index(0)
     i1 = sft.window.index(1)
@@ -785,6 +788,49 @@ def dense_transfer_traces(sft, lengths, degree):
         trace = sum(row[i] for i, row in enumerate(walked))
         traces[n] = [(trace >> (k * width)) & ((1 << width) - 1) for k in range(degree + 1)]
     return traces
+
+
+def two_cap_route(sft, lengths, degree):
+    """The steps of a table's transfer walk, 0 to enumerate, or None when
+    refused, by the route rule that priced the walk in units of 25 of
+    `algebraic.COST_CAP`'s (about 120 ns) and held it, and every length's
+    labelings, against two caps of 10^7.
+
+    A step costs 27 units, 3.2 per entry, 0.64 per addition and one per 32
+    words touched; R adds 3,000 units of set-up, D^2 / 2 for Newton and the
+    companion walk's price over 25, passing a gap's only while below S and
+    the walk cap.  A nearest-neighbor window walks within the walk cap.  Any
+    other window walks when the walk is within that cap and below
+    enumeration's m^n n labeling sites, 16 a unit, and 2,000 units of set-up
+    per length, summed shortest first; else it enumerates when every length
+    has at most 10^7 labelings.
+    """
+    lengths = sorted(set(lengths))
+    m, top = len(sft.alphabet), lengths[-1]
+    size = m ** max(max(sft.window) - min(sft.window), 1)
+    order = (degree + 1) * size
+    words = _power_bits(m, top) * (degree + 1) / 64
+    touched = size * size * (m + 1) + size + 2 * (degree + 1)
+    step = 27 + size * size * (3.2 + m * 0.64) + touched * words / 32
+    stepped, recurred = top * step, min(order, top) * step
+    if rest := [n for n in lengths if n > order]:
+        bits = math.log2(m)
+        coefficients = (sum(rest) * bits + len(rest)) / 64
+        units = algebraic.walk_price(order, order, len(rest), coefficients / len(rest))[0]
+        units += (degree + 1) * order * (len(rest) * 25 + coefficients)
+        recurred += 3000 + order * order / 2 + units / 25
+        for last, n in zip([0] + rest, rest):
+            if recurred > min(stepped, 10**7):
+                break
+            if (gap := n - last) > 1:
+                steps, squares = algebraic.walk_price(order, order, gap, (n * bits + 1) / 64)
+                recurred += (min(steps, squares) - steps / gap) / 25
+    walk, steps = (recurred, min(order, top)) if recurred < stepped else (stepped, top)
+    walk = math.ceil(walk)
+    sites = itertools.accumulate(m**n * n + 16 * 2000 for n in lengths)
+    if set(sft.window) == {0, 1} or (walk <= 10**7 and any(t > walk * 16 for t in sites)):
+        return steps if walk <= 10**7 else None
+    return 0 if m ** top <= 10**7 else None
 
 
 def relabel_table(table, perm):

@@ -380,17 +380,19 @@ def test_subshift_invalid_sft(tmp_path, capsys, sft):
 
 
 def test_subshift_resource_guard(tmp_path, capsys, monkeypatch):
-    # 100 symbols over Z/1..20: 20 steps of 100^2 entries of 100 additions
-    # of 3-word entries, 1.5 * 10^7, over the default cap, refused before the
-    # walk starts
+    # 100 symbols over Z/1..50: 50 steps of 100^2 entries of 100 additions
+    # of 6-word entries, 1.05 * 10^9, over the default cap, as is
+    # enumerating, refused before the walk or an enumeration starts
     monkeypatch.setattr(subshift, "_transfer_traces", _refuse)
+    monkeypatch.setattr(subshift, "_bad_site_tally", _refuse)
     obj = {"alphabet": list(range(100)), "window": [0, 1],
            "allowed": [[a, b] for a in range(100) for b in range(100) if a != b]}
     sft_path = tmp_path / "wide.json"
     sft_path.write_text(json.dumps(obj), encoding="utf-8")
-    rc = main(["subshift", "--sft", str(sft_path), "--quotients", "1..20"])
+    rc = main(["subshift", "--sft", str(sft_path), "--quotients", "1..50"])
     assert rc == 4
-    assert "resource guard: the transfer walk's estimated cost 14752489" in capsys.readouterr().err
+    assert ("resource guard: the transfer walk's estimated cost 1045334023 and "
+            "enumeration's exceed the cap 1000000000") in capsys.readouterr().err
 
 
 def test_subshift_window3_beyond_enumeration_cap(tmp_path):
@@ -402,7 +404,7 @@ def test_subshift_window3_beyond_enumeration_cap(tmp_path):
     out = tmp_path / "table.csv"
     rc = main(["subshift", "--sft", str(sft_path), "--quotients", "1..24",
                "--budget", "0,1", "--out", str(out)])
-    assert rc == 0  # 2^24 labelings are beyond the enumeration cap
+    assert rc == 0  # the walk prices far below enumerating 2^24 labelings
     rows = _csv_rows(_read(out))
     assert [(int(r["n"]), int(r["budget"])) for r in rows] == [
         (n, b) for n in range(1, 25) for b in (0, 1)

@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import random
+from functools import partial
 
 import numpy as np
 import pytest
@@ -9,14 +10,16 @@ import pytest
 from sofic import (
     ResourceGuardError,
     SubshiftSFT,
+    fix_count,
     full_shift,
     golden_mean,
     hom_count_exact,
+    parse_laurent,
     sofic_map_from_quotient,
     subshift_entropy_table,
     torus_quotient,
 )
-from sofic import companion, subshift
+from sofic import algebraic, companion, subshift
 
 from helpers import (
     allowed_pairs,
@@ -28,6 +31,7 @@ from helpers import (
     table_count,
     transfer_dp_count,
     transition_matrix_power_trace,
+    two_cap_route,
 )
 
 
@@ -219,7 +223,8 @@ def test_transfer_large_length_and_huge_budget(monkeypatch):
 def test_transfer_count_refuses_a_costly_walk(monkeypatch):
     # 100 symbols at n = 1023: the D = 100 shift-and-add steps of 100^2
     # entries of 100 additions, each touching entries of 107 words
-    # (100^1023 < 2^6797), 4.0 * 10^8, and the recurrence to 1023, over the cap
+    # (100^1023 < 2^6797), 1.0 * 10^10, and the recurrence to 1023, over the
+    # cap, as is enumerating 100^1023 labelings
     def no_walk(sft, lengths, degree, steps):
         raise AssertionError("the walk started before the guard refused")
 
@@ -229,7 +234,7 @@ def test_transfer_count_refuses_a_costly_walk(monkeypatch):
         window=(0, 1),
         allowed=frozenset((a, b) for a in range(100) for b in range(100) if a != b),
     )
-    message = "estimated cost 402449751 exceeds the cap 10000000"
+    message = "estimated cost 10061243753 and enumeration's exceed the cap 1000000000$"
     with pytest.raises(ResourceGuardError, match=message):
         subshift_entropy_table(wide, [1023])
 
@@ -492,7 +497,7 @@ def test_transfer_walk_matches_brute_force_battery():
         for row in table.rows:
             assert row.count == sum(brute[row.n][: row.budget + 1]), (sft, row)
             assert row.method == ("transfer_matrix" if walks else "exact_enumeration")
-        routes.add((sft.is_nearest_neighbor, bool(walks)))
+        routes.add((set(sft.window) == {0, 1}, bool(walks)))
         if sft.allowed == {(0, 1)}:
             assert {r.count for r in table.rows if r.budget == 0} == {0}
     assert routes == {(True, True), (False, True), (False, False)}
@@ -564,7 +569,7 @@ def test_entropy_table_route_choice(monkeypatch):
     wide = SubshiftSFT(alphabet=(0, 1), window=(0, 6, 12), allowed=frozenset(patterns[1:]))
     walks, tallies = [], []
     traces, tally = subshift._transfer_traces, subshift._bad_site_tally
-    cap = subshift.DEFAULT_ENUMERATION_CAP
+    cap = algebraic.COST_CAP
 
     def walk_spy(*args):
         walks.append(args[1])
@@ -577,26 +582,31 @@ def test_entropy_table_route_choice(monkeypatch):
     monkeypatch.setattr(subshift, "_transfer_traces", walk_spy)
     monkeypatch.setattr(subshift, "_bad_site_tally", tally_spy)
     # 4 states, D = 4: S, 8 shift-and-add steps of 4^2 entries of 2
-    # additions, 792, below R's set-up, against enumeration's set-up and 2
-    # labeling sites at n = 1, over 2,000
-    assert subshift._walk_cost(window3, range(1, 9), 0) == (792, 8)
+    # additions, 19,784, below R's set-up, against enumeration's set-up and 2
+    # labeling sites at n = 1, 50,003
+    assert subshift._walk_cost(window3, range(1, 9), 0) == (19784, 8)
+    assert subshift._enumeration_cost(2, 1) == 50003
     assert subshift._walks(window3, range(1, 9), 0) == 8
     assert subshift_entropy_table(window3, range(1, 9)).rows[0].method == "transfer_matrix"
     assert (len(walks), tallies) == (1, [])
-    # the same walk is refused by a cap below its estimate
-    monkeypatch.setattr(subshift, "DEFAULT_ENUMERATION_CAP", 791)
-    assert not subshift._walks(window3, range(1, 9), 0)
-    table = subshift_entropy_table(window3, range(1, 9))
-    assert {r.method for r in table.rows} == {"exact_enumeration"}
-    assert (len(walks), tallies) == (1, list(range(1, 9)))
-    # the 12 steps of [12, 5, 12], 1,189, are within a cap of 1,189
-    monkeypatch.setattr(subshift, "DEFAULT_ENUMERATION_CAP", 1189)
+    # a cap below the walk's price refuses the table before any work, as
+    # enumeration's is dearer still
+    monkeypatch.setattr(algebraic, "COST_CAP", 19783)
+    with pytest.raises(ResourceGuardError, match=(
+        "cost 19784 and enumeration's exceed the cap 19783$"
+    )):
+        subshift_entropy_table(window3, range(1, 9))
+    assert (len(walks), tallies) == (1, [])
+    # the 12 steps of [12, 5, 12], 29,707, are within a cap of 29,707, and
+    # refused below it
+    monkeypatch.setattr(algebraic, "COST_CAP", 29707)
     assert subshift._walks(window3, [12, 5, 12], 0) == 12
-    # below it the walk is not taken, and enumeration refuses 2^12 labelings
-    monkeypatch.setattr(subshift, "DEFAULT_ENUMERATION_CAP", 1188)
-    with pytest.raises(ResourceGuardError, match="^4096 labelings exceed the enumeration cap"):
+    monkeypatch.setattr(algebraic, "COST_CAP", 29706)
+    with pytest.raises(ResourceGuardError, match=(
+        "cost 29707 and enumeration's exceed the cap 29706$"
+    )):
         subshift._walks(window3, [12, 5, 12], 0)
-    monkeypatch.setattr(subshift, "DEFAULT_ENUMERATION_CAP", cap)
+    monkeypatch.setattr(algebraic, "COST_CAP", cap)
     # R hands over at D = 4, and the lengths past it, each once and in
     # order, are the companion walk's: 5 from t_0 = 1, then the gap 55
     walked = []
@@ -607,71 +617,93 @@ def test_entropy_table_route_choice(monkeypatch):
         return walk(self, sizes, bits)
 
     monkeypatch.setattr(companion.Companion, "walk", walk_spy_sizes)
-    assert subshift._walk_cost(window3, [60, 5, 60], 0) == (4101, 4)
+    assert subshift._walk_cost(window3, [60, 5, 60], 0) == (102516, 4)
     subshift_entropy_table(window3, [60, 5, 60])
     assert walked == [[5, 60]]
     assert len(walks) == 2
-    # 4096 states cost more than enumerating short lengths
+    # 4096 states cost more than enumerating short lengths: 1.9 * 10^10
+    # against 528,802
+    assert subshift._walk_cost(wide, range(1, 11), 0)[0] == 18858078173
+    assert sum(subshift._enumeration_cost(2, n) for n in range(1, 11)) == 528802
     assert not subshift._walks(wide, range(1, 11), 0)
     table = subshift_entropy_table(wide, range(1, 11))
     assert {r.method for r in table.rows} == {"exact_enumeration"}
-    assert len(walks) == 2
-    # at n = 25 both estimates exceed the cap: refused before any work
-    with pytest.raises(ResourceGuardError, match="^33554432 labelings"):
+    assert len(walks) == 2 and tallies == list(range(1, 11))
+    # at n = 25 both prices exceed the cap, enumeration's 2^25 labelings
+    # 1,310,770,000: refused before any work
+    assert subshift._enumeration_cost(2, 25) == 1310770000
+    with pytest.raises(ResourceGuardError, match=(
+        "^the transfer walk's estimated cost 47375614191 and enumeration's "
+        "exceed the cap 1000000000$"
+    )):
         subshift_entropy_table(wide, [25])
-    assert len(walks) == 2 and len(tallies) == 8 + 10
-    # nearest-neighbor windows walk whatever enumeration's estimate, up to
-    # the cap: S, 30 steps of 2^2 entries, 1,355, below R's set-up
-    assert subshift._walk_cost(golden_mean(), [30], 0) == (1355, 30)
-    monkeypatch.setattr(subshift, "DEFAULT_ENUMERATION_CAP", 1355)
+    assert len(walks) == 2 and len(tallies) == 10
+    # nearest-neighbor windows take the same rule: S, 30 steps of 2^2
+    # entries, 33,872, below R's set-up and enumeration's 2^30 labelings,
+    # within a cap of 33,872 and refused below it
+    assert subshift._walk_cost(golden_mean(), [30], 0) == (33872, 30)
+    monkeypatch.setattr(algebraic, "COST_CAP", 33872)
     assert subshift_entropy_table(golden_mean(), [30]).rows[0].count == 1860498
     assert len(walks) == 3
-    monkeypatch.setattr(subshift, "DEFAULT_ENUMERATION_CAP", 1354)
-    with pytest.raises(ResourceGuardError, match="estimated cost 1355 exceeds the cap 1354"):
+    monkeypatch.setattr(algebraic, "COST_CAP", 33871)
+    with pytest.raises(ResourceGuardError, match=(
+        "cost 33872 and enumeration's exceed the cap 33871$"
+    )):
         subshift_entropy_table(golden_mean(), [30])
     assert len(walks) == 3
 
 
-def test_nearest_neighbor_table_walks_where_enumeration_is_cheaper(monkeypatch):
-    # Z/2 on 20 symbols: 2 steps of 20^2 entries of 20 additions, 12,929,
-    # against enumeration's 20^2 * 2 labeling sites and its set-up, 2,050
+def test_nearest_neighbor_table_enumerates_where_enumeration_is_cheaper(monkeypatch):
+    # Z/2 on 20 symbols: 2 steps of 20^2 entries of 20 additions, 323,201,
+    # against enumeration's 20^2 * 2 labeling sites and its set-up, 51,250;
+    # over Z/1 and Z/2, 101,281 against 323,201
     shift = full_shift(20)
-    assert subshift._walk_cost(shift, [2], 0) == (12929, 2)
-    tallies = []
-    monkeypatch.setattr(subshift, "_bad_site_tally", lambda *a: tallies.append(a))
+    assert subshift._walk_cost(shift, [2], 0) == (323201, 2)
+    assert subshift._enumeration_cost(20, 2) == 51250
+    assert subshift._walk_cost(shift, [1, 2], 0) == (323201, 2)
+    assert subshift._enumeration_cost(20, 1) + 51250 == 101281
+    walks = []
+    monkeypatch.setattr(subshift, "_transfer_traces", lambda *a: walks.append(a))
     table = subshift_entropy_table(shift, [2])
-    assert [(r.count, r.method) for r in table.rows] == [(400, "transfer_matrix")]
-    assert tallies == []
+    assert [(r.count, r.method) for r in table.rows] == [(400, "exact_enumeration")]
+    table = subshift_entropy_table(shift, [1, 2])
+    assert [(r.count, r.method) for r in table.rows] == [
+        (20, "exact_enumeration"), (400, "exact_enumeration")
+    ]
+    assert walks == []
 
 
 def test_walk_estimate_counts_the_words_of_an_entry(monkeypatch):
     # an entry packs degree + 1 slots of bit_length(m^n) bits: the binary
     # window (0, 1, 2) at budgets 0..3 has D = 16 states of the truncated
     # step, and at n = 16 both plans are its 16 steps of 4^2 entries of 2
-    # additions, 98.68 units, and 60 touched entries of 4 * 17 bits, 1.99
+    # additions, 2,467 units, and 60 touched entries of 4 * 17 bits, 49.8
     window3 = SubshiftSFT(alphabet=(0, 1), window=(0, 1, 2),
                           allowed=frozenset(itertools.product((0, 1), repeat=3)))
-    assert subshift._walk_cost(window3, [16], 3) == (1611, 16)
-    assert subshift._walk_cost(window3, range(1, 17), 3) == (1611, 16)
+    assert subshift._walk_cost(window3, [16], 3) == (40269, 16)
+    assert subshift._walk_cost(window3, range(1, 17), 3) == (40269, 16)
     # the binary window (0, 3, 6) over Z/1..60 at degree 1 is all steps:
     # D = 128 > 60, 60 steps of 2^12 entries of 2 additions of 2 words;
     # at [2000] S's 2000 steps of 63 words pass the cap, and R, 128 steps
     # and the recurrence, is admitted
     w036 = SubshiftSFT((0, 1), (0, 3, 6), frozenset(itertools.product((0, 1), repeat=3)) - {(1, 1, 1)})
-    assert subshift._walk_cost(w036, range(1, 61), 1) == (1146788, 60)
-    assert subshift._walk_cost(w036, [2000], 1) == (6626899, 128)
+    assert subshift._walk_cost(w036, range(1, 61), 1) == (28669697, 60)
+    assert subshift._walk_cost(w036, [2000], 1) == (165672473, 128)
     # past D, R adds its set-up, Newton, and per length a step of the
     # companion walk and its dots: the golden mean at budgets 0..3 (D = 8)
     # steps to 400, under R's set-up and 392 walk steps and dots, and
     # recurs over 1..4000; a single length is squared
     gm = golden_mean()
-    assert subshift._walk_cost(gm, range(1, 401), 3) == (24861, 400)
-    assert subshift._walk_cost(gm, range(1, 4001), 3) == (476691, 8)
-    assert subshift._walk_cost(gm, [10**4], 0) == (8365, 2)
+    assert subshift._walk_cost(gm, range(1, 401), 3) == (621505, 400)
+    assert subshift._walk_cost(gm, range(1, 4001), 3) == (11917255, 8)
+    assert subshift._walk_cost(gm, [10**4], 0) == (209102, 2)
     for lengths, degree in (([10**6], 0), ([10**5], 3), (range(1, 4001), 3), (range(1, 8001), 3)):
-        assert subshift._walk_cost(gm, lengths, degree)[0] <= subshift.DEFAULT_ENUMERATION_CAP
-    # a length past int64 is priced, not overflowed
-    assert subshift._walk_cost(gm, [3, 2**70, 3], 0)[0] > subshift.DEFAULT_ENUMERATION_CAP
+        assert subshift._walk_cost(gm, lengths, degree)[0] <= algebraic.COST_CAP
+    # a length past int64 is priced, not overflowed, and so is enumerating
+    # it, without raising 2^(2^70)
+    assert subshift._walk_cost(gm, [3, 2**70, 3], 0)[0] > algebraic.COST_CAP
+    with pytest.raises(ResourceGuardError, match="enumeration's exceed the cap 1000000000$"):
+        subshift._walks(gm, [3, 2**70, 3], 0)
 
     def no_walk(sft, lengths, degree, steps):
         raise AssertionError("the walk started before the guard refused")
@@ -679,7 +711,9 @@ def test_walk_estimate_counts_the_words_of_an_entry(monkeypatch):
     monkeypatch.setattr(subshift, "_transfer_traces", no_walk)
     # R's step and dots for each of the 10^6 lengths pass the cap before
     # any gap is priced, and S's 10^6 steps more so
-    with pytest.raises(ResourceGuardError, match="cost 1891024310 exceeds the cap 10000000$"):
+    with pytest.raises(ResourceGuardError, match=(
+        "cost 47275607746 and enumeration's exceed the cap 1000000000$"
+    )):
         subshift_entropy_table(gm, range(1, 10**6 + 1))
 
 
@@ -697,44 +731,141 @@ def test_entropy_table_checks_cap_before_enumerating(monkeypatch):
         return checks(*args)
 
     monkeypatch.setattr(subshift, "_pulled_back_checks", counting)
-    monkeypatch.setattr(subshift, "DEFAULT_ENUMERATION_CAP", 64)
-    with pytest.raises(ResourceGuardError, match="^128 labelings exceed the enumeration cap 64;"):
-        subshift_entropy_table(wide, [2, 1, 7, 3, 8], [0, 1])
+    # the walk, 1.5 * 10^10, against enumeration's set-up per length and its
+    # labeling sites, 254,652, refused by a cap below that before any work
+    lengths = [2, 1, 7, 3, 8]
+    assert subshift._walk_cost(wide, lengths, 1)[0] == 15120871744
+    assert sum(subshift._enumeration_cost(2, n) for n in set(lengths)) == 254652
+    monkeypatch.setattr(algebraic, "COST_CAP", 254651)
+    with pytest.raises(ResourceGuardError, match=(
+        "cost 15120871744 and enumeration's exceed the cap 254651$"
+    )):
+        subshift_entropy_table(wide, lengths, [0, 1])
     assert calls == []
+    monkeypatch.setattr(algebraic, "COST_CAP", 254652)
+    assert not subshift._walks(wide, lengths, 1)
     table = subshift_entropy_table(wide, [2, 1, 6, 2], [0])
     assert len(calls) == 3  # each distinct length is enumerated once
     assert {row.method for row in table.rows} == {"exact_enumeration"}
 
 
 def test_entropy_table_refuses_a_dear_nearest_neighbor_walk(monkeypatch):
-    # 100 symbols over Z/1..20: 20 steps of 100^2 entries of 100 additions,
-    # touching entries of 3 words (100^20 < 2^133), 1.5 * 10^7, over the
-    # default cap, refused before any work
+    # 100 symbols over Z/1..50: 50 steps of 100^2 entries of 100 additions,
+    # touching entries of 6 words (100^50 < 2^333), 1.05 * 10^9, over the
+    # default cap, as is enumerating, refused before any work
     wide = _random_sft(random.Random(103), 100, (0, 1))
-    walks = []
+    walks, tallies = [], []
     traces = subshift._transfer_traces
     monkeypatch.setattr(subshift, "_transfer_traces", lambda *a: walks.append(a) or traces(*a))
-    with pytest.raises(ResourceGuardError, match="cost 14752489 exceeds the cap 10000000$"):
-        subshift_entropy_table(wide, range(1, 21))
-    assert walks == []
-    # the default cap is the one consulted, and a raised cap admits the
-    # walk: Z/1, Z/2 take 2 steps, 1,357,864
-    monkeypatch.setattr(subshift, "DEFAULT_ENUMERATION_CAP", 1357863)
-    with pytest.raises(ResourceGuardError, match="cost 1357864 exceeds"):
-        subshift_entropy_table(wide, [1, 2])
-    monkeypatch.setattr(subshift, "DEFAULT_ENUMERATION_CAP", 1357864)
-    table = subshift_entropy_table(wide, [1, 2])
-    want = [transition_matrix_power_trace(wide, n) for n in (1, 2)]
-    assert [r.count for r in table.rows] == want
+    monkeypatch.setattr(subshift, "_bad_site_tally", lambda *a: tallies.append(a))
+    with pytest.raises(ResourceGuardError, match=(
+        "cost 1045334023 and enumeration's exceed the cap 1000000000$"
+    )):
+        subshift_entropy_table(wide, range(1, 51))
+    assert walks == tallies == []
+    # the cap is read when the table is priced: Z/4 takes 4 steps,
+    # 68,534,378, below enumeration's 100^4 * 4 labeling sites
+    monkeypatch.setattr(algebraic, "COST_CAP", 68534377)
+    with pytest.raises(ResourceGuardError, match="cost 68534378 and enumeration's exceed"):
+        subshift_entropy_table(wide, [4])
+    monkeypatch.setattr(algebraic, "COST_CAP", 68534378)
+    table = subshift_entropy_table(wide, [4])
+    assert [r.count for r in table.rows] == [transition_matrix_power_trace(wide, 4)]
+    assert len(walks) == 1 and tallies == []
 
 
 def test_hom_count_cap(monkeypatch):
     gm = golden_mean()
-    # 2^10 labelings: within the default cap, refused by one below them
+    # 2^10 labelings of 10 sites and the set-up, 66,000: within the default
+    # cap, refused by one below them
+    assert subshift._enumeration_cost(2, 10) == 66000
     assert hom_count_exact(gm, _cyclic_sigma(10), (0, 1), budget=0) == 123
-    monkeypatch.setattr(subshift, "DEFAULT_ENUMERATION_CAP", 2**10 - 1)
-    with pytest.raises(ResourceGuardError, match="^1024 labelings"):
+    monkeypatch.setattr(algebraic, "COST_CAP", 65999)
+    with pytest.raises(ResourceGuardError, match=(
+        "^enumeration's estimated cost 66000 exceeds the cap 65999$"
+    )):
         hom_count_exact(gm, _cyclic_sigma(10), (0, 1), budget=0)
+
+
+def test_one_cap_keeps_every_admitted_route_battery():
+    # every table that the two caps of 10^7 admitted keeps its route and its
+    # steps under COST_CAP, but a nearest-neighbor one whose enumeration now
+    # prices lower (the full 20-shift at [2] and [1, 2]); every table they
+    # refused is refused, or admitted within COST_CAP; pricing only
+    windows = [(0,), (0, 1), (1, 0), (0, 2), (0, 4), (0, 1, 2), (-1, 0, 2), (0, 2, 4),
+               (0, 2, 5), (0, 3, 6), (0, 5, 12), (0, 6, 12), (0, 12)]
+    sfts = [SubshiftSFT(tuple(range(m)), w, frozenset([(0,) * len(w)]))
+            for m in (2, 3) for w in windows]
+    sfts += [full_shift(m) for m in (5, 10, 20)]
+    length_sets = [range(1, 9), range(1, 19), range(1, 25), [12, 5, 12], [2], [1, 2], [30],
+                   [60, 5, 60], range(1, 61), [100], range(1, 401), [2000]]
+    cheaper, refused, admitted = [], 0, 0
+    for sft, lengths, degree in itertools.product(sfts, length_sets, (0, 1, 3)):
+        m, case = len(sft.alphabet), (sft.window, len(sft.alphabet), lengths, degree)
+        before = two_cap_route(sft, lengths, degree)
+        try:
+            steps = subshift._walks(sft, lengths, degree)
+        except ResourceGuardError:
+            assert before is None, case
+            refused += 1
+            continue
+        walk = subshift._walk_cost(sft, lengths, degree)[0]
+        enumerated = sum(subshift._enumeration_cost(m, n) for n in set(lengths))
+        assert (walk if steps else enumerated) <= algebraic.COST_CAP, case
+        if before is None:
+            admitted += 1
+        elif steps != before:
+            assert set(sft.window) == {0, 1} and not steps and enumerated < walk, case
+            cheaper.append((m, list(lengths), degree))
+    assert cheaper == [(20, n, d) for n in ([2], [1, 2]) for d in (0, 1, 3)]
+    assert refused and admitted
+
+
+def _route_case(route):
+    """(the call, its price, and the owner and name of its kernel) of each
+    route that COST_CAP guards."""
+    if route == "torus split":
+        f, q = parse_laurent("5 - x - x^-1 - y - y^-1", 2), torus_quotient([12, 12])
+        split = algebraic._Split(q.split_plan(f))
+        return partial(fix_count, f, q), max(split.work, split.supply), algebraic, "_split_det"
+    if route == "companion walk":
+        f, q = parse_laurent("x - 2", 1), torus_quotient([2000])
+        price = math.ceil(companion.Companion([-2, 1]).cost(2000, 2000))
+        return partial(fix_count, f, q), price, companion.Companion, "counts"
+    if route == "subshift walk":
+        # not nearest-neighbor, at a length whose m^n n labeling sites
+        # are far past float range
+        sft = SubshiftSFT((0, 1), (0, 2), frozenset({(0, 0), (0, 1), (1, 0)}))
+        price = subshift._walk_cost(sft, [2000], 0)[0]
+        return partial(subshift_entropy_table, sft, [2000]), price, subshift, "_transfer_traces"
+    patterns = list(itertools.product((0, 1), repeat=3))
+    wide = SubshiftSFT((0, 1), (0, 6, 12), frozenset(patterns[1:]))
+    if route == "table enumeration":
+        price = sum(subshift._enumeration_cost(2, n) for n in range(1, 11))
+        call = partial(subshift_entropy_table, wide, range(1, 11))
+        return call, price, subshift, "_bad_site_tally"
+    call = partial(hom_count_exact, wide, _cyclic_sigma(10, wide.window), wide.window)
+    return call, subshift._enumeration_cost(2, 10), subshift, "_bad_site_tally"
+
+
+@pytest.mark.parametrize("route", [
+    "torus split", "companion walk", "subshift walk", "table enumeration", "hom_count_exact",
+])
+def test_one_cap_guards_every_route(route, monkeypatch):
+    # one monkeypatch of algebraic.COST_CAP governs every priced route: one
+    # below the route's price refuses it before its kernel runs, the price
+    # itself admits it
+    call, price, owner, kernel = _route_case(route)
+    ran = []
+    run = getattr(owner, kernel)
+    monkeypatch.setattr(owner, kernel, lambda *a: ran.append(a) or run(*a))
+    monkeypatch.setattr(algebraic, "COST_CAP", price - 1)
+    with pytest.raises(ResourceGuardError, match=f"exceed.? the cap {price - 1}"):
+        call()
+    assert ran == []
+    monkeypatch.setattr(algebraic, "COST_CAP", price)
+    call()
+    assert ran
 
 
 # ---------------------------------------------------------------------------
